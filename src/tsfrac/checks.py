@@ -149,12 +149,8 @@ def _hybrid_scale(rng: random.Random) -> TimeScale:
 
 
 def _members(T: TimeScale) -> list:
-    out = set()
-    for comp in T.components:
-        iterate = getattr(comp, "iter_members", None)
-        if iterate is not None:
-            out.update(iterate())
-    return sorted(out)
+    """The members of T's discrete components, ascending."""
+    return sorted({m for c in T.components if not isinstance(c, Interval) for m in c.iter_members()})
 
 
 def _isolated_interior(T: TimeScale, rng: random.Random) -> float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from .checks import SUITE_NAMES, run_suite
@@ -154,13 +155,20 @@ def _limit_config(args) -> LimitConfig:
     )
 
 
+def _finite(name: str, x: float) -> float:
+    # NaN and infinity have no JSON form, so they cannot reach a record
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be a finite number, got {x!r}")
+    return x
+
+
 def _parse_points(text: str):
     points = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
-        points.append(float(chunk))
+        points.append(_finite("point", float(chunk)))
     if not points:
         raise ValueError("no points given")
     return points
@@ -208,6 +216,8 @@ def cmd_deriv(args):
 
 
 def cmd_integ(args):
+    _finite("--a", args.a)
+    _finite("--b", args.b)
     T = parse_scale(args.scale)
     f = FnOnScale.from_expression(args.fn, T)
     beta = Order.parse(args.beta, allow_zero=True)
@@ -237,15 +247,13 @@ def cmd_integ(args):
 
 
 def cmd_table(args):
-    import math
-
     T = parse_scale(args.scale)
     f = FnOnScale.from_expression(args.fn, T)
     order = Order.parse(args.order)
     cfg = _limit_config(args)
     compute = _DERIV[args.kind]
-    a = T.inf_value if args.a is None else args.a
-    b = T.sup_value if args.b is None else args.b
+    a = T.inf_value if args.a is None else _finite("--a", args.a)
+    b = T.sup_value if args.b is None else _finite("--b", args.b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("table over an unbounded scale needs explicit --a and --b")
     records = []

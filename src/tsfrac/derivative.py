@@ -30,7 +30,6 @@ dense points): ``symmetric = gamma1 * delta + gamma2 * nabla``.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -142,11 +141,10 @@ def _side_samples(T: TimeScale, ts: float, side: ApproachSide, cfg: LimitConfig)
         return T.approach_sequence(ts, side, cfg.max_samples, h0=cfg.h0, ratio=cfg.ratio)
     except SideNotDense:
         return None
-    except InsufficientPoints:
-        avail = len(T._discrete_members_near(ts, side, cfg.max_samples))
-        if avail < 3:
+    except InsufficientPoints as exc:
+        if exc.available < 3:
             return None
-        return T.approach_sequence(ts, side, avail, h0=cfg.h0, ratio=cfg.ratio)
+        return T.approach_sequence(ts, side, exc.available, h0=cfg.h0, ratio=cfg.ratio)
 
 
 def _one_sided(quot, samples, side, cfg) -> "tuple[float, float]":

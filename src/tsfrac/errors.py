@@ -49,7 +49,14 @@ class SideNotDense(TsfracError):
 
 
 class InsufficientPoints(TsfracError):
-    """Fewer scale points are available on the requested side than asked for."""
+    """Fewer scale points are available on the requested side than asked for.
+
+    ``available`` is the number of points the side does have.
+    """
+
+    def __init__(self, message: str, *, available: int = 0):
+        super().__init__(message)
+        self.available = available
 
 
 class NoSymmetricNeighborhood(TsfracError):

@@ -34,7 +34,6 @@ EndpointAdjustedWarning rather than failing.
 from __future__ import annotations
 
 import bisect
-import enum
 import math
 import threading
 import warnings
@@ -132,31 +131,15 @@ def _snap_endpoint(T: TimeScale, t: float, name: str) -> float:
     return ts
 
 
-class _WalkKind(enum.Enum):
-    NABLA = "nabla"
-    DELTA = "delta"
-
-
-def _walk(f: FnOnScale, lo: float, hi: float, qc: QuadratureConfig, kind: _WalkKind) -> float:
+def _walk(f: FnOnScale, lo: float, hi: float, qc: QuadratureConfig, kind: DerivKind) -> float:
     """Sum of jump terms and interval quadrature from lo up to hi (lo <= hi,
     both scale members)."""
-    T = f.scale
     total = 0.0
-    t = lo
-    while t < hi:
-        iv = T._interval_containing(t)
-        if iv is not None and iv.hi > t:
-            stop = min(iv.hi, hi)
-            total += _quad(f.eval, t, stop, qc)
-            t = stop
-            continue
-        s = T._sigma_raw(t)
-        if not s > t:
-            raise ValidationError(
-                f"cannot advance past t={t} while integrating over {T.describe()}"
-            )
-        total += (f.eval(s) if kind is _WalkKind.NABLA else f.eval(t)) * (s - t)
-        t = s
+    for t, s, dense in f.scale._steps(lo, hi):
+        if dense:
+            total += _quad(f.eval, t, s, qc)
+        else:
+            total += (f.eval(s) if kind is DerivKind.NABLA else f.eval(t)) * (s - t)
     return total
 
 
@@ -176,8 +159,8 @@ def nabla_integral(
     if sa == sb:
         return 0.0
     if sa > sb:
-        return -_walk(f, sb, sa, qc, _WalkKind.NABLA)
-    return _walk(f, sa, sb, qc, _WalkKind.NABLA)
+        return -_walk(f, sb, sa, qc, DerivKind.NABLA)
+    return _walk(f, sa, sb, qc, DerivKind.NABLA)
 
 
 def delta_integral(
@@ -193,8 +176,8 @@ def delta_integral(
     if sa == sb:
         return 0.0
     if sa > sb:
-        return -_walk(f, sb, sa, qc, _WalkKind.DELTA)
-    return _walk(f, sa, sb, qc, _WalkKind.DELTA)
+        return -_walk(f, sb, sa, qc, DerivKind.DELTA)
+    return _walk(f, sa, sb, qc, DerivKind.DELTA)
 
 
 @dataclass
@@ -225,12 +208,11 @@ class Antiderivative:
         self._keys = [anchor]
 
     def _integrate(self, lo: float, hi: float) -> float:
-        walk = _WalkKind.NABLA if self.kind is DerivKind.NABLA else _WalkKind.DELTA
         if lo == hi:
             return 0.0
         if lo > hi:
-            return -_walk(self.base, hi, lo, self.qc, walk)
-        return _walk(self.base, lo, hi, self.qc, walk)
+            return -_walk(self.base, hi, lo, self.qc, self.kind)
+        return _walk(self.base, lo, hi, self.qc, self.kind)
 
     def eval(self, t: float) -> float:
         ts = _snap_endpoint(self.base.scale, t, "t")

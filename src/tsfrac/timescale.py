@@ -20,10 +20,22 @@ below the tolerance stand in for a genuine accumulation point.
 
 Scales are immutable.  Construction normalizes the component list: adjacent
 or overlapping intervals are merged, discrete points covered by an interval
-are absorbed, discrete components that share values are fused, and members
+are absorbed, discrete components with members within the snap tolerance of
+each other are fused into one point set, and the members of a point set
 closer together than the snap tolerance are coalesced (the representation
-cannot tell them apart at the documented tolerance).  Normalizing a
-normalized scale is the identity.
+cannot tell them apart at the documented tolerance).  The result does not
+depend on the order of the components, and normalizing a normalized scale
+is the identity.
+
+Every query is answered from one flat index built at construction: the
+sorted tuple of all discrete members and finite interval endpoints, and one
+flag per gap between neighboring entries (plus the two unbounded ends)
+saying whether the gap lies inside an interval.  An interval's endpoints
+are always neighbors in the index, since normalization leaves no member
+inside or within the tolerance of an interval.  Snapping, the jump
+operators, classification and the enumerations behind the limit
+scaffolding are one or two bisections of the index; the component list is
+kept for ``describe()``, JSON and equality only.
 """
 
 from __future__ import annotations
@@ -32,7 +44,8 @@ import bisect
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 from .errors import (
     InsufficientPoints,
@@ -153,44 +166,6 @@ class Interval:
         if math.isinf(lo) and lo > 0 or math.isinf(hi) and hi < 0:
             raise ValidationError("interval bounds out of order at infinity")
 
-    @property
-    def inf_value(self) -> float:
-        return self.lo
-
-    @property
-    def sup_value(self) -> float:
-        return self.hi
-
-    @property
-    def is_discrete(self) -> bool:
-        return False
-
-    def nearest(self, t: float) -> float:
-        return min(max(t, self.lo), self.hi)
-
-    def first_above(self, t: float, tol: float):
-        # Returns t itself while strictly inside: the points above t come
-        # arbitrarily close, so the infimum of {s > t} is t.
-        if t < self.lo:
-            return self.lo
-        if t < self.hi:
-            return t
-        return None
-
-    def last_below(self, t: float, tol: float):
-        if t > self.hi:
-            return self.hi
-        if t > self.lo:
-            return t
-        return None
-
-    def members_above(self, t: float, tol: float, limit: int) -> list[float]:
-        # Only the left endpoint is an enumerable member from outside.
-        return [self.lo] if t < self.lo else []
-
-    def members_below(self, t: float, tol: float, limit: int) -> list[float]:
-        return [self.hi] if t > self.hi else []
-
     def to_json_dict(self) -> dict:
         def enc(x):
             return _fmt_num(x) if math.isinf(x) else x
@@ -201,60 +176,8 @@ class Interval:
         return f"interval({_fmt_num(self.lo)},{_fmt_num(self.hi)})"
 
 
-class _SortedDiscrete:
-    """Shared bisect-based lookups for components that store their members."""
-
-    _members: tuple
-
-    @property
-    def inf_value(self) -> float:
-        return self._members[0]
-
-    @property
-    def sup_value(self) -> float:
-        return self._members[-1]
-
-    @property
-    def is_discrete(self) -> bool:
-        return True
-
-    def nearest(self, t: float) -> float:
-        ms = self._members
-        i = bisect.bisect_left(ms, t)
-        if i == 0:
-            return ms[0]
-        if i == len(ms):
-            return ms[-1]
-        lo, hi = ms[i - 1], ms[i]
-        # ties resolve to the lower member
-        return lo if (t - lo) <= (hi - t) else hi
-
-    def first_above(self, t: float, tol: float):
-        ms = self._members
-        i = bisect.bisect_right(ms, t)
-        return ms[i] if i < len(ms) else None
-
-    def last_below(self, t: float, tol: float):
-        ms = self._members
-        i = bisect.bisect_left(ms, t)
-        return ms[i - 1] if i > 0 else None
-
-    def members_above(self, t: float, tol: float, limit: int) -> list[float]:
-        ms = self._members
-        i = bisect.bisect_right(ms, t)
-        return list(ms[i : i + limit])
-
-    def members_below(self, t: float, tol: float, limit: int) -> list[float]:
-        ms = self._members
-        i = bisect.bisect_left(ms, t)
-        return list(ms[max(0, i - limit) : i])
-
-    def iter_members(self):
-        return iter(self._members)
-
-
 @dataclass(frozen=True)
-class FinitePoints(_SortedDiscrete):
+class FinitePoints:
     """An explicit finite point set, stored sorted with exact duplicates
     removed."""
 
@@ -269,9 +192,8 @@ class FinitePoints(_SortedDiscrete):
                 raise ValidationError("points must be finite")
         object.__setattr__(self, "values", tuple(vals))
 
-    @property
-    def _members(self) -> tuple:
-        return self.values
+    def iter_members(self):
+        return iter(self.values)
 
     def to_json_dict(self) -> dict:
         return {"kind": "points", "points": list(self.values)}
@@ -316,66 +238,8 @@ class UniformGrid:
     def count(self) -> int:
         return self._count  # type: ignore[attr-defined]
 
-    @property
-    def inf_value(self) -> float:
-        return self.start
-
-    @property
-    def sup_value(self) -> float:
-        return self.stop
-
-    @property
-    def is_discrete(self) -> bool:
-        return True
-
-    def _member(self, k: int) -> float:
-        return self.start + k * self.step
-
-    def _index_of(self, t: float, tol: float):
-        k = int(round((t - self.start) / self.step))
-        if 0 <= k < self.count and abs(t - self._member(k)) <= tol:
-            return k
-        return None
-
-    def nearest(self, t: float) -> float:
-        k = int(round((t - self.start) / self.step))
-        k = min(max(k, 0), self.count - 1)
-        return self._member(k)
-
-    def first_above(self, t: float, tol: float):
-        k = self._index_of(t, tol)
-        if k is None:
-            k = int(math.floor((t - self.start) / self.step)) + 1
-            k = max(k, 0)
-        else:
-            k += 1
-        return self._member(k) if k < self.count else None
-
-    def last_below(self, t: float, tol: float):
-        k = self._index_of(t, tol)
-        if k is None:
-            k = int(math.ceil((t - self.start) / self.step)) - 1
-            k = min(k, self.count - 1)
-        else:
-            k -= 1
-        return self._member(k) if k >= 0 else None
-
-    def members_above(self, t: float, tol: float, limit: int) -> list[float]:
-        first = self.first_above(t, tol)
-        if first is None:
-            return []
-        k0 = int(round((first - self.start) / self.step))
-        return [self._member(k) for k in range(k0, min(k0 + limit, self.count))]
-
-    def members_below(self, t: float, tol: float, limit: int) -> list[float]:
-        last = self.last_below(t, tol)
-        if last is None:
-            return []
-        k0 = int(round((last - self.start) / self.step))
-        return [self._member(k) for k in range(max(0, k0 - limit + 1), k0 + 1)]
-
     def iter_members(self):
-        return (self._member(k) for k in range(self.count))
+        return (self.start + k * self.step for k in range(self.count))
 
     def to_json_dict(self) -> dict:
         return {
@@ -392,7 +256,7 @@ class UniformGrid:
 
 
 @dataclass(frozen=True)
-class GeometricGrid(_SortedDiscrete):
+class GeometricGrid:
     """sign * q**k for k = k_min .. k_max, plus 0 when include_zero is set.
 
     q must exceed 1.  With include_zero and a tail q**k_min at or below the
@@ -431,11 +295,10 @@ class GeometricGrid(_SortedDiscrete):
             # q**k can underflow to 0.0 for very negative k, so build through
             # a set to keep members strictly increasing.
             members.add(0.0)
-        object.__setattr__(self, "_members_cache", tuple(sorted(members)))
+        object.__setattr__(self, "_members", tuple(sorted(members)))
 
-    @property
-    def _members(self) -> tuple:
-        return self._members_cache  # type: ignore[attr-defined]
+    def iter_members(self):
+        return iter(self._members)  # type: ignore[attr-defined]
 
     def to_json_dict(self) -> dict:
         return {
@@ -450,7 +313,7 @@ class GeometricGrid(_SortedDiscrete):
     def describe(self) -> str:
         if self.sign < 0:
             # no text form for mirrored geometric grids; fall back to points
-            return "points(" + ",".join(_fmt_num(v) for v in self._members) + ")"
+            return "points(" + ",".join(_fmt_num(v) for v in self.iter_members()) + ")"
         zero = ",zero" if self.include_zero else ""
         return f"qgrid({_fmt_num(self.q)},{self.k_min},{self.k_max}{zero})"
 
@@ -469,6 +332,66 @@ def _coalesce(values: list[float], tol: float) -> list[float]:
     return out
 
 
+def _normalize(comps: list, tol: float):
+    """The merged intervals, sorted and disjoint, and the surviving discrete
+    components as (component, sorted members) pairs."""
+    intervals: list[Interval] = []
+    discretes: list = []
+    for c in comps:
+        if isinstance(c, Interval):
+            if c.lo == c.hi:
+                discretes.append(FinitePoints([c.lo]))
+            else:
+                intervals.append(c)
+        else:
+            discretes.append(c)
+
+    # merge overlapping or touching intervals
+    merged: list[Interval] = []
+    for iv in sorted(intervals, key=lambda i: (i.lo, i.hi)):
+        if merged and iv.lo <= merged[-1].hi + tol:
+            if iv.hi > merged[-1].hi:
+                merged[-1] = Interval(merged[-1].lo, iv.hi)
+        else:
+            merged.append(iv)
+
+    # absorb discrete members covered by an interval
+    reach = [iv.lo - tol for iv in merged]
+
+    def covered(v: float) -> bool:
+        i = bisect.bisect_right(reach, v) - 1
+        return i >= 0 and v <= merged[i].hi + tol
+
+    parts: list = []
+    for c in discretes:
+        members = list(c.iter_members())
+        kept = [m for m in members if not covered(m)]
+        if kept:
+            parts.append((c if len(kept) == len(members) else FinitePoints(kept), kept))
+
+    # fuse the components linked by members within tol of each other (one
+    # sorted merge of all members), then coalesce every point set
+    group = list(range(len(parts)))
+    if len(parts) > 1:
+        tagged = sorted((m, i) for i, (_, ms) in enumerate(parts) for m in ms)
+        for (a, i), (b, j) in zip(tagged, tagged[1:]):
+            if b - a <= tol and group[i] != group[j]:
+                old, new = group[j], group[i]
+                group = [new if g == old else g for g in group]
+    fused: dict = {}
+    for g, part in zip(group, parts):
+        fused.setdefault(g, []).append(part)
+    survivors = []
+    for members_of in fused.values():
+        c = members_of[0][0]
+        if len(members_of) > 1 or isinstance(c, FinitePoints):
+            values = _coalesce([m for _, ms in members_of for m in ms], tol)
+            survivors.append((FinitePoints(values), values))
+        else:
+            survivors.append(members_of[0])
+    return merged, survivors
+
+
 class TimeScale:
     """An immutable, normalized time scale.
 
@@ -481,7 +404,18 @@ class TimeScale:
         ValidationError: if a component is invalid or the list is empty.
     """
 
-    __slots__ = ("components", "snap_tol", "_intervals", "_inf_scattered", "_sup_scattered")
+    __slots__ = (
+        "components",
+        "snap_tol",
+        "inf_value",
+        "sup_value",
+        "_pts",
+        "_inside",
+        "_above",
+        "_below",
+        "_inf_scattered",
+        "_sup_scattered",
+    )
 
     def __init__(self, components, snap_tol: float = DEFAULT_SNAP_TOL):
         comps = list(components)
@@ -492,24 +426,44 @@ class TimeScale:
         for c in comps:
             if not isinstance(c, (Interval, FinitePoints, UniformGrid, GeometricGrid)):
                 raise ValidationError(f"not a scale component: {c!r}")
-        object.__setattr__(self, "snap_tol", float(snap_tol))
-        object.__setattr__(self, "components", tuple(self._normalize(comps)))
+        tol = float(snap_tol)
+        intervals, survivors = _normalize(comps, tol)
+        ordered = [((iv.lo, iv.hi), iv) for iv in intervals]
+        ordered += [((ms[0], ms[-1]), c) for c, ms in survivors]
+        ordered.sort(key=lambda kc: kc[0])
+
+        # the flat index: _inside[i] tells whether the gap between _pts[i-1]
+        # and _pts[i] (unbounded at i == 0 and i == len(_pts)) is an interval;
+        # packed arrays hold a large grid in a quarter of the memory of floats
+        ends = [x for iv in intervals for x in (iv.lo, iv.hi) if math.isfinite(x)]
+        pts = array("d", sorted([m for _, ms in survivors for m in ms] + ends))
+        inside = bytearray(len(pts) + 1)
+        for iv in intervals:
+            inside[bisect.bisect_left(pts, iv.hi) if math.isfinite(iv.hi) else len(pts)] = 1
+        # enumeration skips the points inside an interval, so from below it
+        # sees only an interval's left end and from above only its right end
+        above, below = pts, pts
+        if intervals:
+            above = array("d", (p for p, gap_before in zip(pts, inside) if not gap_before))
+            below = array("d", (p for p, gap_after in zip(pts, inside[1:]) if not gap_after))
+
+        for name, value in (
+            ("snap_tol", tol),
+            ("components", tuple(c for _, c in ordered)),
+            ("inf_value", -math.inf if inside[0] else pts[0]),
+            ("sup_value", math.inf if inside[-1] else pts[-1]),
+            ("_pts", pts),
+            ("_inside", bytes(inside)),
+            ("_above", above),
+            ("_below", below),
+        ):
+            object.__setattr__(self, name, value)
+        inf, sup = self.inf_value, self.sup_value
         object.__setattr__(
-            self,
-            "_intervals",
-            tuple(c for c in self.components if isinstance(c, Interval)),
+            self, "_inf_scattered", math.isfinite(inf) and (self._sigma_raw(inf) - inf) > tol
         )
-        inf = self.inf_value
-        sup = self.sup_value
         object.__setattr__(
-            self,
-            "_inf_scattered",
-            math.isfinite(inf) and (self._sigma_raw(inf) - inf) > self.snap_tol,
-        )
-        object.__setattr__(
-            self,
-            "_sup_scattered",
-            math.isfinite(sup) and (sup - self._rho_raw(sup)) > self.snap_tol,
+            self, "_sup_scattered", math.isfinite(sup) and (sup - self._rho_raw(sup)) > tol
         )
 
     def __setattr__(self, name, value):
@@ -528,109 +482,22 @@ class TimeScale:
     def __repr__(self):
         return f"TimeScale({self.describe()})"
 
-    # -- normalization ----------------------------------------------------
-
-    def _normalize(self, comps: list) -> list:
-        tol = self.snap_tol
-
-        intervals: list[Interval] = []
-        discretes: list = []
-        for c in comps:
-            if isinstance(c, Interval):
-                if c.lo == c.hi:
-                    discretes.append(FinitePoints([c.lo]))
-                else:
-                    intervals.append(c)
-            else:
-                discretes.append(c)
-
-        # merge overlapping or touching intervals
-        merged: list[Interval] = []
-        for iv in sorted(intervals, key=lambda i: (i.lo, i.hi)):
-            if merged and iv.lo <= merged[-1].hi + tol:
-                if iv.hi > merged[-1].hi:
-                    merged[-1] = Interval(merged[-1].lo, iv.hi)
-            else:
-                merged.append(iv)
-
-        def covered(v: float) -> bool:
-            return any(iv.lo - tol <= v <= iv.hi + tol for iv in merged)
-
-        # absorb discrete members covered by an interval
-        survivors: list = []
-        for c in discretes:
-            members = list(c.iter_members())
-            kept = [m for m in members if not covered(m)]
-            if not kept:
-                continue
-            if len(kept) == len(members):
-                survivors.append(c)
-            else:
-                survivors.append(FinitePoints(kept))
-
-        # fuse discrete components that share members (within tol); plain
-        # FinitePoints are also re-coalesced so near-duplicates collapse
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(survivors)):
-                for j in range(i + 1, len(survivors)):
-                    a, b = survivors[i], survivors[j]
-                    if a.sup_value < b.inf_value - tol or b.sup_value < a.inf_value - tol:
-                        continue
-                    avals = list(a.iter_members())
-                    bvals = list(b.iter_members())
-                    if _shares_member(avals, bvals, tol):
-                        fused = FinitePoints(_coalesce(avals + bvals, tol))
-                        survivors = (
-                            survivors[:i]
-                            + [fused]
-                            + survivors[i + 1 : j]
-                            + survivors[j + 1 :]
-                        )
-                        changed = True
-                        break
-                if changed:
-                    break
-        survivors = [
-            FinitePoints(_coalesce(list(c.values), tol))
-            if isinstance(c, FinitePoints)
-            else c
-            for c in survivors
-        ]
-
-        out = merged + survivors
-        out.sort(key=lambda c: (c.inf_value, c.sup_value))
-        if not out:
-            raise ValidationError("normalization left no components")
-        return out
-
     # -- membership -------------------------------------------------------
-
-    @property
-    def inf_value(self) -> float:
-        return min(c.inf_value for c in self.components)
-
-    @property
-    def sup_value(self) -> float:
-        return max(c.sup_value for c in self.components)
 
     def snap(self, t: float):
         """The exact member nearest to t if one lies within the snap
-        tolerance, else None."""
+        tolerance, else None.  Ties go to the lower member."""
         if not isinstance(t, (int, float)) or not math.isfinite(t):
             return None
         t = float(t)
-        best = None
-        best_d = math.inf
-        for c in self.components:
-            cand = c.nearest(t)
-            d = abs(cand - t)
-            if d < best_d or (d == best_d and (best is None or cand < best)):
-                best, best_d = cand, d
-        if best is not None and best_d <= self.snap_tol:
-            return best
-        return None
+        pts = self._pts
+        i = bisect.bisect_left(pts, t)
+        if self._inside[i]:  # t lies in an interval, right end included
+            return t
+        if i == len(pts) or (i > 0 and t - pts[i - 1] <= pts[i] - t):
+            i -= 1
+        m = pts[i]
+        return m if abs(m - t) <= self.snap_tol else None
 
     def contains(self, t: float) -> bool:
         return self.snap(t) is not None
@@ -644,20 +511,16 @@ class TimeScale:
     # -- jump operators ---------------------------------------------------
 
     def _sigma_raw(self, ts: float) -> float:
-        cands = []
-        for c in self.components:
-            v = c.first_above(ts, self.snap_tol)
-            if v is not None:
-                cands.append(v)
-        return min(cands) if cands else ts
+        j = bisect.bisect_right(self._pts, ts)
+        if self._inside[j] or j == len(self._pts):
+            return ts
+        return self._pts[j]
 
     def _rho_raw(self, ts: float) -> float:
-        cands = []
-        for c in self.components:
-            v = c.last_below(ts, self.snap_tol)
-            if v is not None:
-                cands.append(v)
-        return max(cands) if cands else ts
+        i = bisect.bisect_left(self._pts, ts)
+        if self._inside[i] or i == 0:
+            return ts
+        return self._pts[i - 1]
 
     def sigma(self, t: float) -> float:
         """Forward jump: the infimum of scale points after t (t itself at the
@@ -704,23 +567,31 @@ class TimeScale:
 
     # -- limit scaffolding ------------------------------------------------
 
-    def _interval_containing(self, ts: float):
-        for iv in self._intervals:
-            if iv.lo <= ts <= iv.hi:
-                return iv
-        return None
+    def _interval_at(self, ts: float):
+        """(lo, hi) of the interval holding the member ts, or None."""
+        pts, inside = self._pts, self._inside
+        i = bisect.bisect_left(pts, ts)
+        if not inside[i]:
+            # a member outside the open gaps is an entry of the index, and an
+            # interval's left end when the gap after it is inside
+            i += 1
+            if not inside[i]:
+                return None
+        return (
+            pts[i - 1] if i > 0 else -math.inf,
+            pts[i] if i < len(pts) else math.inf,
+        )
 
-    def _discrete_members_near(self, ts: float, side: ApproachSide, limit: int) -> list[float]:
-        vals: list[float] = []
-        for c in self.components:
-            if side is ApproachSide.RIGHT:
-                vals.extend(c.members_above(ts, self.snap_tol, limit))
-            else:
-                vals.extend(c.members_below(ts, self.snap_tol, limit))
-        vals = sorted(set(vals))
+    def _members_near(self, ts: float, side: ApproachSide, limit: int) -> list[float]:
+        """Up to limit enumerable members strictly on one side of ts,
+        ascending; the points inside an interval are skipped."""
         if side is ApproachSide.RIGHT:
-            return vals[:limit]
-        return vals[-limit:]
+            ms = self._above
+            i = bisect.bisect_right(ms, ts)
+            return list(ms[i : i + limit])
+        ms = self._below
+        i = bisect.bisect_left(ms, ts)
+        return list(ms[max(0, i - limit) : i])
 
     def approach_sequence(
         self,
@@ -744,7 +615,8 @@ class TimeScale:
         Raises:
             SideNotDense: the requested side of t is scattered.
             InsufficientPoints: the side is dense by convention only, or is
-                discrete with fewer than n points.
+                discrete with fewer than n points (``available`` says how
+                many it has).
         """
         if side not in (ApproachSide.LEFT, ApproachSide.RIGHT):
             raise ValueError("side must be LEFT or RIGHT")
@@ -760,9 +632,10 @@ class TimeScale:
         if not dense:
             raise SideNotDense(f"t={ts} is scattered on the {side.value} side")
 
-        iv = self._interval_containing(ts)
+        iv = self._interval_at(ts)
         if iv is not None:
-            room = (iv.hi - ts) if side is ApproachSide.RIGHT else (ts - iv.lo)
+            lo, hi = iv
+            room = (hi - ts) if side is ApproachSide.RIGHT else (ts - lo)
             if room > self.snap_tol:
                 if h0 is None:
                     h0 = min(0.1, room) / 2
@@ -778,10 +651,11 @@ class TimeScale:
                     prev = s
                 return out
 
-        members = self._discrete_members_near(ts, side, n)
+        members = self._members_near(ts, side, n)
         if len(members) < n:
             raise InsufficientPoints(
-                f"only {len(members)} scale points on the {side.value} side of {ts}"
+                f"only {len(members)} scale points on the {side.value} side of {ts}",
+                available=len(members),
             )
         if side is ApproachSide.RIGHT:
             members.reverse()  # farthest first, decreasing toward t
@@ -815,9 +689,10 @@ class TimeScale:
             raise ValueError("h0 must be positive")
         ts = self._require_member(t)
 
-        iv = self._interval_containing(ts)
+        iv = self._interval_at(ts)
         if iv is not None:
-            room = min(ts - iv.lo, iv.hi - ts)
+            lo, hi = iv
+            room = min(ts - lo, hi - ts)
             if room > self.snap_tol:
                 if h0 is None:
                     h0 = min(0.1, room) / 2
@@ -836,14 +711,14 @@ class TimeScale:
         bound = h0 if h0 is not None else 1e-2
         limit = max(8 * n, 64)
         cand: list[float] = []
-        for m in self._discrete_members_near(ts, ApproachSide.RIGHT, limit):
+        for m in self._members_near(ts, ApproachSide.RIGHT, limit):
             h = m - ts
             if not (self.snap_tol < h < bound):
                 continue
             mirror = self.snap(ts - h)
             if mirror is not None:
                 cand.append(h)
-        for m in self._discrete_members_near(ts, ApproachSide.LEFT, limit):
+        for m in self._members_near(ts, ApproachSide.LEFT, limit):
             h = ts - m
             if not (self.snap_tol < h < bound):
                 continue
@@ -863,28 +738,45 @@ class TimeScale:
 
     # -- enumeration ------------------------------------------------------
 
+    def _steps(self, lo: float, hi: float):
+        """The pieces (t, s, dense) that cover [lo, hi] in order, for members
+        lo <= hi: a jump from t to its successor s, or a stretch [t, s] of an
+        interval."""
+        pts, inside = self._pts, self._inside
+        k = bisect.bisect_right(pts, lo)
+        t = lo
+        while t < hi:
+            # past the last entry only an unbounded interval remains
+            s = min(pts[k], hi) if k < len(pts) else hi
+            yield t, s, inside[k]
+            t = s
+            k += 1
+
     def points_in(self, a: float, b: float, density: float = 33.0) -> list[float]:
         """Representative scale points in [a, b]: all discrete members plus
         interval samples at the given points-per-unit density."""
         if b < a:
             a, b = b, a
-        pts: list[float] = []
-        for c in self.components:
-            if c.is_discrete:
-                for m in c.iter_members():
-                    if a - self.snap_tol <= m <= b + self.snap_tol:
-                        pts.append(m)
-            else:
-                x = max(c.lo, a)
-                y = min(c.hi, b)
-                if x > y:
-                    continue
-                if x == y:
-                    pts.append(x)
-                    continue
-                npts = max(2, int(math.ceil((y - x) * density)) + 1)
-                pts.extend(x + j * (y - x) / (npts - 1) for j in range(npts))
-        return _coalesce(pts, self.snap_tol)
+        pts, inside = self._pts, self._inside
+        tol = self.snap_tol
+        out = [
+            pts[k]
+            for k in range(bisect.bisect_left(pts, a - tol), bisect.bisect_right(pts, b + tol))
+            if not (inside[k] or inside[k + 1])
+        ]
+        for g in range(bisect.bisect_left(pts, a), bisect.bisect_right(pts, b) + 1):
+            if not inside[g]:
+                continue
+            x = max(pts[g - 1], a) if g > 0 else a
+            y = min(pts[g], b) if g < len(pts) else b
+            if x > y:
+                continue
+            if x == y:
+                out.append(x)
+                continue
+            npts = max(2, int(math.ceil((y - x) * density)) + 1)
+            out.extend(x + j * (y - x) / (npts - 1) for j in range(npts))
+        return _coalesce(out, tol)
 
     # -- serialization ----------------------------------------------------
 
@@ -943,19 +835,6 @@ class TimeScale:
         if len(parts) == 1:
             return parts[0]
         return "union(" + ",".join(parts) + ")"
-
-
-def _shares_member(avals: list[float], bvals: list[float], tol: float) -> bool:
-    i = j = 0
-    while i < len(avals) and j < len(bvals):
-        d = avals[i] - bvals[j]
-        if abs(d) <= tol:
-            return True
-        if d < 0:
-            i += 1
-        else:
-            j += 1
-    return False
 
 
 def _dec_inf(x):

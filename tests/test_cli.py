@@ -318,3 +318,22 @@ def test_bad_order_is_structured(capsys):
     )
     assert code == 1
     assert records(out)[0]["error"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--scale", "grid(0,10,1)", "--points=nan"),
+        ("classify", "--scale", "grid(0,10,1)", "--points=1e400"),
+        ("deriv", "--scale", "grid(0,10,1)", "--fn", "t", "--order", "1/2", "--points=nan"),
+        ("integ", "--scale", "grid(0,10,1)", "--fn", "t", "--beta", "1/2", "--a=nan", "--b", "5"),
+        ("integ", "--scale", "grid(0,10,1)", "--fn", "t", "--beta", "1/2", "--a", "1", "--b=-inf"),
+        ("table", "--scale", "grid(0,10,1)", "--fn", "t", "--order", "1/2", "--a=nan"),
+    ],
+)
+def test_non_finite_numbers_are_structured_errors(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    [rec] = records(out)
+    assert rec["error"] == "ValueError"
+    assert "finite" in rec["message"]

@@ -1,5 +1,6 @@
 """Structure tests for scale construction and the point operators."""
 
+import itertools
 import json
 import math
 import random
@@ -85,6 +86,17 @@ def test_overlapping_components_merge():
     T = TimeScale([Interval(0.0, 2.0), Interval(1.0, 3.0)])
     assert len(T.components) == 1
     assert T.contains(2.5)
+
+
+def test_normalization_does_not_depend_on_component_order():
+    # b shares a member with a and with c within the tolerance, but a and c
+    # share none: the three fuse into one point set in every order
+    a = FinitePoints([0.0, 5.0])
+    b = FinitePoints([0.9e-12, 6.0])
+    c = FinitePoints([1.8e-12, 7.0])
+    scales = {TimeScale(perm) for perm in itertools.permutations([a, b, c])}
+    assert len(scales) == 1
+    assert scales.pop().describe() == "points(0,1.8e-12,5,6,7)"
 
 
 def test_adjacent_interval_and_point_merge():
@@ -196,6 +208,15 @@ def test_approach_sequence_convention_only_side():
     T = TimeScale([Interval(0.0, 1.0)])
     with pytest.raises(InsufficientPoints):
         T.approach_sequence(0.0, ApproachSide.LEFT, 3)
+
+
+def test_insufficient_points_reports_available_count():
+    # 2**k for k in -45..3 accumulates at 0: 49 members on the right
+    T = TimeScale([GeometricGrid(2.0, -45, 3, include_zero=True)])
+    with pytest.raises(InsufficientPoints) as info:
+        T.approach_sequence(0.0, ApproachSide.RIGHT, 100)
+    assert info.value.available == 49
+    assert len(T.approach_sequence(0.0, ApproachSide.RIGHT, 49)) == 49
 
 
 def test_approach_sequence_geometric_tail():
