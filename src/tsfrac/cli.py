@@ -21,7 +21,7 @@ import math
 import sys
 
 from .checks import SUITE_NAMES, run_suite
-from .derivative import FnOnScale, delta_frac, nabla_frac, symmetric_frac
+from .derivative import DerivKind, FnOnScale, _in_domain, delta_frac, nabla_frac, symmetric_frac
 from .errors import TsfracError
 from .exprlang import parse_scale
 from .integral import (
@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--density",
         type=float,
         default=33.0,
-        help="sample points per unit length inside intervals (default 33)",
+        help="sample points per unit length inside intervals, finite and positive (default 33)",
     )
 
     c = sub.add_parser(
@@ -252,6 +252,7 @@ def cmd_table(args):
     order = Order.parse(args.order)
     cfg = _limit_config(args)
     compute = _DERIV[args.kind]
+    kind = DerivKind(args.kind)
     a = T.inf_value if args.a is None else _finite("--a", args.a)
     b = T.sup_value if args.b is None else _finite("--b", args.b)
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -259,13 +260,7 @@ def cmd_table(args):
     records = []
     code = 0
     for t in T.points_in(a, b, density=args.density):
-        dm = T.domain_membership(t)
-        admissible = {
-            "nabla": dm.in_nabla_domain,
-            "delta": dm.in_delta_domain,
-            "symmetric": dm.in_symmetric_domain,
-        }[args.kind]
-        if not admissible:
+        if not _in_domain(T.domain_membership(t), kind):
             continue
         try:
             res = compute(f, t, order, cfg)

@@ -51,7 +51,7 @@ from .order import (
     estimate_limit,
     signed_pow,
 )
-from .timescale import ApproachSide, TimeScale
+from .timescale import ApproachSide, DomainMembership, TimeScale
 
 __all__ = [
     "FnOnScale",
@@ -200,6 +200,75 @@ def _dense_limit(quot, T, ts, order, cfg, *, preferred: ApproachSide):
     return value, err, ApproachSide.RIGHT
 
 
+def _in_domain(dm: DomainMembership, kind: DerivKind) -> bool:
+    """Whether a point with domain flags ``dm`` admits the derivative of
+    this kind."""
+    if kind is DerivKind.NABLA:
+        return dm.in_nabla_domain
+    if kind is DerivKind.DELTA:
+        return dm.in_delta_domain
+    return dm.in_symmetric_domain
+
+
+_EXCLUDED = {
+    DerivKind.NABLA: "the scattered minimum",
+    DerivKind.DELTA: "the scattered maximum",
+    DerivKind.SYMMETRIC: "a scattered extremum",
+}
+
+
+def _domain_point(T: TimeScale, t: float, order: Order, kind: DerivKind) -> float:
+    """t snapped onto T, once the order is positive and the snapped point
+    lies in the domain of the derivative of this kind."""
+    _require_order(order)
+    ts = T.snap(t)
+    if ts is None:
+        raise PointNotInScale(f"t={t!r} is not in {T.describe()}")
+    if not _in_domain(T.domain_membership(ts), kind):
+        raise PointOutsideDomain(
+            f"t={ts} is {_EXCLUDED[kind]} of the scale; the {kind.value} "
+            "derivative is undefined there"
+        )
+    return ts
+
+
+def _one_sided_frac(
+    f: FnOnScale, t: float, order: Order, cfg: LimitConfig | None, kind: DerivKind
+) -> DerivResult:
+    """The nabla or delta derivative: one body for both directions.
+
+    The direction picks the jump (rho for nabla, sigma for delta), the side
+    whose scatteredness allows the exact quotient over that jump, and the
+    side a dense limit of a general order samples: the one where the
+    quotient's base ``s - t`` (nabla) or ``t - s`` (delta) is positive.
+    """
+    T = f.scale
+    ts = _domain_point(T, t, order, kind)
+    cls = T.classify(ts)
+    nabla = kind is DerivKind.NABLA
+    if cls.left_scattered if nabla else cls.right_scattered:
+        if nabla:
+            lo, hi, side = T.rho(ts), ts, ApproachSide.LEFT
+        else:
+            lo, hi, side = ts, T.sigma(ts), ApproachSide.RIGHT
+        value = (f.eval(hi) - f.eval(lo)) / signed_pow(hi - lo, order)
+        return DerivResult(value, ComputePath.EXACT_SCATTERED, side, 0.0, order, kind)
+    ft = f.eval(ts)
+    if nabla:
+
+        def quot(s: float) -> float:
+            return (f.eval(s) - ft) / signed_pow(s - ts, order)
+
+    else:
+
+        def quot(s: float) -> float:
+            return (ft - f.eval(s)) / signed_pow(ts - s, order)
+
+    preferred = ApproachSide.RIGHT if nabla else ApproachSide.LEFT
+    value, err, side = _dense_limit(quot, T, ts, order, cfg or LimitConfig(), preferred=preferred)
+    return DerivResult(value, ComputePath.DENSE_LIMIT, side, err, order, kind)
+
+
 def nabla_frac(
     f: FnOnScale, t: float, order: Order, cfg: LimitConfig | None = None
 ) -> DerivResult:
@@ -211,32 +280,7 @@ def nabla_frac(
         LimitDidNotConverge, SidedLimitsDisagree: dense-point estimation
             failures.
     """
-    _require_order(order)
-    if cfg is None:
-        cfg = LimitConfig()
-    T = f.scale
-    ts = T.snap(t)
-    if ts is None:
-        raise PointNotInScale(f"t={t!r} is not in {T.describe()}")
-    if not T.domain_membership(ts).in_nabla_domain:
-        raise PointOutsideDomain(
-            f"t={ts} is the scattered minimum of the scale; the nabla "
-            "derivative is undefined there"
-        )
-    cls = T.classify(ts)
-    if cls.left_scattered:
-        r = T.rho(ts)
-        value = (f.eval(ts) - f.eval(r)) / signed_pow(ts - r, order)
-        return DerivResult(
-            value, ComputePath.EXACT_SCATTERED, ApproachSide.LEFT, 0.0, order, DerivKind.NABLA
-        )
-    ft = f.eval(ts)
-
-    def quot(s: float) -> float:
-        return (f.eval(s) - ft) / signed_pow(s - ts, order)
-
-    value, err, side = _dense_limit(quot, T, ts, order, cfg, preferred=ApproachSide.RIGHT)
-    return DerivResult(value, ComputePath.DENSE_LIMIT, side, err, order, DerivKind.NABLA)
+    return _one_sided_frac(f, t, order, cfg, DerivKind.NABLA)
 
 
 def delta_frac(
@@ -244,32 +288,7 @@ def delta_frac(
 ) -> DerivResult:
     """Delta (forward) fractional derivative of f at t, mirror of
     :func:`nabla_frac`."""
-    _require_order(order)
-    if cfg is None:
-        cfg = LimitConfig()
-    T = f.scale
-    ts = T.snap(t)
-    if ts is None:
-        raise PointNotInScale(f"t={t!r} is not in {T.describe()}")
-    if not T.domain_membership(ts).in_delta_domain:
-        raise PointOutsideDomain(
-            f"t={ts} is the scattered maximum of the scale; the delta "
-            "derivative is undefined there"
-        )
-    cls = T.classify(ts)
-    if cls.right_scattered:
-        s = T.sigma(ts)
-        value = (f.eval(s) - f.eval(ts)) / signed_pow(s - ts, order)
-        return DerivResult(
-            value, ComputePath.EXACT_SCATTERED, ApproachSide.RIGHT, 0.0, order, DerivKind.DELTA
-        )
-    ft = f.eval(ts)
-
-    def quot(s: float) -> float:
-        return (ft - f.eval(s)) / signed_pow(ts - s, order)
-
-    value, err, side = _dense_limit(quot, T, ts, order, cfg, preferred=ApproachSide.LEFT)
-    return DerivResult(value, ComputePath.DENSE_LIMIT, side, err, order, DerivKind.DELTA)
+    return _one_sided_frac(f, t, order, cfg, DerivKind.DELTA)
 
 
 def symmetric_frac(
@@ -280,18 +299,8 @@ def symmetric_frac(
     Not-dense points use the exact two-neighbor quotient; dense points take
     the limit over mirrored pairs t +/- h.
     """
-    _require_order(order)
-    if cfg is None:
-        cfg = LimitConfig()
     T = f.scale
-    ts = T.snap(t)
-    if ts is None:
-        raise PointNotInScale(f"t={t!r} is not in {T.describe()}")
-    if not T.domain_membership(ts).in_symmetric_domain:
-        raise PointOutsideDomain(
-            f"t={ts} is a scattered extremum of the scale; the symmetric "
-            "derivative is undefined there"
-        )
+    ts = _domain_point(T, t, order, DerivKind.SYMMETRIC)
     cls = T.classify(ts)
     if not cls.dense:
         s = T.sigma(ts)
@@ -300,6 +309,8 @@ def symmetric_frac(
         return DerivResult(
             value, ComputePath.EXACT_SCATTERED, ApproachSide.BOTH, 0.0, order, DerivKind.SYMMETRIC
         )
+    if cfg is None:
+        cfg = LimitConfig()
     pairs = T.symmetric_pairs(ts, cfg.max_samples, h0=cfg.h0, ratio=cfg.ratio)
     if len(pairs) < 3:
         raise NoSymmetricNeighborhood(
@@ -323,12 +334,7 @@ def symmetric_frac(
 def symmetric_weights(T: TimeScale, t: float, order: Order) -> SymmetricWeights:
     """The pair (gamma1, gamma2) combining delta and nabla derivatives into
     the symmetric one at t."""
-    _require_order(order)
-    ts = T.snap(t)
-    if ts is None:
-        raise PointNotInScale(f"t={t!r} is not in {T.describe()}")
-    if not T.domain_membership(ts).in_symmetric_domain:
-        raise PointOutsideDomain(f"t={ts} is a scattered extremum of the scale")
+    ts = _domain_point(T, t, order, DerivKind.SYMMETRIC)
     cls = T.classify(ts)
     if cls.dense:
         g = 2.0 ** (-order.value)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 import threading
 import warnings
 from dataclasses import dataclass, field
@@ -131,16 +132,29 @@ def _snap_endpoint(T: TimeScale, t: float, name: str) -> float:
     return ts
 
 
-def _walk(f: FnOnScale, lo: float, hi: float, qc: QuadratureConfig, kind: DerivKind) -> float:
-    """Sum of jump terms and interval quadrature from lo up to hi (lo <= hi,
-    both scale members)."""
+def _walk(f: FnOnScale, a: float, b: float, qc: QuadratureConfig, kind: DerivKind) -> float:
+    """The classical integral of the kind from a to b (both scale members):
+    jump terms plus interval quadrature, walked upwards; a > b flips the
+    sign."""
+    if a > b:
+        return -_walk(f, b, a, qc, kind)
     total = 0.0
-    for t, s, dense in f.scale._steps(lo, hi):
+    for t, s, dense in f.scale._steps(a, b):
         if dense:
             total += _quad(f.eval, t, s, qc)
         else:
             total += (f.eval(s) if kind is DerivKind.NABLA else f.eval(t)) * (s - t)
     return total
+
+
+def _integral(
+    f: FnOnScale, a: float, b: float, qc: QuadratureConfig | None, kind: DerivKind
+) -> float:
+    """The classical integral of the kind from a to b, snapped onto the scale."""
+    T = f.scale
+    sa = _snap_endpoint(T, a, "a")
+    sb = _snap_endpoint(T, b, "b")
+    return _walk(f, sa, sb, qc or QuadratureConfig(), kind)
 
 
 def nabla_integral(
@@ -151,16 +165,7 @@ def nabla_integral(
     Jumps in (a, b] contribute f(t) * (t - rho(t)); interval stretches are
     integrated numerically.  Orientation flips the sign.
     """
-    if qc is None:
-        qc = QuadratureConfig()
-    T = f.scale
-    sa = _snap_endpoint(T, a, "a")
-    sb = _snap_endpoint(T, b, "b")
-    if sa == sb:
-        return 0.0
-    if sa > sb:
-        return -_walk(f, sb, sa, qc, DerivKind.NABLA)
-    return _walk(f, sa, sb, qc, DerivKind.NABLA)
+    return _integral(f, a, b, qc, DerivKind.NABLA)
 
 
 def delta_integral(
@@ -168,16 +173,7 @@ def delta_integral(
 ) -> float:
     """Classical delta integral of f from a to b (jumps in [a, b) weighted
     by f at their left endpoint)."""
-    if qc is None:
-        qc = QuadratureConfig()
-    T = f.scale
-    sa = _snap_endpoint(T, a, "a")
-    sb = _snap_endpoint(T, b, "b")
-    if sa == sb:
-        return 0.0
-    if sa > sb:
-        return -_walk(f, sb, sa, qc, DerivKind.DELTA)
-    return _walk(f, sa, sb, qc, DerivKind.DELTA)
+    return _integral(f, a, b, qc, DerivKind.DELTA)
 
 
 @dataclass
@@ -207,13 +203,6 @@ class Antiderivative:
         self._known = {anchor: 0.0}
         self._keys = [anchor]
 
-    def _integrate(self, lo: float, hi: float) -> float:
-        if lo == hi:
-            return 0.0
-        if lo > hi:
-            return -_walk(self.base, hi, lo, self.qc, self.kind)
-        return _walk(self.base, lo, hi, self.qc, self.kind)
-
     def eval(self, t: float) -> float:
         ts = _snap_endpoint(self.base.scale, t, "t")
         with self._lock:
@@ -223,7 +212,7 @@ class Antiderivative:
             i = bisect.bisect_left(self._keys, ts)
             candidates = self._keys[max(0, i - 1) : i + 1]
             start = min(candidates, key=lambda k: abs(k - ts))
-            value = self._known[start] + self._integrate(start, ts)
+            value = self._known[start] + _walk(self.base, start, ts, self.qc, self.kind)
             self._known[ts] = value
             bisect.insort(self._keys, ts)
             return value
@@ -257,6 +246,15 @@ def _nearest_admissible(T: TimeScale, ts: float, cfg: LimitConfig):
     return None
 
 
+def _warn_adjusted(message: str) -> None:
+    """Issue an EndpointAdjustedWarning attributed to the first frame
+    outside this module: the line that called the integral."""
+    frame, level = sys._getframe(), 1
+    while frame is not None and frame.f_code.co_filename == __file__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, EndpointAdjustedWarning, stacklevel=level)
+
+
 def _frac_deriv_at(
     integrand: FnOnScale,
     F: FnOnScale,
@@ -278,12 +276,10 @@ def _frac_deriv_at(
         if step <= T.snap_tol:
             raise
         beta_value = 1.0 - order.value
-        warnings.warn(
+        _warn_adjusted(
             f"{kind.value} fractional integral endpoint t={ts} has no "
             f"{'predecessor' if kind is DerivKind.NABLA else 'successor'} in the "
-            f"scale; used a one-step virtual extension (step {step})",
-            EndpointAdjustedWarning,
-            stacklevel=3,
+            f"scale; used a one-step virtual extension (step {step})"
         )
         return integrand.eval(ts) * step**beta_value
     except LimitDidNotConverge as exc:
@@ -292,11 +288,9 @@ def _frac_deriv_at(
         adj = _nearest_admissible(T, ts, cfg)
         if adj is None:
             raise
-        warnings.warn(
+        _warn_adjusted(
             f"one-sided limit at endpoint t={ts} has no scale points to sample; "
-            f"evaluated at the nearest admissible point t={adj}",
-            EndpointAdjustedWarning,
-            stacklevel=3,
+            f"evaluated at the nearest admissible point t={adj}"
         )
         return deriv(F, adj, order, cfg).value
 
@@ -304,6 +298,37 @@ def _frac_deriv_at(
 def _require_beta(beta: Order) -> None:
     if not isinstance(beta, Order):
         raise TypeError(f"beta must be an Order, got {type(beta).__name__}")
+
+
+def _cauchy(
+    f: FnOnScale,
+    a: float,
+    b: float,
+    beta: Order,
+    cfg: LimitConfig | None,
+    qc: QuadratureConfig | None,
+    kind: DerivKind,
+) -> float:
+    """The nabla or delta Cauchy integral: one routine for both directions."""
+    _require_beta(beta)
+    if cfg is None:
+        cfg = LimitConfig()
+    if qc is None:
+        qc = QuadratureConfig()
+    T = f.scale
+    sa = _snap_endpoint(T, a, "a")
+    sb = _snap_endpoint(T, b, "b")
+    if sa == sb:
+        return 0.0
+    if beta.is_zero:
+        return f.eval(sb) - f.eval(sa)
+    if beta.is_one:
+        return (nabla_integral if kind is DerivKind.NABLA else delta_integral)(f, sa, sb, qc)
+    F = Antiderivative(f, sa, kind, qc).as_fn()
+    order = beta.one_minus()
+    gb = _frac_deriv_at(f, F, sb, order, cfg, kind)
+    ga = _frac_deriv_at(f, F, sa, order, cfg, kind)
+    return gb - ga
 
 
 def nabla_frac_integral(
@@ -320,25 +345,7 @@ def nabla_frac_integral(
     f(b) - f(a); in between the value is G(b) - G(a) for G the
     (1-beta)-order nabla derivative of the antiderivative anchored at a.
     """
-    _require_beta(beta)
-    if cfg is None:
-        cfg = LimitConfig()
-    if qc is None:
-        qc = QuadratureConfig()
-    T = f.scale
-    sa = _snap_endpoint(T, a, "a")
-    sb = _snap_endpoint(T, b, "b")
-    if sa == sb:
-        return 0.0
-    if beta.is_zero:
-        return f.eval(sb) - f.eval(sa)
-    if beta.is_one:
-        return nabla_integral(f, sa, sb, qc)
-    F = nabla_antiderivative(f, sa, qc).as_fn()
-    order = beta.one_minus()
-    gb = _frac_deriv_at(f, F, sb, order, cfg, DerivKind.NABLA)
-    ga = _frac_deriv_at(f, F, sa, order, cfg, DerivKind.NABLA)
-    return gb - ga
+    return _cauchy(f, a, b, beta, cfg, qc, DerivKind.NABLA)
 
 
 def delta_frac_integral(
@@ -351,25 +358,7 @@ def delta_frac_integral(
 ) -> float:
     """Cauchy delta fractional integral, forward mirror of
     :func:`nabla_frac_integral`."""
-    _require_beta(beta)
-    if cfg is None:
-        cfg = LimitConfig()
-    if qc is None:
-        qc = QuadratureConfig()
-    T = f.scale
-    sa = _snap_endpoint(T, a, "a")
-    sb = _snap_endpoint(T, b, "b")
-    if sa == sb:
-        return 0.0
-    if beta.is_zero:
-        return f.eval(sb) - f.eval(sa)
-    if beta.is_one:
-        return delta_integral(f, sa, sb, qc)
-    F = delta_antiderivative(f, sa, qc).as_fn()
-    order = beta.one_minus()
-    gb = _frac_deriv_at(f, F, sb, order, cfg, DerivKind.DELTA)
-    ga = _frac_deriv_at(f, F, sa, order, cfg, DerivKind.DELTA)
-    return gb - ga
+    return _cauchy(f, a, b, beta, cfg, qc, DerivKind.DELTA)
 
 
 def symmetric_frac_integral(

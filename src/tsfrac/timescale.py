@@ -28,8 +28,8 @@ depend on the order of the components, and normalizing a normalized scale
 is the identity.
 
 Every query is answered from one flat index built at construction: the
-sorted tuple of all discrete members and finite interval endpoints, and one
-flag per gap between neighboring entries (plus the two unbounded ends)
+sorted ``array('d')`` of all discrete members and finite interval endpoints,
+and one flag per gap between neighboring entries (plus the two unbounded ends)
 saying whether the gap lies inside an interval.  An interval's endpoints
 are always neighbors in the index, since normalization leaves no member
 inside or within the tolerance of an interval.  Snapping, the jump
@@ -49,6 +49,7 @@ from dataclasses import dataclass
 
 from .errors import (
     InsufficientPoints,
+    NoSymmetricNeighborhood,
     PointNotInScale,
     SideNotDense,
     ValidationError,
@@ -679,8 +680,6 @@ class TimeScale:
         Raises:
             NoSymmetricNeighborhood: no pair exists below the step bound.
         """
-        from .errors import NoSymmetricNeighborhood
-
         if n < 1:
             raise ValueError("n must be positive")
         if not (0 < ratio < 1):
@@ -754,7 +753,13 @@ class TimeScale:
 
     def points_in(self, a: float, b: float, density: float = 33.0) -> list[float]:
         """Representative scale points in [a, b]: all discrete members plus
-        interval samples at the given points-per-unit density."""
+        interval samples at the given points-per-unit density.
+
+        Raises:
+            ValueError: the density is not finite and positive.
+        """
+        if not (0 < density < math.inf):
+            raise ValueError(f"density must be finite and positive, got {density!r}")
         if b < a:
             a, b = b, a
         pts, inside = self._pts, self._inside

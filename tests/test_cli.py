@@ -337,3 +337,19 @@ def test_non_finite_numbers_are_structured_errors(capsys, argv):
     [rec] = records(out)
     assert rec["error"] == "ValueError"
     assert "finite" in rec["message"]
+
+
+@pytest.mark.parametrize("density", ["inf", "nan", "0", "-1"])
+def test_table_bad_density_is_structured_error(capsys, density):
+    code, out, _ = run(
+        capsys,
+        "table",
+        "--scale", "interval(0,1)",
+        "--fn", "t",
+        "--order", "1",
+        f"--density={density}",
+    )
+    assert code == 1
+    [rec] = records(out)
+    assert rec["error"] == "ValueError"
+    assert "density" in rec["message"]

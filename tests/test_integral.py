@@ -6,6 +6,7 @@ antiderivative, so most checks here are against hand-computed values on
 small scales.
 """
 
+import inspect
 import math
 import threading
 import warnings
@@ -210,6 +211,40 @@ def test_scattered_min_endpoint_warns():
     f = FnOnScale(lambda x: x, T)
     with pytest.warns(EndpointAdjustedWarning):
         nabla_frac_integral(f, 1.0, 10.0, Order(1, 2))
+
+
+def _assert_warned_here(caught, line):
+    """Every EndpointAdjustedWarning caught names this file and line: the
+    caller of the integral, not a frame inside tsfrac."""
+    adjusted = [w for w in caught if w.category is EndpointAdjustedWarning]
+    assert adjusted
+    assert {(w.filename, w.lineno) for w in adjusted} == {(__file__, line)}
+
+
+@pytest.mark.parametrize("integral", [nabla_frac_integral, delta_frac_integral])
+def test_virtual_extension_warning_points_at_caller(integral):
+    # grid(1, 1000) has a scattered minimum and maximum: the nabla integral
+    # extends the scale below a=1, the delta integral above b=1000
+    f = FnOnScale(lambda x: x, grid(1, 1000))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", EndpointAdjustedWarning)
+        line = inspect.currentframe().f_lineno + 1
+        integral(f, 1.0, 1000.0, Order(1, 2))
+    _assert_warned_here(caught, line)
+
+
+@pytest.mark.parametrize(
+    "integral", [nabla_frac_integral, delta_frac_integral, symmetric_frac_integral]
+)
+def test_nearest_admissible_warning_points_at_caller(integral):
+    # at an end of an interval the side a general order samples is empty
+    f = FnOnScale(math.cos, TimeScale([Interval(0.0, 1.0)]))
+    cfg = LimitConfig(tol=1e-6, max_samples=80)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", EndpointAdjustedWarning)
+        line = inspect.currentframe().f_lineno + 1
+        integral(f, 0.0, 1.0, Order(1, 2), cfg)
+    _assert_warned_here(caught, line)
 
 
 def test_interval_fractional_integral_vanishes():

@@ -248,6 +248,14 @@ def test_points_in_hybrid():
     assert len(inside) >= 4
 
 
+@pytest.mark.parametrize("density", [math.inf, math.nan, 0.0, -1.0])
+def test_points_in_rejects_bad_density(density):
+    # a discrete-only range must reject it too, not only an interval stretch
+    for T in (make_hybrid(), TimeScale([UniformGrid(0.0, 3.0, 1.0)])):
+        with pytest.raises(ValueError, match="density"):
+            T.points_in(0.0, 3.0, density=density)
+
+
 def test_json_round_trip():
     T = make_hybrid()
     blob = json.dumps(T.to_json())
