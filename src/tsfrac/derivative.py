@@ -12,14 +12,17 @@ scale T with f continuous there:
   t is not dense, and the limit of ``[f(t+h) - f(t-h)] / (2h)**alpha`` at
   dense t.
 
-Scattered points therefore evaluate exactly (a single quotient, zero error
-estimate).  Dense points sample an approach sequence and estimate the limit.
-Odd-reciprocal orders (1, 1/3, 1/5, ...) take the limit over both sides of t
-and require the two one-sided estimates to agree; every other order admits
-only the side where the power's base stays nonnegative (right for nabla,
-left for delta).  When only one side of a dense point has scale points to
-sample, the limit over the neighborhood degenerates to that side and is used
-alone.
+One routine serves all three kinds.  A kind looks left (nabla), right
+(delta) or both ways (symmetric); when a side it looks at is scattered the
+value is the exact quotient over rho(t) and/or sigma(t) (zero error
+estimate), and otherwise the routine samples the dense neighborhood and
+estimates the limit.  The symmetric kind samples mirrored pairs; nabla and
+delta sample approach sequences.  Odd-reciprocal orders (1, 1/3, 1/5, ...)
+take the limit over both sides of t and require the two one-sided
+estimates to agree; every other order admits only the side where the
+power's base stays nonnegative (right for nabla, left for delta).  When
+only one side of a dense point has scale points to sample, the limit over
+the neighborhood degenerates to that side and is used alone.
 
 The symmetric derivative relates to the one-sided ones through the weights
 ``gamma1 = [(sigma(t)-t)/(sigma(t)-rho(t))]**alpha`` and
@@ -147,74 +150,87 @@ def _side_samples(T: TimeScale, ts: float, side: ApproachSide, cfg: LimitConfig)
         return T.approach_sequence(ts, side, exc.available, h0=cfg.h0, ratio=cfg.ratio)
 
 
-def _one_sided(quot, samples, side, cfg) -> "tuple[float, float]":
-    est = estimate_limit((quot(s) for s in samples), cfg, side)
+def _settle(quots, cfg: LimitConfig, side: ApproachSide, ts: float) -> "tuple[float, float]":
+    """The limit of one side's quotient sequence and its error estimate, or
+    LimitDidNotConverge."""
+    est = estimate_limit(quots, cfg, side)
     if not est.converged:
+        label = "symmetric" if side is ApproachSide.BOTH else f"{side.value}-side"
         raise LimitDidNotConverge(
-            f"{side.value}-side quotients did not settle within tol={cfg.tol} "
+            f"{label} quotients did not settle within tol={cfg.tol} at t={ts} "
             f"after {est.samples_used} samples (last difference {est.err_est:.3e})"
         )
     return est.value, est.err_est
 
 
-def _dense_limit(quot, T, ts, order, cfg, *, preferred: ApproachSide):
-    """Shared dense-point flow for nabla and delta.
+def _dense_limit(f: FnOnScale, ts: float, order: Order, cfg: LimitConfig, kind: DerivKind):
+    """(value, err_est, side) of the derivative of this kind at dense ts:
+    mirrored pairs for symmetric, approach sequences on the sides the order
+    admits for nabla (base ``s - t``) and delta (base ``t - s``)."""
+    T = f.scale
+    if kind is DerivKind.SYMMETRIC:
+        pairs = T.symmetric_pairs(ts, cfg.max_samples, h0=cfg.h0, ratio=cfg.ratio)
+        if len(pairs) < 3:
+            raise NoSymmetricNeighborhood(
+                f"only {len(pairs)} symmetric pairs available near t={ts}"
+            )
+        quots = ((f.eval(ts + h) - f.eval(ts - h)) / signed_pow(2.0 * h, order) for h in pairs)
+        return (*_settle(quots, cfg, ApproachSide.BOTH, ts), ApproachSide.BOTH)
+    ft = f.eval(ts)
+    if kind is DerivKind.NABLA:
+        preferred = ApproachSide.RIGHT
 
-    ``preferred`` is the side where the power's base is positive (right for
-    nabla, left for delta); general orders use it exclusively, odd
-    reciprocals take both sides when available.
-    """
+        def quot(s: float) -> float:
+            return (f.eval(s) - ft) / signed_pow(s - ts, order)
+
+    else:
+        preferred = ApproachSide.LEFT
+
+        def quot(s: float) -> float:
+            return (ft - f.eval(s)) / signed_pow(ts - s, order)
+
     if classify_order(order) is OrderClass.GENERAL:
-        samples = _side_samples(T, ts, preferred, cfg)
-        if samples is None:
-            raise LimitDidNotConverge(
-                f"no scale points available on the {preferred.value} side of t={ts} "
-                f"to sample the one-sided limit",
-                samples_unavailable=True,
-            )
-        value, err = _one_sided(quot, samples, preferred, cfg)
-        return value, err, preferred
-
-    left = _side_samples(T, ts, ApproachSide.LEFT, cfg)
-    right = _side_samples(T, ts, ApproachSide.RIGHT, cfg)
-    if left is None and right is None:
-        raise LimitDidNotConverge(
-            f"no scale points available on either side of t={ts}",
-            samples_unavailable=True,
+        sides = (preferred,)
+    else:
+        sides = (ApproachSide.LEFT, ApproachSide.RIGHT)
+    found = [(side, seq) for side in sides if (seq := _side_samples(T, ts, side, cfg)) is not None]
+    if not found:
+        where = (
+            f"the {preferred.value} side of t={ts} to sample the one-sided limit"
+            if len(sides) == 1
+            else f"either side of t={ts}"
         )
-    if left is not None and right is not None:
-        lval, lerr = _one_sided(quot, left, ApproachSide.LEFT, cfg)
-        rval, rerr = _one_sided(quot, right, ApproachSide.RIGHT, cfg)
-        gap = abs(lval - rval)
-        if gap > _AGREE_FACTOR * cfg.tol:
-            raise SidedLimitsDisagree(
-                f"one-sided limits differ at t={ts}: left {lval!r}, right {rval!r}",
-                left=lval,
-                right=rval,
-            )
-        return 0.5 * (lval + rval), max(lerr, rerr, gap), ApproachSide.BOTH
-    if left is not None:
-        value, err = _one_sided(quot, left, ApproachSide.LEFT, cfg)
-        return value, err, ApproachSide.LEFT
-    value, err = _one_sided(quot, right, ApproachSide.RIGHT, cfg)
-    return value, err, ApproachSide.RIGHT
+        raise LimitDidNotConverge(f"no scale points available on {where}", samples_unavailable=True)
+    ests = [(*_settle(map(quot, seq), cfg, side, ts), side) for side, seq in found]
+    if len(ests) == 1:
+        return ests[0]
+    (lval, lerr, _), (rval, rerr, _) = ests
+    gap = abs(lval - rval)
+    if gap > _AGREE_FACTOR * cfg.tol:
+        raise SidedLimitsDisagree(
+            f"one-sided limits differ at t={ts}: left {lval!r}, right {rval!r}",
+            left=lval,
+            right=rval,
+        )
+    return 0.5 * (lval + rval), max(lerr, rerr, gap), ApproachSide.BOTH
+
+
+#: per kind: whether it looks left (to rho), whether it looks right (to
+#: sigma), the side its exact quotient reports, and the points of a scale
+#: outside its domain
+_KINDS = {
+    DerivKind.NABLA: (True, False, ApproachSide.LEFT, "the scattered minimum"),
+    DerivKind.DELTA: (False, True, ApproachSide.RIGHT, "the scattered maximum"),
+    DerivKind.SYMMETRIC: (True, True, ApproachSide.BOTH, "a scattered extremum"),
+}
 
 
 def _in_domain(dm: DomainMembership, kind: DerivKind) -> bool:
     """Whether a point with domain flags ``dm`` admits the derivative of
-    this kind."""
-    if kind is DerivKind.NABLA:
-        return dm.in_nabla_domain
-    if kind is DerivKind.DELTA:
-        return dm.in_delta_domain
-    return dm.in_symmetric_domain
-
-
-_EXCLUDED = {
-    DerivKind.NABLA: "the scattered minimum",
-    DerivKind.DELTA: "the scattered maximum",
-    DerivKind.SYMMETRIC: "a scattered extremum",
-}
+    this kind: a predecessor if it looks left, a successor if it looks
+    right."""
+    left, right, _, _ = _KINDS[kind]
+    return (dm.in_nabla_domain or not left) and (dm.in_delta_domain or not right)
 
 
 def _domain_point(T: TimeScale, t: float, order: Order, kind: DerivKind) -> float:
@@ -226,46 +242,31 @@ def _domain_point(T: TimeScale, t: float, order: Order, kind: DerivKind) -> floa
         raise PointNotInScale(f"t={t!r} is not in {T.describe()}")
     if not _in_domain(T.domain_membership(ts), kind):
         raise PointOutsideDomain(
-            f"t={ts} is {_EXCLUDED[kind]} of the scale; the {kind.value} "
+            f"t={ts} is {_KINDS[kind][3]} of the scale; the {kind.value} "
             "derivative is undefined there"
         )
     return ts
 
 
-def _one_sided_frac(
-    f: FnOnScale, t: float, order: Order, cfg: LimitConfig | None, kind: DerivKind
-) -> DerivResult:
-    """The nabla or delta derivative: one body for both directions.
+def _frac(f: FnOnScale, t: float, order: Order, cfg: LimitConfig | None, kind: DerivKind) -> DerivResult:
+    """The derivative of any kind: one body for all three.
 
-    The direction picks the jump (rho for nabla, sigma for delta), the side
-    whose scatteredness allows the exact quotient over that jump, and the
-    side a dense limit of a general order samples: the one where the
-    quotient's base ``s - t`` (nabla) or ``t - s`` (delta) is positive.
+    When a side the kind looks at is scattered, the value is the exact
+    quotient ``[f(hi) - f(lo)] / (hi - lo)**alpha`` with lo = rho(t) if the
+    kind looks left (else t) and hi = sigma(t) if it looks right (else t);
+    otherwise the point is dense on every side the kind looks at and the
+    value is a limit.
     """
     T = f.scale
     ts = _domain_point(T, t, order, kind)
     cls = T.classify(ts)
-    nabla = kind is DerivKind.NABLA
-    if cls.left_scattered if nabla else cls.right_scattered:
-        if nabla:
-            lo, hi, side = T.rho(ts), ts, ApproachSide.LEFT
-        else:
-            lo, hi, side = ts, T.sigma(ts), ApproachSide.RIGHT
+    left, right, side, _ = _KINDS[kind]
+    if (left and cls.left_scattered) or (right and cls.right_scattered):
+        hi = T.sigma(ts) if right else ts
+        lo = T.rho(ts) if left else ts
         value = (f.eval(hi) - f.eval(lo)) / signed_pow(hi - lo, order)
         return DerivResult(value, ComputePath.EXACT_SCATTERED, side, 0.0, order, kind)
-    ft = f.eval(ts)
-    if nabla:
-
-        def quot(s: float) -> float:
-            return (f.eval(s) - ft) / signed_pow(s - ts, order)
-
-    else:
-
-        def quot(s: float) -> float:
-            return (ft - f.eval(s)) / signed_pow(ts - s, order)
-
-    preferred = ApproachSide.RIGHT if nabla else ApproachSide.LEFT
-    value, err, side = _dense_limit(quot, T, ts, order, cfg or LimitConfig(), preferred=preferred)
+    value, err, side = _dense_limit(f, ts, order, cfg or LimitConfig(), kind)
     return DerivResult(value, ComputePath.DENSE_LIMIT, side, err, order, kind)
 
 
@@ -280,7 +281,7 @@ def nabla_frac(
         LimitDidNotConverge, SidedLimitsDisagree: dense-point estimation
             failures.
     """
-    return _one_sided_frac(f, t, order, cfg, DerivKind.NABLA)
+    return _frac(f, t, order, cfg, DerivKind.NABLA)
 
 
 def delta_frac(
@@ -288,7 +289,7 @@ def delta_frac(
 ) -> DerivResult:
     """Delta (forward) fractional derivative of f at t, mirror of
     :func:`nabla_frac`."""
-    return _one_sided_frac(f, t, order, cfg, DerivKind.DELTA)
+    return _frac(f, t, order, cfg, DerivKind.DELTA)
 
 
 def symmetric_frac(
@@ -299,36 +300,7 @@ def symmetric_frac(
     Not-dense points use the exact two-neighbor quotient; dense points take
     the limit over mirrored pairs t +/- h.
     """
-    T = f.scale
-    ts = _domain_point(T, t, order, DerivKind.SYMMETRIC)
-    cls = T.classify(ts)
-    if not cls.dense:
-        s = T.sigma(ts)
-        r = T.rho(ts)
-        value = (f.eval(s) - f.eval(r)) / signed_pow(s - r, order)
-        return DerivResult(
-            value, ComputePath.EXACT_SCATTERED, ApproachSide.BOTH, 0.0, order, DerivKind.SYMMETRIC
-        )
-    if cfg is None:
-        cfg = LimitConfig()
-    pairs = T.symmetric_pairs(ts, cfg.max_samples, h0=cfg.h0, ratio=cfg.ratio)
-    if len(pairs) < 3:
-        raise NoSymmetricNeighborhood(
-            f"only {len(pairs)} symmetric pairs available near t={ts}"
-        )
-
-    def quot(h: float) -> float:
-        return (f.eval(ts + h) - f.eval(ts - h)) / signed_pow(2.0 * h, order)
-
-    est = estimate_limit((quot(h) for h in pairs), cfg, ApproachSide.BOTH)
-    if not est.converged:
-        raise LimitDidNotConverge(
-            f"symmetric quotients did not settle within tol={cfg.tol} at t={ts} "
-            f"(last difference {est.err_est:.3e})"
-        )
-    return DerivResult(
-        est.value, ComputePath.DENSE_LIMIT, ApproachSide.BOTH, est.err_est, order, DerivKind.SYMMETRIC
-    )
+    return _frac(f, t, order, cfg, DerivKind.SYMMETRIC)
 
 
 def symmetric_weights(T: TimeScale, t: float, order: Order) -> SymmetricWeights:

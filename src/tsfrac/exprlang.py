@@ -23,7 +23,8 @@ Scale grammar::
 
 Number literals everywhere are parsed as exact decimal fractions and then
 rounded once to float, so a literal like 0.1 lands on the same float the
-scale constructors produce.
+scale constructors produce.  Both parsers reject input that nests more than
+100 levels deep (``_MAX_DEPTH``) with ExprSyntaxError.
 """
 
 from __future__ import annotations
@@ -123,6 +124,9 @@ class _Token:
     pos: int  # 1-based column
 
 
+#: deepest nesting the recursive-descent parsers accept before the stack runs out
+_MAX_DEPTH = 100
+
 _NUM_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
@@ -161,6 +165,7 @@ class _Parser:
     def __init__(self, src: str):
         self.toks = _tokenize(src)
         self.i = 0
+        self.depth = 0
 
     @property
     def cur(self) -> _Token:
@@ -178,6 +183,17 @@ class _Parser:
         if not self.at_op(op):
             self.fail(f"'{op}'")
         self.take()
+
+    def enter(self) -> None:
+        """Open a nesting level at the current token."""
+        if self.depth >= _MAX_DEPTH:
+            self.fail(f"at most {_MAX_DEPTH} nesting levels")
+        self.depth += 1
+
+    def leave(self, node):
+        """Close the innermost nesting level; returns node."""
+        self.depth -= 1
+        return node
 
     def fail(self, expected: str):
         tok = self.cur
@@ -226,16 +242,18 @@ def _term(p: _Parser) -> Expr:
 
 def _unary(p: _Parser) -> Expr:
     if p.at_op("-"):
+        p.enter()
         p.take()
-        return Neg(_unary(p))
+        return p.leave(Neg(_unary(p)))
     return _power(p)
 
 
 def _power(p: _Parser) -> Expr:
     node = _atom(p)
     if p.at_op("^"):
+        p.enter()
         p.take()
-        return Pow(node, _unary(p))
+        return p.leave(Pow(node, _unary(p)))
     return node
 
 
@@ -249,7 +267,8 @@ def _atom(p: _Parser) -> Expr:
         if tok.text == "t":
             return Var()
         if tok.text in FUNCTIONS:
-            return _call(p, tok)
+            p.enter()
+            return p.leave(_call(p, tok))
         raise ExprSyntaxError(
             f"unknown name {tok.text!r} (the variable is 't'; functions are "
             + ", ".join(sorted(FUNCTIONS)) + ")",
@@ -258,10 +277,11 @@ def _atom(p: _Parser) -> Expr:
             expected="a known function or 't'",
         )
     if p.at_op("("):
+        p.enter()
         p.take()
         node = _expr(p)
         p.expect_op(")")
-        return node
+        return p.leave(node)
     p.fail("a number, 't', a function call, or '('")
 
 
@@ -407,6 +427,7 @@ def _scale(p: _Parser) -> list:
     if tok.kind != "ident":
         p.fail("one of interval, points, grid, qgrid, union")
     if tok.text == "union":
+        p.enter()
         p.take()
         p.expect_op("(")
         comps = _scale(p)
@@ -414,7 +435,7 @@ def _scale(p: _Parser) -> list:
             p.take()
             comps.extend(_scale(p))
         p.expect_op(")")
-        return comps
+        return p.leave(comps)
     return [_piece(p)]
 
 

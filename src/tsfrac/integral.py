@@ -22,6 +22,10 @@ the endpoints:
     gamma1(b) G_delta(b) - gamma1(a) G_delta(a)
         + gamma2(b) G_nabla(b) - gamma2(a) G_nabla(a)
 
+One routine computes all three kinds as a sum of such weighted G terms: a
+single term with unit weights for nabla and delta, the two above for
+symmetric.
+
 Endpoint care: G is a fractional derivative and so can be undefined exactly
 at a scattered extremum of the scale (no predecessor/successor) or can need
 samples beyond the scale's edge at a dense endpoint.  Scattered extrema get
@@ -301,16 +305,18 @@ def _require_beta(beta: Order) -> None:
 
 
 def _cauchy(
-    f: FnOnScale,
-    a: float,
-    b: float,
-    beta: Order,
-    cfg: LimitConfig | None,
-    qc: QuadratureConfig | None,
-    kind: DerivKind,
+    f: FnOnScale, a: float, b: float, beta: Order, cfg: LimitConfig | None,
+    qc: QuadratureConfig | None, kind: DerivKind
 ) -> float:
-    """The nabla or delta Cauchy integral: one routine for both directions."""
+    """The Cauchy integral of any kind: the sum of ``w_b*G(b) - w_a*G(a)``
+    over its terms (kind of G, w_a, w_b).  Nabla and delta have the one
+    term (kind, 1, 1) anchored at a; symmetric has (delta, gamma1(a),
+    gamma1(b)) and (nabla, gamma2(a), gamma2(b)) anchored at the scale
+    minimum."""
     _require_beta(beta)
+    symmetric = kind is DerivKind.SYMMETRIC
+    if symmetric and beta.is_zero:
+        raise ValueError("symmetric fractional integral requires beta > 0")
     if cfg is None:
         cfg = LimitConfig()
     if qc is None:
@@ -318,17 +324,40 @@ def _cauchy(
     T = f.scale
     sa = _snap_endpoint(T, a, "a")
     sb = _snap_endpoint(T, b, "b")
+    if symmetric:
+        for name, e in (("a", sa), ("b", sb)):
+            if not T.domain_membership(e).in_symmetric_domain:
+                raise EndpointOutsideKappaSet(
+                    f"endpoint {name}={e} is a scattered extremum of the scale; "
+                    "the symmetric integral needs neighbors on both sides"
+                )
     if sa == sb:
         return 0.0
     if beta.is_zero:
         return f.eval(sb) - f.eval(sa)
-    if beta.is_one:
+    if symmetric:
+        anchor = T.inf_value if math.isfinite(T.inf_value) else min(sa, sb)
+        wa = symmetric_weights(T, sa, beta)
+        wb = symmetric_weights(T, sb, beta)
+        terms = [(DerivKind.DELTA, wa.gamma1, wb.gamma1), (DerivKind.NABLA, wa.gamma2, wb.gamma2)]
+    elif beta.is_one:
         return (nabla_integral if kind is DerivKind.NABLA else delta_integral)(f, sa, sb, qc)
-    F = Antiderivative(f, sa, kind, qc).as_fn()
+    else:
+        anchor = sa
+        terms = [(kind, 1.0, 1.0)]
+    # build (and snap the anchor of) every antiderivative before evaluating
+    # any, so a failing term does not change which scale queries ran
+    Gs = [Antiderivative(f, anchor, k, qc).as_fn() for k, _, _ in terms]
     order = beta.one_minus()
-    gb = _frac_deriv_at(f, F, sb, order, cfg, kind)
-    ga = _frac_deriv_at(f, F, sa, order, cfg, kind)
-    return gb - ga
+    total = 0.0
+    for (k, w_a, w_b), G in zip(terms, Gs):
+        if order.is_zero:
+            gb, ga = G.eval(sb), G.eval(sa)
+        else:
+            gb = _frac_deriv_at(f, G, sb, order, cfg, k)
+            ga = _frac_deriv_at(f, G, sa, order, cfg, k)
+        total = total + w_b * gb - w_a * ga
+    return total
 
 
 def nabla_frac_integral(
@@ -382,36 +411,4 @@ def symmetric_frac_integral(
     combination would lose orientation antisymmetry and additivity at
     beta=1 on scales whose graininess ratio varies.
     """
-    _require_beta(beta)
-    if beta.is_zero:
-        raise ValueError("symmetric fractional integral requires beta > 0")
-    if cfg is None:
-        cfg = LimitConfig()
-    if qc is None:
-        qc = QuadratureConfig()
-    T = f.scale
-    sa = _snap_endpoint(T, a, "a")
-    sb = _snap_endpoint(T, b, "b")
-    for name, e in (("a", sa), ("b", sb)):
-        if not T.domain_membership(e).in_symmetric_domain:
-            raise EndpointOutsideKappaSet(
-                f"endpoint {name}={e} is a scattered extremum of the scale; "
-                "the symmetric integral needs neighbors on both sides"
-            )
-    if sa == sb:
-        return 0.0
-    anchor = T.inf_value if math.isfinite(T.inf_value) else min(sa, sb)
-    wa = symmetric_weights(T, sa, beta)
-    wb = symmetric_weights(T, sb, beta)
-    fd = delta_antiderivative(f, anchor, qc)
-    fn = nabla_antiderivative(f, anchor, qc)
-    if beta.is_one:
-        gd_b, gd_a = fd.eval(sb), fd.eval(sa)
-        gn_b, gn_a = fn.eval(sb), fn.eval(sa)
-    else:
-        order = beta.one_minus()
-        gd_b = _frac_deriv_at(f, fd.as_fn(), sb, order, cfg, DerivKind.DELTA)
-        gd_a = _frac_deriv_at(f, fd.as_fn(), sa, order, cfg, DerivKind.DELTA)
-        gn_b = _frac_deriv_at(f, fn.as_fn(), sb, order, cfg, DerivKind.NABLA)
-        gn_a = _frac_deriv_at(f, fn.as_fn(), sa, order, cfg, DerivKind.NABLA)
-    return wb.gamma1 * gd_b - wa.gamma1 * gd_a + wb.gamma2 * gn_b - wa.gamma2 * gn_a
+    return _cauchy(f, a, b, beta, cfg, qc, DerivKind.SYMMETRIC)

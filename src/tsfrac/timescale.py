@@ -75,6 +75,9 @@ DEFAULT_SNAP_TOL = 1e-12
 # membership ambiguous.
 _MIN_STEP_FACTOR = 4.0
 
+# Most members of a uniform grid and most points_in samples (a 10**6 grid takes seconds).
+_MAX_POINTS = 1_000_000
+
 
 class ApproachSide(enum.Enum):
     """Which side of a point a limit is taken from."""
@@ -185,6 +188,8 @@ class FinitePoints:
     values: tuple
 
     def __init__(self, values):
+        if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
+            raise ValidationError(f"points must be a collection of numbers, got {values!r}")
         vals = sorted({_require_finite_number("point", v) for v in values})
         if not vals:
             raise ValidationError("points component requires at least one point")
@@ -229,7 +234,10 @@ class UniformGrid:
             )
         if stop < start:
             raise ValidationError(f"grid requires start <= stop, got {start} > {stop}")
-        count = int(math.floor((stop - start + DEFAULT_SNAP_TOL) / step)) + 1
+        span = (stop - start + DEFAULT_SNAP_TOL) / step
+        if not span < _MAX_POINTS:
+            raise ValidationError(f"grid would have more than {_MAX_POINTS} members")
+        count = int(math.floor(span)) + 1
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "step", step)
         object.__setattr__(self, "stop", start + (count - 1) * step)
@@ -274,8 +282,10 @@ class GeometricGrid:
         q = _require_finite_number("qgrid q", self.q)
         if q <= 1:
             raise ValidationError(f"qgrid requires q > 1, got {q}")
-        if not isinstance(self.k_min, int) or not isinstance(self.k_max, int):
+        if not all(type(k) is int for k in (self.k_min, self.k_max)):
             raise ValidationError("qgrid exponent bounds must be integers")
+        if not isinstance(self.include_zero, bool):
+            raise ValidationError(f"qgrid zero flag must be a bool, got {self.include_zero!r}")
         if self.k_min > self.k_max:
             raise ValidationError(
                 f"qgrid requires k_min <= k_max, got {self.k_min} > {self.k_max}"
@@ -422,7 +432,7 @@ class TimeScale:
         comps = list(components)
         if not comps:
             raise ValidationError("a time scale needs at least one component")
-        if not (0 < snap_tol < 1):
+        if not (0 < _require_finite_number("snap tolerance", snap_tol) < 1):
             raise ValidationError(f"snap tolerance out of range: {snap_tol}")
         for c in comps:
             if not isinstance(c, (Interval, FinitePoints, UniformGrid, GeometricGrid)):
@@ -756,7 +766,8 @@ class TimeScale:
         interval samples at the given points-per-unit density.
 
         Raises:
-            ValueError: the density is not finite and positive.
+            ValueError: the density is not finite and positive, or the
+                result would hold more than a million points.
         """
         if not (0 < density < math.inf):
             raise ValueError(f"density must be finite and positive, got {density!r}")
@@ -779,7 +790,9 @@ class TimeScale:
             if x == y:
                 out.append(x)
                 continue
-            npts = max(2, int(math.ceil((y - x) * density)) + 1)
+            npts = max(2, int(math.ceil(min((y - x) * density, _MAX_POINTS))) + 1)
+            if len(out) + npts > _MAX_POINTS:
+                raise ValueError(f"[{a}, {b}] at density {density} needs over {_MAX_POINTS} samples")
             out.extend(x + j * (y - x) / (npts - 1) for j in range(npts))
         return _coalesce(out, tol)
 
@@ -796,7 +809,7 @@ class TimeScale:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TimeScale":
-        if not isinstance(d, dict) or "components" not in d:
+        if not isinstance(d, dict) or not isinstance(d.get("components"), list):
             raise ValidationError("scale JSON must be an object with 'components'")
         comps = []
         for cd in d["components"]:
@@ -813,18 +826,14 @@ class TimeScale:
                 elif kind == "qgrid":
                     comps.append(
                         GeometricGrid(
-                            cd["q"],
-                            int(cd["kmin"]),
-                            int(cd["kmax"]),
-                            bool(cd.get("zero", False)),
-                            int(cd.get("sign", 1)),
+                            cd["q"], cd["kmin"], cd["kmax"], cd.get("zero", False), cd.get("sign", 1)
                         )
                     )
                 else:
                     raise ValidationError(f"unknown component kind {kind!r}")
             except KeyError as exc:
                 raise ValidationError(f"component {kind!r} missing field {exc}")
-        return cls(comps, snap_tol=float(d.get("snap_tol", DEFAULT_SNAP_TOL)))
+        return cls(comps, snap_tol=d.get("snap_tol", DEFAULT_SNAP_TOL))
 
     @classmethod
     def from_json(cls, text: str) -> "TimeScale":

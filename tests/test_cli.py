@@ -353,3 +353,32 @@ def test_table_bad_density_is_structured_error(capsys, density):
     [rec] = records(out)
     assert rec["error"] == "ValueError"
     assert "density" in rec["message"]
+
+
+def test_deep_expression_is_structured_error(capsys):
+    code, out, _ = run(
+        capsys,
+        "deriv",
+        "--scale", "grid(0,10,1)",
+        "--fn", "(" * 3000 + "t" + ")" * 3000,
+        "--order", "1/2",
+        "--points", "1",
+    )
+    assert code == 1
+    [rec] = records(out)
+    assert rec["error"] == "ExprSyntaxError"
+    assert rec["position"] == 101
+
+
+@pytest.mark.parametrize(
+    "error, argv",
+    [
+        ("ValueError", ("table", "--scale", "interval(0,1e9)", "--fn", "t", "--order", "1")),
+        ("ValidationError", ("classify", "--scale", "grid(0,1e12,1)", "--points", "0")),
+    ],
+)
+def test_oversized_scales_are_structured_errors(capsys, error, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    [rec] = records(out)
+    assert rec["error"] == error

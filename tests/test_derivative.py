@@ -279,6 +279,44 @@ def test_symmetric_via_sides_dense():
     assert combo == pytest.approx(direct, abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "T, t, lo, hi",
+    [
+        # left-dense, right-scattered: the exact quotient spans [t, sigma(t)]
+        (TimeScale([Interval(0.0, 1.0), FinitePoints((3.0,))]), 1.0, 1.0, 3.0),
+        # right-dense, left-scattered: it spans [rho(t), t]
+        (TimeScale([FinitePoints((-2.0,)), Interval(0.0, 1.0)]), 0.0, -2.0, 0.0),
+    ],
+)
+def test_symmetric_at_hybrid_points_is_one_jump_quotient(T, t, lo, hi):
+    f = FnOnScale(lambda x: x**3 + x, T)
+    for a in ALPHAS + (Order(3, 4),):
+        r = symmetric_frac(f, t, a)
+        assert r.path is ComputePath.EXACT_SCATTERED
+        assert r.side.value == "both"
+        assert r.err_est == 0.0
+        assert r.value == (f(hi) - f(lo)) / (hi - lo) ** a.value
+
+
+@pytest.mark.parametrize(
+    "deriv, order, label",
+    [
+        (nabla_frac, Order(1, 2), "right-side"),
+        (delta_frac, Order(1, 2), "left-side"),
+        (nabla_frac, Order(1, 1), "left-side"),
+        (symmetric_frac, Order(1, 2), "symmetric"),
+    ],
+)
+def test_unconverged_message_names_point_and_samples(deriv, order, label):
+    f = FnOnScale(lambda x: x * x, TimeScale([Interval(0.0, 10.0)]))
+    cfg = LimitConfig(tol=1e-300, max_samples=3)
+    with pytest.raises(LimitDidNotConverge) as exc_info:
+        deriv(f, 2.0, order, cfg)
+    msg = str(exc_info.value)
+    assert msg.startswith(f"{label} quotients did not settle within tol=1e-300 ")
+    assert "at t=2.0 after 3 samples (last difference " in msg
+
+
 # -- reconstruction and order lowering ------------------------------------
 
 

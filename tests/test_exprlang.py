@@ -141,6 +141,35 @@ def test_errors_carry_expected_hint():
     assert e.value.expected
 
 
+# nesting at the parsers' bound of 100 levels and one past it, with the
+# column of the token that opens the level past the bound
+NESTINGS = [
+    (lambda n: "(" * n + "t" + ")" * n, 101),
+    (lambda n: "abs(" * n + "t" + ")" * n, 404),
+    (lambda n: "-" * n + "t", 101),
+    (lambda n: "t" + "^1" * n, 202),
+]
+NESTING_IDS = ["parens", "calls", "minus", "power"]
+
+
+@pytest.mark.parametrize("make, column", NESTINGS, ids=NESTING_IDS)
+def test_nesting_at_the_bound_parses_and_evaluates(make, column):
+    assert ev(make(100), 0.5) == 0.5
+
+
+@pytest.mark.parametrize("make, column", NESTINGS, ids=NESTING_IDS)
+def test_nesting_past_the_bound_is_a_syntax_error(make, column):
+    with pytest.raises(ExprSyntaxError, match="at most 100 nesting levels") as e:
+        parse_expr(make(101))
+    assert e.value.position == column
+
+
+def test_very_deep_nesting_is_a_syntax_error():
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_expr("(" * 3000 + "t" + ")" * 3000)
+    assert e.value.position == 101
+
+
 # -- evaluation domain errors ---------------------------------------------
 
 
@@ -268,6 +297,13 @@ def test_scale_errors():
         parse_scale("grid(0, 10, 1) extra")
     with pytest.raises(ExprSyntaxError):
         parse_scale("qgrid(2, 0.5, 3)")  # exponents must be integers
+
+
+def test_union_nesting_bound():
+    assert parse_scale("union(" * 100 + "points(1)" + ")" * 100).describe() == "points(1)"
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_scale("union(" * 101 + "points(1)" + ")" * 101)
+    assert e.value.position == 601
 
 
 def test_scale_format_round_trip():

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import time
 
 import pytest
 
@@ -265,6 +266,53 @@ def test_json_round_trip():
     for _ in range(50):
         x = rng.uniform(-0.5, 3.5)
         assert back.contains(x) == T.contains(x)
+
+
+QGRID_JSON = {"kind": "qgrid", "q": 2.0, "kmin": -3, "kmax": 3, "zero": True, "sign": 1}
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        {"components": [dict(QGRID_JSON, kmin=1.7)]},
+        {"components": [dict(QGRID_JSON, zero="false")]},
+        {"components": [dict(QGRID_JSON, kmin="x")]},
+        {"components": [QGRID_JSON], "snap_tol": "abc"},
+        {"components": [{"kind": "points", "points": None}]},
+    ],
+    ids=["kmin-float", "zero-string", "kmin-string", "snap_tol-string", "points-null"],
+)
+def test_json_rejects_ill_typed_fields(d):
+    # each used to be truncated, coerced, or to raise a bare ValueError/TypeError
+    TimeScale.from_json_dict({"components": [QGRID_JSON]})
+    with pytest.raises(ValidationError):
+        TimeScale.from_json_dict(d)
+
+
+def test_uniform_grid_member_bound():
+    assert UniformGrid(0.0, 999_999.0, 1.0).count == 1_000_000
+    with pytest.raises(ValidationError, match="members"):
+        UniformGrid(0.0, 1_000_000.0, 1.0)
+    with pytest.raises(ValidationError, match="members"):
+        UniformGrid(-1e308, 1e308, 1e-9)
+
+
+def test_huge_grid_fails_fast():
+    from tsfrac import parse_scale
+
+    start = time.perf_counter()
+    with pytest.raises(ValidationError):
+        parse_scale("grid(0,1e12,1)")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_points_in_sample_bound():
+    T = TimeScale([Interval(0.0, 1e9)])
+    with pytest.raises(ValueError, match="1000000 samples"):
+        T.points_in(0.0, 1e9)
+    # 1,000,001 samples of [0, 1]: one past the bound, refused before building
+    with pytest.raises(ValueError, match="1000000 samples"):
+        T.points_in(0.0, 1.0, density=1e6)
 
 
 def test_describe_round_trips_through_parser():
