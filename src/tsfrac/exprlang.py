@@ -11,7 +11,11 @@ Function grammar (whitespace insensitive)::
 
 with NAME one of sqrt, abs, sin, cos, exp, ln, pow (arity checked while
 parsing).  ``^`` and ``pow`` follow standard real semantics: a negative base
-with a non-integer exponent is a domain error, not an odd root.
+with a non-integer exponent is a domain error, not an odd root.  The first
+``eval_expr`` of an AST compiles it to one closure per node, kept on the node,
+and a left chain of ``+ - * /`` to one loop (``t+t+...+t`` does not recurse).
+Each step is the IEEE operation, order and EvalDomainError check of a
+recursive walk, so values and errors (message, node, t) are the walk's.
 
 Scale grammar::
 
@@ -30,8 +34,10 @@ scale constructors produce.  Both parsers reject input that nests more than
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import EvalDomainError, ExprSyntaxError
@@ -61,6 +67,13 @@ class Expr:
     """Base class for function AST nodes."""
 
     __slots__ = ()
+
+    @cached_property
+    def _code(self):  # this node compiled to a closure of t, built on first use
+        return _compile(self)
+
+    def __getstate__(self):  # the compiled closure is rebuilt on demand, never pickled
+        return {k: v for k, v in self.__dict__.items() if k != "_code"}
 
 
 @dataclass(frozen=True)
@@ -304,68 +317,103 @@ def _call(p: _Parser, name_tok: _Token) -> Expr:
     return Call(name_tok.text, tuple(args))
 
 
-_UNARY_FN = {
-    "sqrt": math.sqrt,
-    "abs": abs,
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "ln": math.log,
-}
-
-
-def eval_expr(e: Expr, t: float) -> float:
-    """Evaluate the AST at t.  Any mathematically undefined step (division
-    by zero, sqrt/ln outside their domain, negative base under a fractional
-    power) and any non-finite intermediate raise EvalDomainError."""
-    return _ev(e, t)
-
-
-def _checked(node: Expr, t: float, func, *args) -> float:
-    try:
-        out = func(*args)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise EvalDomainError(
-            f"'{format_expr(node)}' is undefined at t={t!r} ({exc})", node=node, t=t
-        ) from None
-    if not math.isfinite(out):
-        raise EvalDomainError(
-            f"'{format_expr(node)}' is not finite at t={t!r}", node=node, t=t
-        )
-    return out
-
-
-def _ev(e: Expr, t: float) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return float(t)
-    if isinstance(e, Neg):
-        return -_ev(e.operand, t)
-    if isinstance(e, Add):
-        return _checked(e, t, lambda: _ev(e.left, t) + _ev(e.right, t))
-    if isinstance(e, Sub):
-        return _checked(e, t, lambda: _ev(e.left, t) - _ev(e.right, t))
-    if isinstance(e, Mul):
-        return _checked(e, t, lambda: _ev(e.left, t) * _ev(e.right, t))
-    if isinstance(e, Div):
-        return _checked(e, t, lambda: _ev(e.left, t) / _ev(e.right, t))
-    if isinstance(e, Pow):
-        return _checked(e, t, math.pow, _ev(e.left, t), _ev(e.right, t))
-    if isinstance(e, Call):
-        if e.name == "pow":
-            return _checked(e, t, math.pow, _ev(e.args[0], t), _ev(e.args[1], t))
-        return _checked(e, t, _UNARY_FN[e.name], _ev(e.args[0], t))
-    raise TypeError(f"not an Expr node: {e!r}")
-
-
-# printer; inverse of parse_expr up to structural equality
+_FUNCS = {"sqrt": math.sqrt, "abs": abs, "sin": math.sin, "cos": math.cos, "exp": math.exp,
+          "ln": math.log, "pow": math.pow}
 
 _ATOM_PREC = 9
 _SUM_PREC = 1
 _PROD_PREC = 2
 _NEG_PREC = 3
 _POW_PREC = 4
+
+#: the infix nodes a left spine chains: operation, printed operator, precedence
+_INFIX = {
+    Add: (operator.add, " + ", _SUM_PREC),
+    Sub: (operator.sub, " - ", _SUM_PREC),
+    Mul: (operator.mul, "*", _PROD_PREC),
+    Div: (operator.truediv, "/", _PROD_PREC),
+}
+
+_ARITH = (ValueError, ZeroDivisionError, OverflowError)
+
+
+def eval_expr(e: Expr, t: float) -> float:
+    """Evaluate the AST at t.  Any mathematically undefined step (division
+    by zero, sqrt/ln outside their domain, negative base under a fractional
+    power) and any non-finite intermediate raise EvalDomainError."""
+    try:
+        code = e._code
+    except AttributeError:
+        raise TypeError(f"not an Expr node: {e!r}") from None
+    return code(t)
+
+
+def _domain_error(node: Expr, t, exc=None) -> EvalDomainError:
+    what = "is not finite" if exc is None else "is undefined"
+    cause = "" if exc is None else f" ({exc})"
+    return EvalDomainError(f"'{format_expr(node)}' {what} at t={t!r}{cause}", node=node, t=t)
+
+
+def _left_spine(e: Expr):
+    """The operand that ends e's left chain of + - * / nodes, and the chain, innermost first."""
+    spine = []
+    while type(e) in _INFIX:
+        spine.append(e)
+        e = e.left
+    return e, spine[::-1]
+
+
+def _compile(e: Expr):
+    """A closure of t for e.  As in the walk, a + - * / node's check covers evaluating its
+    operands, a call's or power's only its own step; a left chain is one loop."""
+    isfinite = math.isfinite
+    first, spine = _left_spine(e)
+    if spine:
+        lead = _compile(first)
+        steps = [(node, _INFIX[type(node)][0], _compile(node.right)) for node in spine]
+
+        def chain(t):
+            node = spine[0]
+            try:
+                out = lead(t)
+                for node, op, right in steps:
+                    out = op(out, right(t))
+                    if not isfinite(out):
+                        raise _domain_error(node, t)
+            except _ARITH as exc:
+                raise _domain_error(node, t, exc) from None
+            return out
+
+        return chain
+    if isinstance(e, Const):
+        value = e.value
+        return lambda t: value
+    if isinstance(e, Var):
+        return float
+    if isinstance(e, Neg):
+        operand = _compile(e.operand)
+        return lambda t: -operand(t)
+    if not isinstance(e, (Pow, Call)):
+        raise TypeError(f"not an Expr node: {e!r}")
+    func, args = (math.pow, (e.left, e.right)) if isinstance(e, Pow) else (_FUNCS[e.name], e.args)
+    f, *rest = map(_compile, args)
+    g = rest[0] if rest else None  # pow's exponent
+
+    def call(t):
+        x = f(t)
+        y = None if g is None else g(t)
+        try:
+            out = func(x) if g is None else func(x, y)
+        except _ARITH as exc:
+            raise _domain_error(e, t, exc) from None
+        if not isfinite(out):
+            raise _domain_error(e, t)
+        return out
+
+    return call
+
+
+# printer; inverse of parse_expr up to structural equality
 
 
 def _num_text(v: float) -> str:
@@ -375,6 +423,7 @@ def _num_text(v: float) -> str:
 
 
 def _fmt(e: Expr, slot: int) -> str:
+    e, spine = _left_spine(e)
     if isinstance(e, Const):
         text = _num_text(e.value)
         prec = _ATOM_PREC if e.value >= 0 else _NEG_PREC
@@ -385,26 +434,17 @@ def _fmt(e: Expr, slot: int) -> str:
         prec = _ATOM_PREC
     elif isinstance(e, Neg):
         text, prec = "-" + _fmt(e.operand, _NEG_PREC), _NEG_PREC
-    elif isinstance(e, Add):
-        text = f"{_fmt(e.left, _SUM_PREC)} + {_fmt(e.right, _SUM_PREC + 1)}"
-        prec = _SUM_PREC
-    elif isinstance(e, Sub):
-        text = f"{_fmt(e.left, _SUM_PREC)} - {_fmt(e.right, _SUM_PREC + 1)}"
-        prec = _SUM_PREC
-    elif isinstance(e, Mul):
-        text = f"{_fmt(e.left, _PROD_PREC)}*{_fmt(e.right, _PROD_PREC + 1)}"
-        prec = _PROD_PREC
-    elif isinstance(e, Div):
-        text = f"{_fmt(e.left, _PROD_PREC)}/{_fmt(e.right, _PROD_PREC + 1)}"
-        prec = _PROD_PREC
     elif isinstance(e, Pow):
         text = f"{_fmt(e.left, _POW_PREC + 1)}^{_fmt(e.right, _POW_PREC)}"
         prec = _POW_PREC
     else:
         raise TypeError(f"not an Expr node: {e!r}")
-    if prec < slot:
-        return f"({text})"
-    return text
+    for node in spine:  # outward along the left spine, without recursion
+        _, symbol, node_prec = _INFIX[type(node)]
+        if prec < node_prec:
+            text = f"({text})"
+        text, prec = f"{text}{symbol}{_fmt(node.right, node_prec + 1)}", node_prec
+    return f"({text})" if prec < slot else text
 
 
 def format_expr(e: Expr) -> str:

@@ -75,7 +75,8 @@ DEFAULT_SNAP_TOL = 1e-12
 # membership ambiguous.
 _MIN_STEP_FACTOR = 4.0
 
-# Most members of a uniform grid and most points_in samples (a 10**6 grid takes seconds).
+# Most members of a scale, summed over its discrete components, and most
+# points_in samples (a 10**6 grid takes seconds).
 _MAX_POINTS = 1_000_000
 
 
@@ -135,6 +136,8 @@ class DomainMembership:
 
 
 def _require_finite_number(name: str, x) -> float:
+    if isinstance(x, (str, bytes, bool)):  # float() would accept "2" and True
+        raise ValidationError(f"{name} must be a real number, got {x!r}")
     try:
         xf = float(x)
     except (TypeError, ValueError):
@@ -437,6 +440,17 @@ class TimeScale:
         for c in comps:
             if not isinstance(c, (Interval, FinitePoints, UniformGrid, GeometricGrid)):
                 raise ValidationError(f"not a scale component: {c!r}")
+        # count the members _normalize would materialize before it does, since
+        # the per-grid bound alone lets a union of large grids through
+        total = sum(
+            c.count if isinstance(c, UniformGrid)
+            else len(c.values) if isinstance(c, FinitePoints)
+            else len(c._members) if isinstance(c, GeometricGrid)
+            else int(c.lo == c.hi)
+            for c in comps
+        )
+        if total > _MAX_POINTS:
+            raise ValidationError(f"scale would have {total} members, more than {_MAX_POINTS}")
         tol = float(snap_tol)
         intervals, survivors = _normalize(comps, tol)
         ordered = [((iv.lo, iv.hi), iv) for iv in intervals]

@@ -370,11 +370,31 @@ def test_deep_expression_is_structured_error(capsys):
     assert rec["position"] == 101
 
 
+def test_long_flat_expression_gives_a_value(capsys):
+    # 2,000 terms but no nesting: parsed and evaluated without recursion
+    code, out, _ = run(
+        capsys,
+        "deriv",
+        "--scale", "grid(0,10,1)",
+        "--fn", "+".join(["t"] * 2000),
+        "--order", "1",
+        "--points", "3",
+    )
+    assert code == 0
+    [rec] = records(out)
+    assert rec["value"] == 2000.0
+    assert rec["path"] == "exact-scattered"
+
+
 @pytest.mark.parametrize(
     "error, argv",
     [
         ("ValueError", ("table", "--scale", "interval(0,1e9)", "--fn", "t", "--order", "1")),
         ("ValidationError", ("classify", "--scale", "grid(0,1e12,1)", "--points", "0")),
+        (
+            "ValidationError",
+            ("classify", "--scale", "union(grid(0,999999,1),grid(1000000.5,1999999.5,1))", "--points", "0"),
+        ),
     ],
 )
 def test_oversized_scales_are_structured_errors(capsys, error, argv):

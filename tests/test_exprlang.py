@@ -1,6 +1,8 @@
 """Parser, evaluator, and printer for the little function/scale language."""
 
 import math
+import operator
+import pickle
 import random
 
 import pytest
@@ -14,7 +16,7 @@ from tsfrac import (
     parse_expr,
     parse_scale,
 )
-from tsfrac.exprlang import Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var
+from tsfrac.exprlang import FUNCTIONS, Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var
 
 
 def ev(text, t):
@@ -209,6 +211,121 @@ def test_domain_error_reports_point():
     with pytest.raises(EvalDomainError) as e:
         ev("sqrt(t - 2)", 1.0)
     assert e.value.t == 1.0
+
+
+# -- long flat chains: no nesting, so no depth bound; nothing may recurse --
+
+
+def test_long_flat_sum_evaluates():
+    assert ev("+".join(["t"] * 2000), 1.0) == 2000.0
+    assert ev("*".join(["t"] * 2000), 1.0) == 1.0
+    assert ev("-".join(["t"] * 2000), 0.5) == -999.0
+
+
+def test_domain_error_deep_in_long_chain_names_its_node():
+    ast = parse_expr("+".join(["t"] * 1500) + "+exp(709*t)" * 3)
+    with pytest.raises(EvalDomainError, match=r"\+ exp\(709\*t\)' is not finite at t=1.0$") as e:
+        eval_expr(ast, 1.0)
+    assert e.value.node is ast
+    assert str(e.value).startswith("'" + " + ".join(["t"] * 1500) + " + exp(709*t) + ")
+
+
+def test_format_long_chain():
+    text = " - ".join(["t"] * 1500) + "*2 + (t + 1)/3"
+    assert format_expr(parse_expr(text)) == text
+
+
+# -- the evaluator against a recursive oracle -----------------------------
+
+_ORACLE_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+_ORACLE_FNS = {"sqrt": math.sqrt, "abs": abs, "sin": math.sin, "cos": math.cos,
+               "exp": math.exp, "ln": math.log, "pow": math.pow}
+
+
+def _oracle_step(node, t, thunk):
+    try:
+        out = thunk()
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise EvalDomainError(
+            f"'{format_expr(node)}' is undefined at t={t!r} ({exc})", node=node, t=t
+        ) from None
+    if not math.isfinite(out):
+        raise EvalDomainError(f"'{format_expr(node)}' is not finite at t={t!r}", node=node, t=t)
+    return out
+
+
+def oracle(e, t):
+    """Tree walk: a + - * / node checks its operands' evaluation and its
+    step, a call or power its step only, after evaluating its arguments."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return float(t)
+    if isinstance(e, Neg):
+        return -oracle(e.operand, t)
+    if isinstance(e, Pow):
+        x, y = oracle(e.left, t), oracle(e.right, t)
+        return _oracle_step(e, t, lambda: math.pow(x, y))
+    if isinstance(e, Call):
+        xs = [oracle(a, t) for a in e.args]
+        return _oracle_step(e, t, lambda: _ORACLE_FNS[e.name](*xs))
+    op = _ORACLE_OPS[type(e)]
+    return _oracle_step(e, t, lambda: op(oracle(e.left, t), oracle(e.right, t)))
+
+
+def _random_ast(rng, depth):
+    kind = rng.randrange(2 if depth == 0 else 10)
+    if kind == 0:
+        return Const(rng.choice((0.0, -0.0, 1.0, -2.5, 3.0, 0.5, 709.0, 1e-300, 1e300)))
+    if kind == 1:
+        return Var()
+    if kind == 2:
+        return Neg(_random_ast(rng, depth - 1))
+    if kind == 3:
+        return Pow(_random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
+    if kind < 8:
+        node = (Add, Sub, Mul, Div)[kind - 4]
+        return node(_random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
+    name = rng.choice(sorted(FUNCTIONS))
+    return Call(name, tuple(_random_ast(rng, depth - 1) for _ in range(FUNCTIONS[name])))
+
+
+def test_compiled_evaluator_matches_recursive_oracle():
+    rng = random.Random(5)
+    outcomes = {"value": 0, "error": 0}
+    # an int past the float range fails float(t) itself: where that error
+    # surfaces, and whether a + - * / node names it, shows which checks
+    # cover which evaluations
+    points = (0.0, -1.0, 1.0, 2.0, -0.5, 1e200, 10**400)
+    for _ in range(3000):
+        ast = _random_ast(rng, rng.randint(1, 6))
+        for t in (rng.choice(points), rng.uniform(-5.0, 5.0)):
+            try:
+                want = oracle(ast, t)
+            except (EvalDomainError, OverflowError) as exc:
+                outcomes["error"] += 1
+                with pytest.raises(type(exc)) as got:
+                    eval_expr(ast, t)
+                assert str(got.value) == str(exc)
+                assert getattr(got.value, "node", None) is getattr(exc, "node", None)
+            else:
+                outcomes["value"] += 1
+                assert eval_expr(ast, t).hex() == want.hex(), format_expr(ast)
+    assert min(outcomes.values()) > 1000, outcomes
+
+
+def test_evaluated_ast_still_pickles():
+    ast = parse_expr("2*cos(t/3) + t^2")
+    before = eval_expr(ast, 0.7)
+    again = pickle.loads(pickle.dumps(ast))
+    assert again == ast and eval_expr(again, 0.7) == before
+
+
+def test_eval_rejects_non_expressions():
+    with pytest.raises(TypeError, match="not an Expr node"):
+        eval_expr("t", 1.0)
+    with pytest.raises(TypeError, match="not an Expr node"):
+        eval_expr(Add(Var(), 1.0), 1.0)
 
 
 # -- formatting -----------------------------------------------------------

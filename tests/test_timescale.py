@@ -279,8 +279,24 @@ QGRID_JSON = {"kind": "qgrid", "q": 2.0, "kmin": -3, "kmax": 3, "zero": True, "s
         {"components": [dict(QGRID_JSON, kmin="x")]},
         {"components": [QGRID_JSON], "snap_tol": "abc"},
         {"components": [{"kind": "points", "points": None}]},
+        {"components": [dict(QGRID_JSON, q="2")]},
+        {"components": [QGRID_JSON], "snap_tol": "1e-10"},
+        {"components": [{"kind": "points", "points": [0, "1"]}]},
+        {"components": [{"kind": "points", "points": [0, True]}]},
+        {"components": [{"kind": "interval", "lo": False, "hi": 1}]},
     ],
-    ids=["kmin-float", "zero-string", "kmin-string", "snap_tol-string", "points-null"],
+    ids=[
+        "kmin-float",
+        "zero-string",
+        "kmin-string",
+        "snap_tol-string",
+        "points-null",
+        "q-numeric-string",
+        "snap_tol-numeric-string",
+        "point-numeric-string",
+        "point-bool",
+        "interval-bool",
+    ],
 )
 def test_json_rejects_ill_typed_fields(d):
     # each used to be truncated, coerced, or to raise a bare ValueError/TypeError
@@ -295,6 +311,32 @@ def test_uniform_grid_member_bound():
         UniformGrid(0.0, 1_000_000.0, 1.0)
     with pytest.raises(ValidationError, match="members"):
         UniformGrid(-1e308, 1e308, 1e-9)
+
+
+def test_scale_member_bound_is_summed_over_components(monkeypatch):
+    from tsfrac import timescale
+
+    monkeypatch.setattr(timescale, "_MAX_POINTS", 10)
+    base = [UniformGrid(0.0, 4.0, 1.0), FinitePoints([10, 11, 12, 13]), Interval(-3.0, -2.0)]
+    T = TimeScale(base + [Interval(-1.0, -1.0)])  # 5 + 4 + 0 + 1 members
+    assert len(T.points_in(-1.0, 13.0)) == 10
+    monkeypatch.setattr(timescale, "_normalize", None)  # the count comes first
+    for extra in (
+        [GeometricGrid(2.0, 4, 5)],
+        [FinitePoints([20, 21])],
+        [Interval(-1.0, -1.0), Interval(-5.0, -5.0)],
+    ):
+        with pytest.raises(ValidationError, match="11 members, more than 10"):
+            TimeScale(base + extra)
+
+
+def test_union_of_large_grids_fails_fast():
+    from tsfrac import parse_scale
+
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="2000000 members"):
+        parse_scale("union(grid(0,999999,1),grid(1000000.5,1999999.5,1))")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_huge_grid_fails_fast():
