@@ -153,17 +153,27 @@ def _members(T: TimeScale) -> list:
     return sorted({m for c in T.components if not isinstance(c, Interval) for m in c.iter_members()})
 
 
-def _isolated_interior(T: TimeScale, rng: random.Random) -> float:
-    """A random member that is scattered on both sides and interior to every
-    derivative domain."""
-    candidates = [
+def _interior(T: TimeScale, where=None) -> list:
+    """The members of T's discrete components that are interior to every
+    derivative domain and whose PointClass satisfies ``where``, if given."""
+    return [
         m
         for m in _members(T)
-        if T.domain_membership(m).in_symmetric_domain and T.classify(m).isolated
+        if T.domain_membership(m).in_symmetric_domain and (where is None or where(T.classify(m)))
     ]
-    if not candidates:
-        raise LookupError("scale has no isolated interior points")
-    return rng.choice(candidates)
+
+
+def _isolated_trials(rng: random.Random, trials: int, rec: "_Recorder"):
+    """(k, T, t, alpha) per trial: a random discrete scale, a random interior
+    member scattered on both sides, and an order.  A trial whose scale has
+    no such member is a recorded failure."""
+    for k in range(trials):
+        T = _discrete_scale(rng)
+        candidates = _interior(T, lambda cls: cls.isolated)
+        if not candidates:
+            rec.fail(f"trial {k}: no usable point in {T.describe()}")
+            continue
+        yield k, T, rng.choice(candidates), rng.choice(_ALPHAS)
 
 
 def _poly_eval(coeffs: tuple):
@@ -198,14 +208,7 @@ def _rand_bounded_poly(rng: random.Random, T: TimeScale, points: tuple) -> FnOnS
 
 def _suite_linearity(rng: random.Random, trials: int, cfg: LimitConfig) -> _Recorder:
     rec = _Recorder()
-    for k in range(trials):
-        T = _discrete_scale(rng)
-        try:
-            t = _isolated_interior(T, rng)
-        except LookupError:
-            rec.fail(f"trial {k}: no usable point in {T.describe()}")
-            continue
-        alpha = rng.choice(_ALPHAS)
+    for k, T, t, alpha in _isolated_trials(rng, trials, rec):
         lam = round(rng.uniform(-3.0, 3.0), 3)
         f = _rand_poly(rng, T)
         g = _rand_poly(rng, T)
@@ -222,14 +225,7 @@ def _suite_linearity(rng: random.Random, trials: int, cfg: LimitConfig) -> _Reco
 
 def _suite_product(rng: random.Random, trials: int, cfg: LimitConfig) -> _Recorder:
     rec = _Recorder()
-    for k in range(trials):
-        T = _discrete_scale(rng)
-        try:
-            t = _isolated_interior(T, rng)
-        except LookupError:
-            rec.fail(f"trial {k}: no usable point in {T.describe()}")
-            continue
-        alpha = rng.choice(_ALPHAS)
+    for k, T, t, alpha in _isolated_trials(rng, trials, rec):
         f = _rand_poly(rng, T, max_coeffs=3)
         g = _rand_poly(rng, T, max_coeffs=3)
         prod = FnOnScale(lambda x: f.eval(x) * g.eval(x), T)
@@ -252,14 +248,7 @@ def _suite_product(rng: random.Random, trials: int, cfg: LimitConfig) -> _Record
 
 def _suite_quotient(rng: random.Random, trials: int, cfg: LimitConfig) -> _Recorder:
     rec = _Recorder()
-    for k in range(trials):
-        T = _discrete_scale(rng)
-        try:
-            t = _isolated_interior(T, rng)
-        except LookupError:
-            rec.fail(f"trial {k}: no usable point in {T.describe()}")
-            continue
-        alpha = rng.choice(_ALPHAS)
+    for k, T, t, alpha in _isolated_trials(rng, trials, rec):
         r = T.rho(t)
         s = T.sigma(t)
         f = _rand_poly(rng, T, max_coeffs=3)
@@ -306,11 +295,7 @@ def _suite_reconstruction(rng: random.Random, trials: int, cfg: LimitConfig) -> 
     rec = _Recorder()
     for k in range(trials):
         T = rng.choice((_discrete_scale, _hybrid_scale))(rng)
-        points = [
-            m
-            for m in _members(T)
-            if T.domain_membership(m).in_symmetric_domain and not T.classify(m).dense
-        ]
+        points = _interior(T, lambda cls: not cls.dense)
         if not points:
             rec.fail(f"trial {k}: no scattered interior point in {T.describe()}")
             continue
@@ -342,7 +327,7 @@ def _suite_integral_laws(rng: random.Random, trials: int, cfg: LimitConfig) -> _
         interior: list[float] = []
         for _ in range(30):
             T = _discrete_scale(rng)
-            interior = [m for m in _members(T) if T.domain_membership(m).in_symmetric_domain]
+            interior = _interior(T)
             if len(interior) >= 3:
                 break
         if len(interior) < 3:
@@ -392,11 +377,7 @@ def _suite_symmetric_relation(rng: random.Random, trials: int, cfg: LimitConfig)
     )
     for k in range(trials):
         T = rng.choice((_discrete_scale, _hybrid_scale))(rng)
-        points = [
-            m
-            for m in _members(T)
-            if T.domain_membership(m).in_symmetric_domain and not T.classify(m).dense
-        ]
+        points = _interior(T, lambda cls: not cls.dense)
         if points:
             t = rng.choice(points)
             alpha = rng.choice(_ALPHAS)

@@ -21,8 +21,8 @@ import math
 import sys
 
 from .checks import SUITE_NAMES, run_suite
-from .derivative import DerivKind, FnOnScale, _in_domain, delta_frac, nabla_frac, symmetric_frac
-from .errors import TsfracError
+from .derivative import FnOnScale, delta_frac, nabla_frac, symmetric_frac
+from .errors import PointOutsideDomain, TsfracError
 from .exprlang import parse_scale
 from .integral import (
     QuadratureConfig,
@@ -145,14 +145,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _given(args, names, prefix=""):
+    """The flags ``prefix + name`` set on the command line, by name; a config
+    class keeps its own defaults for the rest."""
+    return {name: v for name in names if (v := getattr(args, prefix + name)) is not None}
+
+
 def _limit_config(args) -> LimitConfig:
-    base = LimitConfig()
-    return LimitConfig(
-        h0=base.h0 if args.h0 is None else args.h0,
-        ratio=base.ratio if args.ratio is None else args.ratio,
-        tol=base.tol if args.tol is None else args.tol,
-        max_samples=base.max_samples if args.max_samples is None else args.max_samples,
-    )
+    return LimitConfig(**_given(args, ("h0", "ratio", "tol", "max_samples")))
 
 
 def _finite(name: str, x: float) -> float:
@@ -174,18 +174,6 @@ def _parse_points(text: str):
     return points
 
 
-def _deriv_record(T, t, kind, order, res) -> dict:
-    return {
-        "t": T.snap(t),
-        "kind": kind,
-        "order": str(order),
-        "value": res.value,
-        "path": res.path.value,
-        "side": res.side.value,
-        "err_est": res.err_est,
-    }
-
-
 def _error_record(exc, **extra) -> dict:
     rec = {"error": type(exc).__name__, "message": str(exc)}
     for attr in ("position", "left", "right"):
@@ -196,7 +184,10 @@ def _error_record(exc, **extra) -> dict:
     return rec
 
 
-def cmd_deriv(args):
+def _deriv_rows(args, points_of, skip=()):
+    """One derivative record per point of ``points_of(T)``, built after the
+    scale, function, order and limit flags are read; a point whose error is
+    of a type in ``skip`` gets no record."""
     T = parse_scale(args.scale)
     f = FnOnScale.from_expression(args.fn, T)
     order = Order.parse(args.order)
@@ -204,15 +195,31 @@ def cmd_deriv(args):
     compute = _DERIV[args.kind]
     records = []
     code = 0
-    for t in _parse_points(args.points):
+    for t in points_of(T):
         try:
             res = compute(f, t, order, cfg)
+        except skip:
+            continue
         except TsfracError as exc:
             records.append(_error_record(exc, t=t))
             code = 1
             continue
-        records.append(_deriv_record(T, t, args.kind, order, res))
+        records.append(
+            {
+                "t": T.snap(t),
+                "kind": args.kind,
+                "order": str(order),
+                "value": res.value,
+                "path": res.path.value,
+                "side": res.side.value,
+                "err_est": res.err_est,
+            }
+        )
     return records, code
+
+
+def cmd_deriv(args):
+    return _deriv_rows(args, lambda T: _parse_points(args.points))
 
 
 def cmd_integ(args):
@@ -222,11 +229,7 @@ def cmd_integ(args):
     f = FnOnScale.from_expression(args.fn, T)
     beta = Order.parse(args.beta, allow_zero=True)
     cfg = _limit_config(args)
-    base_qc = QuadratureConfig()
-    qc = QuadratureConfig(
-        rel_tol=base_qc.rel_tol if args.quad_rel_tol is None else args.quad_rel_tol,
-        abs_tol=base_qc.abs_tol if args.quad_abs_tol is None else args.quad_abs_tol,
-    )
+    qc = QuadratureConfig(**_given(args, ("rel_tol", "abs_tol"), "quad_"))
     compute = _INTEG[args.kind]
     try:
         value = compute(f, args.a, args.b, beta, cfg, qc)
@@ -247,29 +250,15 @@ def cmd_integ(args):
 
 
 def cmd_table(args):
-    T = parse_scale(args.scale)
-    f = FnOnScale.from_expression(args.fn, T)
-    order = Order.parse(args.order)
-    cfg = _limit_config(args)
-    compute = _DERIV[args.kind]
-    kind = DerivKind(args.kind)
-    a = T.inf_value if args.a is None else _finite("--a", args.a)
-    b = T.sup_value if args.b is None else _finite("--b", args.b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("table over an unbounded scale needs explicit --a and --b")
-    records = []
-    code = 0
-    for t in T.points_in(a, b, density=args.density):
-        if not _in_domain(T.domain_membership(t), kind):
-            continue
-        try:
-            res = compute(f, t, order, cfg)
-        except TsfracError as exc:
-            records.append(_error_record(exc, t=t))
-            code = 1
-            continue
-        records.append(_deriv_record(T, t, args.kind, order, res))
-    return records, code
+    def points_of(T):
+        a = T.inf_value if args.a is None else _finite("--a", args.a)
+        b = T.sup_value if args.b is None else _finite("--b", args.b)
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError("table over an unbounded scale needs explicit --a and --b")
+        return T.points_in(a, b, density=args.density)
+
+    # a point outside the derivative's domain (a scattered end) has no row
+    return _deriv_rows(args, points_of, skip=PointOutsideDomain)
 
 
 def cmd_classify(args):
@@ -302,16 +291,7 @@ def cmd_classify(args):
 
 def cmd_check(args):
     report = run_suite(args.suite, seed=args.seed, trials=args.trials, cfg=_limit_config(args))
-    record = {
-        "suite": report.suite,
-        "trials": report.trials,
-        "seed": report.seed,
-        "max_residual": report.max_residual,
-        "failures": report.failures,
-        "passed": report.passed,
-        "messages": list(report.messages),
-    }
-    return [record], 0 if report.passed else 1
+    return [{**vars(report), "passed": report.passed}], 0 if report.passed else 1
 
 
 _COMMANDS = {

@@ -54,7 +54,7 @@ from .order import (
     estimate_limit,
     signed_pow,
 )
-from .timescale import ApproachSide, DomainMembership, TimeScale
+from .timescale import ApproachSide, TimeScale
 
 __all__ = [
     "FnOnScale",
@@ -139,21 +139,23 @@ def _require_order(order: Order) -> None:
 
 def _side_samples(T: TimeScale, ts: float, side: ApproachSide, cfg: LimitConfig):
     """Approach points on one side, or None when that side cannot supply a
-    usable sequence (scattered, empty, or fewer than three points)."""
+    usable sequence: scattered, or fewer than three points, whether the side
+    is discrete or an interval whose steps reach the float spacing at ts."""
     try:
-        return T.approach_sequence(ts, side, cfg.max_samples, h0=cfg.h0, ratio=cfg.ratio)
+        seq = T.approach_sequence(ts, side, cfg.max_samples, h0=cfg.h0, ratio=cfg.ratio)
     except SideNotDense:
         return None
     except InsufficientPoints as exc:
         if exc.available < 3:
             return None
-        return T.approach_sequence(ts, side, exc.available, h0=cfg.h0, ratio=cfg.ratio)
+        seq = T.approach_sequence(ts, side, exc.available, h0=cfg.h0, ratio=cfg.ratio)
+    return seq if len(seq) >= 3 else None
 
 
 def _settle(quots, cfg: LimitConfig, side: ApproachSide, ts: float) -> "tuple[float, float]":
     """The limit of one side's quotient sequence and its error estimate, or
     LimitDidNotConverge."""
-    est = estimate_limit(quots, cfg, side)
+    est = estimate_limit(quots, cfg)
     if not est.converged:
         label = "symmetric" if side is ApproachSide.BOTH else f"{side.value}-side"
         raise LimitDidNotConverge(
@@ -225,24 +227,19 @@ _KINDS = {
 }
 
 
-def _in_domain(dm: DomainMembership, kind: DerivKind) -> bool:
-    """Whether a point with domain flags ``dm`` admits the derivative of
-    this kind: a predecessor if it looks left, a successor if it looks
-    right."""
-    left, right, _, _ = _KINDS[kind]
-    return (dm.in_nabla_domain or not left) and (dm.in_delta_domain or not right)
-
-
 def _domain_point(T: TimeScale, t: float, order: Order, kind: DerivKind) -> float:
     """t snapped onto T, once the order is positive and the snapped point
-    lies in the domain of the derivative of this kind."""
+    lies in the domain of the derivative of this kind: it has a predecessor
+    if the kind looks left and a successor if it looks right."""
     _require_order(order)
     ts = T.snap(t)
     if ts is None:
         raise PointNotInScale(f"t={t!r} is not in {T.describe()}")
-    if not _in_domain(T.domain_membership(ts), kind):
+    left, right, _, outside = _KINDS[kind]
+    dm = T.domain_membership(ts)
+    if (left and not dm.in_nabla_domain) or (right and not dm.in_delta_domain):
         raise PointOutsideDomain(
-            f"t={ts} is {_KINDS[kind][3]} of the scale; the {kind.value} "
+            f"t={ts} is {outside} of the scale; the {kind.value} "
             "derivative is undefined there"
         )
     return ts

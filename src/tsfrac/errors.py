@@ -74,8 +74,8 @@ class NonFiniteSample(TsfracError):
 class LimitDidNotConverge(TsfracError):
     """The quotient sequence did not settle within the configured tolerance.
 
-    ``samples_unavailable`` is set when the failure is structural: the side the
-    definition requires has no scale points to sample at all.
+    ``samples_unavailable`` is set when the failure is structural: no side the
+    definition admits has the three scale points a limit needs to sample.
     """
 
     def __init__(self, message: str, *, samples_unavailable: bool = False):

@@ -25,10 +25,12 @@ Scale grammar::
               | "grid" "(" number "," number "," number ")"
               | "qgrid" "(" number "," integer "," integer ("," "zero")? ")"
 
-Number literals everywhere are parsed as exact decimal fractions and then
-rounded once to float, so a literal like 0.1 lands on the same float the
-scale constructors produce.  Both parsers reject input that nests more than
-100 levels deep (``_MAX_DEPTH``) with ExprSyntaxError.
+Number literals everywhere are rounded once, correctly, to float (``float``
+of the text), so a literal like 0.1 lands on the same float the scale
+constructors produce.  A literal past the float range or longer than
+``_MAX_LITERAL`` characters is an ExprSyntaxError at its column, and a
+``qgrid`` exponent must be an exact integer.  Both parsers reject input
+that nests more than 100 levels deep (``_MAX_DEPTH``) with ExprSyntaxError.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cached_property
-from fractions import Fraction
 
 from .errors import EvalDomainError, ExprSyntaxError
 from .timescale import FinitePoints, GeometricGrid, Interval, TimeScale, UniformGrid
@@ -139,6 +141,9 @@ class _Token:
 
 #: deepest nesting the recursive-descent parsers accept before the stack runs out
 _MAX_DEPTH = 100
+
+#: longest number literal accepted (Python's own limit for integer strings)
+_MAX_LITERAL = 4300
 
 _NUM_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -274,7 +279,7 @@ def _atom(p: _Parser) -> Expr:
     tok = p.cur
     if tok.kind == "num":
         p.take()
-        return Const(float(Fraction(tok.text)))
+        return Const(_literal(tok.text, tok))
     if tok.kind == "ident":
         p.take()
         if tok.text == "t":
@@ -541,22 +546,37 @@ def _signed_num_text(p: _Parser) -> "tuple[str, _Token]":
     return ("-" + tok.text if sign == "-" else tok.text), tok
 
 
+def _literal(text: str, tok: _Token) -> float:
+    """The float nearest the number literal ``text`` (``tok`` is where it
+    stands), or ExprSyntaxError when it is too long or past the float range.
+    ``float`` rounds correctly and reads any exponent at once."""
+    value = float(text) if len(text) <= _MAX_LITERAL else math.inf
+    if math.isinf(value):
+        raise ExprSyntaxError(
+            f"number literal past the float range or over {_MAX_LITERAL} characters",
+            line=1,
+            column=tok.pos,
+            expected="a finite number",
+        )
+    return value + 0.0  # '-0' reads as 0.0, not -0.0
+
+
 def _number(p: _Parser) -> float:
-    text, _ = _signed_num_text(p)
-    return float(Fraction(text))
+    return _literal(*_signed_num_text(p))
 
 
 def _integer(p: _Parser) -> int:
     text, tok = _signed_num_text(p)
-    frac = Fraction(text)
-    if frac.denominator != 1:
+    _literal(text, tok)  # the range and length rule of every literal
+    exact = Decimal(text)  # exact, with no 10**exponent built
+    if exact != exact.to_integral_value():
         raise ExprSyntaxError(
             f"expected an integer, found {text!r}",
             line=1,
             column=tok.pos,
             expected="an integer",
         )
-    return int(frac)
+    return int(exact)
 
 
 def format_scale(T: TimeScale) -> str:

@@ -16,13 +16,13 @@ the last quotient and the error estimate is that final difference.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NegativeBaseForGeneralOrder, NonFiniteSample
-from .timescale import ApproachSide
 
 __all__ = [
     "Order",
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 
+@functools.total_ordering
 @dataclass(frozen=True)
 class Order:
     """A differentiation or integration order, kept as an exact reduced
@@ -69,9 +70,21 @@ class Order:
 
     @classmethod
     def parse(cls, text: str, allow_zero: bool = False) -> "Order":
-        """Parse 'p/q' or a decimal literal ('0.5' becomes 1/2 exactly)."""
+        """Parse 'p/q' or a decimal literal ('0.5' becomes 1/2 exactly).
+
+        A decimal whose exponent takes it past the float range (1e400, or
+        1e-400, whose float value is 0) is refused with ValueError.
+        """
+        s = str(text).replace(" ", "")
         try:
-            frac = Fraction(str(text).replace(" ", ""))
+            # Fraction(s) first builds 10**exponent; float() reads any exponent
+            # at once, and one that takes s past the float range is refused
+            mantissa, e, _ = s.lower().partition("e")
+            if e and abs(float(s)) in (0.0, math.inf):
+                if float(mantissa):
+                    raise ValueError("exponent out of range")
+                s = mantissa  # zero at any exponent
+            frac = Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse order {text!r}: {exc}")
         if frac == 0 and allow_zero:
@@ -107,15 +120,6 @@ class Order:
 
     def __lt__(self, other: "Order") -> bool:
         return self.numerator * other.denominator < other.numerator * self.denominator
-
-    def __le__(self, other: "Order") -> bool:
-        return self.numerator * other.denominator <= other.numerator * self.denominator
-
-    def __gt__(self, other: "Order") -> bool:
-        return other < self
-
-    def __ge__(self, other: "Order") -> bool:
-        return other <= self
 
 
 class OrderClass(enum.Enum):
@@ -189,15 +193,10 @@ class LimitResult:
     value: float
     err_est: float
     converged: bool
-    side: ApproachSide | None
     samples_used: int
 
 
-def estimate_limit(
-    quotients,
-    cfg: LimitConfig | None = None,
-    side: ApproachSide | None = None,
-) -> LimitResult:
+def estimate_limit(quotients, cfg: LimitConfig | None = None) -> LimitResult:
     """Estimate the limit of a quotient sequence taken along shrinking steps.
 
     Consumes at most ``cfg.max_samples`` values.  The run converges at the
@@ -211,7 +210,9 @@ def estimate_limit(
 
     Raises:
         NonFiniteSample: a quotient came out NaN or infinite.
-        ValueError: fewer than three samples were available.
+        ValueError: fewer than three samples were available.  The
+            derivatives never pass such a sequence: they drop a side with
+            fewer than three sample points before estimating.
     """
     if cfg is None:
         cfg = LimitConfig()
@@ -230,8 +231,8 @@ def estimate_limit(
             diff = abs(q - prev)
         value = q
         if used >= 3 and diff <= cfg.tol and prev_diff <= cfg.tol:
-            return LimitResult(value, diff, True, side, used)
+            return LimitResult(value, diff, True, used)
         prev = q
     if used < 3:
         raise ValueError(f"estimate_limit needs at least 3 samples, got {used}")
-    return LimitResult(value, diff, False, side, used)
+    return LimitResult(value, diff, False, used)

@@ -335,6 +335,16 @@ class GeometricGrid:
 Component = Interval | FinitePoints | UniformGrid | GeometricGrid
 
 
+def _check_steps(n: int, h0: float | None, ratio: float) -> None:
+    """The checks shared by the step sequences of the limit scaffolding."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if not (0 < ratio < 1):
+        raise ValueError("ratio must lie in (0, 1)")
+    if h0 is not None and not h0 > 0:
+        raise ValueError("h0 must be positive")
+
+
 def _coalesce(values: list[float], tol: float) -> list[float]:
     """Sort and merge runs of values closer together than tol, keeping the
     smallest of each run."""
@@ -645,12 +655,7 @@ class TimeScale:
         """
         if side not in (ApproachSide.LEFT, ApproachSide.RIGHT):
             raise ValueError("side must be LEFT or RIGHT")
-        if n < 1:
-            raise ValueError("n must be positive")
-        if not (0 < ratio < 1):
-            raise ValueError("ratio must lie in (0, 1)")
-        if h0 is not None and not h0 > 0:
-            raise ValueError("h0 must be positive")
+        _check_steps(n, h0, ratio)
         ts = self._require_member(t)
         cls = self.classify(ts)
         dense = cls.right_dense if side is ApproachSide.RIGHT else cls.left_dense
@@ -662,9 +667,7 @@ class TimeScale:
             lo, hi = iv
             room = (hi - ts) if side is ApproachSide.RIGHT else (ts - lo)
             if room > self.snap_tol:
-                if h0 is None:
-                    h0 = min(0.1, room) / 2
-                h = min(h0, room)
+                h = min(min(0.1, room) / 2 if h0 is None else h0, room)
                 sign = 1.0 if side is ApproachSide.RIGHT else -1.0
                 out: list[float] = []
                 prev = ts
@@ -704,12 +707,7 @@ class TimeScale:
         Raises:
             NoSymmetricNeighborhood: no pair exists below the step bound.
         """
-        if n < 1:
-            raise ValueError("n must be positive")
-        if not (0 < ratio < 1):
-            raise ValueError("ratio must lie in (0, 1)")
-        if h0 is not None and not h0 > 0:
-            raise ValueError("h0 must be positive")
+        _check_steps(n, h0, ratio)
         ts = self._require_member(t)
 
         iv = self._interval_at(ts)
@@ -717,9 +715,7 @@ class TimeScale:
             lo, hi = iv
             room = min(ts - lo, hi - ts)
             if room > self.snap_tol:
-                if h0 is None:
-                    h0 = min(0.1, room) / 2
-                h = min(h0, room)
+                h = min(min(0.1, room) / 2 if h0 is None else h0, room)
                 hs: list[float] = []
                 prev_hi = ts
                 for k in range(n):
@@ -734,20 +730,11 @@ class TimeScale:
         bound = h0 if h0 is not None else 1e-2
         limit = max(8 * n, 64)
         cand: list[float] = []
-        for m in self._members_near(ts, ApproachSide.RIGHT, limit):
-            h = m - ts
-            if not (self.snap_tol < h < bound):
-                continue
-            mirror = self.snap(ts - h)
-            if mirror is not None:
-                cand.append(h)
-        for m in self._members_near(ts, ApproachSide.LEFT, limit):
-            h = ts - m
-            if not (self.snap_tol < h < bound):
-                continue
-            mirror = self.snap(ts + h)
-            if mirror is not None:
-                cand.append(h)
+        for side, sign in ((ApproachSide.RIGHT, 1.0), (ApproachSide.LEFT, -1.0)):
+            for m in self._members_near(ts, side, limit):
+                h = sign * (m - ts)  # exactly ts - m on the left
+                if self.snap_tol < h < bound and self.snap(ts - sign * h) is not None:
+                    cand.append(h)
         hs: list[float] = []
         for h in sorted(cand, reverse=True):
             if hs and hs[-1] - h <= self.snap_tol:

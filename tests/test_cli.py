@@ -1,6 +1,8 @@
 """End-to-end runs of the command line interface through main()."""
 
+import itertools
 import json
+import time
 
 import pytest
 
@@ -224,10 +226,12 @@ def test_classify(capsys):
 def test_check_subcommand(capsys):
     code, out, _ = run(capsys, "check", "--suite", "linearity", "--trials", "5", "--seed", "1")
     assert code == 0
-    rec = records(out)[0]
+    [rec] = records(out)
+    assert sorted(rec) == ["failures", "max_residual", "messages", "passed", "seed", "suite", "trials"]
     assert rec["passed"] is True
     assert rec["failures"] == 0
     assert rec["trials"] == 5
+    assert rec["messages"] == [] and rec["suite"] == "linearity" and rec["seed"] == 1
 
 
 def test_output_is_deterministic(capsys):
@@ -402,3 +406,84 @@ def test_oversized_scales_are_structured_errors(capsys, error, argv):
     assert code == 1
     [rec] = records(out)
     assert rec["error"] == error
+
+
+@pytest.mark.parametrize("command", ["deriv", "table"])
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        ("scale", "ExprSyntaxError"),
+        ("fn", "ExprSyntaxError"),
+        ("order", "ValueError"),
+        ("limits", "ValueError"),
+        ("points", "ValueError"),
+    ],
+)
+def test_row_commands_report_the_first_bad_input(capsys, command, bad, error):
+    # every input from ``bad`` on is broken; the first of them is reported
+    order = ["scale", "fn", "order", "limits", "points"]
+    broken = set(order[order.index(bad):])
+    argv = [
+        command,
+        "--scale", "interval(0," if "scale" in broken else "grid(0,4,1)",
+        "--fn", "t +" if "fn" in broken else "t",
+        "--order", "2" if "order" in broken else "1/2",
+        "--ratio", "2" if "limits" in broken else "0.5",
+    ]
+    argv += ["--points=nan" if "points" in broken else "--points=1"] if command == "deriv" else []
+    argv += ["--a=nan"] if command == "table" and "points" in broken else []
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    [rec] = records(out)
+    assert rec["error"] == error
+    if bad == "limits":
+        assert "ratio" in rec["message"]
+    if bad == "points":
+        assert "finite" in rec["message"]
+
+
+def test_quadrature_flags_reach_the_config(capsys):
+    argv = ("integ", "--scale", "interval(0,2)", "--fn", "t", "--beta", "1", "--a", "0", "--b", "2")
+    code, out, _ = run(capsys, *argv, "--quad-abs-tol", "1e-9")
+    assert code == 0 and records(out)[0]["value"] == pytest.approx(2.0)
+    for flag in ("--quad-rel-tol", "--quad-abs-tol"):
+        code, out, _ = run(capsys, *argv, flag, "0")
+        assert code == 1 and records(out)[0]["error"] == "ValidationError"
+
+
+def test_dense_side_with_under_three_samples_is_structured_error(capsys):
+    code, out, _ = run(
+        capsys,
+        "deriv",
+        "--scale", "interval(0,10)",
+        "--fn", "t",
+        "--order", "1",
+        "--points", "3",
+        "--ratio", "0.9999999999999999",
+    )
+    assert code == 1
+    [rec] = records(out)
+    assert rec["error"] == "LimitDidNotConverge"
+    assert rec["message"].startswith("no scale points available")
+
+
+@pytest.mark.parametrize(
+    "flag, text, position",
+    [
+        ("--fn", "1e400*t", 1),
+        ("--fn", "t+1e10000000", 3),
+        ("--fn", "1" * 5000, 1),
+        ("--scale", "interval(0,1e400)", 12),
+        ("--scale", "interval(-1e100000000,0)", 11),
+    ],
+)
+def test_out_of_range_literals_are_syntax_errors(capsys, flag, text, position):
+    argv = {"--scale": "interval(0,10)", "--fn": "t"}
+    argv[flag] = text
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "deriv", *itertools.chain(*argv.items()), "--order", "1/2", "--points", "1")
+    assert time.perf_counter() - start < 1.0  # 1e10000000 used to take ~10 s
+    assert code == 1
+    [rec] = records(out)
+    assert rec["error"] == "ExprSyntaxError"
+    assert rec["position"] == position

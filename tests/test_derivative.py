@@ -195,6 +195,23 @@ def test_edge_point_of_interval_uses_available_side():
     assert r.value == pytest.approx(8.0, abs=1e-5)
 
 
+@pytest.mark.parametrize(
+    "T, t, cfg",
+    [
+        # float spacing at 1e4 leaves two approach points on either side
+        (TimeScale([Interval(10000.0, 10000.000000000004)]), 10000.0, None),
+        # a ratio this close to 1 repeats the first step at once
+        (TimeScale([Interval(0.0, 10.0)]), 3.0, LimitConfig(ratio=0.9999999999999999)),
+    ],
+)
+@pytest.mark.parametrize("deriv", [nabla_frac, delta_frac])
+@pytest.mark.parametrize("order", [Order(1, 2), Order(1, 1)])
+def test_dense_side_with_under_three_samples_is_unavailable(T, t, cfg, deriv, order):
+    with pytest.raises(LimitDidNotConverge) as exc_info:
+        deriv(ident(T), t, order, cfg)
+    assert exc_info.value.samples_unavailable
+
+
 # -- symmetric ------------------------------------------------------------
 
 

@@ -4,6 +4,8 @@ import math
 import operator
 import pickle
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -35,10 +37,69 @@ def test_numbers():
 
 
 def test_decimal_literals_are_exact():
-    # 0.1 parses through rational arithmetic, giving the nearest double of
-    # the decimal, not of an intermediate binary guess
+    # a literal is rounded once, correctly, to the nearest double of the decimal
     assert ev("0.1", 0.0) == 0.1
     assert ev("1e-3", 0.0) == 1e-3
+    assert ev("1e-400", 0.0) == 0.0
+    assert ev("0." + "0" * 4000 + "1e4000", 0.0) == 0.1
+    assert ev("179769313486231570814527423731704356798070567525844996598917476803157260780028538760589558632766878171540458953514382464234321326889464182768467546703537516986049910576551282076245490090389328944075868508455133942304583236903222948165808559332123348274797826204144723168738177180919299881250404026184124858368", 0.0) == 1.7976931348623157e308
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        ("1e400*t", 1),
+        ("t*1e309", 3),
+        ("1" * 400, 1),
+        ("t+" + "1" * 5000, 3),
+        ("1e10000000*t", 1),
+        ("t-1e100000000", 3),
+    ],
+)
+def test_out_of_range_literal_is_a_syntax_error(text, column):
+    start = time.perf_counter()
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_expr(text)
+    assert time.perf_counter() - start < 0.1
+    assert e.value.position == column
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        ("interval(0,1e400)", 12),
+        ("interval(-1e400,0)", 11),
+        ("points(1," + "9" * 5000 + ")", 10),
+        ("grid(0,1e10000000,1)", 8),
+        ("qgrid(2,0,1e10000000)", 11),
+        ("qgrid(2,0,1e-400)", 11),
+        ("qgrid(2,0.5,3)", 9),
+        ("qgrid(2,1e-10000000,3)", 9),
+    ],
+)
+def test_bad_scale_literal_is_a_syntax_error(text, column):
+    start = time.perf_counter()
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_scale(text)
+    assert time.perf_counter() - start < 0.1
+    assert e.value.position == column
+
+
+def test_literals_match_exact_rational_rounding():
+    rng = random.Random(11)
+    for _ in range(3000):
+        digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 25)))
+        cut = rng.randint(0, len(digits))
+        text = digits[:cut] + "." + digits[cut:] if cut < len(digits) and rng.random() < 0.7 else digits
+        if rng.random() < 0.6:
+            text += f"e{rng.randint(-330, 310)}"
+        try:
+            want = float(Fraction(text))
+        except OverflowError:
+            with pytest.raises(ExprSyntaxError):
+                parse_expr(text)
+            continue
+        assert float.hex(ev(text, 0.0)) == float.hex(want), text
 
 
 def test_variable_and_arithmetic():
@@ -391,6 +452,8 @@ def test_parse_qgrid():
     assert T.contains(0.25) and T.contains(32.0)
     Tz = parse_scale("qgrid(2, -2, 5, zero)")
     assert Tz.contains(0.0)
+    # an exponent may be written in any form whose value is an exact integer
+    assert parse_scale("qgrid(2,-2.0,0.3e1,zero)").describe() == "qgrid(2,-2,3,zero)"
 
 
 def test_parse_union():
@@ -403,6 +466,8 @@ def test_parse_union():
 def test_parse_scale_negative_numbers():
     T = parse_scale("interval(-2.5, -1)")
     assert T.contains(-2.0)
+    # '-0' is the member 0.0, not -0.0
+    assert parse_scale("points(-0,1e-400,1)").to_json() == parse_scale("points(0,1)").to_json()
 
 
 def test_scale_errors():

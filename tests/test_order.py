@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 
@@ -50,6 +51,23 @@ def test_order_parse():
         Order.parse("a/b")
 
 
+@pytest.mark.parametrize(
+    "text", ["1e10000000", "1e-10000000", "-1e100000000", "2e0", "1e-400", "1" * 5000, "0.5e1"]
+)
+def test_order_parse_refuses_out_of_range_decimals_quickly(text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        Order.parse(text)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_order_parse_decimals():
+    assert Order.parse("5e-1") == Order(1, 2)
+    assert Order.parse("0.25") == Order(1, 4)
+    assert Order.parse("0e-10000000", allow_zero=True).is_zero
+    assert Order.parse("1e-300").denominator == 10**300
+
+
 def test_order_value_and_complement():
     a = Order(1, 4)
     assert a.value == 0.25
@@ -61,6 +79,10 @@ def test_order_value_and_complement():
 def test_order_comparisons():
     assert Order(1, 3) < Order(1, 2) < Order(3, 4) < Order(1, 1)
     assert Order(2, 6) <= Order(1, 3)
+    assert Order(1, 1) > Order(2, 3) >= Order(4, 6)
+    assert not Order(1, 3) > Order(1, 2)
+    assert not Order(1, 3) >= Order(1, 2)
+    assert not Order(1, 2) <= Order(1, 3)
 
 
 def test_classify_order():

@@ -268,6 +268,39 @@ def test_json_round_trip():
         assert back.contains(x) == T.contains(x)
 
 
+@pytest.mark.parametrize(
+    "components, snap_tol",
+    [
+        (
+            [
+                Interval(-math.inf, -100.0),
+                GeometricGrid(2.0, 0, 3, sign=-1),
+                GeometricGrid(2.0, -3, 2, include_zero=True),
+                FinitePoints([10.0, 10.5, 11.0]),
+                UniformGrid(20.0, 30.0, 2.0),
+                Interval(100.0, math.inf),
+            ],
+            1e-9,
+        ),
+        ([Interval(-math.inf, math.inf)], 1e-6),
+        ([GeometricGrid(1.5, -2, 4, include_zero=True, sign=-1), Interval(0.5, 2.5)], 1e-12),
+    ],
+    ids=["every-kind", "real-line", "mirrored-qgrid-with-zero"],
+)
+def test_json_round_trip_of_every_component_kind(components, snap_tol):
+    T = TimeScale(components, snap_tol=snap_tol)
+    assert {type(c) for c in T.components} == {type(c) for c in components}
+    d = T.to_json_dict()
+    assert ("snap_tol" in d) == (snap_tol != 1e-12)
+    back = TimeScale.from_json(T.to_json())
+    assert back == T
+    assert back.snap_tol == snap_tol
+    assert back.describe() == T.describe()
+    assert back.to_json() == T.to_json()
+    bounds = [(c["lo"], c["hi"]) for c in json.loads(T.to_json())["components"] if c["kind"] == "interval"]
+    assert all(isinstance(x, float) or x in ("inf", "-inf") for pair in bounds for x in pair)
+
+
 QGRID_JSON = {"kind": "qgrid", "q": 2.0, "kmin": -3, "kmax": 3, "zero": True, "sign": 1}
 
 
