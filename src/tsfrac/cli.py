@@ -42,6 +42,18 @@ _INTEG = {
 }
 
 
+class _UsageError(Exception):
+    """A command line the parser cannot read."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise instead of exiting, so
+    that main reports them as a record like every other failure."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     scale = argparse.ArgumentParser(add_help=False)
     scale.add_argument(
@@ -81,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default json: one object per line, sorted keys)",
     )
 
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="tscale-frac",
         description="Fractional derivatives and integrals on time scales.",
     )
@@ -335,7 +347,12 @@ def _emit(records, fmt: str, out) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        # the flags, --format among them, could not be read: report in json
+        _emit([{"error": "UsageError", "message": str(exc)}], "json", sys.stdout)
+        return 1
     try:
         records, code = _COMMANDS[args.command](args)
     except (TsfracError, ValueError) as exc:

@@ -33,12 +33,14 @@ dense points): ``symmetric = gamma1 * delta + gamma2 * nabla``.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 from .errors import (
     InsufficientPoints,
     LimitDidNotConverge,
+    NonFiniteSample,
     NoSymmetricNeighborhood,
     PointNotInScale,
     PointOutsideDomain,
@@ -252,7 +254,8 @@ def _frac(f: FnOnScale, t: float, order: Order, cfg: LimitConfig | None, kind: D
     quotient ``[f(hi) - f(lo)] / (hi - lo)**alpha`` with lo = rho(t) if the
     kind looks left (else t) and hi = sigma(t) if it looks right (else t);
     otherwise the point is dense on every side the kind looks at and the
-    value is a limit.
+    value is a limit.  A non-finite exact quotient raises NonFiniteSample,
+    as a non-finite sample of a limit does.
     """
     T = f.scale
     ts = _domain_point(T, t, order, kind)
@@ -262,6 +265,8 @@ def _frac(f: FnOnScale, t: float, order: Order, cfg: LimitConfig | None, kind: D
         hi = T.sigma(ts) if right else ts
         lo = T.rho(ts) if left else ts
         value = (f.eval(hi) - f.eval(lo)) / signed_pow(hi - lo, order)
+        if not math.isfinite(value):
+            raise NonFiniteSample(f"exact {kind.value} quotient at t={ts} is {value!r}")
         return DerivResult(value, ComputePath.EXACT_SCATTERED, side, 0.0, order, kind)
     value, err, side = _dense_limit(f, ts, order, cfg or LimitConfig(), kind)
     return DerivResult(value, ComputePath.DENSE_LIMIT, side, err, order, kind)

@@ -68,7 +68,7 @@ class NegativeBaseForGeneralOrder(TsfracError):
 
 
 class NonFiniteSample(TsfracError):
-    """A difference quotient evaluated to NaN or infinity during limit estimation."""
+    """A difference quotient, exact or sampled for a limit, evaluated to NaN or infinity."""
 
 
 class LimitDidNotConverge(TsfracError):
@@ -101,7 +101,9 @@ class EndpointOutsideKappaSet(TsfracError):
 
 
 class QuadratureFailure(TsfracError):
-    """Adaptive quadrature exhausted its depth before meeting the tolerance."""
+    """A classical integral failed: adaptive quadrature exhausted its depth
+    before meeting the tolerance, or the integrand, or a run of jump terms,
+    was not finite."""
 
 
 class ValidationError(TsfracError):

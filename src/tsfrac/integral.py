@@ -3,7 +3,12 @@
 Classical nabla/delta integrals walk the scale from a to b: every scattered
 step contributes an exact jump term (f at the step's right endpoint times
 the gap for nabla, f at the left endpoint for delta) and every interval
-stretch is integrated by adaptive Simpson quadrature.
+stretch is integrated by adaptive Simpson quadrature.  The walk goes run by
+run: each maximal run of consecutive jumps is one loop straight over the
+scale's packed index, adding its terms into the total one at a time from
+the left, so the value is bit for bit the jump-by-jump sum.  A non-finite
+value of f, at a quadrature sample, on a jump or as the total of the jump
+terms, raises QuadratureFailure.
 
 The fractional Cauchy integral of order beta in [0, 1] is built on top of a
 classical antiderivative F anchored at a:
@@ -81,6 +86,10 @@ class QuadratureConfig:
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValidationError("quadrature tolerances must be positive")
+        if isinstance(self.max_depth, bool) or not isinstance(self.max_depth, int):
+            raise ValidationError(
+                f"quadrature max_depth must be an integer, got {self.max_depth!r}"
+            )
         if self.max_depth < 1:
             raise ValidationError("quadrature max_depth must be at least 1")
 
@@ -137,17 +146,34 @@ def _snap_endpoint(T: TimeScale, t: float, name: str) -> float:
 
 
 def _walk(f: FnOnScale, a: float, b: float, qc: QuadratureConfig, kind: DerivKind) -> float:
-    """The classical integral of the kind from a to b (both scale members):
-    jump terms plus interval quadrature, walked upwards; a > b flips the
-    sign."""
+    """The classical integral of the kind from a to b (both scale members),
+    walked upwards; a > b flips the sign.  Each interval stretch is one
+    quadrature, and each maximal run of jumps one loop over the scale index
+    that adds the terms f(s)*(s - t) (nabla) or f(t)*(s - t) (delta) into the
+    total from the left, jump by jump.  A run that leaves the total
+    non-finite raises QuadratureFailure."""
     if a > b:
         return -_walk(f, b, a, qc, kind)
+    g = f.eval
+    nabla = kind is DerivKind.NABLA
     total = 0.0
-    for t, s, dense in f.scale._steps(a, b):
-        if dense:
-            total += _quad(f.eval, t, s, qc)
+    for t, s, run in f.scale._runs(a, b):
+        if run is None:
+            total += _quad(g, t, s, qc)
+            continue
+        start = t
+        if nabla:
+            for u in run:
+                total += g(u) * (u - t)
+                t = u
         else:
-            total += (f.eval(s) if kind is DerivKind.NABLA else f.eval(t)) * (s - t)
+            for u in run:
+                total += g(t) * (u - t)
+                t = u
+        if not math.isfinite(total):
+            raise QuadratureFailure(
+                f"jump terms over [{start}, {s}] made the integral non-finite ({total!r})"
+            )
     return total
 
 
@@ -285,7 +311,7 @@ def _frac_deriv_at(
             f"{'predecessor' if kind is DerivKind.NABLA else 'successor'} in the "
             f"scale; used a one-step virtual extension (step {step})"
         )
-        return integrand.eval(ts) * step**beta_value
+        return _finite_sample(integrand.eval, ts) * step**beta_value
     except LimitDidNotConverge as exc:
         if not exc.samples_unavailable:
             raise
@@ -334,7 +360,7 @@ def _cauchy(
     if sa == sb:
         return 0.0
     if beta.is_zero:
-        return f.eval(sb) - f.eval(sa)
+        return _finite_sample(f.eval, sb) - _finite_sample(f.eval, sa)
     if symmetric:
         anchor = T.inf_value if math.isfinite(T.inf_value) else min(sa, sb)
         wa = symmetric_weights(T, sa, beta)

@@ -182,6 +182,8 @@ class LimitConfig:
             raise ValueError(f"ratio must lie in (0, 1), got {self.ratio}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+        if isinstance(self.max_samples, bool) or not isinstance(self.max_samples, int):
+            raise ValueError(f"max_samples must be an integer, got {self.max_samples!r}")
         if self.max_samples < 3:
             raise ValueError(f"max_samples must be at least 3, got {self.max_samples}")
 

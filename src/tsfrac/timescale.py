@@ -748,19 +748,31 @@ class TimeScale:
 
     # -- enumeration ------------------------------------------------------
 
-    def _steps(self, lo: float, hi: float):
-        """The pieces (t, s, dense) that cover [lo, hi] in order, for members
-        lo <= hi: a jump from t to its successor s, or a stretch [t, s] of an
-        interval."""
+    def _runs(self, lo: float, hi: float):
+        """The pieces (t, s, run) that cover [lo, hi] in order, for members
+        lo <= hi: a stretch [t, s] of an interval with run None, or a maximal
+        run of consecutive jumps from t through the index entries in the
+        memoryview run, the last of which is s."""
         pts, inside = self._pts, self._inside
+        view = memoryview(pts)
         k = bisect.bisect_right(pts, lo)
+        # the gaps before index e end at entries <= hi, so no run passes hi
+        e = bisect.bisect_right(pts, hi)
         t = lo
         while t < hi:
-            # past the last entry only an unbounded interval remains
-            s = min(pts[k], hi) if k < len(pts) else hi
-            yield t, s, inside[k]
+            if inside[k]:
+                # past the last entry only an unbounded interval remains
+                s = min(pts[k], hi) if k < len(pts) else hi
+                yield t, s, None
+                k += 1
+            else:
+                j = inside.find(1, k, e)
+                if j < 0:
+                    j = e
+                s = pts[j - 1]
+                yield t, s, view[k:j]
+                k = j
             t = s
-            k += 1
 
     def points_in(self, a: float, b: float, density: float = 33.0) -> list[float]:
         """Representative scale points in [a, b]: all discrete members plus

@@ -487,3 +487,38 @@ def test_out_of_range_literals_are_syntax_errors(capsys, flag, text, position):
     [rec] = records(out)
     assert rec["error"] == "ExprSyntaxError"
     assert rec["position"] == position
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--tol", "abc"], "tscale-frac deriv: argument --tol: invalid float value: 'abc'"),
+        (["--max-samples", "2.5"], "argument --max-samples: invalid int value: '2.5'"),
+        (["--bogus"], "tscale-frac: unrecognized arguments: --bogus"),
+        (["--format", "csv", "--tol", "abc"], "argument --tol: invalid float value"),
+    ],
+)
+def test_usage_error_is_structured_record(capsys, flags, message):
+    code, out, err = run(
+        capsys, "deriv", "--scale", "grid(0,10,1)", "--fn", "t", "--order", "1/2",
+        "--points", "3", *flags,
+    )
+    assert code == 1
+    assert err == ""
+    # json even under --format csv: the flags could not be read
+    [rec] = records(out)
+    assert rec["error"] == "UsageError"
+    assert message in rec["message"]
+
+
+def test_missing_subcommand_is_structured_record(capsys):
+    code, out, err = run(capsys)
+    assert code == 1 and err == ""
+    assert records(out)[0]["error"] == "UsageError"
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["deriv", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tscale-frac deriv")

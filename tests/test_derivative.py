@@ -19,6 +19,7 @@ from tsfrac import (
     Interval,
     LimitConfig,
     LimitDidNotConverge,
+    NonFiniteSample,
     NoSymmetricNeighborhood,
     Order,
     PointNotInScale,
@@ -384,3 +385,23 @@ def test_fn_from_expression():
     assert f.source == "t^2 - 1"
     r = nabla_frac(f, 3.0, Order(1, 2))
     assert r.value == pytest.approx(5.0)
+
+
+# -- non-finite exact quotients ------------------------------------------
+
+
+@pytest.mark.parametrize("frac, t", [(nabla_frac, 3.0), (delta_frac, 3.0), (symmetric_frac, 2.0)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_exact_quotient_raises(frac, t, bad):
+    # every exact quotient at t reads f(3): nabla f(3) - f(2), delta
+    # f(4) - f(3), symmetric at 2 f(3) - f(1)
+    f = FnOnScale(lambda x: bad if x == 3.0 else x, TimeScale([UniformGrid(0.0, 10.0, 1.0)]))
+    with pytest.raises(NonFiniteSample, match=f"at t={t}"):
+        frac(f, t, Order(1, 2))
+
+
+def test_overflowing_exact_quotient_raises():
+    # finite values whose difference overflows
+    f = FnOnScale(lambda x: 1.7e308 * (-1) ** int(x), TimeScale([UniformGrid(0.0, 10.0, 1.0)]))
+    with pytest.raises(NonFiniteSample, match="is -inf"):
+        nabla_frac(f, 3.0, Order(1, 1))

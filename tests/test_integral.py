@@ -25,8 +25,10 @@ from tsfrac import (
     LimitConfig,
     Order,
     QuadratureConfig,
+    QuadratureFailure,
     TimeScale,
     UniformGrid,
+    ValidationError,
     delta_frac_integral,
     delta_integral,
     nabla_antiderivative,
@@ -308,12 +310,16 @@ def test_symmetric_additivity():
 
 
 def test_quadrature_config_validation():
-    from tsfrac import ValidationError
-
     with pytest.raises(ValidationError):
         QuadratureConfig(rel_tol=-1.0)
     with pytest.raises(ValidationError):
         QuadratureConfig(max_depth=0)
+
+
+@pytest.mark.parametrize("bad", [30.5, 30.0, True, "30"])
+def test_quadrature_max_depth_must_be_an_int(bad):
+    with pytest.raises(ValidationError, match="max_depth must be an integer"):
+        QuadratureConfig(max_depth=bad)
 
 
 def test_tight_quadrature_matches_loose():
@@ -323,3 +329,54 @@ def test_tight_quadrature_matches_loose():
     tight = nabla_integral(f, 0.0, 3.0)
     assert loose == pytest.approx(tight, rel=1e-5)
     assert tight == pytest.approx(math.sqrt(math.pi) / 2.0 * math.erf(3.0), rel=1e-9)
+
+
+# -- non-finite values on scattered paths ---------------------------------
+
+
+def _grid_fn(bad_at, bad):
+    """t on grid(0,10,1), except f(bad_at) = bad (every point when None)."""
+    T = TimeScale([UniformGrid(0.0, 10.0, 1.0)])
+    return FnOnScale(lambda x: bad if bad_at is None or x == bad_at else x, T)
+
+
+@pytest.mark.parametrize("integral", [nabla_integral, delta_integral])
+@pytest.mark.parametrize("bad_at", [3.0, None])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_jump_terms_raise(integral, bad_at, bad):
+    f = _grid_fn(bad_at, bad)
+    for a, b in ((0.0, 5.0), (5.0, 0.0)):
+        with pytest.raises(QuadratureFailure, match=r"over \[0\.0, 5\.0\]"):
+            integral(f, a, b)
+
+
+def test_non_finite_jump_term_names_its_run():
+    T = TimeScale([UniformGrid(0.0, 3.0, 1.0), Interval(3.0, 4.0), UniformGrid(4.0, 8.0, 1.0)])
+    f = FnOnScale(lambda x: math.nan if x == 6.0 else x, T)
+    with pytest.raises(QuadratureFailure, match=r"over \[4\.0, 8\.0\]"):
+        nabla_integral(f, 0.0, 8.0)
+    # the runs before the bad value sum as before
+    assert nabla_integral(f, 0.0, 5.0) == 1 + 2 + 3 + 3.5 + 5
+
+
+@pytest.mark.parametrize(
+    "integral, a",
+    [(nabla_frac_integral, 0.0), (delta_frac_integral, 0.0), (symmetric_frac_integral, 1.0)],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_values_raise_in_cauchy_integrals(integral, a, bad):
+    f = _grid_fn(3.0, bad)
+    with pytest.raises(QuadratureFailure):
+        integral(f, a, 5.0, Order(1, 2))
+
+
+@pytest.mark.parametrize("integral", [nabla_frac_integral, delta_frac_integral])
+def test_non_finite_endpoint_value_raises_at_beta_zero(integral):
+    with pytest.raises(QuadratureFailure, match="at t=5.0"):
+        integral(_grid_fn(5.0, math.nan), 0.0, 5.0, ZERO)
+
+
+def test_non_finite_value_raises_in_the_virtual_extension():
+    # G at the scattered minimum is f(0) * step**beta, and f(0) is not finite
+    with pytest.warns(EndpointAdjustedWarning), pytest.raises(QuadratureFailure, match="at t=0.0"):
+        nabla_frac_integral(_grid_fn(0.0, math.nan), 0.0, 5.0, Order(1, 2))

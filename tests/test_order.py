@@ -130,6 +130,13 @@ def test_limit_config_validation():
         LimitConfig(max_samples=2)
 
 
+@pytest.mark.parametrize("bad", [40.5, 40.0, True, "40", None])
+def test_limit_config_max_samples_must_be_an_int(bad):
+    # a float budget used to pass here and fail later as a bare TypeError
+    with pytest.raises(ValueError, match="max_samples must be an integer"):
+        LimitConfig(max_samples=bad)
+
+
 def test_estimate_limit_constant_sequence():
     cfg = LimitConfig(tol=1e-10)
     res = estimate_limit([5.0, 5.0, 5.0, 5.0], cfg)

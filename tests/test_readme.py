@@ -4,9 +4,11 @@
 import json
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 from tsfrac.cli import main
+from tsfrac.errors import EndpointAdjustedWarning
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,10 +26,17 @@ def test_readme_commands_run(capsys):
     lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
     commands = [shlex.split(line) for line in lines if line.startswith("tscale-frac ")]
     assert len(commands) >= 6
+    adjusted = []
     for argv in commands:
-        code = main(argv[1:])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv[1:])
+        adjusted += [(argv[1], w.category) for w in caught]
         out = capsys.readouterr().out
         assert code == 0, (argv, out)
         assert out.splitlines(), argv
         for line in out.splitlines():
             assert isinstance(json.loads(line), dict), (argv, line)
+    # the integral over grid(1, 10, 1) starts at the scattered minimum, so
+    # its G(a) takes the one-step virtual extension; nothing else warns
+    assert adjusted == [("integ", EndpointAdjustedWarning)]
