@@ -52,6 +52,7 @@ from .order import (
     LimitConfig,
     Order,
     OrderClass,
+    _require_order_type,
     classify_order,
     estimate_limit,
     signed_pow,
@@ -135,6 +136,7 @@ class SymmetricWeights:
 
 
 def _require_order(order: Order) -> None:
+    _require_order_type(order)
     if order.is_zero:
         raise ValueError("derivatives require a positive order")
 
@@ -175,36 +177,32 @@ def _dense_limit(f: FnOnScale, ts: float, order: Order, cfg: LimitConfig, kind: 
     if kind is DerivKind.SYMMETRIC:
         pairs = T.symmetric_pairs(ts, cfg.max_samples, h0=cfg.h0, ratio=cfg.ratio)
         if len(pairs) < 3:
-            raise NoSymmetricNeighborhood(
-                f"only {len(pairs)} symmetric pairs available near t={ts}"
-            )
-        quots = ((f.eval(ts + h) - f.eval(ts - h)) / signed_pow(2.0 * h, order) for h in pairs)
-        return (*_settle(quots, cfg, ApproachSide.BOTH, ts), ApproachSide.BOTH)
-    ft = f.eval(ts)
-    if kind is DerivKind.NABLA:
-        preferred = ApproachSide.RIGHT
+            raise NoSymmetricNeighborhood(f"only {len(pairs)} symmetric pairs available near t={ts}")
+        found = [(ApproachSide.BOTH, pairs)]
 
-        def quot(s: float) -> float:
-            return (f.eval(s) - ft) / signed_pow(s - ts, order)
+        def quot(h: float) -> float:
+            return (f.eval(ts + h) - f.eval(ts - h)) / signed_pow(2.0 * h, order)
 
     else:
-        preferred = ApproachSide.LEFT
+        # nabla's (f(s) - f(t)) / (s - t)**alpha and delta's mirror as one
+        # quotient, sign +1 and -1: negation is exact, and negating each term,
+        # not the difference, keeps a zero difference +0.0 as delta's had it
+        sign = 1.0 if kind is DerivKind.NABLA else -1.0
+        preferred = ApproachSide.RIGHT if sign > 0 else ApproachSide.LEFT
+        sft, sts = sign * f.eval(ts), sign * ts
 
         def quot(s: float) -> float:
-            return (ft - f.eval(s)) / signed_pow(ts - s, order)
+            return (sign * f.eval(s) - sft) / signed_pow(sign * s - sts, order)
 
-    if classify_order(order) is OrderClass.GENERAL:
-        sides = (preferred,)
-    else:
         sides = (ApproachSide.LEFT, ApproachSide.RIGHT)
-    found = [(side, seq) for side in sides if (seq := _side_samples(T, ts, side, cfg)) is not None]
-    if not found:
-        where = (
-            f"the {preferred.value} side of t={ts} to sample the one-sided limit"
-            if len(sides) == 1
-            else f"either side of t={ts}"
-        )
-        raise LimitDidNotConverge(f"no scale points available on {where}", samples_unavailable=True)
+        if classify_order(order) is OrderClass.GENERAL:
+            sides = (preferred,)
+        found = [(side, seq) for side in sides if (seq := _side_samples(T, ts, side, cfg)) is not None]
+        if not found:
+            where = f"the {preferred.value} side of t={ts} to sample the one-sided limit"
+            if len(sides) > 1:
+                where = f"either side of t={ts}"
+            raise LimitDidNotConverge(f"no scale points available on {where}", samples_unavailable=True)
     ests = [(*_settle(map(quot, seq), cfg, side, ts), side) for side, seq in found]
     if len(ests) == 1:
         return ests[0]

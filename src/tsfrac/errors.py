@@ -113,15 +113,10 @@ class ValidationError(TsfracError):
 class ExprSyntaxError(TsfracError):
     """Parse failure, carrying the 1-based position of the offending token."""
 
-    def __init__(self, message: str, *, line: int, column: int, expected: str = ""):
+    def __init__(self, message: str, *, position: int, expected: str = ""):
         super().__init__(message)
-        self.line = line
-        self.column = column
+        self.position = position
         self.expected = expected
-
-    @property
-    def position(self) -> int:
-        return self.column
 
 
 class EvalDomainError(TsfracError):

@@ -43,7 +43,7 @@ from decimal import Decimal
 from functools import cached_property
 
 from .errors import EvalDomainError, ExprSyntaxError
-from .timescale import FinitePoints, GeometricGrid, Interval, TimeScale, UniformGrid
+from .timescale import FinitePoints, GeometricGrid, Interval, TimeScale, UniformGrid, _fmt_num
 
 __all__ = [
     "Expr",
@@ -172,9 +172,7 @@ def _tokenize(src: str) -> list:
             out.append(_Token("op", ch, i + 1))
             i += 1
             continue
-        raise ExprSyntaxError(
-            f"unexpected character {ch!r}", line=1, column=i + 1, expected=""
-        )
+        raise ExprSyntaxError(f"unexpected character {ch!r}", position=i + 1)
     out.append(_Token("end", "", n + 1))
     return out
 
@@ -218,8 +216,7 @@ class _Parser:
         what = "end of input" if tok.kind == "end" else repr(tok.text)
         raise ExprSyntaxError(
             f"expected {expected}, found {what}",
-            line=1,
-            column=tok.pos,
+            position=tok.pos,
             expected=expected,
         )
 
@@ -290,8 +287,7 @@ def _atom(p: _Parser) -> Expr:
         raise ExprSyntaxError(
             f"unknown name {tok.text!r} (the variable is 't'; functions are "
             + ", ".join(sorted(FUNCTIONS)) + ")",
-            line=1,
-            column=tok.pos,
+            position=tok.pos,
             expected="a known function or 't'",
         )
     if p.at_op("("):
@@ -315,8 +311,7 @@ def _call(p: _Parser, name_tok: _Token) -> Expr:
         raise ExprSyntaxError(
             f"{name_tok.text} expects {want} argument{'s' if want != 1 else ''}, "
             f"got {len(args)}",
-            line=1,
-            column=name_tok.pos,
+            position=name_tok.pos,
             expected=f"{want} arguments",
         )
     return Call(name_tok.text, tuple(args))
@@ -421,16 +416,10 @@ def _compile(e: Expr):
 # printer; inverse of parse_expr up to structural equality
 
 
-def _num_text(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
-
-
 def _fmt(e: Expr, slot: int) -> str:
     e, spine = _left_spine(e)
     if isinstance(e, Const):
-        text = _num_text(e.value)
+        text = _fmt_num(e.value)
         prec = _ATOM_PREC if e.value >= 0 else _NEG_PREC
     elif isinstance(e, Var):
         text, prec = "t", _ATOM_PREC
@@ -529,8 +518,7 @@ def _piece(p: _Parser):
         return GeometricGrid(q, k_min, k_max, include_zero=include_zero)
     raise ExprSyntaxError(
         f"unknown scale constructor {tok.text!r}",
-        line=1,
-        column=tok.pos,
+        position=tok.pos,
         expected="one of interval, points, grid, qgrid, union",
     )
 
@@ -554,8 +542,7 @@ def _literal(text: str, tok: _Token) -> float:
     if math.isinf(value):
         raise ExprSyntaxError(
             f"number literal past the float range or over {_MAX_LITERAL} characters",
-            line=1,
-            column=tok.pos,
+            position=tok.pos,
             expected="a finite number",
         )
     return value + 0.0  # '-0' reads as 0.0, not -0.0
@@ -572,8 +559,7 @@ def _integer(p: _Parser) -> int:
     if exact != exact.to_integral_value():
         raise ExprSyntaxError(
             f"expected an integer, found {text!r}",
-            line=1,
-            column=tok.pos,
+            position=tok.pos,
             expected="an integer",
         )
     return int(exact)

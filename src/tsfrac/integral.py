@@ -61,7 +61,7 @@ from .errors import (
     SideNotDense,
     ValidationError,
 )
-from .order import LimitConfig, Order
+from .order import LimitConfig, Order, _require_order_type
 from .timescale import ApproachSide, TimeScale
 
 __all__ = [
@@ -84,8 +84,8 @@ class QuadratureConfig:
     max_depth: int = 30
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValidationError("quadrature tolerances must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValidationError("quadrature tolerances must be finite and positive")
         if isinstance(self.max_depth, bool) or not isinstance(self.max_depth, int):
             raise ValidationError(
                 f"quadrature max_depth must be an integer, got {self.max_depth!r}"
@@ -325,11 +325,6 @@ def _frac_deriv_at(
         return deriv(F, adj, order, cfg).value
 
 
-def _require_beta(beta: Order) -> None:
-    if not isinstance(beta, Order):
-        raise TypeError(f"beta must be an Order, got {type(beta).__name__}")
-
-
 def _cauchy(
     f: FnOnScale, a: float, b: float, beta: Order, cfg: LimitConfig | None,
     qc: QuadratureConfig | None, kind: DerivKind
@@ -339,7 +334,7 @@ def _cauchy(
     term (kind, 1, 1) anchored at a; symmetric has (delta, gamma1(a),
     gamma1(b)) and (nabla, gamma2(a), gamma2(b)) anchored at the scale
     minimum."""
-    _require_beta(beta)
+    _require_order_type(beta, "beta")
     symmetric = kind is DerivKind.SYMMETRIC
     if symmetric and beta.is_zero:
         raise ValueError("symmetric fractional integral requires beta > 0")

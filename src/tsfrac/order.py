@@ -122,6 +122,12 @@ class Order:
         return self.numerator * other.denominator < other.numerator * self.denominator
 
 
+def _require_order_type(order, name: str = "order") -> None:
+    """TypeError unless order is an Order: the operators take exact orders."""
+    if not isinstance(order, Order):
+        raise TypeError(f"{name} must be an Order, got {type(order).__name__}")
+
+
 class OrderClass(enum.Enum):
     """Sign behavior of x**alpha: odd reciprocals accept negative bases."""
 
@@ -176,12 +182,12 @@ class LimitConfig:
     max_samples: int = 40
 
     def __post_init__(self):
-        if not self.h0 > 0:
-            raise ValueError(f"h0 must be positive, got {self.h0}")
+        if not 0 < self.h0 < math.inf:
+            raise ValueError(f"h0 must be finite and positive, got {self.h0}")
         if not (0 < self.ratio < 1):
             raise ValueError(f"ratio must lie in (0, 1), got {self.ratio}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if isinstance(self.max_samples, bool) or not isinstance(self.max_samples, int):
             raise ValueError(f"max_samples must be an integer, got {self.max_samples!r}")
         if self.max_samples < 3:

@@ -33,9 +33,9 @@ and one flag per gap between neighboring entries (plus the two unbounded ends)
 saying whether the gap lies inside an interval.  An interval's endpoints
 are always neighbors in the index, since normalization leaves no member
 inside or within the tolerance of an interval.  Snapping, the jump
-operators, classification and the enumerations behind the limit
-scaffolding are one or two bisections of the index; the component list is
-kept for ``describe()``, JSON and equality only.
+operators and classification bisect the index once or twice; the limit
+scaffolding's enumerations bisect once and read a window of it, keeping no
+derived copy.  The component list serves ``describe()``, JSON and equality.
 """
 
 from __future__ import annotations
@@ -148,9 +148,8 @@ def _require_finite_number(name: str, x) -> float:
 
 
 def _fmt_num(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if x == int(x) and abs(x) < 1e15:
+    """x as both text languages print it, integral floats below 1e16 bare."""
+    if math.isfinite(x) and x == int(x) and abs(x) < 1e16:
         return str(int(x))
     return repr(x)
 
@@ -435,10 +434,6 @@ class TimeScale:
         "sup_value",
         "_pts",
         "_inside",
-        "_above",
-        "_below",
-        "_inf_scattered",
-        "_sup_scattered",
     )
 
     def __init__(self, components, snap_tol: float = DEFAULT_SNAP_TOL):
@@ -475,13 +470,6 @@ class TimeScale:
         inside = bytearray(len(pts) + 1)
         for iv in intervals:
             inside[bisect.bisect_left(pts, iv.hi) if math.isfinite(iv.hi) else len(pts)] = 1
-        # enumeration skips the points inside an interval, so from below it
-        # sees only an interval's left end and from above only its right end
-        above, below = pts, pts
-        if intervals:
-            above = array("d", (p for p, gap_before in zip(pts, inside) if not gap_before))
-            below = array("d", (p for p, gap_after in zip(pts, inside[1:]) if not gap_after))
-
         for name, value in (
             ("snap_tol", tol),
             ("components", tuple(c for _, c in ordered)),
@@ -489,17 +477,8 @@ class TimeScale:
             ("sup_value", math.inf if inside[-1] else pts[-1]),
             ("_pts", pts),
             ("_inside", bytes(inside)),
-            ("_above", above),
-            ("_below", below),
         ):
             object.__setattr__(self, name, value)
-        inf, sup = self.inf_value, self.sup_value
-        object.__setattr__(
-            self, "_inf_scattered", math.isfinite(inf) and (self._sigma_raw(inf) - inf) > tol
-        )
-        object.__setattr__(
-            self, "_sup_scattered", math.isfinite(sup) and (sup - self._rho_raw(sup)) > tol
-        )
 
     def __setattr__(self, name, value):
         raise AttributeError("TimeScale is immutable")
@@ -596,14 +575,18 @@ class TimeScale:
         ts = self.snap(t)
         if ts is None:
             return DomainMembership(False, False, False)
-        in_nabla = not (self._inf_scattered and ts == self.inf_value)
-        in_delta = not (self._sup_scattered and ts == self.sup_value)
+        in_nabla = not (ts == self.inf_value and self._sigma_raw(ts) - ts > self.snap_tol)
+        in_delta = not (ts == self.sup_value and ts - self._rho_raw(ts) > self.snap_tol)
         return DomainMembership(True, in_nabla, in_delta)
 
     # -- limit scaffolding ------------------------------------------------
 
-    def _interval_at(self, ts: float):
-        """(lo, hi) of the interval holding the member ts, or None."""
+    def _interval_steps(self, ts: float, side: ApproachSide, n: int, h0: float | None, ratio: float):
+        """Up to n steps h*ratio**k into the interval holding the member ts,
+        h = min(h0, room) with room the distance to its end on the side (to
+        the nearer end for BOTH); None if room is within the snap tolerance.
+        They stop where ts +/- step reaches ts or repeats, and with BOTH
+        also where ts - step reaches ts."""
         pts, inside = self._pts, self._inside
         i = bisect.bisect_left(pts, ts)
         if not inside[i]:
@@ -612,21 +595,39 @@ class TimeScale:
             i += 1
             if not inside[i]:
                 return None
-        return (
-            pts[i - 1] if i > 0 else -math.inf,
-            pts[i] if i < len(pts) else math.inf,
-        )
+        lo = pts[i - 1] if i > 0 else -math.inf
+        hi = pts[i] if i < len(pts) else math.inf
+        if side is ApproachSide.BOTH:
+            room = min(ts - lo, hi - ts)
+        else:
+            room = hi - ts if side is ApproachSide.RIGHT else ts - lo
+        if room <= self.snap_tol:
+            return None
+        h = min(min(0.1, room) / 2 if h0 is None else h0, room)
+        sign = -1.0 if side is ApproachSide.LEFT else 1.0
+        both = side is ApproachSide.BOTH
+        steps: list[float] = []
+        prev = ts
+        for k in range(n):
+            step = h * ratio**k
+            s = ts + sign * step
+            if s == ts or s == prev or (both and ts - step == ts):
+                break
+            steps.append(step)
+            prev = s
+        return steps
 
     def _members_near(self, ts: float, side: ApproachSide, limit: int) -> list[float]:
-        """Up to limit enumerable members strictly on one side of ts,
-        ascending; the points inside an interval are skipped."""
+        """The up to limit members nearest ts strictly on one side, farthest
+        first: index entries less each interval's far end from ts, which is
+        at most every other entry, so a window of 2*limit entries suffices."""
+        pts, inside = self._pts, self._inside
         if side is ApproachSide.RIGHT:
-            ms = self._above
-            i = bisect.bisect_right(ms, ts)
-            return list(ms[i : i + limit])
-        ms = self._below
-        i = bisect.bisect_left(ms, ts)
-        return list(ms[max(0, i - limit) : i])
+            i = bisect.bisect_right(pts, ts)
+            nearest = [pts[k] for k in range(i, min(i + 2 * limit, len(pts))) if not inside[k]]
+            return nearest[:limit][::-1]
+        i = bisect.bisect_left(pts, ts)
+        return [pts[k] for k in range(max(0, i - 2 * limit), i) if not inside[k + 1]][-limit:]
 
     def approach_sequence(
         self,
@@ -658,26 +659,12 @@ class TimeScale:
         _check_steps(n, h0, ratio)
         ts = self._require_member(t)
         cls = self.classify(ts)
-        dense = cls.right_dense if side is ApproachSide.RIGHT else cls.left_dense
-        if not dense:
+        if not (cls.right_dense if side is ApproachSide.RIGHT else cls.left_dense):
             raise SideNotDense(f"t={ts} is scattered on the {side.value} side")
 
-        iv = self._interval_at(ts)
-        if iv is not None:
-            lo, hi = iv
-            room = (hi - ts) if side is ApproachSide.RIGHT else (ts - lo)
-            if room > self.snap_tol:
-                h = min(min(0.1, room) / 2 if h0 is None else h0, room)
-                sign = 1.0 if side is ApproachSide.RIGHT else -1.0
-                out: list[float] = []
-                prev = ts
-                for k in range(n):
-                    s = ts + sign * h * ratio**k
-                    if s == ts or s == prev:
-                        break
-                    out.append(s)
-                    prev = s
-                return out
+        steps = self._interval_steps(ts, side, n, h0, ratio)
+        if steps is not None:
+            return [ts + h for h in steps] if side is ApproachSide.RIGHT else [ts - h for h in steps]
 
         members = self._members_near(ts, side, n)
         if len(members) < n:
@@ -685,8 +672,6 @@ class TimeScale:
                 f"only {len(members)} scale points on the {side.value} side of {ts}",
                 available=len(members),
             )
-        if side is ApproachSide.RIGHT:
-            members.reverse()  # farthest first, decreasing toward t
         return members
 
     def symmetric_pairs(
@@ -710,22 +695,9 @@ class TimeScale:
         _check_steps(n, h0, ratio)
         ts = self._require_member(t)
 
-        iv = self._interval_at(ts)
-        if iv is not None:
-            lo, hi = iv
-            room = min(ts - lo, hi - ts)
-            if room > self.snap_tol:
-                h = min(min(0.1, room) / 2 if h0 is None else h0, room)
-                hs: list[float] = []
-                prev_hi = ts
-                for k in range(n):
-                    step = h * ratio**k
-                    hi = ts + step
-                    if hi == ts or ts - step == ts or (hs and hi == prev_hi):
-                        break
-                    hs.append(step)
-                    prev_hi = hi
-                return hs
+        hs = self._interval_steps(ts, ApproachSide.BOTH, n, h0, ratio)
+        if hs is not None:
+            return hs
 
         bound = h0 if h0 is not None else 1e-2
         limit = max(8 * n, 64)
@@ -735,7 +707,7 @@ class TimeScale:
                 h = sign * (m - ts)  # exactly ts - m on the left
                 if self.snap_tol < h < bound and self.snap(ts - sign * h) is not None:
                     cand.append(h)
-        hs: list[float] = []
+        hs = []
         for h in sorted(cand, reverse=True):
             if hs and hs[-1] - h <= self.snap_tol:
                 continue

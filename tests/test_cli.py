@@ -451,6 +451,24 @@ def test_quadrature_flags_reach_the_config(capsys):
         assert code == 1 and records(out)[0]["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize(
+    "flag, error",
+    [
+        ("--quad-rel-tol", "ValidationError"),
+        ("--quad-abs-tol", "ValidationError"),
+        ("--tol", "ValueError"),
+        ("--h0", "ValueError"),
+    ],
+)
+def test_infinite_tolerances_are_structured_errors(capsys, flag, error):
+    # --quad-rel-tol inf used to print a value 1e-3 off with exit code 0
+    argv = ("integ", "--scale", "interval(0,10)", "--fn", "sin(t)", "--beta", "1", "--a", "0", "--b", "3")
+    code, out, _ = run(capsys, *argv, flag, "inf")
+    assert code == 1
+    [rec] = records(out)
+    assert rec["error"] == error and "finite and positive" in rec["message"]
+
+
 def test_dense_side_with_under_three_samples_is_structured_error(capsys):
     code, out, _ = run(
         capsys,

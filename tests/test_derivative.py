@@ -7,6 +7,7 @@ estimator and get tolerances matched to its configuration.
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -113,6 +114,25 @@ def test_zero_order_rejected():
     f = ident(INTEGERS)
     with pytest.raises(ValueError):
         nabla_frac(f, 3.0, Order(0, 1))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f, bad: nabla_frac(f, 3.0, bad),
+        lambda f, bad: delta_frac(f, 3.0, bad),
+        lambda f, bad: symmetric_frac(f, 3.0, bad),
+        lambda f, bad: symmetric_via_sides(f, 3.0, bad),
+        lambda f, bad: symmetric_weights(f.scale, 3.0, bad),
+        lambda f, bad: order_lowering_check(f, 3.0, bad, Order(1, 1)),
+        lambda f, bad: order_lowering_check(f, 3.0, Order(1, 2), bad),
+    ],
+)
+@pytest.mark.parametrize("bad", [0.5, 1, Fraction(1, 2)])
+def test_non_order_is_a_type_error(call, bad):
+    # a float order used to end in AttributeError on .is_zero
+    with pytest.raises(TypeError, match=f"order must be an Order, got {type(bad).__name__}"):
+        call(ident(INTEGERS), bad)
 
 
 # -- dense points ---------------------------------------------------------

@@ -398,6 +398,26 @@ def test_format_round_trip_simple():
         assert parse_expr(format_expr(ast)) == ast
 
 
+@pytest.mark.parametrize("x", [1e15, -1e15, 9.5e15, -9.5e15, 1e16, -1e16, 0.1, -0.1])
+def test_scale_and_function_printers_agree(x):
+    text = format_expr(Const(x))
+    scale = parse_scale(f"points({x!r})")
+    assert format_scale(scale) == f"points({text})"
+    # both languages read the printed number back as the same float
+    assert ev(text, 0.0) == x
+    assert parse_scale(format_scale(scale)) == scale
+
+
+def test_integral_floats_below_1e16_print_without_a_fraction():
+    assert format_expr(Const(1e15)) == "1000000000000000"
+    assert format_scale(parse_scale("points(1e15)")) == "points(1000000000000000)"
+    assert format_expr(Const(1e16)) == "1e+16"
+
+
+def test_non_finite_constants_print():
+    assert [format_expr(Const(x)) for x in (math.inf, -math.inf, math.nan)] == ["inf", "-inf", "nan"]
+
+
 def test_format_preserves_precedence():
     ast = parse_expr("(t + 1) * (t - 1)")
     text = format_expr(ast)

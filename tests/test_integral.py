@@ -170,7 +170,7 @@ def test_beta_one_is_classical():
 def test_beta_must_be_order_instance():
     T = grid(1, 10)
     f = FnOnScale(lambda x: x, T)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="beta must be an Order, got float"):
         nabla_frac_integral(f, 1.0, 10.0, 0.5)
 
 
@@ -314,6 +314,15 @@ def test_quadrature_config_validation():
         QuadratureConfig(rel_tol=-1.0)
     with pytest.raises(ValidationError):
         QuadratureConfig(max_depth=0)
+
+
+@pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_quadrature_tolerances_must_be_finite(field, bad):
+    # rel_tol=inf used to accept the first Simpson refinement: 1.9889521
+    # for the integral of sin over [0, 3], whose value is 1.9899925
+    with pytest.raises(ValidationError, match="finite and positive"):
+        QuadratureConfig(**{field: bad})
 
 
 @pytest.mark.parametrize("bad", [30.5, 30.0, True, "30"])

@@ -130,6 +130,13 @@ def test_limit_config_validation():
         LimitConfig(max_samples=2)
 
 
+@pytest.mark.parametrize("field", ["h0", "tol"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_limit_config_steps_and_tolerance_must_be_finite(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+        LimitConfig(**{field: bad})
+
+
 @pytest.mark.parametrize("bad", [40.5, 40.0, True, "40", None])
 def test_limit_config_max_samples_must_be_an_int(bad):
     # a float budget used to pass here and fail later as a bare TypeError
