@@ -33,6 +33,7 @@ dense points): ``symmetric = gamma1 * delta + gamma2 * nabla``.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -97,7 +98,7 @@ class FnOnScale:
         from .exprlang import eval_expr, parse_expr
 
         ast = parse_expr(text)
-        return cls(eval=lambda t: eval_expr(ast, t), scale=scale, source=text)
+        return cls(eval=functools.partial(eval_expr, ast), scale=scale, source=text)
 
 
 class DerivKind(enum.Enum):

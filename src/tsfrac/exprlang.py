@@ -12,10 +12,14 @@ Function grammar (whitespace insensitive)::
 with NAME one of sqrt, abs, sin, cos, exp, ln, pow (arity checked while
 parsing).  ``^`` and ``pow`` follow standard real semantics: a negative base
 with a non-integer exponent is a domain error, not an odd root.  The first
-``eval_expr`` of an AST compiles it to one closure per node, kept on the node,
-and a left chain of ``+ - * /`` to one loop (``t+t+...+t`` does not recurse).
-Each step is the IEEE operation, order and EvalDomainError check of a
-recursive walk, so values and errors (message, node, t) are the walk's.
+``eval_expr`` of an AST generates one straight-line Python function for it
+(its kernel), kept on the root, so every later sample runs in a single frame.
+Each statement is the IEEE operation, order and EvalDomainError check of a
+recursive walk, so values and errors (message, node, t) are the walk's.  A
+kernel reads constants and nodes from tables and names only whitelisted
+functions: no text of the input reaches the generated source.  Generating it
+walks a left chain of ``+ - * /`` in a loop (``t+t+...+t`` does not recurse),
+and the kernel's locals are reused registers, few even for long chains.
 
 Scale grammar::
 
@@ -36,11 +40,10 @@ that nests more than 100 levels deep (``_MAX_DEPTH``) with ExprSyntaxError.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import EvalDomainError, ExprSyntaxError
 from .timescale import FinitePoints, GeometricGrid, Interval, TimeScale, UniformGrid, _fmt_num
@@ -71,10 +74,10 @@ class Expr:
     __slots__ = ()
 
     @cached_property
-    def _code(self):  # this node compiled to a closure of t, built on first use
+    def _code(self):  # this tree's kernel, a function of t generated on first use
         return _compile(self)
 
-    def __getstate__(self):  # the compiled closure is rebuilt on demand, never pickled
+    def __getstate__(self):  # the kernel is rebuilt on demand, never pickled
         return {k: v for k, v in self.__dict__.items() if k != "_code"}
 
 
@@ -326,12 +329,12 @@ _PROD_PREC = 2
 _NEG_PREC = 3
 _POW_PREC = 4
 
-#: the infix nodes a left spine chains: operation, printed operator, precedence
+#: the infix nodes a left spine chains: printed operator (Python's, once stripped), precedence
 _INFIX = {
-    Add: (operator.add, " + ", _SUM_PREC),
-    Sub: (operator.sub, " - ", _SUM_PREC),
-    Mul: (operator.mul, "*", _PROD_PREC),
-    Div: (operator.truediv, "/", _PROD_PREC),
+    Add: (" + ", _SUM_PREC),
+    Sub: (" - ", _SUM_PREC),
+    Mul: ("*", _PROD_PREC),
+    Div: ("/", _PROD_PREC),
 }
 
 _ARITH = (ValueError, ZeroDivisionError, OverflowError)
@@ -363,54 +366,106 @@ def _left_spine(e: Expr):
     return e, spine[::-1]
 
 
+#: what a kernel's source may name besides its tables and its own locals; no builtins
+_KERNEL_GLOBALS = {
+    **_FUNCS,
+    "float": float,
+    "isfinite": math.isfinite,
+    "_ARITH": _ARITH,
+    "_domain_error": _domain_error,
+    "__builtins__": {},
+}
+
+#: a Call's name mapped to the whitelist's own string, the only function text a kernel holds
+_FUNC_NAME = {name: name for name in _FUNCS}
+
+_KERNEL = """\
+def kernel(t):
+    try:
+        k = -1
+{body}
+    except _ARITH as exc:
+        if k < 0:
+            raise
+        raise _domain_error(N[k], t, exc) from None
+    return {out}
+"""
+
+
 def _compile(e: Expr):
-    """A closure of t for e.  As in the walk, a + - * / node's check covers evaluating its
-    operands, a call's or power's only its own step; a left chain is one loop."""
-    isfinite = math.isfinite
-    first, spine = _left_spine(e)
-    if spine:
-        lead = _compile(first)
-        steps = [(node, _INFIX[type(node)][0], _compile(node.right)) for node in spine]
-
-        def chain(t):
-            node = spine[0]
-            try:
-                out = lead(t)
-                for node, op, right in steps:
-                    out = op(out, right(t))
-                    if not isfinite(out):
-                        raise _domain_error(node, t)
-            except _ARITH as exc:
-                raise _domain_error(node, t, exc) from None
-            return out
-
-        return chain
-    if isinstance(e, Const):
-        value = e.value
-        return lambda t: value
-    if isinstance(e, Var):
+    """The kernel of t for e, one generated function that runs every step in a single
+    frame; a bare ``t`` is ``float`` itself."""
+    if type(e) is Var:
         return float
-    if isinstance(e, Neg):
-        operand = _compile(e.operand)
-        return lambda t: -operand(t)
-    if not isinstance(e, (Pow, Call)):
-        raise TypeError(f"not an Expr node: {e!r}")
-    func, args = (math.pow, (e.left, e.right)) if isinstance(e, Pow) else (_FUNCS[e.name], e.args)
-    f, *rest = map(_compile, args)
-    g = rest[0] if rest else None  # pow's exponent
+    src, consts, nodes = _kernel_source(e)
+    scope = dict(_KERNEL_GLOBALS, C=consts, N=nodes)
+    exec(_kernel_code(src), scope)
+    return scope.pop("kernel")
 
-    def call(t):
-        x = f(t)
-        y = None if g is None else g(t)
-        try:
-            out = func(x) if g is None else func(x, y)
-        except _ARITH as exc:
-            raise _domain_error(e, t, exc) from None
-        if not isfinite(out):
-            raise _domain_error(e, t)
-        return out
 
-    return call
+@lru_cache(maxsize=256)
+def _kernel_code(src: str):  # compiled once for all the ASTs of one shape
+    return compile(src, "<tsfrac kernel>", "exec")
+
+
+def _kernel_source(root: Expr):
+    """The source of root's kernel, and the tables of constants (C) and nodes (N) it
+    reads as globals.
+
+    The kernel is straight-line code in the walk's order, one statement per step; a
+    value lives in the register ``r<slot>`` of its operand slot, and ``x`` holds
+    float(t).  As in the walk, a + - * / node's check covers evaluating its operands
+    and its step, a call's or power's its step only: ``k`` holds the index in N of the
+    node whose check covers the running statement (-1: none), so one ``try`` serves
+    every check.  The source is made of fixed templates, indices and ``_FUNC_NAME``
+    alone: no text of the input, constants or names included, reaches it."""
+    consts, nodes, lines = [], [], []
+    k, var = -1, False  # the k last set; whether x is set
+
+    def run(line, cover):  # a statement that runs under node cover's check
+        nonlocal k
+        if k != cover:
+            k = cover
+            lines.append(f"k = {cover}")
+        lines.append(line)
+
+    def emit(e, slot, guard):  # e's statements; its operand text.  guard: the + - * / covering e
+        nonlocal var
+        reg = f"r{slot}"
+        first, spine = _left_spine(e)
+        if spine:  # a left chain is a loop here, not a recursion
+            base = len(nodes)
+            nodes.extend(spine)
+            out = emit(first, slot, base)
+            for i, n in enumerate(spine, base):
+                right = emit(n.right, slot + 1, i)
+                run(f"{reg} = {out} {_INFIX[type(n)][0].strip()} {right}", i)
+                run(f"if not isfinite({reg}): raise _domain_error(N[{i}], t)", i)
+                out = reg
+            return out
+        if isinstance(e, Const):
+            consts.append(e.value)
+            return f"C[{len(consts) - 1}]"
+        if isinstance(e, Var):
+            if not var:
+                var = True
+                run("x = float(t)", guard)
+            return "x"
+        if isinstance(e, Neg):  # a negation cannot raise, so it needs no cover
+            lines.append(f"{reg} = -{emit(e.operand, slot, guard)}")
+            return reg
+        if not isinstance(e, (Pow, Call)):
+            raise TypeError(f"not an Expr node: {e!r}")
+        name, args = ("pow", (e.left, e.right)) if isinstance(e, Pow) else (_FUNC_NAME[e.name], e.args)
+        operands = ", ".join([emit(a, slot + j, guard) for j, a in enumerate(args)])
+        nodes.append(e)
+        run(f"{reg} = {name}({operands})", len(nodes) - 1)
+        run(f"if not isfinite({reg}): raise _domain_error(N[{len(nodes) - 1}], t)", guard)
+        return reg
+
+    out = emit(root, 0, -1)
+    body = "\n".join("        " + line for line in lines)
+    return _KERNEL.format(body=body, out=out), tuple(consts), tuple(nodes)
 
 
 # printer; inverse of parse_expr up to structural equality
@@ -434,7 +489,7 @@ def _fmt(e: Expr, slot: int) -> str:
     else:
         raise TypeError(f"not an Expr node: {e!r}")
     for node in spine:  # outward along the left spine, without recursion
-        _, symbol, node_prec = _INFIX[type(node)]
+        symbol, node_prec = _INFIX[type(node)]
         if prec < node_prec:
             text = f"({text})"
         text, prec = f"{text}{symbol}{_fmt(node.right, node_prec + 1)}", node_prec

@@ -77,10 +77,15 @@ __all__ = [
 ]
 
 
+#: deepest bisection a quadrature may ask for; the recursion stays far from Python's limit
+_MAX_QUADRATURE_DEPTH = 100
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
+    #: bisection depth, 1 to _MAX_QUADRATURE_DEPTH (100)
     max_depth: int = 30
 
     def __post_init__(self):
@@ -90,8 +95,10 @@ class QuadratureConfig:
             raise ValidationError(
                 f"quadrature max_depth must be an integer, got {self.max_depth!r}"
             )
-        if self.max_depth < 1:
-            raise ValidationError("quadrature max_depth must be at least 1")
+        if not 1 <= self.max_depth <= _MAX_QUADRATURE_DEPTH:
+            raise ValidationError(
+                f"quadrature max_depth must lie in [1, {_MAX_QUADRATURE_DEPTH}], got {self.max_depth}"
+            )
 
 
 def _finite_sample(g, x: float) -> float:
@@ -106,8 +113,9 @@ def _simpson_rec(g, lo, hi, fl, fm, fh, whole, eps, depth):
     lm = 0.5 * (lo + m)
     rm = 0.5 * (m + hi)
     if lm <= lo or rm <= m or m >= hi:
-        # interval too narrow for the arithmetic to refine further
-        return whole
+        raise QuadratureFailure(
+            f"quadrature failed to converge on [{lo}, {hi}] (too narrow to bisect further)"
+        )
     flm = _finite_sample(g, lm)
     frm = _finite_sample(g, rm)
     left = (m - lo) * (fl + 4.0 * flm + fm) / 6.0

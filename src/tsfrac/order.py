@@ -154,18 +154,19 @@ def signed_pow(x: float, order: Order) -> float:
         NegativeBaseForGeneralOrder: x < 0 and the order is not an odd
             reciprocal.
     """
-    if order.is_zero:
+    p, q = order.numerator, order.denominator  # classify_order's rule, read inline: one call a power
+    if not p:
         raise ValueError("signed_pow is undefined for the zero order")
     if x == 0:
         return 0.0
-    if classify_order(order) is OrderClass.ODD_RECIPROCAL:
-        return math.copysign(abs(x) ** (1.0 / order.denominator), x)
+    if p == 1 and q % 2 == 1:
+        return math.copysign(abs(x) ** (1.0 / q), x)
     if x < 0:
         raise NegativeBaseForGeneralOrder(
             f"({x})**({order}) is not real; only odd-reciprocal orders "
             "accept negative bases"
         )
-    return x**order.value
+    return x ** (p / q)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from tsfrac import (
     parse_expr,
     parse_scale,
 )
-from tsfrac.exprlang import FUNCTIONS, Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var
+from tsfrac.exprlang import FUNCTIONS, Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var, _kernel_source
 
 
 def ev(text, t):
@@ -387,6 +387,59 @@ def test_eval_rejects_non_expressions():
         eval_expr("t", 1.0)
     with pytest.raises(TypeError, match="not an Expr node"):
         eval_expr(Add(Var(), 1.0), 1.0)
+
+
+# -- the generated kernels --------------------------------------------------
+
+
+def test_kernel_source_holds_no_text_of_the_expression():
+    src, consts, nodes = _kernel_source(parse_expr("2*cos(t/3) - pow(t, 0.5)^-1.25"))
+    other, _, _ = _kernel_source(parse_expr("7.125*cos(t/1e300) - pow(t, 123456)^-4"))
+    assert src == other  # constants live in the table, not in the source
+    assert consts == (2.0, 3.0, 0.5, 1.25) and len(nodes) == 6
+    assert not any(text in src for text in ("7.125", "1e300", "123456", "0.5", "1.25"))
+
+
+def test_kernel_names_only_whitelisted_functions():
+    class Sly(str):  # equal to 'sin', but prints as other text
+        __hash__ = str.__hash__
+
+        def __format__(self, spec):
+            return "__import__('os').getpid()"
+
+        __str__ = __repr__ = lambda self: "__import__('os').getpid()"
+
+    src, _, _ = _kernel_source(Call(Sly("sin"), (Var(),)))
+    assert "sin(x)" in src and "import" not in src and "getpid" not in src
+    with pytest.raises(KeyError):
+        eval_expr(Call("__import__", (Var(),)), 1.0)
+
+
+@pytest.mark.parametrize("op, value", [("+", 2000.0), ("*", 1.0), ("-", -1998.0)])
+def test_long_chain_kernel_stays_flat(op, value):
+    ast = parse_expr(op.join(["t"] * 2000))
+    assert eval_expr(ast, 1.0) == value
+    assert ast._code.__code__.co_nlocals <= 6
+    step = {"+": operator.add, "*": operator.mul, "-": operator.sub}[op]
+    for t in (0.999, -1.0003, 1.0002):  # a product of 2000 of them stays finite
+        want = t
+        for _ in range(1999):
+            want = step(want, t)
+        assert eval_expr(ast, t).hex() == want.hex()
+
+
+def test_deep_call_nesting_kernel_matches_oracle():
+    ast = parse_expr("abs(" * 99 + "sin(t - 1) / ln(t)" + ")" * 99)
+    assert ast._code.__code__.co_nlocals <= 6
+    for t in (0.25, 2.0, 7.5, 1.0, -1.0):
+        try:
+            want = oracle(ast, t)
+        except EvalDomainError as exc:
+            with pytest.raises(EvalDomainError) as got:
+                eval_expr(ast, t)
+            assert str(got.value) == str(exc) and got.value.node is exc.node
+        else:
+            assert eval_expr(ast, t).hex() == want.hex()
 
 
 # -- formatting -----------------------------------------------------------

@@ -331,6 +331,35 @@ def test_quadrature_max_depth_must_be_an_int(bad):
         QuadratureConfig(max_depth=bad)
 
 
+@pytest.mark.parametrize("depth", [101, 5000])
+def test_quadrature_max_depth_is_capped(depth):
+    with pytest.raises(ValidationError, match=r"max_depth must lie in \[1, 100\]"):
+        QuadratureConfig(max_depth=depth)
+
+
+@pytest.mark.parametrize("depth", [30, 60, 100])
+def test_unreachable_tolerance_fails_along_one_path(depth):
+    # max_depth 5000 used to be accepted and to explore an exponential tree:
+    # a narrow interval returned its coarse estimate and the bisection went on
+    T = TimeScale([Interval(0.0, 1.0)])
+    points = []
+    f = FnOnScale(lambda x: points.append(x) or math.sqrt(x), T)
+    qc = QuadratureConfig(rel_tol=1e-300, abs_tol=1e-300, max_depth=depth)
+    with pytest.raises(QuadratureFailure, match="failed to converge on"):
+        nabla_integral(f, 0.0, 1.0, qc)
+    assert len(points) <= 2 * depth + 5
+
+
+def test_interval_too_narrow_to_bisect_raises():
+    # around 1e6 the doubles are 1.2e-10 apart, so bisecting [1e6, 1e6 + 1]
+    # runs out of room at depth 33 and used to return an unchecked value there
+    T = TimeScale([Interval(1000000.0, 1000001.0)])
+    f = FnOnScale(math.sin, T)
+    qc = QuadratureConfig(rel_tol=1e-300, abs_tol=1e-300, max_depth=60)
+    with pytest.raises(QuadratureFailure, match=r"on \[1000000\.\d*, 1000000\.\d*\] \(too narrow"):
+        nabla_integral(f, 1000000.0, 1000001.0, qc)
+
+
 def test_tight_quadrature_matches_loose():
     T = TimeScale([Interval(0.0, 3.0)])
     f = FnOnScale(lambda x: math.exp(-x * x), T)

@@ -119,6 +119,37 @@ def test_signed_pow_matches_float_pow_on_positives():
         assert signed_pow(x, Order(p, q)) == pytest.approx(x ** (p / q), rel=1e-14)
 
 
+SIGNED_POW_ORDERS = sorted({Order(p, q) for q in range(1, 13) for p in range(1, q + 1)})
+SIGNED_POW_BASES = [s * x for x in (0.0, 1e-300, 0.3, 1.0, 7.5, 1e300) for s in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("order", SIGNED_POW_ORDERS, ids=str)
+def test_signed_pow_table(order):
+    # bit for bit the floats of the two closed forms, on the branch classify_order picks
+    p, q = order.numerator, order.denominator
+    odd = classify_order(order) is OrderClass.ODD_RECIPROCAL
+    for x in SIGNED_POW_BASES:
+        if x == 0:
+            assert signed_pow(x, order).hex() == "0x0.0p+0"
+        elif odd:
+            assert signed_pow(x, order).hex() == math.copysign(abs(x) ** (1.0 / q), x).hex()
+        elif x < 0:
+            with pytest.raises(NegativeBaseForGeneralOrder):
+                signed_pow(x, order)
+        else:
+            assert signed_pow(x, order).hex() == (x ** (p / q)).hex()
+
+
+def test_signed_pow_table_covers_both_branches_and_the_zero_order():
+    assert Order(1, 1) in SIGNED_POW_ORDERS and len(SIGNED_POW_ORDERS) == 46
+    kinds = [classify_order(o) for o in SIGNED_POW_ORDERS]
+    assert kinds.count(OrderClass.ODD_RECIPROCAL) == 6  # 1, 1/3, ..., 1/11
+    zero = Order.parse("0", allow_zero=True)
+    for x in SIGNED_POW_BASES:
+        with pytest.raises(ValueError, match="zero order"):
+            signed_pow(x, zero)
+
+
 def test_limit_config_validation():
     with pytest.raises(ValueError):
         LimitConfig(h0=0.0)

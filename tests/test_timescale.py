@@ -1,8 +1,10 @@
 """Structure tests for scale construction and the point operators."""
 
+import copy
 import itertools
 import json
 import math
+import pickle
 import random
 import time
 
@@ -11,6 +13,7 @@ import pytest
 from tsfrac import (
     ApproachSide,
     FinitePoints,
+    FnOnScale,
     GeometricGrid,
     InsufficientPoints,
     Interval,
@@ -336,6 +339,32 @@ def test_json_rejects_ill_typed_fields(d):
     TimeScale.from_json_dict({"components": [QGRID_JSON]})
     with pytest.raises(ValidationError):
         TimeScale.from_json_dict(d)
+
+
+@pytest.mark.parametrize(
+    "clone", [lambda T: pickle.loads(pickle.dumps(T)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_scale_pickles_and_copies(clone):
+    # each of these used to raise "TimeScale is immutable" while restoring slots
+    T = TimeScale(
+        [Interval(0.0, 1.0), UniformGrid(1.5, 3.0, 0.5), GeometricGrid(2.0, -3, 2), FinitePoints((4.0, 4.25))],
+        snap_tol=1e-7,
+    )
+    back = clone(T)
+    assert back == T and hash(back) == hash(T) and back.snap_tol == 1e-7
+    assert back.describe() == T.describe()
+    for t in (0.5, 1.0, 2.0, 4.0, 4.25):
+        assert (back.sigma(t), back.rho(t), back.classify(t)) == (T.sigma(t), T.rho(t), T.classify(t))
+
+
+def test_expression_function_pickles():
+    T = make_hybrid()
+    f = FnOnScale.from_expression("2*cos(t/3) + t^2", T)
+    before = f(0.7)
+    back = pickle.loads(pickle.dumps(f))
+    assert back.source == f.source and back.scale == T
+    assert back(0.7).hex() == before.hex()
 
 
 def test_uniform_grid_member_bound():
