@@ -7,135 +7,21 @@ symmetric fractional derivatives of order 0 < alpha <= 1 together with
 the matching fractional Cauchy integrals.  Randomized property suites
 exercising the algebraic rules live in :mod:`tsfrac.checks`, and
 :mod:`tsfrac.cli` exposes everything as the ``tscale-frac`` command.
+
+Every name in the ``__all__`` of a library module is importable from here.
 """
 
-from .checks import SUITE_NAMES, SuiteReport, run_suite
-from .derivative import (
-    ComputePath,
-    DerivKind,
-    DerivResult,
-    FnOnScale,
-    SymmetricWeights,
-    delta_frac,
-    nabla_frac,
-    order_lowering_check,
-    symmetric_frac,
-    symmetric_via_sides,
-    symmetric_weights,
-)
-from .errors import (
-    EndpointAdjustedWarning,
-    EndpointNotInScale,
-    EndpointOutsideKappaSet,
-    EvalDomainError,
-    ExprSyntaxError,
-    InsufficientPoints,
-    LimitDidNotConverge,
-    NegativeBaseForGeneralOrder,
-    NoSymmetricNeighborhood,
-    NonFiniteSample,
-    PointNotInScale,
-    PointOutsideDomain,
-    QuadratureFailure,
-    SideNotDense,
-    SidedLimitsDisagree,
-    TsfracError,
-    ValidationError,
-)
-from .exprlang import eval_expr, format_expr, format_scale, parse_expr, parse_scale
-from .integral import (
-    Antiderivative,
-    QuadratureConfig,
-    delta_antiderivative,
-    delta_frac_integral,
-    delta_integral,
-    nabla_antiderivative,
-    nabla_frac_integral,
-    nabla_integral,
-    symmetric_frac_integral,
-)
-from .order import (
-    LimitConfig,
-    LimitResult,
-    Order,
-    OrderClass,
-    classify_order,
-    estimate_limit,
-    signed_pow,
-)
-from .timescale import (
-    ApproachSide,
-    DomainMembership,
-    FinitePoints,
-    GeometricGrid,
-    Interval,
-    PointClass,
-    TimeScale,
-    UniformGrid,
-)
+from . import checks, derivative, errors, exprlang, integral, order, timescale
+from .checks import *
+from .derivative import *
+from .errors import *
+from .exprlang import *
+from .integral import *
+from .order import *
+from .timescale import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "TimeScale",
-    "Interval",
-    "FinitePoints",
-    "UniformGrid",
-    "GeometricGrid",
-    "ApproachSide",
-    "PointClass",
-    "DomainMembership",
-    "Order",
-    "OrderClass",
-    "classify_order",
-    "signed_pow",
-    "LimitConfig",
-    "LimitResult",
-    "estimate_limit",
-    "FnOnScale",
-    "DerivKind",
-    "ComputePath",
-    "DerivResult",
-    "SymmetricWeights",
-    "nabla_frac",
-    "delta_frac",
-    "symmetric_frac",
-    "symmetric_weights",
-    "symmetric_via_sides",
-    "order_lowering_check",
-    "QuadratureConfig",
-    "Antiderivative",
-    "nabla_integral",
-    "delta_integral",
-    "nabla_antiderivative",
-    "delta_antiderivative",
-    "nabla_frac_integral",
-    "delta_frac_integral",
-    "symmetric_frac_integral",
-    "parse_expr",
-    "eval_expr",
-    "format_expr",
-    "parse_scale",
-    "format_scale",
-    "run_suite",
-    "SuiteReport",
-    "SUITE_NAMES",
-    "TsfracError",
-    "PointNotInScale",
-    "PointOutsideDomain",
-    "SideNotDense",
-    "InsufficientPoints",
-    "NoSymmetricNeighborhood",
-    "NegativeBaseForGeneralOrder",
-    "NonFiniteSample",
-    "LimitDidNotConverge",
-    "SidedLimitsDisagree",
-    "EndpointNotInScale",
-    "EndpointOutsideKappaSet",
-    "QuadratureFailure",
-    "ValidationError",
-    "ExprSyntaxError",
-    "EvalDomainError",
-    "EndpointAdjustedWarning",
+__all__ = ["__version__"] + [
+    name for mod in (timescale, order, derivative, integral, exprlang, checks, errors) for name in mod.__all__
 ]

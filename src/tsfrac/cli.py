@@ -303,7 +303,9 @@ def cmd_classify(args):
 
 def cmd_check(args):
     report = run_suite(args.suite, seed=args.seed, trials=args.trials, cfg=_limit_config(args))
-    return [{**vars(report), "passed": report.passed}], 0 if report.passed else 1
+    # a non-finite residual is inf, which JSON has no number for: spelled as in scale JSON
+    residual = report.max_residual if math.isfinite(report.max_residual) else "inf"
+    return [{**vars(report), "max_residual": residual, "passed": report.passed}], 0 if report.passed else 1
 
 
 _COMMANDS = {

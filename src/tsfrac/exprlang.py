@@ -203,6 +203,25 @@ class _Parser:
             self.fail(f"'{op}'")
         self.take()
 
+    def items(self, *reads, least=None, repeat=False) -> list:
+        """The items of a list ``( item, item, ... )``, item k read by reads[k]
+        and, with repeat, every item past them by the last reader.  The list
+        holds at least ``least`` items (default: one per reader); a ')' too
+        early fails as a missing ',' and a ',' too many as a missing ')'."""
+        least = len(reads) if least is None else least
+        self.expect_op("(")
+        out = [reads[0](self)]
+        for read in reads[1:]:
+            if len(out) >= least and not self.at_op(","):
+                break
+            self.expect_op(",")
+            out.append(read(self))
+        while repeat and self.at_op(","):
+            self.take()
+            out.append(reads[-1](self))
+        self.expect_op(")")
+        return out
+
     def enter(self) -> None:
         """Open a nesting level at the current token."""
         if self.depth >= _MAX_DEPTH:
@@ -303,12 +322,7 @@ def _atom(p: _Parser) -> Expr:
 
 
 def _call(p: _Parser, name_tok: _Token) -> Expr:
-    p.expect_op("(")
-    args = [_expr(p)]
-    while p.at_op(","):
-        p.take()
-        args.append(_expr(p))
-    p.expect_op(")")
+    args = p.items(_expr, repeat=True)
     want = FUNCTIONS[name_tok.text]
     if len(args) != want:
         raise ExprSyntaxError(
@@ -518,64 +532,36 @@ def _scale(p: _Parser) -> list:
     if tok.text == "union":
         p.enter()
         p.take()
-        p.expect_op("(")
-        comps = _scale(p)
-        while p.at_op(","):
-            p.take()
-            comps.extend(_scale(p))
-        p.expect_op(")")
-        return p.leave(comps)
+        return p.leave([c for part in p.items(_scale, repeat=True) for c in part])
     return [_piece(p)]
 
 
 def _piece(p: _Parser):
-    tok = p.cur
-    if tok.kind != "ident":
-        p.fail("one of interval, points, grid, qgrid")
-    p.take()
-    p.expect_op("(")
+    """The component a constructor call builds; the name is an identifier."""
+    tok = p.take()
     if tok.text == "interval":
-        lo = _number(p)
-        p.expect_op(",")
-        hi = _number(p)
-        p.expect_op(")")
-        return Interval(lo, hi)
+        return Interval(*p.items(_number, _number))
     if tok.text == "points":
-        values = [_number(p)]
-        while p.at_op(","):
-            p.take()
-            values.append(_number(p))
-        p.expect_op(")")
-        return FinitePoints(tuple(values))
+        return FinitePoints(tuple(p.items(_number, repeat=True)))
     if tok.text == "grid":
-        start = _number(p)
-        p.expect_op(",")
-        stop = _number(p)
-        p.expect_op(",")
-        step = _number(p)
-        p.expect_op(")")
-        return UniformGrid(start, stop, step)
+        return UniformGrid(*p.items(_number, _number, _number))
     if tok.text == "qgrid":
-        q = _number(p)
-        p.expect_op(",")
-        k_min = _integer(p)
-        p.expect_op(",")
-        k_max = _integer(p)
-        include_zero = False
-        if p.at_op(","):
-            p.take()
-            flag = p.cur
-            if flag.kind != "ident" or flag.text != "zero":
-                p.fail("'zero'")
-            p.take()
-            include_zero = True
-        p.expect_op(")")
-        return GeometricGrid(q, k_min, k_max, include_zero=include_zero)
+        q, k_min, k_max, *zero = p.items(_number, _integer, _integer, _zero, least=3)
+        return GeometricGrid(q, k_min, k_max, include_zero=bool(zero))
+    p.expect_op("(")
     raise ExprSyntaxError(
         f"unknown scale constructor {tok.text!r}",
         position=tok.pos,
         expected="one of interval, points, grid, qgrid, union",
     )
+
+
+def _zero(p: _Parser) -> bool:
+    """qgrid's optional last item, the flag ``zero``."""
+    if p.cur.kind != "ident" or p.cur.text != "zero":
+        p.fail("'zero'")
+    p.take()
+    return True
 
 
 def _signed_num_text(p: _Parser) -> "tuple[str, _Token]":

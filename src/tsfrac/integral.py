@@ -311,8 +311,6 @@ def _frac_deriv_at(
         # scattered extremum: pretend the scale continues one uniform step
         # past the edge, so G(edge) = f(edge) * step**beta
         step = T.mu(ts) if kind is DerivKind.NABLA else T.nu(ts)
-        if step <= T.snap_tol:
-            raise
         beta_value = 1.0 - order.value
         _warn_adjusted(
             f"{kind.value} fractional integral endpoint t={ts} has no "

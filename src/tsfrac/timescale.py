@@ -393,17 +393,24 @@ def _normalize(comps: list, tol: float):
             parts.append((c if len(kept) == len(members) else FinitePoints(kept), kept))
 
     # fuse the components linked by members within tol of each other (one
-    # sorted merge of all members), then coalesce every point set
-    group = list(range(len(parts)))
+    # sorted merge of all members, a union-find over the links), then
+    # coalesce every point set
+    parent = list(range(len(parts)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
     if len(parts) > 1:
         tagged = sorted((m, i) for i, (_, ms) in enumerate(parts) for m in ms)
         for (a, i), (b, j) in zip(tagged, tagged[1:]):
-            if b - a <= tol and group[i] != group[j]:
-                old, new = group[j], group[i]
-                group = [new if g == old else g for g in group]
+            if b - a <= tol:
+                parent[root(j)] = root(i)
     fused: dict = {}
-    for g, part in zip(group, parts):
-        fused.setdefault(g, []).append(part)
+    for i, part in enumerate(parts):
+        fused.setdefault(root(i), []).append(part)
     survivors = []
     for members_of in fused.values():
         c = members_of[0][0]

@@ -1,8 +1,13 @@
 """The randomized property suites themselves."""
 
+import dataclasses
+import json
+import math
+
 import pytest
 
-from tsfrac import SUITE_NAMES, LimitConfig, run_suite
+from tsfrac import SUITE_NAMES, LimitConfig, checks, run_suite
+from tsfrac.cli import main
 
 
 def test_suite_names_cover_the_rule_families():
@@ -51,3 +56,34 @@ def test_custom_limit_config_is_used():
     cfg = LimitConfig(tol=1e-15, max_samples=4)
     report = run_suite("symmetric-relation", seed=3, trials=6, cfg=cfg)
     assert report.trials == 6
+
+
+def broken_relation(monkeypatch):
+    """Make symmetric_via_sides miss by 1 on its first 14 calls and return NaN after."""
+    real, calls = checks.symmetric_via_sides, []
+
+    def shifted(*args):
+        calls.append(None)
+        r = real(*args)
+        return dataclasses.replace(r, value=r.value + 1.0 if len(calls) <= 14 else math.nan)
+
+    monkeypatch.setattr(checks, "symmetric_via_sides", shifted)
+
+
+def test_failure_report_caps_messages_and_counts_non_finite_residuals(monkeypatch):
+    broken_relation(monkeypatch)
+    report = run_suite("symmetric-relation", trials=12)
+    assert not report.passed
+    assert report.failures > 10
+    assert len(report.messages) == 10
+    assert all("residual" in m for m in report.messages)
+    assert report.max_residual == math.inf
+
+
+def test_check_command_exits_1_on_failures(monkeypatch, capsys):
+    broken_relation(monkeypatch)
+    assert main(["check", "--suite", "symmetric-relation", "--trials", "12"]) == 1
+    [rec] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rec["passed"] is False and rec["failures"] > 10 and len(rec["messages"]) == 10
+    # the NaN residual used to crash the JSON emitter instead of being reported
+    assert rec["max_residual"] == "inf"

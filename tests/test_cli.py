@@ -223,6 +223,23 @@ def test_classify(capsys):
     assert not recs[2]["left_dense"]
 
 
+def test_empty_point_entries_are_skipped(capsys):
+    code, out, _ = run(capsys, "classify", "--scale", "interval(0,2)", "--points", "1,,2")
+    assert code == 0
+    assert [r["t"] for r in records(out)] == [1.0, 2.0]
+    code, out, _ = run(capsys, "classify", "--scale", "interval(0,2)", "--points", ",")
+    assert code == 1
+    assert records(out) == [{"error": "ValueError", "message": "no points given"}]
+
+
+def test_classify_reports_points_outside_the_scale(capsys):
+    code, out, _ = run(capsys, "classify", "--scale", "interval(0,1)", "--points", "0.5,2")
+    assert code == 1
+    recs = records(out)
+    assert recs[0]["t"] == 0.5 and recs[0]["in_symmetric_domain"]
+    assert recs[1] == {"error": "PointNotInScale", "message": "t=2.0 is not in the scale", "t": 2.0}
+
+
 def test_check_subcommand(capsys):
     code, out, _ = run(capsys, "check", "--suite", "linearity", "--trials", "5", "--seed", "1")
     assert code == 0
@@ -279,6 +296,35 @@ def test_table_format(capsys):
     lines = out.splitlines()
     assert len(lines) == 2
     assert "value" in lines[0]
+
+
+def test_csv_and_table_of_classify_and_check(capsys):
+    classify = ("classify", "--scale", "interval(0,1)", "--points", "0,2")
+    code, out, _ = run(capsys, *classify, "--format", "csv")
+    assert code == 1
+    assert out.splitlines() == [
+        "class,error,in_delta_domain,in_nabla_domain,in_symmetric_domain,left_dense,message,right_dense,t",
+        '"left-dense, right-dense",,true,true,true,true,,true,0.0',
+        ",PointNotInScale,,,,,t=2.0 is not in the scale,,2.0",
+    ]
+    code, out, _ = run(capsys, *classify, "--format", "table")
+    assert code == 1
+    header, ok, bad = out.splitlines()
+    assert header.split() == ["class", "error", "in_delta_domain", "in_nabla_domain", "in_symmetric_domain",
+                              "left_dense", "message", "right_dense", "t"]
+    assert ok.startswith("left-dense, right-dense ") and ok.endswith(" 0.0")
+    assert "PointNotInScale" in bad and bad.endswith(" 2.0")
+    check = ("check", "--suite", "linearity", "--trials", "2")
+    code, out, _ = run(capsys, *check, "--format", "csv")
+    assert code == 0
+    header, row = out.splitlines()
+    assert header == "failures,max_residual,messages,passed,seed,suite,trials"
+    assert row.startswith("0,") and row.endswith(",,true,0,linearity,2")
+    code, out, _ = run(capsys, *check, "--format", "table")
+    assert code == 0
+    header, row = out.splitlines()
+    assert header.split() == ["failures", "max_residual", "messages", "passed", "seed", "suite", "trials"]
+    assert row.split()[2:] == ["true", "0", "linearity", "2"]
 
 
 def test_json_numbers_are_finite(capsys):

@@ -197,6 +197,25 @@ def test_dense_limit_unconverged_raises():
         nabla_frac(f, 1.0, Order(1, 2), cfg)
 
 
+def test_short_discrete_side_is_sampled_in_full():
+    # 10**-13 .. 1 and 0: the right side of 0 has 14 points, fewer than
+    # max_samples, so the limit takes all 14 of them
+    T = TimeScale([GeometricGrid(10.0, -13, 0, include_zero=True)])
+    f = FnOnScale(lambda x: x, T)
+    r = nabla_frac(f, 0.0, Order(1, 1))
+    assert (r.value, r.side.value) == (1.0, "right")
+    with pytest.raises(LimitDidNotConverge, match="after 14 samples"):
+        nabla_frac(f, 0.0, Order(1, 2))
+
+
+def test_too_few_symmetric_pairs_raise():
+    # the interval around 0 lies within the snap tolerance of it and gives
+    # no steps; the points give only two mirrored pairs
+    T = TimeScale([FinitePoints((-0.002, -0.001, 0.001, 0.002)), Interval(-1e-13, 1e-13)])
+    with pytest.raises(NoSymmetricNeighborhood, match="only 2 symmetric pairs"):
+        symmetric_frac(FnOnScale(lambda x: x, T), 0.0, Order(1, 2))
+
+
 def test_kink_makes_sides_disagree():
     T = TimeScale([Interval(-1.0, 1.0)])
     f = FnOnScale(abs, T)

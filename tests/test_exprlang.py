@@ -387,6 +387,8 @@ def test_eval_rejects_non_expressions():
         eval_expr("t", 1.0)
     with pytest.raises(TypeError, match="not an Expr node"):
         eval_expr(Add(Var(), 1.0), 1.0)
+    with pytest.raises(TypeError, match="not an Expr node"):
+        format_expr(1)
 
 
 # -- the generated kernels --------------------------------------------------
@@ -552,6 +554,36 @@ def test_scale_errors():
         parse_scale("grid(0, 10, 1) extra")
     with pytest.raises(ExprSyntaxError):
         parse_scale("qgrid(2, 0.5, 3)")  # exponents must be integers
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, position, expected",
+    [
+        (parse_scale, "interval(0)", "expected ',', found ')'", 11, "','"),
+        (parse_scale, "interval(0,1,2)", "expected ')', found ','", 13, "')'"),
+        (parse_scale, "grid(0,1)", "expected ',', found ')'", 9, "','"),
+        (parse_scale, "qgrid(2,0,3,one)", "expected 'zero', found 'one'", 13, "'zero'"),
+        (parse_scale, "qgrid(2,0,3,zero,zero)", "expected ')', found ','", 17, "')'"),
+        (parse_scale, "points()", "expected a number, found ')'", 8, "a number"),
+        (parse_scale, "union(points(1) points(2))", "expected ')', found 'points'", 17, "')'"),
+        (parse_scale, "union(points(1),)", "expected one of interval, points, grid, qgrid, union, found ')'",
+         17, "one of interval, points, grid, qgrid, union"),
+        (parse_scale, "(1)", "expected one of interval, points, grid, qgrid, union, found '('",
+         1, "one of interval, points, grid, qgrid, union"),
+        (parse_scale, "blob(1,2)", "unknown scale constructor 'blob'", 1, "one of interval, points, grid, qgrid, union"),
+        (parse_scale, "blob 1", "expected '(', found '1'", 6, "'('"),
+        (parse_expr, "sin(t,)", "expected a number, 't', a function call, or '(', found ')'",
+         7, "a number, 't', a function call, or '('"),
+        (parse_expr, "sin(t t)", "expected ')', found 't'", 7, "')'"),
+        (parse_expr, "pow(t,2,3)", "pow expects 2 arguments, got 3", 1, "2 arguments"),
+    ],
+)
+def test_argument_list_errors(parse, text, message, position, expected):
+    # one reader serves every argument list of both grammars: a ')' too early
+    # is a missing ',', a ',' too many a missing ')', and arity is the caller's
+    with pytest.raises(ExprSyntaxError) as e:
+        parse(text)
+    assert (str(e.value), e.value.position, e.value.expected) == (message, position, expected)
 
 
 def test_union_nesting_bound():

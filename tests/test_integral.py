@@ -21,14 +21,17 @@ from tsfrac import (
     EndpointOutsideKappaSet,
     FinitePoints,
     FnOnScale,
+    GeometricGrid,
     Interval,
     LimitConfig,
+    LimitDidNotConverge,
     Order,
     QuadratureConfig,
     QuadratureFailure,
     TimeScale,
     UniformGrid,
     ValidationError,
+    delta_antiderivative,
     delta_frac_integral,
     delta_integral,
     nabla_antiderivative,
@@ -102,6 +105,17 @@ def test_antiderivative_matches_integral():
     for b in (0.5, 1.0, 2.0, 3.0):
         assert F(b) == pytest.approx(nabla_integral(f, 0.0, b), rel=1e-10)
     assert F(0.0) == 0.0
+
+
+def test_delta_antiderivative_sums_left_riemann_terms():
+    # on the integers the delta integral from 0 to b is f(0) + ... + f(b-1)
+    F = delta_antiderivative(FnOnScale(lambda x: x, grid(0, 3)), 0.0)
+    assert [F(b) for b in (0.0, 1.0, 2.0, 3.0)] == [0.0, 0.0, 1.0, 3.0]
+
+
+def test_antiderivative_is_nabla_or_delta():
+    with pytest.raises(ValidationError, match="nabla or delta"):
+        Antiderivative(FnOnScale(lambda x: x, grid(0, 3)), 0.0, DerivKind.SYMMETRIC)
 
 
 def test_antiderivative_memoizes_requested_points():
@@ -412,6 +426,14 @@ def test_non_finite_values_raise_in_cauchy_integrals(integral, a, bad):
 def test_non_finite_endpoint_value_raises_at_beta_zero(integral):
     with pytest.raises(QuadratureFailure, match="at t=5.0"):
         integral(_grid_fn(5.0, math.nan), 0.0, 5.0, ZERO)
+
+
+def test_endpoint_with_no_admissible_neighbour_reraises():
+    # 0 is right-dense only through 2**-41 and 2**-40, too few points for a
+    # one-sided limit, and no nearby point admits one either
+    T = TimeScale([GeometricGrid(2.0, -41, -40, include_zero=True)])
+    with pytest.raises(LimitDidNotConverge, match="no scale points available on the right side"):
+        nabla_frac_integral(FnOnScale(lambda x: x, T), 0.0, 2.0**-40, Order(1, 2))
 
 
 def test_non_finite_value_raises_in_the_virtual_extension():

@@ -28,6 +28,8 @@ def test_order_reduces():
 def test_order_bounds():
     with pytest.raises(ValueError):
         Order(3, 2)
+    with pytest.raises(ValueError, match="integer numerator/denominator"):
+        Order(1.5, 2)
     with pytest.raises(ValueError):
         Order(1, 0)
     with pytest.raises(ValueError):
@@ -148,6 +150,8 @@ def test_signed_pow_table_covers_both_branches_and_the_zero_order():
     for x in SIGNED_POW_BASES:
         with pytest.raises(ValueError, match="zero order"):
             signed_pow(x, zero)
+    with pytest.raises(ValueError, match="zero order"):
+        classify_order(zero)
 
 
 def test_limit_config_validation():

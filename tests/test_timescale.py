@@ -86,6 +86,41 @@ def test_scale_needs_a_component():
         TimeScale([])
 
 
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: Interval(None, 1.0), "lo must be a real number"),
+        (lambda: Interval(math.nan, 1.0), "lo must not be NaN"),
+        (lambda: Interval(math.inf, math.inf), "out of order at infinity"),
+        (lambda: FinitePoints([]), "at least one point"),
+        (lambda: FinitePoints([math.inf]), "points must be finite"),
+        (lambda: UniformGrid(0.0, math.inf, 1.0), "grid parameters must be finite"),
+        (lambda: UniformGrid(0.0, 1.0, 4e-12), "too close to the membership tolerance"),
+        (lambda: UniformGrid(1.0, 0.0, 0.5), "start <= stop"),
+        (lambda: GeometricGrid(2.0, 3, 1), "k_min <= k_max"),
+        (lambda: GeometricGrid(1.5, 0, 100_001), "exponent range is unreasonably large"),
+        (lambda: GeometricGrid(2.0, 0, 3, sign=2), "sign must be"),
+        (lambda: GeometricGrid(2.0, 0, 2000), "largest member overflows"),
+        (lambda: TimeScale([object()]), "not a scale component"),
+    ],
+    ids=[
+        "interval-none", "interval-nan", "interval-inf-inf", "points-empty", "points-inf",
+        "grid-inf", "grid-step-near-tol", "grid-reversed", "qgrid-reversed", "qgrid-range",
+        "qgrid-sign", "qgrid-overflow", "not-a-component",
+    ],
+)
+def test_components_reject_bad_input(build, match):
+    with pytest.raises(ValidationError, match=match):
+        build()
+
+
+def test_scale_is_immutable_and_snaps_only_numbers():
+    T = make_hybrid()
+    with pytest.raises(AttributeError, match="immutable"):
+        T.snap_tol = 1.0
+    assert T.snap("1") is None
+
+
 def test_overlapping_components_merge():
     T = TimeScale([Interval(0.0, 2.0), Interval(1.0, 3.0)])
     assert len(T.components) == 1
@@ -206,6 +241,21 @@ def test_approach_sequence_scattered_side():
     assert len(T.approach_sequence(1.0, ApproachSide.LEFT, 6)) == 6
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda T: T.approach_sequence(0.5, ApproachSide.BOTH, 3), "LEFT or RIGHT"),
+        (lambda T: T.approach_sequence(0.5, ApproachSide.LEFT, 0), "n must be positive"),
+        (lambda T: T.approach_sequence(0.5, ApproachSide.LEFT, 3, ratio=1.0), "ratio"),
+        (lambda T: T.symmetric_pairs(0.5, 3, h0=0.0), "h0 must be positive"),
+    ],
+    ids=["both-sides", "n-zero", "ratio-one", "h0-zero"],
+)
+def test_limit_scaffolding_rejects_bad_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(TimeScale([Interval(0.0, 1.0)]))
+
+
 def test_approach_sequence_convention_only_side():
     # the minimum of an interval is left-dense by convention, but there are
     # no scale points below it to sample
@@ -320,6 +370,11 @@ QGRID_JSON = {"kind": "qgrid", "q": 2.0, "kmin": -3, "kmax": 3, "zero": True, "s
         {"components": [{"kind": "points", "points": [0, "1"]}]},
         {"components": [{"kind": "points", "points": [0, True]}]},
         {"components": [{"kind": "interval", "lo": False, "hi": 1}]},
+        [],
+        {"components": [{"lo": 0, "hi": 1}]},
+        {"components": [{"kind": "blob"}]},
+        {"components": [{"kind": "interval", "lo": 0}]},
+        {"components": [{"kind": "interval", "lo": "x", "hi": 1}]},
     ],
     ids=[
         "kmin-float",
@@ -332,13 +387,23 @@ QGRID_JSON = {"kind": "qgrid", "q": 2.0, "kmin": -3, "kmax": 3, "zero": True, "s
         "point-numeric-string",
         "point-bool",
         "interval-bool",
+        "not-an-object",
+        "no-kind",
+        "unknown-kind",
+        "missing-field",
+        "bound-string",
     ],
 )
 def test_json_rejects_ill_typed_fields(d):
-    # each used to be truncated, coerced, or to raise a bare ValueError/TypeError
+    # the first ten used to be truncated, coerced, or to raise a bare ValueError/TypeError
     TimeScale.from_json_dict({"components": [QGRID_JSON]})
     with pytest.raises(ValidationError):
         TimeScale.from_json_dict(d)
+
+
+def test_json_text_must_parse():
+    with pytest.raises(ValidationError, match="invalid scale JSON"):
+        TimeScale.from_json("{")
 
 
 @pytest.mark.parametrize(
@@ -390,6 +455,18 @@ def test_scale_member_bound_is_summed_over_components(monkeypatch):
     ):
         with pytest.raises(ValidationError, match="11 members, more than 10"):
             TimeScale(base + extra)
+
+
+def test_chained_points_fuse_in_linear_time():
+    # 20,000 one-point components, each within the snap tolerance of the next,
+    # fuse into one point set; relabelling every link used to take O(k**2)
+    comps = [FinitePoints([i * 0.5e-12]) for i in range(20_000)]
+    start = time.perf_counter()
+    T = TimeScale(comps)
+    assert time.perf_counter() - start < 1.0
+    [points] = T.components
+    assert isinstance(points, FinitePoints)
+    assert points.values[0] == 0.0 and points.values[-1] <= 19_999 * 0.5e-12
 
 
 def test_union_of_large_grids_fails_fast():
