@@ -3,19 +3,21 @@
 Each suite draws (scale, function, point, order) tuples from a seeded
 generator, evaluates both sides of the law it covers, and reports the
 largest residual seen.  The algebraic rules are exercised at scattered
-points, where the derivatives take the exact quotient path and the law
-should hold to rounding error; dense-point behavior has its own suites
-(symmetric-relation includes interval points, order-lowering mixes both)
-with correspondingly looser tolerances, since those values come from limit
-estimation.
+points, where every kind's derivative is the exact quotient
+``D = [f(hi) - f(lo)] / (hi - lo)**alpha``, with lo = rho(t) if the kind
+looks left (else t) and hi = sigma(t) if it looks right (else t).  Each
+rule is stated once in (D, lo, hi), should hold to rounding error, and is
+checked for the nabla, delta and symmetric derivatives alike.  Dense-point
+behavior has its own suites (symmetric-relation includes interval points,
+order-lowering mixes both) with looser tolerances, since those values come
+from limit estimation.
 
 Suites (names as accepted by the CLI `check` command):
 
-* linearity        (f+g) and (lambda*f) rules, all three derivative kinds
-* product          both nabla product forms and the symmetric product form
-* quotient         reciprocal and quotient rules, nabla and symmetric
-* reconstruction   f = f(rho) + nu^alpha * nabla at scattered points, and
-                   f(sigma) = f(rho) + (sigma-rho)^alpha * symmetric
+* linearity        D(f+g) = Df + Dg and D(lambda*f) = lambda*Df
+* product          D(fg) = Df*g(hi) + f(lo)*Dg = Df*g(lo) + f(hi)*Dg
+* quotient         D(1/g) = -Dg / (g(lo)*g(hi)) and D(f/g) in both forms
+* reconstruction   f(hi) = f(lo) + (hi-lo)^alpha * D wherever lo < hi
 * integral-laws    linearity, orientation, additivity, vanishing at a=b,
                    and anchor independence of the Cauchy integrals
 * symmetric-relation   symmetric = gamma1*delta + gamma2*nabla
@@ -30,6 +32,8 @@ import random
 from dataclasses import dataclass
 
 from .derivative import (
+    _KINDS,
+    DerivKind,
     FnOnScale,
     delta_frac,
     nabla_frac,
@@ -53,6 +57,12 @@ _LOWERED_VALUE_TOL = 1e-5
 
 _ALPHAS = (Order(1, 3), Order(1, 2), Order(3, 4), Order(1, 1))
 _BETAS = (Order(1, 4), Order(1, 2), Order(3, 4), Order(1, 1))
+
+#: the derivative of each kind; a dict, so that a wrapper put in its values
+#: reaches every suite
+_DERIVS = {DerivKind.NABLA: nabla_frac, DerivKind.DELTA: delta_frac, DerivKind.SYMMETRIC: symmetric_frac}
+
+_UNIT_INTERVAL = TimeScale([Interval(-1.0, 1.0)])
 
 
 @dataclass(frozen=True)
@@ -153,17 +163,31 @@ def _interior(T: TimeScale, where=None) -> list:
     ]
 
 
-def _isolated_trials(rng: random.Random, trials: int, rec: "_Recorder"):
+def _isolated_trials(rng: random.Random, trials: int):
     """(k, T, t, alpha) per trial: a random discrete scale, a random interior
-    member scattered on both sides, and an order.  A trial whose scale has
-    no such member is a recorded failure."""
+    member scattered on both sides, and an order."""
     for k in range(trials):
         T = _discrete_scale(rng)
-        candidates = _interior(T, lambda cls: cls.isolated)
-        if not candidates:
-            rec.fail(f"trial {k}: no usable point in {T.describe()}")
-            continue
-        yield k, T, rng.choice(candidates), rng.choice(_ALPHAS)
+        yield k, T, rng.choice(_interior(T, lambda cls: cls.isolated)), rng.choice(_ALPHAS)
+
+
+def _scattered_trials(rng: random.Random, trials: int):
+    """(k, T, t, alpha, f) per trial: a random discrete or hybrid scale, a
+    random interior member that is not dense, an order and a polynomial."""
+    for k in range(trials):
+        T = rng.choice((_discrete_scale, _hybrid_scale))(rng)
+        t = rng.choice(_interior(T, lambda cls: not cls.dense))
+        yield k, T, t, rng.choice(_ALPHAS), _rand_poly(rng, T)
+
+
+def _kinds_at(T: TimeScale, t: float):
+    """(name, derivative, lo, hi) per kind at t: the kind's exact quotient is
+    [f(hi) - f(lo)] / (hi - lo)**alpha, with lo = rho(t) if the kind looks
+    left (else t) and hi = sigma(t) if it looks right (else t)."""
+    r, s = T.rho(t), T.sigma(t)
+    for kind, deriv in _DERIVS.items():
+        left, right = _KINDS[kind][:2]
+        yield kind.value, deriv, r if left else t, s if right else t
 
 
 def _poly_eval(coeffs: tuple):
@@ -198,16 +222,16 @@ def _rand_bounded_poly(rng: random.Random, T: TimeScale, points: tuple) -> FnOnS
 
 def _suite_linearity(rng: random.Random, trials: int, cfg: LimitConfig) -> _Recorder:
     rec = _Recorder()
-    for k, T, t, alpha in _isolated_trials(rng, trials, rec):
+    for k, T, t, alpha in _isolated_trials(rng, trials):
         lam = round(rng.uniform(-3.0, 3.0), 3)
         f = _rand_poly(rng, T)
         g = _rand_poly(rng, T)
         fg = FnOnScale(lambda x: f.eval(x) + g.eval(x), T)
         lf = FnOnScale(lambda x: lam * f.eval(x), T)
-        for kind_name, deriv in (("nabla", nabla_frac), ("delta", delta_frac), ("symmetric", symmetric_frac)):
+        for kind, deriv in _DERIVS.items():
             df = deriv(f, t, alpha, cfg).value
             dg = deriv(g, t, alpha, cfg).value
-            ctx = f"trial {k} {kind_name} alpha={alpha} t={t} on {T.describe()}"
+            ctx = f"trial {k} {kind.value} alpha={alpha} t={t} on {T.describe()}"
             rec.check(abs(deriv(fg, t, alpha, cfg).value - (df + dg)), _RULE_TOL, f"sum {ctx}")
             rec.check(abs(deriv(lf, t, alpha, cfg).value - lam * df), _RULE_TOL, f"scalar {ctx}")
     return rec
@@ -215,99 +239,46 @@ def _suite_linearity(rng: random.Random, trials: int, cfg: LimitConfig) -> _Reco
 
 def _suite_product(rng: random.Random, trials: int, cfg: LimitConfig) -> _Recorder:
     rec = _Recorder()
-    for k, T, t, alpha in _isolated_trials(rng, trials, rec):
+    for k, T, t, alpha in _isolated_trials(rng, trials):
         f = _rand_poly(rng, T, max_coeffs=3)
         g = _rand_poly(rng, T, max_coeffs=3)
         prod = FnOnScale(lambda x: f.eval(x) * g.eval(x), T)
-        r = T.rho(t)
-        s = T.sigma(t)
-        ctx = f"trial {k} alpha={alpha} t={t} on {T.describe()}"
-
-        nf = nabla_frac(f, t, alpha, cfg).value
-        ng = nabla_frac(g, t, alpha, cfg).value
-        nprod = nabla_frac(prod, t, alpha, cfg).value
-        rec.check(abs(nprod - (nf * g.eval(t) + f.eval(r) * ng)), _RULE_TOL, f"nabla product form 1 {ctx}")
-        rec.check(abs(nprod - (nf * g.eval(r) + f.eval(t) * ng)), _RULE_TOL, f"nabla product form 2 {ctx}")
-
-        sf = symmetric_frac(f, t, alpha, cfg).value
-        sg = symmetric_frac(g, t, alpha, cfg).value
-        sprod = symmetric_frac(prod, t, alpha, cfg).value
-        rec.check(abs(sprod - (sf * g.eval(s) + f.eval(r) * sg)), _RULE_TOL, f"symmetric product {ctx}")
+        for name, deriv, lo, hi in _kinds_at(T, t):
+            df, dg, dprod = (deriv(h, t, alpha, cfg).value for h in (f, g, prod))
+            ctx = f"trial {k} {name} alpha={alpha} t={t} on {T.describe()}"
+            rec.check(abs(dprod - (df * g.eval(hi) + f.eval(lo) * dg)), _RULE_TOL, f"product form 1 {ctx}")
+            rec.check(abs(dprod - (df * g.eval(lo) + f.eval(hi) * dg)), _RULE_TOL, f"product form 2 {ctx}")
     return rec
 
 
 def _suite_quotient(rng: random.Random, trials: int, cfg: LimitConfig) -> _Recorder:
     rec = _Recorder()
-    for k, T, t, alpha in _isolated_trials(rng, trials, rec):
-        r = T.rho(t)
-        s = T.sigma(t)
+    for k, T, t, alpha in _isolated_trials(rng, trials):
         f = _rand_poly(rng, T, max_coeffs=3)
-        g = _rand_bounded_poly(rng, T, (t, r, s))
+        g = _rand_bounded_poly(rng, T, (t, T.rho(t), T.sigma(t)))
         quot = FnOnScale(lambda x: f.eval(x) / g.eval(x), T)
         recip = FnOnScale(lambda x: 1.0 / g.eval(x), T)
-        ctx = f"trial {k} alpha={alpha} t={t} on {T.describe()}"
-
-        nf = nabla_frac(f, t, alpha, cfg).value
-        ng = nabla_frac(g, t, alpha, cfg).value
-        rec.check(
-            abs(nabla_frac(recip, t, alpha, cfg).value + ng / (g.eval(r) * g.eval(t))),
-            _RULE_TOL,
-            f"nabla reciprocal {ctx}",
-        )
-        rec.check(
-            abs(
-                nabla_frac(quot, t, alpha, cfg).value
-                - (nf * g.eval(t) - f.eval(t) * ng) / (g.eval(r) * g.eval(t))
-            ),
-            _RULE_TOL,
-            f"nabla quotient {ctx}",
-        )
-
-        sf = symmetric_frac(f, t, alpha, cfg).value
-        sg = symmetric_frac(g, t, alpha, cfg).value
-        rec.check(
-            abs(symmetric_frac(recip, t, alpha, cfg).value + sg / (g.eval(s) * g.eval(r))),
-            _RULE_TOL,
-            f"symmetric reciprocal {ctx}",
-        )
-        rec.check(
-            abs(
-                symmetric_frac(quot, t, alpha, cfg).value
-                - (sf * g.eval(r) - f.eval(r) * sg) / (g.eval(s) * g.eval(r))
-            ),
-            _RULE_TOL,
-            f"symmetric quotient {ctx}",
-        )
+        for name, deriv, lo, hi in _kinds_at(T, t):
+            df, dg, drecip, dquot = (deriv(h, t, alpha, cfg).value for h in (f, g, recip, quot))
+            glo, ghi = g.eval(lo), g.eval(hi)
+            ctx = f"trial {k} {name} alpha={alpha} t={t} on {T.describe()}"
+            rec.check(abs(drecip + dg / (glo * ghi)), _RULE_TOL, f"reciprocal {ctx}")
+            rec.check(abs(dquot - (df * ghi - f.eval(hi) * dg) / (glo * ghi)), _RULE_TOL, f"quotient form 1 {ctx}")
+            rec.check(abs(dquot - (df * glo - f.eval(lo) * dg) / (glo * ghi)), _RULE_TOL, f"quotient form 2 {ctx}")
     return rec
 
 
 def _suite_reconstruction(rng: random.Random, trials: int, cfg: LimitConfig) -> _Recorder:
     rec = _Recorder()
-    for k in range(trials):
-        T = rng.choice((_discrete_scale, _hybrid_scale))(rng)
-        points = _interior(T, lambda cls: not cls.dense)
-        if not points:
-            rec.fail(f"trial {k}: no scattered interior point in {T.describe()}")
-            continue
-        t = rng.choice(points)
-        alpha = rng.choice(_ALPHAS)
-        f = _rand_poly(rng, T)
-        r = T.rho(t)
-        s = T.sigma(t)
-        ctx = f"trial {k} alpha={alpha} t={t} on {T.describe()}"
-        if T.classify(t).left_scattered:
-            nab = nabla_frac(f, t, alpha, cfg).value
-            rec.check(
-                abs(f.eval(t) - (f.eval(r) + signed_pow(t - r, alpha) * nab)),
-                _RECON_TOL,
-                f"nabla reconstruction {ctx}",
-            )
-        sym = symmetric_frac(f, t, alpha, cfg).value
-        rec.check(
-            abs(f.eval(s) - (f.eval(r) + signed_pow(s - r, alpha) * sym)),
-            _RECON_TOL,
-            f"symmetric reconstruction {ctx}",
-        )
+    for k, T, t, alpha, f in _scattered_trials(rng, trials):
+        for name, deriv, lo, hi in _kinds_at(T, t):
+            if lo < hi:
+                value = deriv(f, t, alpha, cfg).value
+                rec.check(
+                    abs(f.eval(hi) - (f.eval(lo) + signed_pow(hi - lo, alpha) * value)),
+                    _RECON_TOL,
+                    f"reconstruction trial {k} {name} alpha={alpha} t={t} on {T.describe()}",
+                )
     return rec
 
 
@@ -365,34 +336,24 @@ def _suite_symmetric_relation(rng: random.Random, trials: int, cfg: LimitConfig)
         ("exp(t)", math.exp),
         ("t^3", lambda x: x**3),
     )
-    for k in range(trials):
-        T = rng.choice((_discrete_scale, _hybrid_scale))(rng)
-        points = _interior(T, lambda cls: not cls.dense)
-        if points:
-            t = rng.choice(points)
-            alpha = rng.choice(_ALPHAS)
-            f = _rand_poly(rng, T)
-            lhs = symmetric_frac(f, t, alpha, cfg).value
-            rhs = symmetric_via_sides(f, t, alpha, cfg).value
-            rec.check(
-                abs(lhs - rhs),
-                _EXACT_RELATION_TOL,
-                f"trial {k} scattered alpha={alpha} t={t} on {T.describe()}",
-            )
+    for k, T, t, alpha, f in _scattered_trials(rng, trials):
+        lhs = symmetric_frac(f, t, alpha, cfg).value
+        rhs = symmetric_via_sides(f, t, alpha, cfg).value
+        rec.check(abs(lhs - rhs), _EXACT_RELATION_TOL, f"trial {k} scattered alpha={alpha} t={t} on {T.describe()}")
         # dense side: interval interior with a smooth function and an
         # odd-reciprocal order, so both one-sided derivatives exist
-        iv = TimeScale([Interval(-1.0, 1.0)])
         name, fn = smooth[k % len(smooth)]
         t = round(rng.uniform(-0.6, 0.6), 3)
         alpha = rng.choice((Order(1, 3), Order(1, 1)))
-        f = FnOnScale(fn, iv)
-        lhs = symmetric_frac(f, t, alpha, dense_cfg).value
-        rhs = symmetric_via_sides(f, t, alpha, dense_cfg).value
-        rec.check(
-            abs(lhs - rhs),
-            _DENSE_RELATION_TOL,
-            f"trial {k} dense {name} alpha={alpha} t={t}",
-        )
+        f = FnOnScale(fn, _UNIT_INTERVAL)
+        ctx = f"trial {k} dense {name} alpha={alpha} t={t}"
+        try:
+            lhs = symmetric_frac(f, t, alpha, dense_cfg).value
+            rhs = symmetric_via_sides(f, t, alpha, dense_cfg).value
+        except TsfracError as exc:
+            rec.fail(f"{ctx}: {type(exc).__name__} ({exc})")
+        else:
+            rec.check(abs(lhs - rhs), _DENSE_RELATION_TOL, ctx)
     return rec
 
 
@@ -419,15 +380,11 @@ def _suite_order_lowering(rng: random.Random, trials: int, cfg: LimitConfig) -> 
     for k in range(trials):
         if k % 2 == 0:
             T = _discrete_scale(rng)
-            members = [m for m in _members(T) if T.domain_membership(m).in_nabla_domain]
-            if not members:
-                rec.fail(f"trial {k}: no usable point in {T.describe()}")
-                continue
-            t = rng.choice(members)
+            t = rng.choice([m for m in _members(T) if T.domain_membership(m).in_nabla_domain])
             f = _rand_poly(rng, T)
             lower, higher = rng.choice(scattered_pairs)
         else:
-            T = TimeScale([Interval(-1.0, 1.0)])
+            T = _UNIT_INTERVAL
             t = round(rng.uniform(-0.6, 0.6), 3)
             f = _rand_poly(rng, T)
             lower, higher = rng.choice(dense_pairs)

@@ -761,11 +761,14 @@ class TimeScale:
         interval samples at the given points-per-unit density.
 
         Raises:
-            ValueError: the density is not finite and positive, or the
-                result would hold more than a million points.
+            ValueError: the density is not finite and positive, a bound is
+                NaN, or the result would hold more than a million points.
         """
         if not (0 < density < math.inf):
             raise ValueError(f"density must be finite and positive, got {density!r}")
+        a, b = float(a), float(b)
+        if math.isnan(a) or math.isnan(b):
+            raise ValueError(f"bounds must be numbers, got [{a}, {b}]")
         if b < a:
             a, b = b, a
         pts, inside = self._pts, self._inside
@@ -780,8 +783,6 @@ class TimeScale:
                 continue
             x = max(pts[g - 1], a) if g > 0 else a
             y = min(pts[g], b) if g < len(pts) else b
-            if x > y:
-                continue
             if x == y:
                 out.append(x)
                 continue

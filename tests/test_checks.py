@@ -4,9 +4,11 @@ import dataclasses
 import json
 import math
 
+import random
+
 import pytest
 
-from tsfrac import SUITE_NAMES, LimitConfig, checks, run_suite
+from tsfrac import SUITE_NAMES, ComputePath, DerivKind, LimitConfig, LimitDidNotConverge, SuiteReport, checks, run_suite
 from tsfrac.cli import main
 
 
@@ -87,3 +89,52 @@ def test_check_command_exits_1_on_failures(monkeypatch, capsys):
     assert rec["passed"] is False and rec["failures"] > 10 and len(rec["messages"]) == 10
     # the NaN residual used to crash the JSON emitter instead of being reported
     assert rec["max_residual"] == "inf"
+
+
+@pytest.mark.parametrize("suite", ["product", "quotient", "reconstruction"])
+@pytest.mark.parametrize("kind", list(DerivKind))
+def test_each_kind_is_checked_by_the_algebraic_suites(monkeypatch, suite, kind):
+    real = checks._DERIVS[kind]
+
+    def shifted(*args):
+        r = real(*args)
+        return dataclasses.replace(r, value=r.value + 1e-6)
+
+    monkeypatch.setitem(checks._DERIVS, kind, shifted)
+    report = run_suite(suite, seed=1, trials=8)
+    assert report.failures > 0
+    assert all(f" {kind.value} " in m for m in report.messages), report.messages
+
+
+def test_generated_scales_always_have_a_usable_interior_member():
+    rng = random.Random(0)
+    for _ in range(2000):
+        T = checks._discrete_scale(rng)
+        assert checks._interior(T, lambda cls: cls.isolated), T.describe()
+    for _ in range(2000):
+        T = checks._hybrid_scale(rng)
+        assert checks._interior(T, lambda cls: not cls.dense), T.describe()
+
+
+def test_symmetric_relation_reports_a_raising_dense_derivative(monkeypatch):
+    real = checks.symmetric_via_sides
+
+    def raising(*args):
+        r = real(*args)
+        if r.path is ComputePath.DENSE_LIMIT:
+            raise LimitDidNotConverge("quotients did not settle")
+        return r
+
+    monkeypatch.setattr(checks, "symmetric_via_sides", raising)
+    report = run_suite("symmetric-relation", seed=2, trials=6)
+    assert report.failures == 6
+    assert all("dense" in m and "LimitDidNotConverge (quotients did not settle)" in m for m in report.messages)
+
+
+def test_symmetric_relation_seed_17_gives_a_report(capsys):
+    # trial 14's one-sided estimates disagree; that is a failed trial, not a crash
+    report = run_suite("symmetric-relation", seed=17, trials=30)
+    assert isinstance(report, SuiteReport) and report.trials == 30
+    main(["check", "--suite", "symmetric-relation", "--seed", "17"])
+    [rec] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rec["suite"] == "symmetric-relation" and "passed" in rec

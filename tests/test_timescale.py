@@ -310,6 +310,21 @@ def test_points_in_rejects_bad_density(density):
             T.points_in(0.0, 3.0, density=density)
 
 
+@pytest.mark.parametrize("a, b", [(math.nan, 3.0), (0.0, math.nan), (math.nan, math.nan)])
+def test_points_in_rejects_nan_bounds(a, b):
+    T = TimeScale([Interval(0.0, 1.0), FinitePoints((2.0, 3.0))])
+    with pytest.raises(ValueError, match="bounds"):
+        T.points_in(a, b)
+
+
+def test_points_in_bound_on_an_interval_end_gives_the_member():
+    # the range meets [0, 1] in its one end point: the member itself, a float
+    T = TimeScale([Interval(0.0, 1.0), FinitePoints((2.0, 3.0))])
+    for a, b, want in ((1, 3, [1.0, 2.0, 3.0]), (-1, 0, [0.0]), (3, 1, [1.0, 2.0, 3.0]), (0, 0, [0.0])):
+        pts = T.points_in(a, b)
+        assert pts == want and all(type(p) is float for p in pts), (a, b, pts)
+
+
 def test_json_round_trip():
     T = make_hybrid()
     blob = json.dumps(T.to_json())
