@@ -14,12 +14,15 @@ parsing).  ``^`` and ``pow`` follow standard real semantics: a negative base
 with a non-integer exponent is a domain error, not an odd root.  The first
 ``eval_expr`` of an AST generates one straight-line Python function for it
 (its kernel), kept on the root, so every later sample runs in a single frame.
-Each statement is the IEEE operation, order and EvalDomainError check of a
-recursive walk, so values and errors (message, node, t) are the walk's.  A
-kernel reads constants and nodes from tables and names only whitelisted
-functions: no text of the input reaches the generated source.  Generating it
-walks a left chain of ``+ - * /`` in a loop (``t+t+...+t`` does not recurse),
-and the kernel's locals are reused registers, few even for long chains.
+Each ``+ - * /``, call and power is one statement, its IEEE operation and
+finiteness check, in the order of a recursive walk; a negation stays inline
+in its operand's text.  A raw arithmetic error is matched to its node by the
+line it stops on, through a table N with one entry per line, so values and
+errors (message, node, t) are the walk's.  A kernel reads constants and nodes
+from tables and names only whitelisted functions: no text of the input
+reaches the generated source.  Generating it walks a left chain of ``+ - * /``
+in a loop (``t+t+...+t`` does not recurse), and the kernel's locals are
+reused registers, few even for long chains.
 
 Scale grammar::
 
@@ -396,12 +399,12 @@ _FUNC_NAME = {name: name for name in _FUNCS}
 _KERNEL = """\
 def kernel(t):
     try:
-        k = -1
 {body}
     except _ARITH as exc:
-        if k < 0:
+        node = N[exc.__traceback__.tb_lineno - 3]
+        if node is None:
             raise
-        raise _domain_error(N[k], t, exc) from None
+        raise _domain_error(node, t, exc) from None
     return {out}
 """
 
@@ -426,36 +429,32 @@ def _kernel_source(root: Expr):
     """The source of root's kernel, and the tables of constants (C) and nodes (N) it
     reads as globals.
 
-    The kernel is straight-line code in the walk's order, one statement per step; a
-    value lives in the register ``r<slot>`` of its operand slot, and ``x`` holds
-    float(t).  As in the walk, a + - * / node's check covers evaluating its operands
-    and its step, a call's or power's its step only: ``k`` holds the index in N of the
-    node whose check covers the running statement (-1: none), so one ``try`` serves
-    every check.  The source is made of fixed templates, indices and ``_FUNC_NAME``
-    alone: no text of the input, constants or names included, reaches it."""
+    The kernel is straight-line code in the walk's order.  Each + - * /, call and
+    power is one statement, ``if not isfinite(r<slot> := <step>): raise
+    _domain_error(N[i], t)``, that keeps its value in the register of its operand
+    slot; a negation stays inline in its operand's text, and ``x = float(t)`` stands
+    where the walk first reads t.  N has one entry per body line i (source line 3 + i):
+    a step's own node, and for the ``x`` line the innermost + - * / around it (None if
+    there is none), since as in the walk a + - * / node's check covers evaluating its
+    operands and its step, a call's or power's its step only.  So the one ``except``
+    names the node of the line that raised, or re-raises a raw error no node covers.
+    The source is made of fixed templates, indices and ``_FUNC_NAME`` alone: no text
+    of the input, constants or names included, reaches it."""
     consts, nodes, lines = [], [], []
-    k, var = -1, False  # the k last set; whether x is set
+    var = False  # whether x is set
 
-    def run(line, cover):  # a statement that runs under node cover's check
-        nonlocal k
-        if k != cover:
-            k = cover
-            lines.append(f"k = {cover}")
-        lines.append(line)
+    def check(node, slot, step):  # node's one statement; the register it sets
+        lines.append(f"if not isfinite(r{slot} := {step}): raise _domain_error(N[{len(nodes)}], t)")
+        nodes.append(node)
+        return f"r{slot}"
 
-    def emit(e, slot, guard):  # e's statements; its operand text.  guard: the + - * / covering e
+    def emit(e, slot, guard):  # e's statements; its operand text.  guard: the + - * / around e
         nonlocal var
-        reg = f"r{slot}"
         first, spine = _left_spine(e)
         if spine:  # a left chain is a loop here, not a recursion
-            base = len(nodes)
-            nodes.extend(spine)
-            out = emit(first, slot, base)
-            for i, n in enumerate(spine, base):
-                right = emit(n.right, slot + 1, i)
-                run(f"{reg} = {out} {_INFIX[type(n)][0].strip()} {right}", i)
-                run(f"if not isfinite({reg}): raise _domain_error(N[{i}], t)", i)
-                out = reg
+            out = emit(first, slot, spine[0])
+            for n in spine:
+                out = check(n, slot, f"{out} {_INFIX[type(n)][0].strip()} {emit(n.right, slot + 1, n)}")
             return out
         if isinstance(e, Const):
             consts.append(e.value)
@@ -463,22 +462,19 @@ def _kernel_source(root: Expr):
         if isinstance(e, Var):
             if not var:
                 var = True
-                run("x = float(t)", guard)
+                lines.append("x = float(t)")
+                nodes.append(guard)
             return "x"
-        if isinstance(e, Neg):  # a negation cannot raise, so it needs no cover
-            lines.append(f"{reg} = -{emit(e.operand, slot, guard)}")
-            return reg
+        if isinstance(e, Neg):  # a negation cannot raise: it stays in its operand's text
+            return "-" + emit(e.operand, slot, guard)
         if not isinstance(e, (Pow, Call)):
             raise TypeError(f"not an Expr node: {e!r}")
         name, args = ("pow", (e.left, e.right)) if isinstance(e, Pow) else (_FUNC_NAME[e.name], e.args)
         operands = ", ".join([emit(a, slot + j, guard) for j, a in enumerate(args)])
-        nodes.append(e)
-        run(f"{reg} = {name}({operands})", len(nodes) - 1)
-        run(f"if not isfinite({reg}): raise _domain_error(N[{len(nodes) - 1}], t)", guard)
-        return reg
+        return check(e, slot, f"{name}({operands})")
 
-    out = emit(root, 0, -1)
-    body = "\n".join("        " + line for line in lines)
+    out = emit(root, 0, None)
+    body = "\n".join("        " + line for line in lines or ["pass"])  # constants alone: no line
     return _KERNEL.format(body=body, out=out), tuple(consts), tuple(nodes)
 
 

@@ -71,8 +71,8 @@ __all__ = [
 #: separate "dense" from "scattered" gaps.  Configurable per scale.
 DEFAULT_SNAP_TOL = 1e-12
 
-# Guard for uniform grids: a step this close to the snap tolerance would make
-# membership ambiguous.
+# Guard for uniform grids: a step at most this many snap tolerances would make
+# membership ambiguous.  A grid checks the default tolerance, a scale its own.
 _MIN_STEP_FACTOR = 4.0
 
 # Most members of a scale, summed over its discrete components, and most
@@ -142,6 +142,8 @@ def _require_finite_number(name: str, x) -> float:
         xf = float(x)
     except (TypeError, ValueError):
         raise ValidationError(f"{name} must be a real number, got {x!r}")
+    except OverflowError:  # an int past the float range, as scale JSON may hold
+        raise ValidationError(f"{name} is past the float range")
     if math.isnan(xf):
         raise ValidationError(f"{name} must not be NaN")
     return xf
@@ -447,11 +449,14 @@ class TimeScale:
         comps = list(components)
         if not comps:
             raise ValidationError("a time scale needs at least one component")
-        if not (0 < _require_finite_number("snap tolerance", snap_tol) < 1):
+        tol = _require_finite_number("snap tolerance", snap_tol)
+        if not 0 < tol < 1:
             raise ValidationError(f"snap tolerance out of range: {snap_tol}")
         for c in comps:
             if not isinstance(c, (Interval, FinitePoints, UniformGrid, GeometricGrid)):
                 raise ValidationError(f"not a scale component: {c!r}")
+            if isinstance(c, UniformGrid) and c.step <= _MIN_STEP_FACTOR * tol:
+                raise ValidationError(f"grid step {c.step} is too close to the membership tolerance {tol}")
         # count the members _normalize would materialize before it does, since
         # the per-grid bound alone lets a union of large grids through
         total = sum(
@@ -463,7 +468,6 @@ class TimeScale:
         )
         if total > _MAX_POINTS:
             raise ValidationError(f"scale would have {total} members, more than {_MAX_POINTS}")
-        tol = float(snap_tol)
         intervals, survivors = _normalize(comps, tol)
         ordered = [((iv.lo, iv.hi), iv) for iv in intervals]
         ordered += [((ms[0], ms[-1]), c) for c, ms in survivors]
@@ -835,7 +839,7 @@ class TimeScale:
     def from_json(cls, text: str) -> "TimeScale":
         try:
             d = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # malformed, an over-long integer, or too deep
             raise ValidationError(f"invalid scale JSON: {exc}")
         return cls.from_json_dict(d)
 

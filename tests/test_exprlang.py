@@ -4,6 +4,7 @@ import math
 import operator
 import pickle
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -395,10 +396,17 @@ def test_eval_rejects_non_expressions():
 
 
 def test_kernel_source_holds_no_text_of_the_expression():
-    src, consts, nodes = _kernel_source(parse_expr("2*cos(t/3) - pow(t, 0.5)^-1.25"))
+    ast = parse_expr("2*cos(t/3) - pow(t, 0.5)^-1.25")
+    src, consts, nodes = _kernel_source(ast)
     other, _, _ = _kernel_source(parse_expr("7.125*cos(t/1e300) - pow(t, 123456)^-4"))
     assert src == other  # constants live in the table, not in the source
-    assert consts == (2.0, 3.0, 0.5, 1.25) and len(nodes) == 6
+    mul, power = ast.left, ast.right
+    cos = mul.right
+    div = cos.args[0]
+    # one entry per body line: x = float(t) under t/3, then each step's own node
+    want = (div, div, cos, mul, power.left, power, ast)
+    assert consts == (2.0, 3.0, 0.5, 1.25) and len(nodes) == len(want)
+    assert all(got is node for got, node in zip(nodes, want))
     assert not any(text in src for text in ("7.125", "1e300", "123456", "0.5", "1.25"))
 
 
@@ -415,6 +423,51 @@ def test_kernel_names_only_whitelisted_functions():
     assert "sin(x)" in src and "import" not in src and "getpid" not in src
     with pytest.raises(KeyError):
         eval_expr(Call("__import__", (Var(),)), 1.0)
+
+
+_STEP_LINE = re.compile(r"if not isfinite\(r\d+ := .+\): raise _domain_error\(N\[(\d+)\], t\)")
+
+
+def _kernel_body(src):
+    lines = src.splitlines()
+    return [line.strip() for line in lines[lines.index("    try:") + 1:lines.index("    except _ARITH as exc:")]]
+
+
+@pytest.mark.parametrize("text, statements", [
+    ("2*cos(t/3)", 4),
+    ("+".join(["t"] * 2000), 2000),
+    ("-t^-2 / -(1 - ln(t))", 5),
+    ("pow(-t, 2) * -sin(t)", 4),
+    ("-(2 - -3)", 1),
+], ids=["cos", "chain-2000", "neg-pow-ln", "neg-call", "constants"])
+def test_kernel_is_one_checked_statement_per_node(text, statements):
+    # x = float(t) where t is first read, then one line per + - * /, call and power:
+    # no cover register, no separate check or negation statement
+    body = _kernel_body(_kernel_source(parse_expr(text))[0])
+    assert len(body) == statements and body.count("x = float(t)") == ("t" in text)
+    for i, line in enumerate(body):
+        m = _STEP_LINE.fullmatch(line)
+        assert line == "x = float(t)" or (m and int(m.group(1)) == i), line
+
+
+def test_kernel_x_line_names_the_innermost_arithmetic_around_t():
+    for text, cover in [
+        ("2*cos(t/3)", lambda e: e.right.args[0]),
+        ("1 + sin(t)*2", lambda e: e.right),
+        ("1 + sin(t)", lambda e: e),  # a call's check covers its step only, not its argument
+        ("sin(t)", lambda e: None),
+        ("-t^2", lambda e: None),
+    ]:
+        ast = parse_expr(text)
+        _, _, nodes = _kernel_source(ast)
+        assert nodes[0] is cover(ast), text
+        if cover(ast) is None:  # an int past the float range fails float(t) itself
+            with pytest.raises(OverflowError):
+                eval_expr(ast, 10**400)
+        else:
+            with pytest.raises(EvalDomainError, match=r"is undefined at t=10{400} \(") as e:
+                eval_expr(ast, 10**400)
+            assert e.value.node is cover(ast)
 
 
 @pytest.mark.parametrize("op, value", [("+", 2000.0), ("*", 1.0), ("-", -1998.0)])

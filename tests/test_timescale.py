@@ -422,6 +422,48 @@ def test_json_text_must_parse():
 
 
 @pytest.mark.parametrize(
+    "text",
+    ["[" * 100000, '{"components": [{"kind": "points", "points": [1' + "0" * 5000 + "]}]}"],
+    ids=["too-deep", "over-long-integer"],
+)
+def test_json_text_past_the_decoder_limits_is_invalid(text):
+    # these escaped as RecursionError and as ValueError ("Exceeds the limit (4300 digits) ...")
+    with pytest.raises(ValidationError, match="invalid scale JSON"):
+        TimeScale.from_json(text)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"components": [{"kind": "points", "points": [10**400]}]},
+        {"components": [{"kind": "interval", "lo": 0, "hi": 10**400}]},
+        {"components": [{"kind": "grid", "start": 0, "stop": 10**400, "step": 1}]},
+        {"components": [{"kind": "points", "points": [1]}], "snap_tol": 10**400},
+    ],
+    ids=["points", "interval", "grid", "snap_tol"],
+)
+def test_json_integer_past_the_float_range_is_invalid(doc):
+    # these escaped as OverflowError ("int too large to convert to float")
+    with pytest.raises(ValidationError, match="past the float range"):
+        TimeScale.from_json(json.dumps(doc))
+
+
+def test_grid_step_is_checked_against_the_scale_tolerance():
+    # under snap_tol=1e-8 this grid built a scale of 1,001 members with 0 right-dense, while
+    # the same members given as points coalesce to 97 with 0 right-scattered
+    grid = UniformGrid(0.0, 1e-6, 1e-9)
+    for tol in (1e-8, 2.5e-10):  # the step is at most 4 times the tolerance
+        with pytest.raises(ValidationError, match="too close to the membership tolerance"):
+            TimeScale([grid], snap_tol=tol)
+        with pytest.raises(ValidationError, match="too close to the membership tolerance"):
+            TimeScale.from_json(json.dumps({"components": [grid.to_json_dict()], "snap_tol": tol}))
+    points = FinitePoints(tuple(grid.iter_members()))
+    T, P = (TimeScale([c], snap_tol=2e-10) for c in (grid, points))
+    assert T.points_in(0.0, 1e-6) == P.points_in(0.0, 1e-6) and len(T.points_in(0.0, 1e-6)) == 1001
+    assert T.classify(0.0) == P.classify(0.0) and T.sigma(0.0) == P.sigma(0.0) == 1e-9
+
+
+@pytest.mark.parametrize(
     "clone", [lambda T: pickle.loads(pickle.dumps(T)), copy.copy, copy.deepcopy],
     ids=["pickle", "copy", "deepcopy"],
 )
