@@ -138,11 +138,13 @@ class Call(Expr):
 FUNCTIONS = {"sqrt": 1, "abs": 1, "sin": 1, "cos": 1, "exp": 1, "ln": 1, "pow": 2}
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # "num" | "ident" | "op" | "end"
-    text: str
-    pos: int  # 1-based column
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind = kind  # "num" | "ident" | "op" | "end"
+        self.text = text
+        self.pos = pos  # 1-based column
 
 
 #: deepest nesting the recursive-descent parsers accept before the stack runs out

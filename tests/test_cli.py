@@ -1,11 +1,13 @@
 """End-to-end runs of the command line interface through main()."""
 
+import argparse
 import itertools
 import json
 import time
 
 import pytest
 
+from tsfrac import LimitConfig, cli
 from tsfrac.cli import main
 
 
@@ -586,3 +588,79 @@ def test_help_still_exits_zero(capsys):
         main(["deriv", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: tscale-frac deriv")
+
+
+# -- one parser per process ------------------------------------------------
+
+SCALE = ["--scale", "union(interval(0,1),grid(2,4,1))", "--fn", "sin(t)"]
+DERIV = ["deriv", *SCALE, "--order", "1/2", "--points", "0.5,3"]
+TABLE = ["table", *SCALE, "--order", "1/2"]
+INTEG = ["integ", *SCALE, "--beta", "1/2", "--a", "0", "--b", "3"]
+# each plain command follows one that sets the flags it leaves at their defaults
+SEQUENCE = [
+    [*DERIV, "--kind", "delta", "--tol", "1e-6", "--format", "csv"],
+    DERIV,
+    [*TABLE, "--density", "5"],
+    TABLE,
+    [*INTEG, "--quad-rel-tol", "1e-6"],
+    INTEG,
+    [*DERIV, "--tol", "abc"],
+    ["--help"],
+    DERIV,
+]
+
+
+def run_sequence(capsys, monkeypatch):
+    """(exit code, stdout, stderr, parsed flags) of each SEQUENCE command,
+    run one after another through main."""
+    parsed = []
+    for name, command in cli._COMMANDS.items():
+        def spy(args, command=command):
+            parsed.append(dict(vars(args)))
+            return command(args)
+
+        monkeypatch.setitem(cli._COMMANDS, name, spy)
+    results = []
+    for argv in SEQUENCE:
+        del parsed[:]
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out = capsys.readouterr()
+        results.append((code, out.out, out.err, parsed[:]))
+    return results
+
+
+def test_consecutive_main_calls_share_no_parsed_state(capsys, monkeypatch):
+    assert cli._parser() is cli._parser()
+    shared = run_sequence(capsys, monkeypatch)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert shared == run_sequence(capsys, monkeypatch)
+
+    _, out, _, [deriv] = shared[1]
+    assert {rec["kind"] for rec in records(out) if "error" not in rec} == {"nabla"}
+    assert cli._limit_config(argparse.Namespace(**deriv)) == LimitConfig()
+    assert shared[3][3][0]["density"] == 33.0
+    assert shared[5][3][0]["quad_rel_tol"] is None
+    # the flags change the output, so a leaked one would show there too
+    assert shared[2][1] != shared[3][1] and shared[0][1] != shared[1][1]
+    usage, help_, after = shared[6:]
+    assert usage[0] == 1 and records(usage[1])[0]["error"] == "UsageError"
+    assert help_[0] == ("exit", 0) and help_[1].startswith("usage: tscale-frac")
+    assert after[:3] == shared[1][:3]
+
+
+def test_build_parser_returns_a_fresh_parser_main_does_not_use(capsys):
+    p = cli.build_parser()
+    assert p is not cli.build_parser() and p is not cli._parser()
+    # a caller's change to its own parser stays with that parser
+    p.set_defaults(format="csv")
+    [subcommands] = [a for a in p._actions if isinstance(a, argparse._SubParsersAction)]
+    for sub in subcommands.choices.values():
+        sub.set_defaults(format="csv")
+    argv = ["deriv", "--scale", "grid(0,10,1)", "--fn", "t", "--order", "1/2", "--points", "3"]
+    assert p.parse_args(argv).format == "csv"
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert [rec["t"] for rec in records(out)] == [3.0]

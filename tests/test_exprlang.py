@@ -19,7 +19,7 @@ from tsfrac import (
     parse_expr,
     parse_scale,
 )
-from tsfrac.exprlang import FUNCTIONS, Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var, _kernel_source
+from tsfrac.exprlang import FUNCTIONS, Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var, _kernel_source, _tokenize
 
 
 def ev(text, t):
@@ -161,9 +161,36 @@ def test_error_position_dangling_operator():
 
 
 def test_error_position_bad_character():
-    with pytest.raises(ExprSyntaxError) as e:
-        parse_expr("t & 2")
-    assert e.value.position == 3
+    for text, column in [("t & 2", 3), ("t +\t\r\n @", 8)]:
+        with pytest.raises(ExprSyntaxError, match="unexpected character") as e:
+            parse_expr(text)
+        assert e.value.position == column
+
+
+def test_tokens_pin_kind_text_and_column():
+    # every operator, every number form, identifiers with '_' and digits, and
+    # each whitespace character the scanner skips
+    src = "f_1(x2,.5)^2.5e-3 +\t1.\r-1E+2*\n_a/1"
+    got = [(tok.kind, tok.text, tok.pos) for tok in _tokenize(src)]
+    assert got == [
+        ("ident", "f_1", 1),
+        ("op", "(", 4),
+        ("ident", "x2", 5),
+        ("op", ",", 7),
+        ("num", ".5", 8),
+        ("op", ")", 10),
+        ("op", "^", 11),
+        ("num", "2.5e-3", 12),
+        ("op", "+", 19),
+        ("num", "1.", 21),
+        ("op", "-", 24),
+        ("num", "1E+2", 25),
+        ("op", "*", 29),
+        ("ident", "_a", 31),
+        ("op", "/", 33),
+        ("num", "1", 34),
+        ("end", "", 35),
+    ]
 
 
 def test_error_position_unbalanced_paren():
