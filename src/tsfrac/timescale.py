@@ -32,9 +32,10 @@ sorted ``array('d')`` of all discrete members and finite interval endpoints,
 and one flag per gap between neighboring entries (plus the two unbounded ends)
 saying whether the gap lies inside an interval.  An interval's endpoints
 are always neighbors in the index, since normalization leaves no member
-inside or within the tolerance of an interval.  Snapping, the jump
-operators and classification bisect the index once or twice; the limit
-scaffolding's enumerations bisect once and read a window of it, keeping no
+inside or within the tolerance of an interval.  A scale remembers its last
+lookup as one pair (t, bisect_left(index, t)), read and replaced whole, so
+an operator's queries at one point bisect once and a concurrent reader never
+mixes two lookups.  Enumerations read a window of the index, keeping no
 derived copy.  The component list serves ``describe()``, JSON and equality.
 """
 
@@ -133,6 +134,12 @@ class DomainMembership:
     @property
     def in_symmetric_domain(self) -> bool:
         return self.in_nabla_domain and self.in_delta_domain
+
+
+# shared results of classify and domain_membership: a frozen record costs ~1 us to build
+_POINT_CLASSES = tuple(tuple(PointClass(left, right) for right in (False, True)) for left in (False, True))
+_NOT_IN_SCALE = DomainMembership(False, False, False)
+_MEMBERSHIPS = tuple(tuple(DomainMembership(True, n, d) for d in (False, True)) for n in (False, True))
 
 
 def _require_finite_number(name: str, x) -> float:
@@ -443,6 +450,7 @@ class TimeScale:
         "sup_value",
         "_pts",
         "_inside",
+        "_last",
     )
 
     def __init__(self, components, snap_tol: float = DEFAULT_SNAP_TOL):
@@ -488,6 +496,7 @@ class TimeScale:
             ("sup_value", math.inf if inside[-1] else pts[-1]),
             ("_pts", pts),
             ("_inside", bytes(inside)),
+            ("_last", [(math.nan, 0)]),  # the last lookup; NaN matches no query
         ):
             object.__setattr__(self, name, value)
 
@@ -515,11 +524,17 @@ class TimeScale:
     def snap(self, t: float):
         """The exact member nearest to t if one lies within the snap
         tolerance, else None.  Ties go to the lower member."""
-        if not isinstance(t, (int, float)) or not math.isfinite(t):
+        try:
+            t = float(t) if isinstance(t, (int, float)) else math.nan
+        except OverflowError:  # an int past the float range
             return None
-        t = float(t)
+        if not math.isfinite(t):
+            return None
         pts = self._pts
-        i = bisect.bisect_left(pts, t)
+        last, i = self._last[0]  # _index inlined: an integral's snaps nearly all miss
+        if last != t:
+            i = bisect.bisect_left(pts, t)
+            self._last[0] = (t, i)
         if self._inside[i]:  # t lies in an interval, right end included
             return t
         if i == len(pts) or (i > 0 and t - pts[i - 1] <= pts[i] - t):
@@ -536,16 +551,27 @@ class TimeScale:
             raise PointNotInScale(f"{t!r} is not a point of {self.describe()}")
         return ts
 
+    def _index(self, t: float) -> int:
+        """bisect_left(_pts, t), read from the last lookup when that was of t."""
+        last, i = self._last[0]
+        if last != t:
+            i = bisect.bisect_left(self._pts, t)
+            self._last[0] = (t, i)
+        return i
+
     # -- jump operators ---------------------------------------------------
 
     def _sigma_raw(self, ts: float) -> float:
-        j = bisect.bisect_right(self._pts, ts)
-        if self._inside[j] or j == len(self._pts):
+        pts = self._pts
+        j = self._index(ts)
+        if j < len(pts) and pts[j] == ts:  # bisect_right, as entries are distinct
+            j += 1
+        if self._inside[j] or j == len(pts):
             return ts
-        return self._pts[j]
+        return pts[j]
 
     def _rho_raw(self, ts: float) -> float:
-        i = bisect.bisect_left(self._pts, ts)
+        i = self._index(ts)
         if self._inside[i] or i == 0:
             return ts
         return self._pts[i - 1]
@@ -581,17 +607,17 @@ class TimeScale:
         ts = self._require_member(t)
         right = (self._sigma_raw(ts) - ts) <= self.snap_tol
         left = (ts - self._rho_raw(ts)) <= self.snap_tol
-        return PointClass(left_dense=left, right_dense=right)
+        return _POINT_CLASSES[left][right]
 
     def domain_membership(self, t: float) -> DomainMembership:
         """Domain flags for the derivative operators at t (see
         :class:`DomainMembership`)."""
         ts = self.snap(t)
         if ts is None:
-            return DomainMembership(False, False, False)
+            return _NOT_IN_SCALE
         in_nabla = not (ts == self.inf_value and self._sigma_raw(ts) - ts > self.snap_tol)
         in_delta = not (ts == self.sup_value and ts - self._rho_raw(ts) > self.snap_tol)
-        return DomainMembership(True, in_nabla, in_delta)
+        return _MEMBERSHIPS[in_nabla][in_delta]
 
     # -- limit scaffolding ------------------------------------------------
 
@@ -602,7 +628,7 @@ class TimeScale:
         They stop where ts +/- step reaches ts or repeats, and with BOTH
         also where ts - step reaches ts."""
         pts, inside = self._pts, self._inside
-        i = bisect.bisect_left(pts, ts)
+        i = self._index(ts)
         if not inside[i]:
             # a member outside the open gaps is an entry of the index, and an
             # interval's left end when the gap after it is inside
@@ -636,11 +662,12 @@ class TimeScale:
         first: index entries less each interval's far end from ts, which is
         at most every other entry, so a window of 2*limit entries suffices."""
         pts, inside = self._pts, self._inside
+        i = self._index(ts)
         if side is ApproachSide.RIGHT:
-            i = bisect.bisect_right(pts, ts)
+            if i < len(pts) and pts[i] == ts:  # bisect_right
+                i += 1
             nearest = [pts[k] for k in range(i, min(i + 2 * limit, len(pts))) if not inside[k]]
             return nearest[:limit][::-1]
-        i = bisect.bisect_left(pts, ts)
         return [pts[k] for k in range(max(0, i - 2 * limit), i) if not inside[k + 1]][-limit:]
 
     def approach_sequence(
@@ -766,11 +793,14 @@ class TimeScale:
 
         Raises:
             ValueError: the density is not finite and positive, a bound is
-                NaN, or the result would hold more than a million points.
+                NaN or past the float range, or over a million points result.
         """
         if not (0 < density < math.inf):
             raise ValueError(f"density must be finite and positive, got {density!r}")
-        a, b = float(a), float(b)
+        try:
+            a, b = float(a), float(b)
+        except OverflowError:  # an int past the float range
+            raise ValueError("bounds must lie in the float range") from None
         if math.isnan(a) or math.isnan(b):
             raise ValueError(f"bounds must be numbers, got [{a}, {b}]")
         if b < a:

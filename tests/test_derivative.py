@@ -105,6 +105,8 @@ def test_domain_exclusions():
         symmetric_frac(f, 0.0, Order(1, 2))
     with pytest.raises(PointNotInScale):
         nabla_frac(f, 3.5, Order(1, 2))
+    with pytest.raises(PointNotInScale):  # float() of it overflows
+        nabla_frac(f, 10**400, Order(1, 2))
     # the excluded endpoint is fine for the operator looking the other way
     assert delta_frac(f, 0.0, Order(1, 2)).value == 1.0
     assert nabla_frac(f, 10.0, Order(1, 2)).value == 1.0

@@ -93,6 +93,11 @@ def test_integral_endpoint_must_be_member():
     f = FnOnScale(lambda x: x, T)
     with pytest.raises(EndpointNotInScale):
         nabla_integral(f, 0.25, 4.0)
+    # float() of an int past the float range overflows
+    with pytest.raises(EndpointNotInScale):
+        nabla_integral(f, 0.0, 10**400)
+    with pytest.raises(EndpointNotInScale):
+        delta_frac_integral(f, -(10**400), 4.0, Order(1, 2))
 
 
 # -- antiderivative -------------------------------------------------------

@@ -6,11 +6,14 @@ them, straight from the definitions (sigma(t) = inf {s in T : s > t},
 nearest member with ties to the lower one, enumeration that sees only the
 near endpoint of an interval).  The scales are seeded random unions of
 intervals (some touching or overlapping, some unbounded), point sets,
-uniform grids and geometric grids of both signs, with and without 0.
+uniform grids and geometric grids of both signs, with and without 0.  The
+queries run grouped by point, shuffled, and from four threads at once.
 """
 
 import math
 import random
+import sys
+import threading
 
 import pytest
 
@@ -217,6 +220,31 @@ def _queries(O: Oracle, rng: random.Random):
     return qs
 
 
+def _asks(O: Oracle, t):
+    """(method, args) of every query at t; the oracle's methods take the
+    same positional arguments as the scale's."""
+    asks = [(name, (t,)) for name in ("snap", "sigma", "rho", "mu", "nu", "classify", "domain_membership")]
+    if O.snap(t) is not None:
+        asks += [("approach_sequence", (t, s, n, h0)) for s in (LEFT, RIGHT) for n in (3, 40) for h0 in (None, 0.3)]
+        asks += [("symmetric_pairs", (t, n, h0)) for n in (3, 40) for h0 in (None, 2.5)]
+    return asks
+
+
+def _answer(T: TimeScale, name, args):
+    """The scale's answer to one query, in the oracle's terms."""
+    got = _outcome(lambda: getattr(T, name)(*args))
+    if name == "classify" and not isinstance(got, str):
+        return got.left_dense, got.right_dense
+    if name == "domain_membership":
+        return got.in_scale, got.in_nabla_domain, got.in_delta_domain
+    return got
+
+
+def _check(T: TimeScale, O: Oracle, asks):
+    for name, args in asks:
+        assert _answer(T, name, args) == _oracle_outcome(lambda: getattr(O, name)(*args)), (name, args)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_queries_match_brute_force_oracle(seed):
     rng = random.Random(seed)
@@ -224,25 +252,60 @@ def test_queries_match_brute_force_oracle(seed):
     O = Oracle(T)
     assert (T.inf_value, T.sup_value) == (O.inf, O.sup)
     for t in _queries(O, rng):
-        assert T.snap(t) == O.snap(t), t
-        for name in ("sigma", "rho", "mu", "nu"):
-            assert _outcome(lambda: getattr(T, name)(t)) == _oracle_outcome(lambda: getattr(O, name)(t)), (name, t)
-        got = _outcome(lambda: T.classify(t))
-        want = _oracle_outcome(lambda: O.classify(t))
-        assert (got if isinstance(got, str) else (got.left_dense, got.right_dense)) == want, t
-        dm = T.domain_membership(t)
-        assert (dm.in_scale, dm.in_nabla_domain, dm.in_delta_domain) == O.domain_membership(t), t
-        if O.snap(t) is None:
-            continue
-        for side in (LEFT, RIGHT):
-            for n in (3, 40):
-                for h0 in (None, 0.3):
-                    got = _outcome(lambda: T.approach_sequence(t, side, n, h0=h0))
-                    assert got == O.approach_sequence(t, side, n, h0), (t, side, n, h0)
-        for n in (3, 40):
-            for h0 in (None, 2.5):
-                got = _outcome(lambda: T.symmetric_pairs(t, n, h0=h0))
-                assert got == O.symmetric_pairs(t, n, h0), (t, n, h0)
+        _check(T, O, _asks(O, t))
     for _ in range(5):
         a, b = rng.uniform(-40.0, 40.0), rng.uniform(-40.0, 40.0)
         assert T.points_in(a, b, density=3.0) == O.points_in(a, b, 3.0), (a, b)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_shuffled_queries_match_brute_force_oracle(seed):
+    # a scale remembers only its last lookup: here consecutive queries name
+    # different points, so nearly every query finds another t remembered
+    rng = random.Random(seed)
+    T = _random_scale(rng)
+    O = Oracle(T)
+    asks = [ask for t in _queries(O, rng) for ask in _asks(O, t)]
+    rng.shuffle(asks)
+    _check(T, O, asks)
+    tol = O.tol
+    for m in rng.sample(O.points, min(len(O.points), 6)):
+        # a point just off a member, then the member; and a lookup at m with
+        # symmetric_pairs at m between, whose snaps of m +/- h replace it
+        for name in ("sigma", "rho", "classify"):
+            _check(T, O, [ask for d in (-0.4, 0.4) for ask in ((name, (m + d * tol,)), (name, (m,)))])
+        _check(T, O, [("classify", (m,)), ("symmetric_pairs", (m, 40, 2.5)), ("mu", (m,)), ("nu", (m,))])
+    # -0.0 and 0.0 compare equal and bisect to one index
+    _check(T, O, [(name, (z,)) for name in ("snap", "sigma", "rho", "classify") for z in (-0.0, 0.0)])
+
+
+def test_threads_sharing_a_scale_get_the_serial_answers():
+    # four threads ask one scale the same queries three times over, point by
+    # point as an operator asks them, meeting at a barrier before each point;
+    # with a short switch interval one thread can run while another is
+    # between reading and replacing the scale's last lookup of the same t
+    rng = random.Random(11)
+    T = TimeScale([UniformGrid(0.0, 20.0, 0.5), Interval(30.0, 40.0), GeometricGrid(2.0, -45, 2, include_zero=True)])
+    O = Oracle(T)
+    groups = [_asks(O, t) for t in _queries(O, rng)]
+    serial = [[_answer(T, name, args) for name, args in asks] for asks in groups]
+    barrier = threading.Barrier(4, timeout=60)
+    answers = [[] for _ in range(4)]
+
+    def work(k):
+        for asks in groups * 3:
+            barrier.wait()
+            answers[k].append([_answer(T, name, args) for name, args in asks])
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert answers == [serial * 3] * 4

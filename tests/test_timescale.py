@@ -1,6 +1,7 @@
 """Structure tests for scale construction and the point operators."""
 
 import copy
+import dataclasses
 import itertools
 import json
 import math
@@ -12,11 +13,13 @@ import pytest
 
 from tsfrac import (
     ApproachSide,
+    DomainMembership,
     FinitePoints,
     FnOnScale,
     GeometricGrid,
     InsufficientPoints,
     Interval,
+    PointClass,
     PointNotInScale,
     SideNotDense,
     TimeScale,
@@ -121,6 +124,17 @@ def test_scale_is_immutable_and_snaps_only_numbers():
     assert T.snap("1") is None
 
 
+def test_int_past_the_float_range_is_no_point():
+    # float() of such an int overflows: snap reports no member, as its
+    # docstring says, and points_in rejects the bound as it does NaN
+    T = TimeScale([Interval(0.0, math.inf)])
+    assert T.snap(10**400) is None and not T.contains(-(10**400))
+    with pytest.raises(PointNotInScale):
+        T.sigma(10**400)
+    with pytest.raises(ValueError, match="float range"):
+        T.points_in(0, 10**400, 1)
+
+
 def test_overlapping_components_merge():
     T = TimeScale([Interval(0.0, 2.0), Interval(1.0, 3.0)])
     assert len(T.components) == 1
@@ -205,6 +219,21 @@ def test_domain_membership():
     I = TimeScale([Interval(0.0, 1.0)])
     dm = I.domain_membership(0.0)
     assert dm.in_nabla_domain and dm.in_delta_domain and dm.in_symmetric_domain
+
+
+def test_classify_and_domain_membership_records_are_shared_and_frozen():
+    # -1 and 3 are scattered extrema, 0 and 1 the ends of [0, 1]
+    T = TimeScale([FinitePoints((-1.0,)), Interval(0.0, 1.0), UniformGrid(1.5, 3.0, 0.5)])
+    got = [T.classify(t) for t in (-1.0, 0.0, 0.5, 1.0, 2.0)]
+    want = [PointClass(True, False), PointClass(False, True), PointClass(True, True), PointClass(True, False), PointClass(False, False)]
+    assert got == want and [hash(c) for c in got] == [hash(c) for c in want]
+    got = [T.domain_membership(t) for t in (5.0, -1.0, 0.5, 3.0)]
+    want = [DomainMembership(*flags) for flags in ((False,) * 3, (True, False, True), (True,) * 3, (True, True, False))]
+    assert got == want and [hash(d) for d in got] == [hash(d) for d in want]
+    for record, field in ((T.classify(0.0), "left_dense"), (T.domain_membership(5.0), "in_scale")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, True)
+    assert T.classify(0.0) == PointClass(False, True) and not T.domain_membership(5.0).in_scale
 
 
 def test_approach_sequence_interval():
@@ -468,13 +497,19 @@ def test_grid_step_is_checked_against_the_scale_tolerance():
     ids=["pickle", "copy", "deepcopy"],
 )
 def test_scale_pickles_and_copies(clone):
-    # each of these used to raise "TimeScale is immutable" while restoring slots
-    T = TimeScale(
-        [Interval(0.0, 1.0), UniformGrid(1.5, 3.0, 0.5), GeometricGrid(2.0, -3, 2), FinitePoints((4.0, 4.25))],
-        snap_tol=1e-7,
-    )
+    # each of these used to raise "TimeScale is immutable" while restoring
+    # slots; a scale already queried remembers its last lookup, which neither
+    # the copy nor equality and hashing see
+    def build():
+        return TimeScale(
+            [Interval(0.0, 1.0), UniformGrid(1.5, 3.0, 0.5), GeometricGrid(2.0, -3, 2), FinitePoints((4.0, 4.25))],
+            snap_tol=1e-7,
+        )
+
+    T = build()
+    assert T.sigma(2.0) == 2.5
     back = clone(T)
-    assert back == T and hash(back) == hash(T) and back.snap_tol == 1e-7
+    assert back == T == build() and hash(back) == hash(T) == hash(build()) and back.snap_tol == 1e-7
     assert back.describe() == T.describe()
     for t in (0.5, 1.0, 2.0, 4.0, 4.25):
         assert (back.sigma(t), back.rho(t), back.classify(t)) == (T.sigma(t), T.rho(t), T.classify(t))
