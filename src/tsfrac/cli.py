@@ -26,7 +26,7 @@ import sys
 
 from .checks import SUITE_NAMES, run_suite
 from .derivative import FnOnScale, delta_frac, nabla_frac, symmetric_frac
-from .errors import PointOutsideDomain, TsfracError
+from .errors import PointNotInScale, PointOutsideDomain, TsfracError
 from .exprlang import parse_scale
 from .integral import (
     QuadratureConfig,
@@ -285,11 +285,10 @@ def cmd_classify(args):
     records = []
     code = 0
     for t in _parse_points(args.points):
-        ts = T.snap(t)
-        if ts is None:
-            records.append(
-                {"error": "PointNotInScale", "message": f"t={t!r} is not in the scale", "t": t}
-            )
+        try:
+            ts = T._require_member(t)
+        except PointNotInScale as exc:
+            records.append(_error_record(exc, t=t))
             code = 1
             continue
         cls = T.classify(ts)

@@ -43,7 +43,6 @@ from .errors import (
     LimitDidNotConverge,
     NonFiniteSample,
     NoSymmetricNeighborhood,
-    PointNotInScale,
     PointOutsideDomain,
     SideNotDense,
     SidedLimitsDisagree,
@@ -233,9 +232,7 @@ def _domain_point(T: TimeScale, t: float, order: Order, kind: DerivKind) -> floa
     lies in the domain of the derivative of this kind: it has a predecessor
     if the kind looks left and a successor if it looks right."""
     _require_order(order)
-    ts = T.snap(t)
-    if ts is None:
-        raise PointNotInScale(f"t={t!r} is not in {T.describe()}")
+    ts = T._require_member(t)
     left, right, _, outside = _KINDS[kind]
     dm = T.domain_membership(ts)
     if (left and not dm.in_nabla_domain) or (right and not dm.in_delta_domain):
@@ -368,7 +365,6 @@ def order_lowering_check(
         low = nabla_frac(f, t, lower, cfg)
     except TsfracError:
         return False
-    ts = f.scale.snap(t)
-    if higher > lower and f.scale.classify(ts).left_dense:
+    if higher > lower and f.scale.classify(t).left_dense:
         return abs(low.value) <= _AGREE_FACTOR * cfg.tol
     return True

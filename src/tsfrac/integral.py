@@ -146,13 +146,6 @@ def _quad(g, lo: float, hi: float, qc: QuadratureConfig) -> float:
     return _simpson_rec(g, lo, hi, fl, fm, fh, whole, eps, qc.max_depth)
 
 
-def _snap_endpoint(T: TimeScale, t: float, name: str) -> float:
-    ts = T.snap(t)
-    if ts is None:
-        raise EndpointNotInScale(f"endpoint {name}={t!r} is not in {T.describe()}")
-    return ts
-
-
 def _walk(f: FnOnScale, a: float, b: float, qc: QuadratureConfig, kind: DerivKind) -> float:
     """The classical integral of the kind from a to b (both scale members),
     walked upwards; a > b flips the sign.  Each interval stretch is one
@@ -190,8 +183,8 @@ def _integral(
 ) -> float:
     """The classical integral of the kind from a to b, snapped onto the scale."""
     T = f.scale
-    sa = _snap_endpoint(T, a, "a")
-    sb = _snap_endpoint(T, b, "b")
+    sa = T._require_member(a, "a", EndpointNotInScale)
+    sb = T._require_member(b, "b", EndpointNotInScale)
     return _walk(f, sa, sb, qc or QuadratureConfig(), kind)
 
 
@@ -235,14 +228,14 @@ class Antiderivative:
     def __post_init__(self):
         if self.kind not in (DerivKind.NABLA, DerivKind.DELTA):
             raise ValidationError("antiderivative kind must be nabla or delta")
-        anchor = _snap_endpoint(self.base.scale, self.anchor, "t0")
+        anchor = self.base.scale._require_member(self.anchor, "t0", EndpointNotInScale)
         object.__setattr__(self, "anchor", anchor)
         self._lock = threading.Lock()
         self._known = {anchor: 0.0}
         self._keys = [anchor]
 
     def eval(self, t: float) -> float:
-        ts = _snap_endpoint(self.base.scale, t, "t")
+        ts = self.base.scale._require_member(t, "t", EndpointNotInScale)
         with self._lock:
             got = self._known.get(ts)
             if got is not None:
@@ -280,7 +273,8 @@ def _nearest_admissible(T: TimeScale, ts: float, cfg: LimitConfig):
             seq = T.approach_sequence(ts, side, 3, h0=cfg.h0, ratio=cfg.ratio)
         except (SideNotDense, InsufficientPoints):
             continue
-        return seq[-1]
+        if seq:  # empty when the first step is below the float spacing at ts
+            return seq[-1]
     return None
 
 
@@ -349,8 +343,8 @@ def _cauchy(
     if qc is None:
         qc = QuadratureConfig()
     T = f.scale
-    sa = _snap_endpoint(T, a, "a")
-    sb = _snap_endpoint(T, b, "b")
+    sa = T._require_member(a, "a", EndpointNotInScale)
+    sb = T._require_member(b, "b", EndpointNotInScale)
     if symmetric:
         for name, e in (("a", sa), ("b", sb)):
             if not T.domain_membership(e).in_symmetric_domain:

@@ -160,7 +160,7 @@ def signed_pow(x: float, order: Order) -> float:
     if x == 0:
         return 0.0
     if p == 1 and q % 2 == 1:
-        return math.copysign(abs(x) ** (1.0 / q), x)
+        return math.copysign(abs(x) ** (1 / q), x)  # true division: no float(q) to overflow
     if x < 0:
         raise NegativeBaseForGeneralOrder(
             f"({x})**({order}) is not real; only odd-reciprocal orders "

@@ -45,6 +45,7 @@ import bisect
 import enum
 import json
 import math
+import reprlib
 from array import array
 from dataclasses import dataclass
 
@@ -340,9 +341,6 @@ class GeometricGrid:
         return f"qgrid({_fmt_num(self.q)},{self.k_min},{self.k_max}{zero})"
 
 
-Component = Interval | FinitePoints | UniformGrid | GeometricGrid
-
-
 def _check_steps(n: int, h0: float | None, ratio: float) -> None:
     """The checks shared by the step sequences of the limit scaffolding."""
     if n < 1:
@@ -545,10 +543,17 @@ class TimeScale:
     def contains(self, t: float) -> bool:
         return self.snap(t) is not None
 
-    def _require_member(self, t: float) -> float:
+    def _require_member(self, t: float, name: str = "t", error=PointNotInScale) -> float:
+        """t snapped onto the scale, else ``error``: PointNotInScale, or
+        EndpointNotInScale for an integral endpoint.  The message,
+        "<name>=<t> is not in the scale", names the argument, never the
+        scale, and shows t in at most about 40 characters (an int past the
+        float range by its size), so it is short and cannot fail to build."""
         ts = self.snap(t)
         if ts is None:
-            raise PointNotInScale(f"{t!r} is not a point of {self.describe()}")
+            big = isinstance(t, int) and t.bit_length() > 1024
+            shown = f"<int of {t.bit_length()} bits>" if big else reprlib.repr(t)
+            raise error(f"{name}={shown} is not in the scale")
         return ts
 
     def _index(self, t: float) -> int:

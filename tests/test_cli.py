@@ -182,6 +182,36 @@ def test_integ_endpoint_error(capsys):
     assert records(out)[0]["error"] == "EndpointNotInScale"
 
 
+def test_integ_with_no_samplable_endpoint_is_one_record(capsys):
+    # at 1e21 an approach step is below the float spacing: no point to sample
+    code, out, _ = run(
+        capsys,
+        "integ",
+        "--scale", "interval(1e20,1e21)",
+        "--fn", "t",
+        "--beta", "1/2",
+        "--a", "1e20",
+        "--b", "1e21",
+    )
+    assert code == 1
+    [rec] = records(out)
+    assert rec["error"] == "LimitDidNotConverge"
+
+
+def test_deriv_at_an_order_with_a_denominator_past_the_float_range(capsys):
+    code, out, _ = run(
+        capsys,
+        "deriv",
+        "--scale", "grid(0,10,1)",
+        "--fn", "t^2",
+        "--order", "1/" + "9" * 400,
+        "--points", "5",
+    )
+    assert code == 0
+    [rec] = records(out)
+    assert rec["value"] == 9.0 and rec["path"] == "exact-scattered"
+
+
 def test_table_skips_out_of_domain_points(capsys):
     code, out, _ = run(
         capsys,

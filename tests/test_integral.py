@@ -93,11 +93,19 @@ def test_integral_endpoint_must_be_member():
     f = FnOnScale(lambda x: x, T)
     with pytest.raises(EndpointNotInScale):
         nabla_integral(f, 0.25, 4.0)
-    # float() of an int past the float range overflows
-    with pytest.raises(EndpointNotInScale):
-        nabla_integral(f, 0.0, 10**400)
-    with pytest.raises(EndpointNotInScale):
-        delta_frac_integral(f, -(10**400), 4.0, Order(1, 2))
+    # float() of an int past the float range overflows, and str() of 10**5000
+    # exceeds Python's digit limit: the message must not need it
+    for big in (10**400, 10**5000):
+        for integral in (nabla_integral, delta_integral):
+            with pytest.raises(EndpointNotInScale):
+                integral(f, 0.0, big)
+        for integral in (nabla_frac_integral, delta_frac_integral, symmetric_frac_integral):
+            with pytest.raises(EndpointNotInScale):
+                integral(f, -big, 4.0, Order(1, 2))
+        with pytest.raises(EndpointNotInScale):
+            nabla_antiderivative(f, big)
+        with pytest.raises(EndpointNotInScale):
+            nabla_antiderivative(f, 0.0).eval(big)
 
 
 # -- antiderivative -------------------------------------------------------
@@ -439,6 +447,12 @@ def test_endpoint_with_no_admissible_neighbour_reraises():
     T = TimeScale([GeometricGrid(2.0, -41, -40, include_zero=True)])
     with pytest.raises(LimitDidNotConverge, match="no scale points available on the right side"):
         nabla_frac_integral(FnOnScale(lambda x: x, T), 0.0, 2.0**-40, Order(1, 2))
+    # at 1e21 the first step of an approach sequence is below the float
+    # spacing, so the sequence on each side is empty
+    f = FnOnScale(lambda x: x, TimeScale([Interval(1e20, 1e21)]))
+    for integral, side in ((nabla_frac_integral, "right"), (delta_frac_integral, "left"), (symmetric_frac_integral, "left")):
+        with pytest.raises(LimitDidNotConverge, match=f"no scale points available on the {side} side"):
+            integral(f, 1e20, 1e21, Order(1, 2))
 
 
 def test_non_finite_value_raises_in_the_virtual_extension():

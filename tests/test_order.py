@@ -103,6 +103,8 @@ def test_signed_pow_odd_reciprocal():
     assert signed_pow(-8.0, Order(1, 3)) == pytest.approx(-2.0)
     assert signed_pow(-2.0, Order(1, 1)) == -2.0
     assert signed_pow(0.0, Order(1, 5)) == 0.0
+    # a denominator past the float range: 1 / q is exact true division
+    assert signed_pow(-8.0, Order(1, 10**400 + 1)) == -1.0
 
 
 def test_signed_pow_general():

@@ -14,17 +14,30 @@ import pytest
 from tsfrac import (
     ApproachSide,
     DomainMembership,
+    EndpointNotInScale,
     FinitePoints,
     FnOnScale,
     GeometricGrid,
     InsufficientPoints,
     Interval,
+    Order,
     PointClass,
     PointNotInScale,
     SideNotDense,
     TimeScale,
     UniformGrid,
     ValidationError,
+    delta_frac,
+    delta_frac_integral,
+    delta_integral,
+    nabla_antiderivative,
+    nabla_frac,
+    nabla_frac_integral,
+    nabla_integral,
+    symmetric_frac,
+    symmetric_frac_integral,
+    symmetric_via_sides,
+    symmetric_weights,
 )
 
 
@@ -129,10 +142,44 @@ def test_int_past_the_float_range_is_no_point():
     # docstring says, and points_in rejects the bound as it does NaN
     T = TimeScale([Interval(0.0, math.inf)])
     assert T.snap(10**400) is None and not T.contains(-(10**400))
-    with pytest.raises(PointNotInScale):
-        T.sigma(10**400)
+    # str() of 10**5000 exceeds Python's digit limit: the message must not need it
+    for big in (10**400, 10**5000):
+        for query in (
+            T.sigma, T.rho, T.mu, T.nu, T.classify,
+            lambda t: T.approach_sequence(t, ApproachSide.LEFT, 4),
+            lambda t: T.symmetric_pairs(t, 4),
+        ):
+            with pytest.raises(PointNotInScale):
+                query(big)
     with pytest.raises(ValueError, match="float range"):
         T.points_in(0, 10**400, 1)
+
+
+def test_a_non_member_error_names_the_argument_not_the_scale(monkeypatch):
+    # describe() of this scale runs to 1.5 MB: no error message may build it
+    T = TimeScale([FinitePoints([k * 0.5 for k in range(200_000)])])
+    monkeypatch.setattr(TimeScale, "describe", lambda self: pytest.fail("describe() called"))
+    f = FnOnScale(lambda x: x, T)
+    half = Order(1, 2)
+    points = [
+        T.sigma, T.rho, T.mu, T.nu, T.classify,
+        lambda t: T.approach_sequence(t, ApproachSide.LEFT, 4),
+        lambda t: T.symmetric_pairs(t, 4),
+        lambda t: symmetric_weights(T, t, half),
+        *(lambda t, d=d: d(f, t, half) for d in (nabla_frac, delta_frac, symmetric_frac, symmetric_via_sides)),
+    ]
+    endpoints = [
+        lambda t: nabla_integral(f, 0.0, t),
+        lambda t: delta_integral(f, 0.0, t),
+        *(lambda t, i=i: i(f, 0.0, t, half) for i in (nabla_frac_integral, delta_frac_integral, symmetric_frac_integral)),
+        lambda t: nabla_antiderivative(f, t),
+        nabla_antiderivative(f, 0.0).eval,
+    ]
+    for calls, error in ((points, PointNotInScale), (endpoints, EndpointNotInScale)):
+        for call in calls:
+            with pytest.raises(error) as exc:
+                call(0.25)
+            assert str(exc.value).endswith("=0.25 is not in the scale") and len(str(exc.value)) < 100
 
 
 def test_overlapping_components_merge():
