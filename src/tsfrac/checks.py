@@ -32,10 +32,9 @@ import random
 from dataclasses import dataclass
 
 from .derivative import (
+    _DERIVS,
     _KINDS,
-    DerivKind,
     FnOnScale,
-    delta_frac,
     nabla_frac,
     order_lowering_check,
     symmetric_frac,
@@ -57,10 +56,6 @@ _LOWERED_VALUE_TOL = 1e-5
 
 _ALPHAS = (Order(1, 3), Order(1, 2), Order(3, 4), Order(1, 1))
 _BETAS = (Order(1, 4), Order(1, 2), Order(3, 4), Order(1, 1))
-
-#: the derivative of each kind; a dict, so that a wrapper put in its values
-#: reaches every suite
-_DERIVS = {DerivKind.NABLA: nabla_frac, DerivKind.DELTA: delta_frac, DerivKind.SYMMETRIC: symmetric_frac}
 
 _UNIT_INTERVAL = TimeScale([Interval(-1.0, 1.0)])
 

@@ -25,25 +25,13 @@ import math
 import sys
 
 from .checks import SUITE_NAMES, run_suite
-from .derivative import FnOnScale, delta_frac, nabla_frac, symmetric_frac
+from .derivative import _DERIVS, DerivKind, FnOnScale
 from .errors import PointNotInScale, PointOutsideDomain, TsfracError
 from .exprlang import parse_scale
-from .integral import (
-    QuadratureConfig,
-    delta_frac_integral,
-    nabla_frac_integral,
-    symmetric_frac_integral,
-)
+from .integral import _CAUCHY, QuadratureConfig
 from .order import LimitConfig, Order
 
 __all__ = ["main", "build_parser"]
-
-_DERIV = {"nabla": nabla_frac, "delta": delta_frac, "symmetric": symmetric_frac}
-_INTEG = {
-    "nabla": nabla_frac_integral,
-    "delta": delta_frac_integral,
-    "symmetric": symmetric_frac_integral,
-}
 
 
 class _UsageError(Exception):
@@ -78,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     kind = argparse.ArgumentParser(add_help=False)
     kind.add_argument(
         "--kind",
-        choices=("nabla", "delta", "symmetric"),
+        choices=[k.value for k in DerivKind],
         default="nabla",
         help="derivative/integral flavor (default nabla)",
     )
@@ -211,7 +199,7 @@ def _deriv_rows(args, points_of, skip=()):
     f = FnOnScale.from_expression(args.fn, T)
     order = Order.parse(args.order)
     cfg = _limit_config(args)
-    compute = _DERIV[args.kind]
+    compute = _DERIVS[DerivKind(args.kind)]
     records = []
     code = 0
     for t in points_of(T):
@@ -249,7 +237,7 @@ def cmd_integ(args):
     beta = Order.parse(args.beta, allow_zero=True)
     cfg = _limit_config(args)
     qc = QuadratureConfig(**_given(args, ("rel_tol", "abs_tol"), "quad_"))
-    compute = _INTEG[args.kind]
+    compute = _CAUCHY[DerivKind(args.kind)]
     try:
         value = compute(f, args.a, args.b, beta, cfg, qc)
     except (TsfracError, ValueError) as exc:
@@ -272,8 +260,6 @@ def cmd_table(args):
     def points_of(T):
         a = T.inf_value if args.a is None else _finite("--a", args.a)
         b = T.sup_value if args.b is None else _finite("--b", args.b)
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError("table over an unbounded scale needs explicit --a and --b")
         return T.points_in(a, b, density=args.density)
 
     # a point outside the derivative's domain (a scattered end) has no row

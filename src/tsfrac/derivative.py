@@ -301,6 +301,11 @@ def symmetric_frac(
     return _frac(f, t, order, cfg, DerivKind.SYMMETRIC)
 
 
+#: the derivative of each kind; a dict, so that a wrapper put in its values
+#: reaches every caller that dispatches by kind
+_DERIVS = {DerivKind.NABLA: nabla_frac, DerivKind.DELTA: delta_frac, DerivKind.SYMMETRIC: symmetric_frac}
+
+
 def symmetric_weights(T: TimeScale, t: float, order: Order) -> SymmetricWeights:
     """The pair (gamma1, gamma2) combining delta and nabla derivatives into
     the symmetric one at t."""

@@ -100,33 +100,34 @@ class Neg(Expr):
 
 
 @dataclass(frozen=True)
-class Add(Expr):
+class _Binary(Expr):
+    """A node with two operands.  The infix ones, + - * /, chain to the left
+    and say how they print: ``symbol`` between the operands, binding at
+    precedence ``prec`` (class attributes, not fields)."""
+
     left: Expr
     right: Expr
+    symbol = prec = None
 
 
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
+class Add(_Binary):
+    symbol, prec = " + ", 1
 
 
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
+class Sub(_Binary):
+    symbol, prec = " - ", 1
 
 
-@dataclass(frozen=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
+class Mul(_Binary):
+    symbol, prec = "*", 2
 
 
-@dataclass(frozen=True)
-class Pow(Expr):
-    left: Expr
-    right: Expr
+class Div(_Binary):
+    symbol, prec = "/", 2
+
+
+class Pow(_Binary):
+    """``left^right``, right associative; its kernel step is ``pow(left, right)``."""
 
 
 @dataclass(frozen=True)
@@ -265,20 +266,20 @@ def parse_expr(src: str) -> Expr:
 
 
 def _expr(p: _Parser) -> Expr:
-    node = _term(p)
-    while p.at_op("+", "-"):
-        op = p.take().text
-        rhs = _term(p)
-        node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-    return node
+    return _chain(p, _term, Add, Sub)
 
 
 def _term(p: _Parser) -> Expr:
-    node = _unary(p)
-    while p.at_op("*", "/"):
-        op = p.take().text
-        rhs = _unary(p)
-        node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+    return _chain(p, _unary, Mul, Div)
+
+
+def _chain(p: _Parser, operand, *infix) -> Expr:
+    """``operand (op operand)*`` as a left chain, each op the symbol of one of
+    the infix node classes."""
+    by_op = {cls.symbol.strip(): cls for cls in infix}
+    node = operand(p)
+    while p.at_op(*by_op):
+        node = by_op[p.take().text](node, operand(p))
     return node
 
 
@@ -342,19 +343,10 @@ def _call(p: _Parser, name_tok: _Token) -> Expr:
 _FUNCS = {"sqrt": math.sqrt, "abs": abs, "sin": math.sin, "cos": math.cos, "exp": math.exp,
           "ln": math.log, "pow": math.pow}
 
+#: binding precedences above the infix nodes' own (1 for + -, 2 for * /)
 _ATOM_PREC = 9
-_SUM_PREC = 1
-_PROD_PREC = 2
 _NEG_PREC = 3
 _POW_PREC = 4
-
-#: the infix nodes a left spine chains: printed operator (Python's, once stripped), precedence
-_INFIX = {
-    Add: (" + ", _SUM_PREC),
-    Sub: (" - ", _SUM_PREC),
-    Mul: ("*", _PROD_PREC),
-    Div: ("/", _PROD_PREC),
-}
 
 _ARITH = (ValueError, ZeroDivisionError, OverflowError)
 
@@ -379,7 +371,7 @@ def _domain_error(node: Expr, t, exc=None) -> EvalDomainError:
 def _left_spine(e: Expr):
     """The operand that ends e's left chain of + - * / nodes, and the chain, innermost first."""
     spine = []
-    while type(e) in _INFIX:
+    while isinstance(e, _Binary) and e.symbol is not None:
         spine.append(e)
         e = e.left
     return e, spine[::-1]
@@ -456,7 +448,7 @@ def _kernel_source(root: Expr):
         if spine:  # a left chain is a loop here, not a recursion
             out = emit(first, slot, spine[0])
             for n in spine:
-                out = check(n, slot, f"{out} {_INFIX[type(n)][0].strip()} {emit(n.right, slot + 1, n)}")
+                out = check(n, slot, f"{out} {n.symbol.strip()} {emit(n.right, slot + 1, n)}")
             return out
         if isinstance(e, Const):
             consts.append(e.value)
@@ -501,10 +493,9 @@ def _fmt(e: Expr, slot: int) -> str:
     else:
         raise TypeError(f"not an Expr node: {e!r}")
     for node in spine:  # outward along the left spine, without recursion
-        symbol, node_prec = _INFIX[type(node)]
-        if prec < node_prec:
+        if prec < node.prec:
             text = f"({text})"
-        text, prec = f"{text}{symbol}{_fmt(node.right, node_prec + 1)}", node_prec
+        text, prec = f"{text}{node.symbol}{_fmt(node.right, node.prec + 1)}", node.prec
     return f"({text})" if prec < slot else text
 
 

@@ -49,7 +49,7 @@ import threading
 import warnings
 from dataclasses import dataclass, field
 
-from .derivative import DerivKind, FnOnScale, delta_frac, nabla_frac, symmetric_weights
+from .derivative import _DERIVS, DerivKind, FnOnScale, symmetric_weights
 from .errors import (
     EndpointAdjustedWarning,
     EndpointNotInScale,
@@ -134,9 +134,7 @@ def _simpson_rec(g, lo, hi, fl, fm, fh, whole, eps, depth):
 
 
 def _quad(g, lo: float, hi: float, qc: QuadratureConfig) -> float:
-    """Adaptive Simpson integral of g over [lo, hi]."""
-    if hi <= lo:
-        return 0.0
+    """Adaptive Simpson integral of g over [lo, hi], lo < hi."""
     m = 0.5 * (lo + hi)
     fl = _finite_sample(g, lo)
     fm = _finite_sample(g, m)
@@ -220,7 +218,7 @@ class Antiderivative:
     base: FnOnScale
     anchor: float
     kind: DerivKind
-    qc: QuadratureConfig = field(default_factory=QuadratureConfig)
+    qc: QuadratureConfig | None = None  # None: the default QuadratureConfig
     _lock: threading.Lock = field(init=False, repr=False, compare=False)
     _known: dict = field(init=False, repr=False, compare=False)
     _keys: list = field(init=False, repr=False, compare=False)
@@ -229,7 +227,9 @@ class Antiderivative:
         if self.kind not in (DerivKind.NABLA, DerivKind.DELTA):
             raise ValidationError("antiderivative kind must be nabla or delta")
         anchor = self.base.scale._require_member(self.anchor, "t0", EndpointNotInScale)
-        object.__setattr__(self, "anchor", anchor)
+        self.anchor = anchor
+        if self.qc is None:
+            self.qc = QuadratureConfig()
         self._lock = threading.Lock()
         self._known = {anchor: 0.0}
         self._keys = [anchor]
@@ -258,13 +258,13 @@ def nabla_antiderivative(
     f: FnOnScale, t0: float, qc: QuadratureConfig | None = None
 ) -> Antiderivative:
     """F with F(t0) = 0 and nabla derivative f on the scale."""
-    return Antiderivative(f, t0, DerivKind.NABLA, qc or QuadratureConfig())
+    return Antiderivative(f, t0, DerivKind.NABLA, qc)
 
 
 def delta_antiderivative(
     f: FnOnScale, t0: float, qc: QuadratureConfig | None = None
 ) -> Antiderivative:
-    return Antiderivative(f, t0, DerivKind.DELTA, qc or QuadratureConfig())
+    return Antiderivative(f, t0, DerivKind.DELTA, qc)
 
 
 def _nearest_admissible(T: TimeScale, ts: float, cfg: LimitConfig):
@@ -297,7 +297,7 @@ def _frac_deriv_at(
 ) -> float:
     """G(ts) where G is the order-(1-beta) derivative of F, with the two
     endpoint fallbacks described in the module docstring."""
-    deriv = nabla_frac if kind is DerivKind.NABLA else delta_frac
+    deriv = _DERIVS[kind]
     T = F.scale
     try:
         return deriv(F, ts, order, cfg).value
@@ -362,7 +362,7 @@ def _cauchy(
         wb = symmetric_weights(T, sb, beta)
         terms = [(DerivKind.DELTA, wa.gamma1, wb.gamma1), (DerivKind.NABLA, wa.gamma2, wb.gamma2)]
     elif beta.is_one:
-        return (nabla_integral if kind is DerivKind.NABLA else delta_integral)(f, sa, sb, qc)
+        return _walk(f, sa, sb, qc, kind)
     else:
         anchor = sa
         terms = [(kind, 1.0, 1.0)]
@@ -433,3 +433,12 @@ def symmetric_frac_integral(
     beta=1 on scales whose graininess ratio varies.
     """
     return _cauchy(f, a, b, beta, cfg, qc, DerivKind.SYMMETRIC)
+
+
+#: the Cauchy integral of each kind; a dict, so that a wrapper put in its
+#: values reaches every caller that dispatches by kind
+_CAUCHY = {
+    DerivKind.NABLA: nabla_frac_integral,
+    DerivKind.DELTA: delta_frac_integral,
+    DerivKind.SYMMETRIC: symmetric_frac_integral,
+}

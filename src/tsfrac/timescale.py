@@ -304,8 +304,8 @@ class GeometricGrid:
             )
         if self.k_max - self.k_min > 100_000:
             raise ValidationError("qgrid exponent range is unreasonably large")
-        if self.sign not in (1, -1):
-            raise ValidationError(f"qgrid sign must be +1 or -1, got {self.sign}")
+        if type(self.sign) is not int or self.sign not in (1, -1):
+            raise ValidationError(f"qgrid sign must be the integer 1 or -1, got {self.sign!r}")
         try:
             top = q ** float(self.k_max)
         except OverflowError:

@@ -8,7 +8,18 @@ import random
 
 import pytest
 
-from tsfrac import SUITE_NAMES, ComputePath, DerivKind, LimitConfig, LimitDidNotConverge, SuiteReport, checks, run_suite
+from tsfrac import (
+    SUITE_NAMES,
+    ComputePath,
+    DerivKind,
+    FinitePoints,
+    LimitConfig,
+    LimitDidNotConverge,
+    SuiteReport,
+    TimeScale,
+    checks,
+    run_suite,
+)
 from tsfrac.cli import main
 
 
@@ -116,6 +127,30 @@ def test_generated_scales_always_have_a_usable_interior_member():
         assert checks._interior(T, lambda cls: not cls.dense), T.describe()
 
 
+class _ZeroRng:
+    """Draws the smallest integer and 0.0 every time."""
+
+    def randint(self, lo, hi):
+        return lo
+
+    def uniform(self, lo, hi):
+        return 0.0
+
+
+def test_bounded_poly_falls_back_to_a_shift():
+    # every draw is the zero polynomial, so none stays away from zero
+    T = checks._UNIT_INTERVAL
+    fn = checks._rand_bounded_poly(_ZeroRng(), T, (0.0, 0.5))
+    assert [fn.eval(x) for x in (0.0, 0.5)] == [5.0, 5.0]
+
+
+def test_integral_laws_reports_a_scale_without_three_interior_points(monkeypatch):
+    monkeypatch.setattr(checks, "_discrete_scale", lambda rng: TimeScale([FinitePoints((0.0, 1.0, 2.0))]))
+    report = run_suite("integral-laws", trials=3)
+    assert report.failures == 3
+    assert all("too few interior points in points(0,1,2)" in m for m in report.messages)
+
+
 def test_symmetric_relation_reports_a_raising_dense_derivative(monkeypatch):
     real = checks.symmetric_via_sides
 
@@ -138,3 +173,20 @@ def test_symmetric_relation_seed_17_gives_a_report(capsys):
     main(["check", "--suite", "symmetric-relation", "--seed", "17"])
     [rec] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert rec["suite"] == "symmetric-relation" and "passed" in rec
+
+
+@pytest.mark.parametrize(
+    "outcome, expected",
+    [(LimitDidNotConverge("no samples"), "higher order failed (no samples)"), (False, "")],
+    ids=["higher-order-raises", "lower-order-fails"],
+)
+def test_order_lowering_reports_each_failed_trial(monkeypatch, outcome, expected):
+    def check(*args):
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(checks, "order_lowering_check", check)
+    report = run_suite("order-lowering", seed=0, trials=4)
+    assert report.failures == 4
+    assert all(m.startswith("trial ") and m.endswith(expected) for m in report.messages), report.messages

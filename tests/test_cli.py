@@ -226,6 +226,22 @@ def test_table_skips_out_of_domain_points(capsys):
     assert [r["t"] for r in recs] == [1.0, 3.0]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_table_with_no_row_prints_nothing(capsys, fmt):
+    # both points of points(0,1) are scattered extrema, outside the symmetric
+    # domain, so the table has no row and no header either
+    code, out, err = run(
+        capsys,
+        "table",
+        "--scale", "points(0,1)",
+        "--fn", "t",
+        "--order", "1/2",
+        "--kind", "symmetric",
+        "--format", fmt,
+    )
+    assert (code, out, err) == (0, "", "")
+
+
 def test_table_range_flags(capsys):
     code, out, _ = run(
         capsys,

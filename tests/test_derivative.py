@@ -422,6 +422,16 @@ def test_order_lowering_dense():
     assert order_lowering_check(f, 0.5, Order(1, 2), Order(1, 1), cfg)
 
 
+def test_order_lowering_fails_when_only_the_lower_order_is_undefined():
+    # at the right end of an interval order 1 takes its limit from the left,
+    # while order 1/2 admits only the right side, where there are no points
+    f = FnOnScale(lambda x: x * x, TimeScale([Interval(0.0, 1.0)]))
+    assert nabla_frac(f, 1.0, Order(1, 1)).value == pytest.approx(2.0, abs=1e-6)
+    with pytest.raises(LimitDidNotConverge, match="no scale points"):
+        nabla_frac(f, 1.0, Order(1, 2))
+    assert order_lowering_check(f, 1.0, Order(1, 2), Order(1, 1)) is False
+
+
 # -- FnOnScale ------------------------------------------------------------
 
 

@@ -126,6 +126,17 @@ def test_delta_antiderivative_sums_left_riemann_terms():
     assert [F(b) for b in (0.0, 1.0, 2.0, 3.0)] == [0.0, 0.0, 1.0, 3.0]
 
 
+@pytest.mark.parametrize("kind", [DerivKind.NABLA, DerivKind.DELTA])
+def test_antiderivative_without_a_config_uses_the_default(kind):
+    # a None config used to reach the quadrature and fail there with AttributeError
+    f = FnOnScale(lambda x: x * x, TimeScale([Interval(0.0, 1.0)]))
+    F = Antiderivative(f, 0.0, kind, None)
+    assert F.qc == QuadratureConfig()
+    assert F.eval(0.5) == pytest.approx(0.125 / 3, rel=1e-12)
+    maker = nabla_antiderivative if kind is DerivKind.NABLA else delta_antiderivative
+    assert maker(f, 0.0, None).eval(0.5) == F.eval(0.5)
+
+
 def test_antiderivative_is_nabla_or_delta():
     with pytest.raises(ValidationError, match="nabla or delta"):
         Antiderivative(FnOnScale(lambda x: x, grid(0, 3)), 0.0, DerivKind.SYMMETRIC)

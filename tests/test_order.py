@@ -3,6 +3,7 @@
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -76,6 +77,8 @@ def test_order_value_and_complement():
     assert a.one_minus() == Order(3, 4)
     assert Order(1, 1).one_minus().is_zero
     assert Order(2, 5).one_minus() == Order(3, 5)
+    assert float(Order(1, 4)) == 0.25
+    assert Order(2, 6).as_fraction() == Order(1, 3).as_fraction() == 1 / Fraction(3)
 
 
 def test_order_comparisons():
@@ -196,6 +199,7 @@ def test_estimate_limit_geometric_decay():
     assert res.converged
     assert res.value == pytest.approx(1.0, abs=1e-8)
     assert res.err_est <= 1e-9
+    assert estimate_limit(seq) == estimate_limit(seq, LimitConfig())
 
 
 def test_estimate_limit_needs_two_small_diffs():

@@ -116,13 +116,19 @@ def test_scale_needs_a_component():
         (lambda: GeometricGrid(2.0, 3, 1), "k_min <= k_max"),
         (lambda: GeometricGrid(1.5, 0, 100_001), "exponent range is unreasonably large"),
         (lambda: GeometricGrid(2.0, 0, 3, sign=2), "sign must be"),
+        (lambda: GeometricGrid(2.0, 0, 3, sign=True), "sign must be"),
+        (lambda: GeometricGrid(2.0, 0, 3, sign=1.0), "sign must be"),
+        (lambda: GeometricGrid(2.0, 0, 3, sign=-1.0), "sign must be"),
         (lambda: GeometricGrid(2.0, 0, 2000), "largest member overflows"),
         (lambda: TimeScale([object()]), "not a scale component"),
+        (lambda: TimeScale([Interval(0.0, 1.0)], snap_tol=0.0), "snap tolerance out of range"),
+        (lambda: TimeScale([Interval(0.0, 1.0)], snap_tol=1.5), "snap tolerance out of range"),
     ],
     ids=[
         "interval-none", "interval-nan", "interval-inf-inf", "points-empty", "points-inf",
         "grid-inf", "grid-step-near-tol", "grid-reversed", "qgrid-reversed", "qgrid-range",
-        "qgrid-sign", "qgrid-overflow", "not-a-component",
+        "qgrid-sign", "qgrid-sign-bool", "qgrid-sign-float", "qgrid-sign-negative-float",
+        "qgrid-overflow", "not-a-component", "snap-tol-zero", "snap-tol-past-1",
     ],
 )
 def test_components_reject_bad_input(build, match):
@@ -497,6 +503,16 @@ def test_json_text_must_parse():
         TimeScale.from_json("{")
 
 
+@pytest.mark.parametrize("sign", ["true", "false", "1.0", "-1.0", "1e0"])
+def test_json_qgrid_sign_must_be_an_integer(sign):
+    # a bool or float sign used to load, and true was written back as "sign": true
+    text = '{"components": [{"kind": "qgrid", "q": 2.0, "kmin": 0, "kmax": 3, "sign": %s}]}'
+    with pytest.raises(ValidationError, match="sign must be the integer 1 or -1"):
+        TimeScale.from_json(text % sign)
+    back = TimeScale.from_json(text % "-1")
+    assert json.loads(back.to_json())["components"][0]["sign"] == -1
+
+
 @pytest.mark.parametrize(
     "text",
     ["[" * 100000, '{"components": [{"kind": "points", "points": [1' + "0" * 5000 + "]}]}"],
@@ -641,6 +657,7 @@ def test_describe_round_trips_through_parser():
     T = make_hybrid()
     again = parse_scale(T.describe())
     assert again.describe() == T.describe()
+    assert repr(again) == repr(T) == f"TimeScale({T.describe()})"
 
 
 def test_random_discrete_scales_sigma_rho_inverse():
