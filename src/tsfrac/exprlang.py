@@ -1,7 +1,8 @@
 """Text forms used by the CLI: a small function language and a scale
 description language.
 
-Function grammar (whitespace insensitive)::
+Function grammar; tokens may be separated by spaces, tabs, CRs and LFs, and by no
+other character::
 
     expr    := term (("+" | "-") term)*
     term    := unary (("*" | "/") unary)*
@@ -32,12 +33,13 @@ Scale grammar::
               | "grid" "(" number "," number "," number ")"
               | "qgrid" "(" number "," integer "," integer ("," "zero")? ")"
 
-Number literals everywhere are rounded once, correctly, to float (``float``
-of the text), so a literal like 0.1 lands on the same float the scale
-constructors produce.  A literal past the float range or longer than
-``_MAX_LITERAL`` characters is an ExprSyntaxError at its column, and a
-``qgrid`` exponent must be an exact integer.  Both parsers reject input
-that nests more than 100 levels deep (``_MAX_DEPTH``) with ExprSyntaxError.
+Number literals everywhere are decimal or scientific, in ASCII digits, and
+rounded once, correctly, to float (``float`` of the text), so a literal like
+0.1 lands on the same float the scale constructors produce.  A literal past
+the float range or longer than ``_MAX_LITERAL`` characters is an
+ExprSyntaxError at its column, and a ``qgrid`` exponent must be an exact
+integer.  Both parsers reject input that nests more than 100 levels deep
+(``_MAX_DEPTH``) with ExprSyntaxError.
 """
 
 from __future__ import annotations
@@ -154,35 +156,21 @@ _MAX_DEPTH = 100
 #: longest number literal accepted (Python's own limit for integer strings)
 _MAX_LITERAL = 4300
 
-_NUM_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+#: a token after optional whitespace (space, tab, CR or LF), its kind the name of the
+#: group it matches; digits are ASCII only, as in identifiers.  A character that starts
+#: no token begins a "bad" match of the rest of the source, so it is the last match.
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]*(?:(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^(),])|(?P<bad>[^ \t\r\n].*))",
+    re.S,
+)
 
 
 def _tokenize(src: str) -> list:
-    out = []
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        m = _NUM_RE.match(src, i)
-        if m:
-            out.append(_Token("num", m.group(0), i + 1))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(src, i)
-        if m:
-            out.append(_Token("ident", m.group(0), i + 1))
-            i = m.end()
-            continue
-        if ch in "+-*/^(),":
-            out.append(_Token("op", ch, i + 1))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", position=i + 1)
-    out.append(_Token("end", "", n + 1))
+    out = [_Token(kind := m.lastgroup, m[kind], m.start(kind) + 1) for m in _TOKEN_RE.finditer(src)]
+    if out and out[-1].kind == "bad":
+        raise ExprSyntaxError(f"unexpected character {out[-1].text[0]!r}", position=out[-1].pos)
+    out.append(_Token("end", "", len(src) + 1))
     return out
 
 
@@ -202,12 +190,12 @@ class _Parser:
         return tok
 
     def at_op(self, *ops: str) -> bool:
-        return self.cur.kind == "op" and self.cur.text in ops
+        return self.toks[self.i].text in ops  # only an op token's text is punctuation
 
     def expect_op(self, op: str) -> None:
-        if not self.at_op(op):
+        if self.toks[self.i].text != op:
             self.fail(f"'{op}'")
-        self.take()
+        self.i += 1
 
     def items(self, *reads, least=None, repeat=False) -> list:
         """The items of a list ``( item, item, ... )``, item k read by reads[k]
@@ -554,13 +542,11 @@ def _zero(p: _Parser) -> bool:
 
 
 def _signed_num_text(p: _Parser) -> "tuple[str, _Token]":
-    sign = ""
-    if p.at_op("-") or p.at_op("+"):
-        sign = p.take().text
+    sign = p.take().text if p.at_op("-", "+") else ""
     tok = p.cur
     if tok.kind != "num":
         p.fail("a number")
-    p.take()
+    p.i += 1
     return ("-" + tok.text if sign == "-" else tok.text), tok
 
 

@@ -48,6 +48,7 @@ import math
 import reprlib
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import (
     InsufficientPoints,
@@ -205,9 +206,8 @@ class FinitePoints:
         vals = sorted({_require_finite_number("point", v) for v in values})
         if not vals:
             raise ValidationError("points component requires at least one point")
-        for v in vals:
-            if math.isinf(v):
-                raise ValidationError("points must be finite")
+        if math.isinf(vals[0]) or math.isinf(vals[-1]):  # sorted: an infinity is at an end
+            raise ValidationError("points must be finite")
         object.__setattr__(self, "values", tuple(vals))
 
     def iter_members(self):
@@ -260,7 +260,8 @@ class UniformGrid:
         return self._count  # type: ignore[attr-defined]
 
     def iter_members(self):
-        return (self.start + k * self.step for k in range(self.count))
+        start, step = self.start, self.step
+        return iter([start + k * step for k in range(self.count)])
 
     def to_json_dict(self) -> dict:
         return {
@@ -364,7 +365,10 @@ def _coalesce(values: list[float], tol: float) -> list[float]:
 
 def _normalize(comps: list, tol: float):
     """The merged intervals, sorted and disjoint, and the surviving discrete
-    components as (component, sorted members) pairs."""
+    components as (component, sorted members) pairs.  A lone discrete
+    component is kept as given, a point set coalesced; components fused by
+    members within tol of each other coalesce into one point set.  A grid
+    with consecutive members within tol of each other is a ValidationError."""
     intervals: list[Interval] = []
     discretes: list = []
     for c in comps:
@@ -385,7 +389,8 @@ def _normalize(comps: list, tol: float):
         else:
             merged.append(iv)
 
-    # absorb discrete members covered by an interval
+    # absorb discrete members covered by an interval, testing them one by one
+    # only where the component's hull [first, last] meets an interval's reach
     reach = [iv.lo - tol for iv in merged]
 
     def covered(v: float) -> bool:
@@ -395,13 +400,26 @@ def _normalize(comps: list, tol: float):
     parts: list = []
     for c in discretes:
         members = list(c.iter_members())
-        kept = [m for m in members if not covered(m)]
-        if kept:
-            parts.append((c if len(kept) == len(members) else FinitePoints(kept), kept))
+        # a grid member is two roundings, each within ulp(w)/2 for w = |start| + |stop| + step,
+        # off start + k*step, so members of a step over tol + 4 ulp(w) cannot come within tol
+        if isinstance(c, UniformGrid) and c.step - 4 * math.ulp(abs(c.start) + abs(c.stop) + c.step) <= tol:
+            for a, b in zip(members, members[1:]):
+                if b - a <= tol:
+                    raise ValidationError(
+                        f"{c.describe()} has members {a!r} and {b!r} within the membership tolerance {tol}"
+                    )
+        i = bisect.bisect_right(reach, members[-1]) - 1  # the last interval reaching below the hull's top
+        if i >= 0 and members[0] <= merged[i].hi + tol:
+            kept = [m for m in members if not covered(m)]
+            if not kept:
+                continue
+            if len(kept) < len(members):
+                c, members = FinitePoints(kept), kept
+        parts.append((c, members))
 
     # fuse the components linked by members within tol of each other (one
-    # sorted merge of all members, a union-find over the links), then
-    # coalesce every point set
+    # sorted merge of all members, a union-find over the links, needed only
+    # where two hulls come within tol), then coalesce every point set
     parent = list(range(len(parts)))
 
     def root(i: int) -> int:
@@ -410,7 +428,8 @@ def _normalize(comps: list, tol: float):
             i = parent[i]
         return i
 
-    if len(parts) > 1:
+    hulls = sorted((ms[0], ms[-1]) for _, ms in parts)
+    if any(lo - hi <= tol for (_, hi), (lo, _) in zip(hulls, hulls[1:])):
         tagged = sorted((m, i) for i, (_, ms) in enumerate(parts) for m in ms)
         for (a, i), (b, j) in zip(tagged, tagged[1:]):
             if b - a <= tol:
@@ -420,12 +439,12 @@ def _normalize(comps: list, tol: float):
         fused.setdefault(root(i), []).append(part)
     survivors = []
     for members_of in fused.values():
-        c = members_of[0][0]
+        c, ms = members_of[0]
         if len(members_of) > 1 or isinstance(c, FinitePoints):
-            values = _coalesce([m for _, ms in members_of for m in ms], tol)
-            survivors.append((FinitePoints(values), values))
-        else:
-            survivors.append(members_of[0])
+            values = _coalesce([m for _, part in members_of for m in part], tol)
+            if len(members_of) > 1 or len(values) < len(ms):  # else c is unchanged
+                c, ms = FinitePoints(values), values
+        survivors.append((c, ms))
     return merged, survivors
 
 
@@ -483,7 +502,7 @@ class TimeScale:
         # and _pts[i] (unbounded at i == 0 and i == len(_pts)) is an interval;
         # packed arrays hold a large grid in a quarter of the memory of floats
         ends = [x for iv in intervals for x in (iv.lo, iv.hi) if math.isfinite(x)]
-        pts = array("d", sorted([m for _, ms in survivors for m in ms] + ends))
+        pts = array("d", sorted(chain(ends, *(ms for _, ms in survivors))))
         inside = bytearray(len(pts) + 1)
         for iv in intervals:
             inside[bisect.bisect_left(pts, iv.hi) if math.isfinite(iv.hi) else len(pts)] = 1

@@ -167,6 +167,25 @@ def test_error_position_bad_character():
         assert e.value.position == column
 
 
+@pytest.mark.parametrize(
+    "parse, text, column",
+    [
+        (parse_expr, "t*١٠", 3),
+        (parse_expr, "２^t", 1),
+        (parse_expr, "t+1.٥", 5),
+        (parse_scale, "points(١٢)", 8),
+        (parse_scale, "grid(0,٣,1)", 8),
+        (parse_scale, "qgrid(2,-٤,0)", 10),
+    ],
+    ids=["expr-arabic-indic", "expr-fullwidth", "expr-fraction-digit", "points", "grid", "qgrid-exponent"],
+)
+def test_number_literals_have_ascii_digits_only(parse, text, column):
+    # float() reads any Unicode digit, so t*١٠ was t*10 and points(١٢) was points(12)
+    with pytest.raises(ExprSyntaxError, match="unexpected character") as e:
+        parse(text)
+    assert e.value.position == column
+
+
 def test_tokens_pin_kind_text_and_column():
     # every operator, every number form, identifiers with '_' and digits, and
     # each whitespace character the scanner skips
@@ -191,6 +210,9 @@ def test_tokens_pin_kind_text_and_column():
         ("num", "1", 34),
         ("end", "", 35),
     ]
+    # whitespace before the end is skipped, and the end stands one past the last column
+    assert [(tok.kind, tok.pos) for tok in _tokenize(" t \n")] == [("ident", 2), ("end", 5)]
+    assert [(tok.kind, tok.pos) for tok in _tokenize(" \t")] == [("end", 3)]
 
 
 def test_error_position_unbalanced_paren():

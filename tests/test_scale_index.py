@@ -8,10 +8,13 @@ near endpoint of an interval).  The scales are seeded random unions of
 intervals (some touching or overlapping, some unbounded), point sets,
 uniform grids and geometric grids of both signs, with and without 0.  The
 queries run grouped by point, shuffled, and from four threads at once.
+Each union is also rebuilt from its text form, with and without whitespace
+between the tokens, and must give the same index.
 """
 
 import math
 import random
+import re
 import sys
 import threading
 
@@ -19,12 +22,14 @@ import pytest
 
 from tsfrac import (
     ApproachSide,
+    ExprSyntaxError,
     FinitePoints,
     GeometricGrid,
     Interval,
     TimeScale,
     TsfracError,
     UniformGrid,
+    parse_scale,
 )
 
 LEFT, RIGHT = ApproachSide.LEFT, ApproachSide.RIGHT
@@ -205,8 +210,12 @@ def _random_component(rng: random.Random):
     return Interval(base + 20, math.inf)
 
 
+def _random_components(rng: random.Random) -> list:
+    return [_random_component(rng) for _ in range(rng.randint(1, 6))]
+
+
 def _random_scale(rng: random.Random) -> TimeScale:
-    return TimeScale([_random_component(rng) for _ in range(rng.randint(1, 6))])
+    return TimeScale(_random_components(rng))
 
 
 def _queries(O: Oracle, rng: random.Random):
@@ -309,3 +318,50 @@ def test_threads_sharing_a_scale_get_the_serial_answers():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert answers == [serial * 3] * 4
+
+
+#: the tokens of a scale text: numbers (signs apart), names and punctuation
+_SCALE_TOKEN = re.compile(r"[0-9.]+(?:e[-+]?[0-9]+)?|[a-z]+|[-+(),]")
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_scale_text_rebuilds_the_same_index(seed):
+    # a random union's describe() text, and that text with random runs of the four
+    # whitespace characters around its tokens, parse to the same index; the text
+    # has no unbounded interval and writes a mirrored geometric grid as its points
+    rng = random.Random(seed)
+    comps = [c for c in _random_components(rng) if not (isinstance(c, Interval) and math.isinf(c.hi - c.lo))]
+    T = TimeScale(comps or [Interval(0.0, 1.0)])
+    written = tuple(
+        FinitePoints(tuple(c.iter_members())) if isinstance(c, GeometricGrid) and c.sign < 0 else c
+        for c in T.components
+    )
+    text = T.describe()
+    tokens = _SCALE_TOKEN.findall(text)
+    assert "".join(tokens) == text
+
+    def blanks():
+        return "".join(rng.choice(" \t\r\n") for _ in range(rng.randint(0, 3)))
+
+    spaced = blanks() + "".join(tok + blanks() for tok in tokens)
+    for src in (text, spaced):
+        U = parse_scale(src)
+        assert bytes(U._pts) == bytes(T._pts) and U._inside == T._inside, src
+        assert (U.components, U.inf_value, U.sup_value) == (written, T.inf_value, T.sup_value), src
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        ("points(1,\f2)", 10),
+        ("grid(0,\v3,1)", 8),
+        ("interval(0,\xa01)", 12),
+        ("union(points(1),points(\u0661))", 24),
+    ],
+    ids=["form-feed", "vertical-tab", "no-break-space", "arabic-indic-digit"],
+)
+def test_characters_the_scanner_does_not_read_fail_at_their_column(text, column):
+    # only space, tab, CR and LF separate tokens, and digits are ASCII
+    with pytest.raises(ExprSyntaxError, match="unexpected character") as e:
+        parse_scale(text)
+    assert e.value.position == column

@@ -7,6 +7,7 @@ import json
 import math
 import pickle
 import random
+import re
 import time
 
 import pytest
@@ -110,6 +111,7 @@ def test_scale_needs_a_component():
         (lambda: Interval(math.inf, math.inf), "out of order at infinity"),
         (lambda: FinitePoints([]), "at least one point"),
         (lambda: FinitePoints([math.inf]), "points must be finite"),
+        (lambda: FinitePoints([1.0, -math.inf, 2.0]), "points must be finite"),
         (lambda: UniformGrid(0.0, math.inf, 1.0), "grid parameters must be finite"),
         (lambda: UniformGrid(0.0, 1.0, 4e-12), "too close to the membership tolerance"),
         (lambda: UniformGrid(1.0, 0.0, 0.5), "start <= stop"),
@@ -125,7 +127,7 @@ def test_scale_needs_a_component():
         (lambda: TimeScale([Interval(0.0, 1.0)], snap_tol=1.5), "snap tolerance out of range"),
     ],
     ids=[
-        "interval-none", "interval-nan", "interval-inf-inf", "points-empty", "points-inf",
+        "interval-none", "interval-nan", "interval-inf-inf", "points-empty", "points-inf", "points-minus-inf",
         "grid-inf", "grid-step-near-tol", "grid-reversed", "qgrid-reversed", "qgrid-range",
         "qgrid-sign", "qgrid-sign-bool", "qgrid-sign-float", "qgrid-sign-negative-float",
         "qgrid-overflow", "not-a-component", "snap-tol-zero", "snap-tol-past-1",
@@ -553,6 +555,58 @@ def test_grid_step_is_checked_against_the_scale_tolerance():
     T, P = (TimeScale([c], snap_tol=2e-10) for c in (grid, points))
     assert T.points_in(0.0, 1e-6) == P.points_in(0.0, 1e-6) and len(T.points_in(0.0, 1e-6)) == 1001
     assert T.classify(0.0) == P.classify(0.0) and T.sigma(0.0) == P.sigma(0.0) == 1e-9
+
+
+@pytest.mark.parametrize(
+    "start, stop", [(1e16, 1.000000000000001e16), (1e17, 1.0000000000000001e17)], ids=["1e16", "1e17"]
+)
+def test_grid_whose_members_collide_is_rejected(start, stop):
+    # a step below the float spacing put equal entries in the index (11 entries, 6
+    # distinct, at 1e16; 17 entries, 2 distinct, at 1e17), and classify called 1e17
+    # dense on both sides of a discrete grid
+    from tsfrac import parse_scale
+
+    grid = UniformGrid(start, stop, 1.0)
+    builds = [
+        lambda: parse_scale(grid.describe()),
+        lambda: TimeScale([grid]),
+        lambda: TimeScale.from_json(json.dumps({"components": [grid.to_json_dict()]})),
+    ]
+    for build in builds:
+        with pytest.raises(ValidationError, match=re.escape(f"members {start!r} and {start!r} within the membership")):
+            build()
+
+
+def test_grid_near_the_float_spacing_is_kept_while_its_members_stay_apart():
+    # at 1e4 floats are 1.8e-12 apart, so a step of 5e-12 leaves members 3.6e-12 or
+    # 5.5e-12 apart: every member is checked, and none comes within the tolerance
+    from tsfrac import parse_scale
+
+    T = parse_scale("grid(10000,10000.000000001,5e-12)")
+    pts = T._pts
+    assert len(pts) == 201 and min(b - a for a, b in zip(pts, pts[1:])) == 2 * math.ulp(1e4)
+    assert T.classify(pts[100]).isolated and T.sigma(pts[100]) == pts[101]
+
+
+def test_a_lone_geometric_grid_is_kept_and_a_fused_one_coalesces():
+    # normalization keeps a lone component as given, so the tail of qgrid(2,-60,0,zero)
+    # below the tolerance makes 0 dense; one more point fuses it with the grid, and the
+    # fused point set coalesces every member within 1e-12 of 0 into 0
+    from tsfrac import parse_scale
+
+    lone = parse_scale("qgrid(2,-60,0,zero)")
+    assert lone.sigma(0.0) == 2.0**-60 == 8.673617379884035e-19 and lone.classify(0.0).dense
+    fused = parse_scale("union(qgrid(2,-60,0,zero),points(7.5e-13))")
+    assert fused.sigma(0.0) == 2.0**-39 == 1.8189894035458565e-12 and fused.classify(0.0).right_scattered
+    assert fused.components == (FinitePoints([0.0] + [2.0**k for k in range(-39, 1)]),)
+
+
+def test_a_lone_point_set_coalesces_and_one_left_unchanged_is_kept():
+    # members within the tolerance of each other coalesce even without a partner;
+    # a point set with none is kept as the same object, not rebuilt
+    assert TimeScale([FinitePoints([0.0, 0.5e-12, 1.0])]).components == (FinitePoints([0.0, 1.0]),)
+    P = FinitePoints([0.0, 1.0])
+    assert TimeScale([P]).components[0] is P
 
 
 @pytest.mark.parametrize(
