@@ -26,8 +26,8 @@ import sys
 
 from .checks import SUITE_NAMES, run_suite
 from .derivative import _DERIVS, DerivKind, FnOnScale
-from .errors import PointNotInScale, PointOutsideDomain, TsfracError
-from .exprlang import parse_scale
+from .errors import ExprSyntaxError, PointNotInScale, PointOutsideDomain, TsfracError
+from .exprlang import _number_text, parse_scale
 from .integral import _CAUCHY, QuadratureConfig
 from .order import LimitConfig, Order
 
@@ -110,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate a fractional Cauchy integral",
     )
     i.add_argument("--beta", required=True, metavar="P/Q", help="order in [0,1], e.g. 1/2")
-    i.add_argument("--a", required=True, type=float, help="lower endpoint (scale member)")
-    i.add_argument("--b", required=True, type=float, help="upper endpoint (scale member)")
+    i.add_argument("--a", required=True, help="lower endpoint (scale member)")
+    i.add_argument("--b", required=True, help="upper endpoint (scale member)")
     i.add_argument("--quad-rel-tol", type=float, help="quadrature relative tolerance")
     i.add_argument("--quad-abs-tol", type=float, help="quadrature absolute tolerance")
 
@@ -121,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="derivative values over the scale points in a range",
     )
     t.add_argument("--order", required=True, metavar="P/Q", help="order in (0,1]")
-    t.add_argument("--a", type=float, help="range start (default scale minimum)")
-    t.add_argument("--b", type=float, help="range end (default scale maximum)")
+    t.add_argument("--a", help="range start (default scale minimum)")
+    t.add_argument("--b", help="range end (default scale maximum)")
     t.add_argument(
         "--density",
         type=float,
@@ -162,20 +162,21 @@ def _limit_config(args) -> LimitConfig:
     return LimitConfig(**_given(args, ("h0", "ratio", "tol", "max_samples")))
 
 
-def _finite(name: str, x: float) -> float:
-    # NaN and infinity have no JSON form, so they cannot reach a record
+def _number(name: str, text: str) -> float:
+    """text read by the grammars' number rule, as a finite float: NaN and
+    infinity have no JSON form, so they cannot reach a record."""
+    try:
+        x = float(_number_text(text))
+    except ExprSyntaxError:
+        x = math.nan
     if not math.isfinite(x):
-        raise ValueError(f"{name} must be a finite number, got {x!r}")
+        raise ValueError(f"{name} must be a finite number, got {text!r}")
     return x
 
 
 def _parse_points(text: str):
-    points = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        points.append(_finite("point", float(chunk)))
+    # an entry of only whitespace is skipped, as an empty one is
+    points = [_number("point", chunk) for chunk in text.split(",") if chunk.strip(" \t\r\n")]
     if not points:
         raise ValueError("no points given")
     return points
@@ -230,8 +231,7 @@ def cmd_deriv(args):
 
 
 def cmd_integ(args):
-    _finite("--a", args.a)
-    _finite("--b", args.b)
+    a, b = _number("--a", args.a), _number("--b", args.b)
     T = parse_scale(args.scale)
     f = FnOnScale.from_expression(args.fn, T)
     beta = Order.parse(args.beta, allow_zero=True)
@@ -239,14 +239,14 @@ def cmd_integ(args):
     qc = QuadratureConfig(**_given(args, ("rel_tol", "abs_tol"), "quad_"))
     compute = _CAUCHY[DerivKind(args.kind)]
     try:
-        value = compute(f, args.a, args.b, beta, cfg, qc)
+        value = compute(f, a, b, beta, cfg, qc)
     except (TsfracError, ValueError) as exc:
-        return [_error_record(exc, a=args.a, b=args.b)], 1
+        return [_error_record(exc, a=a, b=b)], 1
     return (
         [
             {
-                "a": T.snap(args.a),
-                "b": T.snap(args.b),
+                "a": T.snap(a),
+                "b": T.snap(b),
                 "beta": str(beta),
                 "kind": args.kind,
                 "value": value,
@@ -258,8 +258,8 @@ def cmd_integ(args):
 
 def cmd_table(args):
     def points_of(T):
-        a = T.inf_value if args.a is None else _finite("--a", args.a)
-        b = T.sup_value if args.b is None else _finite("--b", args.b)
+        a = T.inf_value if args.a is None else _number("--a", args.a)
+        b = T.sup_value if args.b is None else _number("--b", args.b)
         return T.points_in(a, b, density=args.density)
 
     # a point outside the derivative's domain (a scattered end) has no row

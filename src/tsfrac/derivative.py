@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import (
-    InsufficientPoints,
     LimitDidNotConverge,
     NonFiniteSample,
     NoSymmetricNeighborhood,
@@ -142,17 +141,14 @@ def _require_order(order: Order) -> None:
 
 
 def _side_samples(T: TimeScale, ts: float, side: ApproachSide, cfg: LimitConfig):
-    """Approach points on one side, or None when that side cannot supply a
-    usable sequence: scattered, or fewer than three points, whether the side
-    is discrete or an interval whose steps reach the float spacing at ts."""
+    """The up to cfg.max_samples points one side offers a limit, or None
+    when it cannot supply the three a limit needs: it is scattered, or
+    offers fewer points, whether it is discrete or an interval whose steps
+    reach the float spacing at ts."""
     try:
-        seq = T.approach_sequence(ts, side, cfg.max_samples, h0=cfg.h0, ratio=cfg.ratio)
+        seq = T.approach_sequence(ts, side, cfg.max_samples, cfg.h0, cfg.ratio)
     except SideNotDense:
         return None
-    except InsufficientPoints as exc:
-        if exc.available < 3:
-            return None
-        seq = T.approach_sequence(ts, side, exc.available, h0=cfg.h0, ratio=cfg.ratio)
     return seq if len(seq) >= 3 else None
 
 
@@ -175,7 +171,7 @@ def _dense_limit(f: FnOnScale, ts: float, order: Order, cfg: LimitConfig, kind: 
     admits for nabla (base ``s - t``) and delta (base ``t - s``)."""
     T = f.scale
     if kind is DerivKind.SYMMETRIC:
-        pairs = T.symmetric_pairs(ts, cfg.max_samples, h0=cfg.h0, ratio=cfg.ratio)
+        pairs = T.symmetric_pairs(ts, cfg.max_samples, cfg.h0, cfg.ratio)
         if len(pairs) < 3:
             raise NoSymmetricNeighborhood(f"only {len(pairs)} symmetric pairs available near t={ts}")
         found = [(ApproachSide.BOTH, pairs)]

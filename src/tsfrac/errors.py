@@ -12,7 +12,6 @@ __all__ = [
     "PointNotInScale",
     "PointOutsideDomain",
     "SideNotDense",
-    "InsufficientPoints",
     "NoSymmetricNeighborhood",
     "NegativeBaseForGeneralOrder",
     "NonFiniteSample",
@@ -46,17 +45,6 @@ class PointOutsideDomain(TsfracError):
 
 class SideNotDense(TsfracError):
     """An approach sequence was requested on a side where the point is scattered."""
-
-
-class InsufficientPoints(TsfracError):
-    """Fewer scale points are available on the requested side than asked for.
-
-    ``available`` is the number of points the side does have.
-    """
-
-    def __init__(self, message: str, *, available: int = 0):
-        super().__init__(message)
-        self.available = available
 
 
 class NoSymmetricNeighborhood(TsfracError):

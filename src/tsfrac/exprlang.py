@@ -550,6 +550,15 @@ def _signed_num_text(p: _Parser) -> "tuple[str, _Token]":
     return ("-" + tok.text if sign == "-" else tok.text), tok
 
 
+def _number_text(src: str) -> str:
+    """The one signed number literal src holds between optional whitespace,
+    else ExprSyntaxError: the number rule the CLI and Order.parse read by."""
+    p = _Parser(src)
+    text, _ = _signed_num_text(p)
+    p.done()
+    return text
+
+
 def _literal(text: str, tok: _Token) -> float:
     """The float nearest the number literal ``text`` (``tok`` is where it
     stands), or ExprSyntaxError when it is too long or past the float range.

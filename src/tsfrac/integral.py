@@ -35,8 +35,9 @@ Endpoint care: G is a fractional derivative and so can be undefined exactly
 at a scattered extremum of the scale (no predecessor/successor) or can need
 samples beyond the scale's edge at a dense endpoint.  Scattered extrema get
 a one-step virtual extension (reproducing the closed forms that treat the
-grid as if it continued uniformly); dense endpoints fall back to the
-nearest point where the limit is samplable.  Both adjustments emit
+grid as if it continued uniformly); a dense endpoint with no side to
+sample falls back to the nearest of the three points a side of it offers,
+and re-raises when no side offers three.  Both adjustments emit
 EndpointAdjustedWarning rather than failing.
 """
 
@@ -47,18 +48,16 @@ import math
 import sys
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .derivative import _DERIVS, DerivKind, FnOnScale, symmetric_weights
+from .derivative import _DERIVS, DerivKind, FnOnScale, _side_samples, symmetric_weights
 from .errors import (
     EndpointAdjustedWarning,
     EndpointNotInScale,
     EndpointOutsideKappaSet,
-    InsufficientPoints,
     LimitDidNotConverge,
     PointOutsideDomain,
     QuadratureFailure,
-    SideNotDense,
     ValidationError,
 )
 from .order import LimitConfig, Order, _require_order_type
@@ -268,12 +267,12 @@ def delta_antiderivative(
 
 
 def _nearest_admissible(T: TimeScale, ts: float, cfg: LimitConfig):
+    """The nearest of the three points a side of ts offers a limit, the left
+    side first; None when neither side offers three."""
+    three = replace(cfg, max_samples=3)
     for side in (ApproachSide.LEFT, ApproachSide.RIGHT):
-        try:
-            seq = T.approach_sequence(ts, side, 3, h0=cfg.h0, ratio=cfg.ratio)
-        except (SideNotDense, InsufficientPoints):
-            continue
-        if seq:  # empty when the first step is below the float spacing at ts
+        seq = _side_samples(T, ts, side, three)
+        if seq is not None:
             return seq[-1]
     return None
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NegativeBaseForGeneralOrder, NonFiniteSample
+from .errors import ExprSyntaxError, NegativeBaseForGeneralOrder, NonFiniteSample
 
 __all__ = [
     "Order",
@@ -70,13 +70,17 @@ class Order:
 
     @classmethod
     def parse(cls, text: str, allow_zero: bool = False) -> "Order":
-        """Parse 'p/q' or a decimal literal ('0.5' becomes 1/2 exactly).
+        """Parse 'p/q' or a decimal literal ('0.5' becomes 1/2 exactly), each
+        number by the grammars' number rule (``exprlang``: ASCII digits).
 
         A decimal whose exponent takes it past the float range (1e400, or
         1e-400, whose float value is 0) is refused with ValueError.
         """
-        s = str(text).replace(" ", "")
+        from .exprlang import _number_text  # exprlang imports the scale module, which imports this one
+
         try:
+            num, slash, den = str(text).partition("/")
+            s = _number_text(num) + (slash + _number_text(den) if slash else "")
             # Fraction(s) first builds 10**exponent; float() reads any exponent
             # at once, and one that takes s past the float range is refused
             mantissa, e, _ = s.lower().partition("e")
@@ -85,7 +89,7 @@ class Order:
                     raise ValueError("exponent out of range")
                 s = mantissa  # zero at any exponent
             frac = Fraction(s)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, ExprSyntaxError) as exc:
             raise ValueError(f"cannot parse order {text!r}: {exc}")
         if frac == 0 and allow_zero:
             return cls(0, 1)

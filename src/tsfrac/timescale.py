@@ -50,13 +50,8 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import (
-    InsufficientPoints,
-    NoSymmetricNeighborhood,
-    PointNotInScale,
-    SideNotDense,
-    ValidationError,
-)
+from .errors import PointNotInScale, SideNotDense, ValidationError
+from .order import LimitConfig
 
 __all__ = [
     "DEFAULT_SNAP_TOL",
@@ -342,13 +337,13 @@ class GeometricGrid:
         return f"qgrid({_fmt_num(self.q)},{self.k_min},{self.k_max}{zero})"
 
 
-def _check_steps(n: int, h0: float | None, ratio: float) -> None:
+def _check_steps(n: int, h0: float, ratio: float) -> None:
     """The checks shared by the step sequences of the limit scaffolding."""
     if n < 1:
         raise ValueError("n must be positive")
     if not (0 < ratio < 1):
         raise ValueError("ratio must lie in (0, 1)")
-    if h0 is not None and not h0 > 0:
+    if not h0 > 0:
         raise ValueError("h0 must be positive")
 
 
@@ -645,7 +640,7 @@ class TimeScale:
 
     # -- limit scaffolding ------------------------------------------------
 
-    def _interval_steps(self, ts: float, side: ApproachSide, n: int, h0: float | None, ratio: float):
+    def _interval_steps(self, ts: float, side: ApproachSide, n: int, h0: float, ratio: float):
         """Up to n steps h*ratio**k into the interval holding the member ts,
         h = min(h0, room) with room the distance to its end on the side (to
         the nearer end for BOTH); None if room is within the snap tolerance.
@@ -667,7 +662,7 @@ class TimeScale:
             room = hi - ts if side is ApproachSide.RIGHT else ts - lo
         if room <= self.snap_tol:
             return None
-        h = min(min(0.1, room) / 2 if h0 is None else h0, room)
+        h = min(h0, room)
         sign = -1.0 if side is ApproachSide.LEFT else 1.0
         both = side is ApproachSide.BOTH
         steps: list[float] = []
@@ -695,29 +690,25 @@ class TimeScale:
         return [pts[k] for k in range(max(0, i - 2 * limit), i) if not inside[k + 1]][-limit:]
 
     def approach_sequence(
-        self,
-        t: float,
-        side: ApproachSide,
-        n: int,
-        h0: float | None = None,
-        ratio: float = 0.5,
+        self, t: float, side: ApproachSide, n: int, h0: float = LimitConfig.h0, ratio: float = LimitConfig.ratio
     ) -> list[float]:
-        """n scale points approaching t monotonically from one side.
+        """Up to n scale points approaching t monotonically from one side,
+        farthest first: the points a dense side offers.
 
         Inside an interval the sequence is geometric, t +/- h*ratio**k with
-        h = min(h0, room to the component boundary); the default h0 is
-        min(0.1, room)/2.  The sequence is cut short of n once the step
-        underflows the float spacing at t, so every returned point is
-        distinct from t and from its neighbors.  Where the dense side is
-        carried by discrete points (a geometric-grid tail), the actual
-        grid members nearest t are returned.  The list is ordered farthest
-        first.
+        h = min(h0, room to the component boundary); h0 and ratio default
+        to those of :class:`LimitConfig`.  The sequence is cut short of n
+        once the step underflows the float spacing at t, so every returned
+        point is distinct from t and from its neighbors.  Where the dense
+        side is carried by discrete points (a geometric-grid tail), the
+        up to n grid members nearest t are returned.  A side dense by
+        convention only (left of the minimum, right of the maximum) offers
+        no points: the list is empty.
 
         Raises:
             SideNotDense: the requested side of t is scattered.
-            InsufficientPoints: the side is dense by convention only, or is
-                discrete with fewer than n points (``available`` says how
-                many it has).
+            ValueError: side is not LEFT or RIGHT, n < 1, h0 <= 0, or ratio
+                outside (0, 1).
         """
         if side not in (ApproachSide.LEFT, ApproachSide.RIGHT):
             raise ValueError("side must be LEFT or RIGHT")
@@ -730,32 +721,23 @@ class TimeScale:
         steps = self._interval_steps(ts, side, n, h0, ratio)
         if steps is not None:
             return [ts + h for h in steps] if side is ApproachSide.RIGHT else [ts - h for h in steps]
-
-        members = self._members_near(ts, side, n)
-        if len(members) < n:
-            raise InsufficientPoints(
-                f"only {len(members)} scale points on the {side.value} side of {ts}",
-                available=len(members),
-            )
-        return members
+        return self._members_near(ts, side, n)
 
     def symmetric_pairs(
-        self,
-        t: float,
-        n: int,
-        h0: float | None = None,
-        ratio: float = 0.5,
+        self, t: float, n: int, h0: float = LimitConfig.h0, ratio: float = LimitConfig.ratio
     ) -> list[float]:
         """Up to n values h > 0 with both t+h and t-h in the scale,
         decreasing.
 
-        Inside an interval these are geometric steps h*ratio**k; in discrete
+        Inside an interval these are geometric steps h*ratio**k, h0 and
+        ratio defaulting to those of :class:`LimitConfig`; in discrete
         neighborhoods they are the realizable pair distances strictly below
-        h0 (so a uniform grid yields its minimal pair).  Fewer than n values
-        are returned when the neighborhood runs out of pairs.
+        h0 (so a uniform grid yields its minimal pair).  Fewer than n
+        values, none at all where no pair exists below h0, are returned
+        when the neighborhood runs out of pairs.
 
         Raises:
-            NoSymmetricNeighborhood: no pair exists below the step bound.
+            ValueError: n < 1, h0 <= 0, or ratio outside (0, 1).
         """
         _check_steps(n, h0, ratio)
         ts = self._require_member(t)
@@ -764,23 +746,18 @@ class TimeScale:
         if hs is not None:
             return hs
 
-        bound = h0 if h0 is not None else 1e-2
         limit = max(8 * n, 64)
         cand: list[float] = []
         for side, sign in ((ApproachSide.RIGHT, 1.0), (ApproachSide.LEFT, -1.0)):
             for m in self._members_near(ts, side, limit):
                 h = sign * (m - ts)  # exactly ts - m on the left
-                if self.snap_tol < h < bound and self.snap(ts - sign * h) is not None:
+                if self.snap_tol < h < h0 and self.snap(ts - sign * h) is not None:
                     cand.append(h)
         hs = []
         for h in sorted(cand, reverse=True):
             if hs and hs[-1] - h <= self.snap_tol:
                 continue
             hs.append(h)
-        if not hs:
-            raise NoSymmetricNeighborhood(
-                f"no h with t+h and t-h both in the scale below h0={bound} at t={ts}"
-            )
         return hs[:n]
 
     # -- enumeration ------------------------------------------------------

@@ -437,6 +437,38 @@ def test_non_finite_numbers_are_structured_errors(capsys, argv):
     assert "finite" in rec["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--scale", "points(12)", "--points", "\u0661\u0662,1_2"),
+        ("classify", "--scale", "points(12)", "--points", "1_2"),
+        ("classify", "--scale", "points(12)", "--points", "12,\u00a0"),
+        ("integ", "--scale", "grid(0,12,1)", "--fn", "t", "--beta", "1", "--a", "\u0660", "--b", "12"),
+        ("integ", "--scale", "grid(0,12,1)", "--fn", "t", "--beta", "1", "--a", "0", "--b", "1_2"),
+        ("integ", "--scale", "grid(0,12,1)", "--fn", "t", "--beta", "\u0661", "--a", "0", "--b", "12"),
+        ("table", "--scale", "grid(0,12,1)", "--fn", "t", "--order", "1", "--b", "1 2"),
+        ("deriv", "--scale", "grid(0,10,1)", "--fn", "t", "--order", "\u0661/\u0662", "--points", "3"),
+        ("deriv", "--scale", "grid(0,10,1)", "--fn", "t", "--order", "1_0/20", "--points", "3"),
+    ],
+    ids=["arabic-point", "underscore-point", "nbsp-point", "arabic-a", "underscore-b", "arabic-beta",
+         "split-b", "arabic-order", "underscore-order"],
+)
+def test_numbers_follow_the_grammar_number_rule(capsys, argv):
+    # points, endpoints and orders are read as the grammars read a number:
+    # ASCII digits, no '_' separators, whitespace only around the literal
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    [rec] = records(out)
+    assert rec["error"] == "ValueError"
+
+
+def test_numbers_may_carry_grammar_whitespace(capsys):
+    code, out, _ = run(capsys, "classify", "--scale", "points(12, 13)", "--points", " 12,\t-13 ,13\n")
+    assert [r.get("t") for r in records(out)] == [12.0, -13.0, 13.0] and code == 1
+    code, out, _ = run(capsys, "integ", "--scale", "grid(0,12,1)", "--fn", "t", "--beta", " 1 / 1 ", "--a", " 0", "--b", "1.2e1 ")
+    assert code == 0 and records(out)[0]["value"] == 78.0
+
+
 @pytest.mark.parametrize("density", ["inf", "nan", "0", "-1"])
 def test_table_bad_density_is_structured_error(capsys, density):
     code, out, _ = run(

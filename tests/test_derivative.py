@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from tsfrac import (
+    ApproachSide,
     ComputePath,
     DerivKind,
     FinitePoints,
@@ -214,6 +215,23 @@ def test_short_discrete_side_is_sampled_in_full():
     assert (r.value, r.side.value) == (1.0, "right")
     with pytest.raises(LimitDidNotConverge, match="after 14 samples"):
         nabla_frac(f, 0.0, Order(1, 2))
+
+
+def test_a_dense_side_is_asked_for_its_points_once(monkeypatch):
+    # the right side of 0 offers its 32 members, fewer than max_samples: the
+    # limit takes them from one request and samples all 32
+    T = TimeScale([GeometricGrid(2.0, -41, -10, include_zero=True)])
+    asked = []
+    ask = TimeScale.approach_sequence
+
+    def counted(self, t, side, n, *args, **kwargs):
+        asked.append((t, side, n))
+        return ask(self, t, side, n, *args, **kwargs)
+
+    monkeypatch.setattr(TimeScale, "approach_sequence", counted)
+    with pytest.raises(LimitDidNotConverge, match="after 32 samples"):
+        nabla_frac(ident(T), 0.0, Order(1, 2))
+    assert asked == [(0.0, ApproachSide.RIGHT, LimitConfig().max_samples)]
 
 
 def test_too_few_symmetric_pairs_raise():

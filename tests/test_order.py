@@ -64,6 +64,14 @@ def test_order_parse_refuses_out_of_range_decimals_quickly(text):
     assert time.perf_counter() - start < 0.1
 
 
+@pytest.mark.parametrize("text", ["\u0661/\u0662", "1_0/20", "0.5_0", "1 0/20", "1/\u0662", "1.5/3", "1/-2", "1\u00a0/2"])
+def test_order_parse_reads_numbers_by_the_grammar_rule(text):
+    # ASCII digits, no separators, and only spaces, tabs, CRs and LFs around
+    # each number; p/q takes two integers
+    with pytest.raises(ValueError, match="cannot parse order"):
+        Order.parse(text)
+
+
 def test_order_parse_decimals():
     assert Order.parse("5e-1") == Order(1, 2)
     assert Order.parse("0.25") == Order(1, 4)

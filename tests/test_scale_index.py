@@ -26,6 +26,7 @@ from tsfrac import (
     FinitePoints,
     GeometricGrid,
     Interval,
+    LimitConfig,
     TimeScale,
     TsfracError,
     UniformGrid,
@@ -110,7 +111,7 @@ class Oracle:
         below = [m for m in self.discrete if m < ts] + [hi for _, hi in self.intervals if hi < ts]
         return sorted(below)[-limit:] if limit else []
 
-    def approach_sequence(self, t, side, n, h0):
+    def approach_sequence(self, t, side, n, h0=LimitConfig.h0):
         ts = self.member(t)
         left, right = self.classify(ts)
         if not (right if side is RIGHT else left):
@@ -119,7 +120,7 @@ class Oracle:
         if iv is not None:
             room = iv[1] - ts if side is RIGHT else ts - iv[0]
             if room > self.tol:
-                h = min(min(0.1, room) / 2 if h0 is None else h0, room)
+                h = min(h0, room)
                 sign = 1.0 if side is RIGHT else -1.0
                 out = []
                 for k in range(n):
@@ -129,17 +130,15 @@ class Oracle:
                     out.append(s)
                 return out
         members = self.enumerate(ts, side, n)
-        if len(members) < n:
-            return "InsufficientPoints"
         return members[::-1] if side is RIGHT else members
 
-    def symmetric_pairs(self, t, n, h0):
+    def symmetric_pairs(self, t, n, h0=LimitConfig.h0):
         ts = self.member(t)
         iv = self.interval_at(ts)
         if iv is not None:
             room = min(ts - iv[0], iv[1] - ts)
             if room > self.tol:
-                h = min(min(0.1, room) / 2 if h0 is None else h0, room)
+                h = min(h0, room)
                 hs = []
                 for k in range(n):
                     step = h * 0.5**k
@@ -147,17 +146,16 @@ class Oracle:
                         break
                     hs.append(step)
                 return hs
-        bound = 1e-2 if h0 is None else h0
         limit = max(8 * n, 64)
         cand = [m - ts for m in self.enumerate(ts, RIGHT, limit)]
-        cand = [h for h in cand if self.tol < h < bound and self.snap(ts - h) is not None]
+        cand = [h for h in cand if self.tol < h < h0 and self.snap(ts - h) is not None]
         mirrored = [ts - m for m in self.enumerate(ts, LEFT, limit)]
-        cand += [h for h in mirrored if self.tol < h < bound and self.snap(ts + h) is not None]
+        cand += [h for h in mirrored if self.tol < h < h0 and self.snap(ts + h) is not None]
         hs = []
         for h in sorted(cand, reverse=True):
             if not (hs and hs[-1] - h <= self.tol):
                 hs.append(h)
-        return hs[:n] if hs else "NoSymmetricNeighborhood"
+        return hs[:n]
 
     def points_in(self, a, b, density):
         a, b = min(a, b), max(a, b)
@@ -234,8 +232,9 @@ def _asks(O: Oracle, t):
     same positional arguments as the scale's."""
     asks = [(name, (t,)) for name in ("snap", "sigma", "rho", "mu", "nu", "classify", "domain_membership")]
     if O.snap(t) is not None:
-        asks += [("approach_sequence", (t, s, n, h0)) for s in (LEFT, RIGHT) for n in (3, 40) for h0 in (None, 0.3)]
-        asks += [("symmetric_pairs", (t, n, h0)) for n in (3, 40) for h0 in (None, 2.5)]
+        # with the default first step, and with one given
+        asks += [("approach_sequence", (t, s, n, *h0)) for s in (LEFT, RIGHT) for n in (3, 40) for h0 in ((), (0.3,))]
+        asks += [("symmetric_pairs", (t, n, *h0)) for n in (3, 40) for h0 in ((), (2.5,))]
     return asks
 
 

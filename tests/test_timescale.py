@@ -19,8 +19,8 @@ from tsfrac import (
     FinitePoints,
     FnOnScale,
     GeometricGrid,
-    InsufficientPoints,
     Interval,
+    LimitConfig,
     Order,
     PointClass,
     PointNotInScale,
@@ -341,20 +341,39 @@ def test_limit_scaffolding_rejects_bad_arguments(call, match):
 
 
 def test_approach_sequence_convention_only_side():
-    # the minimum of an interval is left-dense by convention, but there are
-    # no scale points below it to sample
-    T = TimeScale([Interval(0.0, 1.0)])
-    with pytest.raises(InsufficientPoints):
-        T.approach_sequence(0.0, ApproachSide.LEFT, 3)
+    # the minimum of an interval, or of a point set, is left-dense by
+    # convention, but there are no scale points below it to offer
+    for T in (TimeScale([Interval(0.0, 1.0)]), TimeScale([FinitePoints((0.0, 1.0))])):
+        assert T.approach_sequence(0.0, ApproachSide.LEFT, 3) == []
+        assert T.approach_sequence(1.0, ApproachSide.RIGHT, 3) == []
 
 
-def test_insufficient_points_reports_available_count():
-    # 2**k for k in -45..3 accumulates at 0: 49 members on the right
+def test_short_discrete_side_offers_all_its_members():
+    # 2**k for k in -45..3 accumulates at 0: 49 members on the right, all of
+    # which a request for more returns, nearest last
     T = TimeScale([GeometricGrid(2.0, -45, 3, include_zero=True)])
-    with pytest.raises(InsufficientPoints) as info:
-        T.approach_sequence(0.0, ApproachSide.RIGHT, 100)
-    assert info.value.available == 49
-    assert len(T.approach_sequence(0.0, ApproachSide.RIGHT, 49)) == 49
+    seq = T.approach_sequence(0.0, ApproachSide.RIGHT, 100)
+    assert seq == [2.0**k for k in range(3, -46, -1)]
+    assert T.approach_sequence(0.0, ApproachSide.RIGHT, 49) == seq
+    assert T.approach_sequence(0.0, ApproachSide.RIGHT, 3) == seq[-3:]
+
+
+def test_default_steps_are_the_limit_configs():
+    # one first step and one ratio: what LimitConfig() samples
+    cfg = LimitConfig()
+    T = TimeScale([Interval(0.0, 4.0)])
+    for side, sign in ((ApproachSide.LEFT, -1.0), (ApproachSide.RIGHT, 1.0)):
+        seq = T.approach_sequence(2.0, side, 5)
+        assert seq == T.approach_sequence(2.0, side, 5, cfg.h0, cfg.ratio)
+        assert seq == [2.0 + sign * cfg.h0 * cfg.ratio**k for k in range(5)]
+    assert T.symmetric_pairs(2.0, 5) == T.symmetric_pairs(2.0, 5, cfg.h0, cfg.ratio)
+    assert T.symmetric_pairs(2.0, 5) == [cfg.h0 * cfg.ratio**k for k in range(5)]
+    # near an end the first step is the room left, as with any h0
+    assert T.approach_sequence(0.004, ApproachSide.LEFT, 2) == [0.0, 0.002]
+    # a discrete neighborhood pairs only below the first step
+    G = TimeScale([UniformGrid(0.0, 1.0, 0.004)])
+    hs = G.symmetric_pairs(0.4, 5)
+    assert hs == G.symmetric_pairs(0.4, 5, cfg.h0, cfg.ratio) and hs == pytest.approx([0.008, 0.004])
 
 
 def test_approach_sequence_geometric_tail():
@@ -375,6 +394,13 @@ def test_symmetric_pairs_grid():
     T = TimeScale([UniformGrid(0.0, 6.0, 1.0)])
     hs = T.symmetric_pairs(3.0, 5, h0=2.5)
     assert hs == [2.0, 1.0]
+
+
+def test_symmetric_pairs_without_a_pair_are_empty():
+    # 2**k accumulates at 0 from the right, but no -h is in the scale; and
+    # the grid's pairs all lie at or above a first step of 1
+    assert TimeScale([GeometricGrid(2.0, -50, 2, include_zero=True)]).symmetric_pairs(0.0, 40) == []
+    assert TimeScale([UniformGrid(0.0, 6.0, 1.0)]).symmetric_pairs(3.0, 5, h0=1.0) == []
 
 
 def test_points_in_hybrid():
