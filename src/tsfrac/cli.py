@@ -46,6 +46,27 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def _flag_reader(convert):
+    """An argparse ``type`` reading one ``num`` of the grammars, then as
+    ``convert`` does, under convert's name, so a bad value still reads
+    "invalid float value: 'abc'".  The float words inf and nan are no
+    ``num`` but reach the configs, which reject them as out of range."""
+
+    def read(text: str):
+        try:
+            return convert(_number_text(text))
+        except ExprSyntaxError:
+            if convert is float and text.strip(" \t\r\n").lstrip("+-").lower() in ("inf", "infinity", "nan"):
+                return float(text)
+            raise ValueError(text) from None
+
+    read.__name__ = convert.__name__
+    return read
+
+
+_float, _int = _flag_reader(float), _flag_reader(int)
+
+
 def build_parser() -> argparse.ArgumentParser:
     scale = argparse.ArgumentParser(add_help=False)
     scale.add_argument(
@@ -72,10 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     limits = argparse.ArgumentParser(add_help=False)
-    limits.add_argument("--tol", type=float, help="limit convergence tolerance")
-    limits.add_argument("--h0", type=float, help="first approach offset at dense points")
-    limits.add_argument("--ratio", type=float, help="offset shrink ratio per sample")
-    limits.add_argument("--max-samples", type=int, help="limit sample budget")
+    limits.add_argument("--tol", type=_float, help="limit convergence tolerance")
+    limits.add_argument("--h0", type=_float, help="first approach offset at dense points")
+    limits.add_argument("--ratio", type=_float, help="offset shrink ratio per sample")
+    limits.add_argument("--max-samples", type=_int, help="limit sample budget")
 
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument(
@@ -112,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--beta", required=True, metavar="P/Q", help="order in [0,1], e.g. 1/2")
     i.add_argument("--a", required=True, help="lower endpoint (scale member)")
     i.add_argument("--b", required=True, help="upper endpoint (scale member)")
-    i.add_argument("--quad-rel-tol", type=float, help="quadrature relative tolerance")
-    i.add_argument("--quad-abs-tol", type=float, help="quadrature absolute tolerance")
+    i.add_argument("--quad-rel-tol", type=_float, help="quadrature relative tolerance")
+    i.add_argument("--quad-abs-tol", type=_float, help="quadrature absolute tolerance")
 
     t = sub.add_parser(
         "table",
@@ -125,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--b", help="range end (default scale maximum)")
     t.add_argument(
         "--density",
-        type=float,
+        type=_float,
         default=33.0,
         help="sample points per unit length inside intervals, finite and positive (default 33)",
     )
@@ -143,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a property suite",
     )
     k.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    k.add_argument("--seed", type=int, default=0)
-    k.add_argument("--trials", type=int, default=50)
+    k.add_argument("--seed", type=_int, default=0)
+    k.add_argument("--trials", type=_int, default=50)
 
     return p
 

@@ -168,16 +168,20 @@ def _settle(quots, cfg: LimitConfig, side: ApproachSide, ts: float) -> "tuple[fl
 def _dense_limit(f: FnOnScale, ts: float, order: Order, cfg: LimitConfig, kind: DerivKind):
     """(value, err_est, side) of the derivative of this kind at dense ts:
     mirrored pairs for symmetric, approach sequences on the sides the order
-    admits for nabla (base ``s - t``) and delta (base ``t - s``)."""
-    T = f.scale
+    admits for nabla (base ``s - t``) and delta (base ``t - s``), each sample
+    one quotient raised to the order's exponent worked out once."""
+    # e is signed_pow's exponent p/q (1/q when p = 1) and copysign(|d|**e, d)
+    # its value bit for bit: a general order samples only its preferred side,
+    # where d > 0, and 2h > 0, so NegativeBaseForGeneralOrder cannot occur
+    T, ev, e = f.scale, f.eval, order.value
     if kind is DerivKind.SYMMETRIC:
         pairs = T.symmetric_pairs(ts, cfg.max_samples, cfg.h0, cfg.ratio)
         if len(pairs) < 3:
             raise NoSymmetricNeighborhood(f"only {len(pairs)} symmetric pairs available near t={ts}")
         found = [(ApproachSide.BOTH, pairs)]
 
-        def quot(h: float) -> float:
-            return (f.eval(ts + h) - f.eval(ts - h)) / signed_pow(2.0 * h, order)
+        def quots(hs):
+            return ((ev(ts + h) - ev(ts - h)) / (2.0 * h) ** e for h in hs)
 
     else:
         # nabla's (f(s) - f(t)) / (s - t)**alpha and delta's mirror as one
@@ -185,10 +189,11 @@ def _dense_limit(f: FnOnScale, ts: float, order: Order, cfg: LimitConfig, kind: 
         # not the difference, keeps a zero difference +0.0 as delta's had it
         sign = 1.0 if kind is DerivKind.NABLA else -1.0
         preferred = ApproachSide.RIGHT if sign > 0 else ApproachSide.LEFT
-        sft, sts = sign * f.eval(ts), sign * ts
+        sft, sts = sign * ev(ts), sign * ts
+        copysign = math.copysign
 
-        def quot(s: float) -> float:
-            return (sign * f.eval(s) - sft) / signed_pow(sign * s - sts, order)
+        def quots(seq):
+            return ((sign * ev(s) - sft) / copysign(abs(d) ** e, d) for s in seq for d in (sign * s - sts,))
 
         sides = (ApproachSide.LEFT, ApproachSide.RIGHT)
         if classify_order(order) is OrderClass.GENERAL:
@@ -199,7 +204,7 @@ def _dense_limit(f: FnOnScale, ts: float, order: Order, cfg: LimitConfig, kind: 
             if len(sides) > 1:
                 where = f"either side of t={ts}"
             raise LimitDidNotConverge(f"no scale points available on {where}", samples_unavailable=True)
-    ests = [(*_settle(map(quot, seq), cfg, side, ts), side) for side, seq in found]
+    ests = [(*_settle(quots(seq), cfg, side, ts), side) for side, seq in found]
     if len(ests) == 1:
         return ests[0]
     (lval, lerr, _), (rval, rerr, _) = ests

@@ -111,10 +111,6 @@ def _simpson_rec(g, lo, hi, fl, fm, fh, whole, eps, depth):
     m = 0.5 * (lo + hi)
     lm = 0.5 * (lo + m)
     rm = 0.5 * (m + hi)
-    if lm <= lo or rm <= m or m >= hi:
-        raise QuadratureFailure(
-            f"quadrature failed to converge on [{lo}, {hi}] (too narrow to bisect further)"
-        )
     flm = _finite_sample(g, lm)
     frm = _finite_sample(g, rm)
     left = (m - lo) * (fl + 4.0 * flm + fm) / 6.0
@@ -122,6 +118,11 @@ def _simpson_rec(g, lo, hi, fl, fm, fh, whole, eps, depth):
     delta = left + right - whole
     if abs(delta) <= 15.0 * eps:
         return left + right + delta / 15.0
+    # a converged estimate stands even where the halves can no longer be split
+    if lm <= lo or rm <= m or m >= hi:
+        raise QuadratureFailure(
+            f"quadrature failed to converge on [{lo}, {hi}] (too narrow to bisect further)"
+        )
     if depth <= 0:
         raise QuadratureFailure(
             f"quadrature failed to converge on [{lo}, {hi}] "

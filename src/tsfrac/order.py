@@ -229,23 +229,18 @@ def estimate_limit(quotients, cfg: LimitConfig | None = None) -> LimitResult:
     """
     if cfg is None:
         cfg = LimitConfig()
-    prev: float | None = None
-    value = 0.0
-    diff = math.inf
-    prev_diff = math.inf
+    tol, isfinite = cfg.tol, math.isfinite
+    # value holds the previous sample; from inf, the first difference is inf,
+    # so two finite differences at most tol need three samples
+    value = diff = math.inf
     used = 0
-    for qv in itertools.islice(iter(quotients), cfg.max_samples):
-        used += 1
+    for used, qv in enumerate(itertools.islice(iter(quotients), cfg.max_samples), 1):
         q = float(qv)
-        if not math.isfinite(q):
+        if not isfinite(q):
             raise NonFiniteSample(f"quotient sample {used} is {q!r}")
-        if prev is not None:
-            prev_diff = diff
-            diff = abs(q - prev)
-        value = q
-        if used >= 3 and diff <= cfg.tol and prev_diff <= cfg.tol:
+        prev_diff, diff, value = diff, abs(q - value), q
+        if diff <= tol and prev_diff <= tol:
             return LimitResult(value, diff, True, used)
-        prev = q
     if used < 3:
         raise ValueError(f"estimate_limit needs at least 3 samples, got {used}")
     return LimitResult(value, diff, False, used)

@@ -645,7 +645,8 @@ class TimeScale:
         h = min(h0, room) with room the distance to its end on the side (to
         the nearer end for BOTH); None if room is within the snap tolerance.
         They stop where ts +/- step reaches ts or repeats, and with BOTH
-        also where ts - step reaches ts."""
+        also where ts - step reaches ts.  BOTH returns the steps, a side the
+        points ts +/- step themselves, built in the same loop."""
         pts, inside = self._pts, self._inside
         i = self._index(ts)
         if not inside[i]:
@@ -665,16 +666,16 @@ class TimeScale:
         h = min(h0, room)
         sign = -1.0 if side is ApproachSide.LEFT else 1.0
         both = side is ApproachSide.BOTH
-        steps: list[float] = []
+        out: list[float] = []
         prev = ts
         for k in range(n):
             step = h * ratio**k
-            s = ts + sign * step
+            s = ts + sign * step  # exactly ts - step on the left
             if s == ts or s == prev or (both and ts - step == ts):
                 break
-            steps.append(step)
+            out.append(step if both else s)
             prev = s
-        return steps
+        return out
 
     def _members_near(self, ts: float, side: ApproachSide, limit: int) -> list[float]:
         """The up to limit members nearest ts strictly on one side, farthest
@@ -718,10 +719,8 @@ class TimeScale:
         if not (cls.right_dense if side is ApproachSide.RIGHT else cls.left_dense):
             raise SideNotDense(f"t={ts} is scattered on the {side.value} side")
 
-        steps = self._interval_steps(ts, side, n, h0, ratio)
-        if steps is not None:
-            return [ts + h for h in steps] if side is ApproachSide.RIGHT else [ts - h for h in steps]
-        return self._members_near(ts, side, n)
+        pts = self._interval_steps(ts, side, n, h0, ratio)
+        return pts if pts is not None else self._members_near(ts, side, n)
 
     def symmetric_pairs(
         self, t: float, n: int, h0: float = LimitConfig.h0, ratio: float = LimitConfig.ratio

@@ -655,6 +655,26 @@ def test_usage_error_is_structured_record(capsys, flags, message):
     assert message in rec["message"]
 
 
+_DERIV_AT_1 = ["deriv", "--scale", "interval(0,4)", "--fn", "t", "--order", "1", "--points", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([*_DERIV_AT_1, "--tol", "\u0661e-7"], "argument --tol: invalid float value: '\u0661e-7'"),
+        ([*_DERIV_AT_1, "--max-samples", "\u0668\u0660"], "argument --max-samples: invalid int value: '\u0668\u0660'"),
+        (["check", "--suite", "linearity", "--trials", "1_0"], "argument --trials: invalid int value: '1_0'"),
+    ],
+)
+def test_numeric_flags_follow_the_grammar_number_rule(capsys, argv, message):
+    # float() and int() accept any Unicode digit and _ separators; the
+    # flags read numbers as the grammars do
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    [rec] = records(out)
+    assert rec["error"] == "UsageError" and message in rec["message"]
+
+
 def test_missing_subcommand_is_structured_record(capsys):
     code, out, err = run(capsys)
     assert code == 1 and err == ""

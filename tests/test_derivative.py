@@ -24,14 +24,19 @@ from tsfrac import (
     NonFiniteSample,
     NoSymmetricNeighborhood,
     Order,
+    OrderClass,
     PointNotInScale,
     PointOutsideDomain,
     SidedLimitsDisagree,
     TimeScale,
     UniformGrid,
+    classify_order,
     delta_frac,
+    estimate_limit,
     nabla_frac,
     order_lowering_check,
+    parse_scale,
+    signed_pow,
     symmetric_frac,
     symmetric_via_sides,
     symmetric_weights,
@@ -232,6 +237,73 @@ def test_a_dense_side_is_asked_for_its_points_once(monkeypatch):
     with pytest.raises(LimitDidNotConverge, match="after 32 samples"):
         nabla_frac(ident(T), 0.0, Order(1, 2))
     assert asked == [(0.0, ApproachSide.RIGHT, LimitConfig().max_samples)]
+
+
+def _dense_from_public_pieces(f, t, order, kind, cfg):
+    """(value, err_est) of a dense derivative rebuilt from the public scale
+    queries, signed_pow and estimate_limit, as the definitions read."""
+    T = f.scale
+    if kind is DerivKind.SYMMETRIC:
+        hs = T.symmetric_pairs(t, cfg.max_samples, cfg.h0, cfg.ratio)
+        est = estimate_limit([(f(t + h) - f(t - h)) / signed_pow(2.0 * h, order) for h in hs], cfg)
+        return est.value, est.err_est
+    sides = [ApproachSide.LEFT, ApproachSide.RIGHT]
+    if classify_order(order) is OrderClass.GENERAL:
+        sides = [ApproachSide.RIGHT if kind is DerivKind.NABLA else ApproachSide.LEFT]
+    ests = []
+    for side in sides:
+        seq = T.approach_sequence(t, side, cfg.max_samples, cfg.h0, cfg.ratio)
+        if len(seq) < 3:
+            continue
+        if kind is DerivKind.NABLA:
+            quots = [(f(s) - f(t)) / signed_pow(s - t, order) for s in seq]
+        else:
+            quots = [(f(t) - f(s)) / signed_pow(t - s, order) for s in seq]
+        est = estimate_limit(quots, cfg)
+        ests.append((est.value, est.err_est))
+    if len(ests) == 1:
+        return ests[0]
+    (lval, lerr), (rval, rerr) = ests
+    return 0.5 * (lval + rval), max(lerr, rerr, abs(lval - rval))
+
+
+_ORDERS4 = (Order(1, 3), Order(1, 2), Order(2, 3), Order(1, 1))
+_FIVE = TimeScale([Interval(-5.0, 5.0)])
+_QZERO = parse_scale("qgrid(2,-45,3,zero)")
+_DENSE_CASES = (
+    # interior points of an interval, left and right of 0, every kind and order
+    [
+        (_FIVE, src, t, kind, o)
+        for src in ("sin(t) + t^3", "7.25")
+        for t in (-2.7, 1.3)
+        for kind in DerivKind
+        for o in _ORDERS4
+    ]
+    # the interval's ends, where only the side inside is sampled
+    + [(_FIVE, "3*t - 1", -5.0, DerivKind.NABLA, o) for o in _ORDERS4]
+    + [(_FIVE, "3*t - 1", 5.0, DerivKind.DELTA, o) for o in _ORDERS4]
+    # 0, dense by a geometric tail on its right only
+    + [(_QZERO, "sin(t) + t^3", 0.0, DerivKind.NABLA, o) for o in _ORDERS4]
+    + [(_QZERO, "sin(t) + t^3", 0.0, DerivKind.DELTA, o) for o in (Order(1, 3), Order(1, 1))]
+)
+
+
+@pytest.mark.parametrize("T, src, t, kind, order", _DENSE_CASES)
+def test_dense_quotients_are_bit_identical_to_the_definition(T, src, t, kind, order):
+    cfg = LimitConfig(tol=1e-4, max_samples=80)
+    f = FnOnScale.from_expression(src, T)
+    deriv = {DerivKind.NABLA: nabla_frac, DerivKind.DELTA: delta_frac, DerivKind.SYMMETRIC: symmetric_frac}[kind]
+    r = deriv(f, t, order, cfg)
+    assert r.path is ComputePath.DENSE_LIMIT
+    # repr tells -0.0 from 0.0, which == does not
+    assert repr((r.value, r.err_est)) == repr(_dense_from_public_pieces(f, t, order, kind, cfg))
+
+
+@pytest.mark.parametrize("order", [Order(1, 2), Order(2, 3)])
+def test_delta_of_a_constant_is_positive_zero(order):
+    # each difference -f(s) - (-f(t)) is +0.0 over a positive base
+    r = delta_frac(FnOnScale.from_expression("7.25", _FIVE), 1.3, order)
+    assert (r.path, r.value, math.copysign(1.0, r.value)) == (ComputePath.DENSE_LIMIT, 0.0, 1.0)
 
 
 def test_too_few_symmetric_pairs_raise():

@@ -398,6 +398,14 @@ def test_interval_too_narrow_to_bisect_raises():
         nabla_integral(f, 1000000.0, 1000001.0, qc)
 
 
+def test_converged_estimate_on_an_unbisectable_interval_is_returned():
+    # [1e4, 1e4 + 4 ulp] cannot be halved twice, yet the first Simpson
+    # estimate of a constant is exact; it used to raise "too narrow"
+    b = 10000.000000000004
+    f = FnOnScale(lambda x: 1.0, TimeScale([Interval(10000.0, b)]))
+    assert nabla_integral(f, 10000.0, b) == 3.637978807091713e-12 == b - 10000.0
+
+
 def test_tight_quadrature_matches_loose():
     T = TimeScale([Interval(0.0, 3.0)])
     f = FnOnScale(lambda x: math.exp(-x * x), T)
