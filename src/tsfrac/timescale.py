@@ -18,14 +18,13 @@ stored on the scale (default ``1e-12``).  Gaps at or below that tolerance are
 classified as dense; this is what lets a geometric grid whose tail drops
 below the tolerance stand in for a genuine accumulation point.
 
-Scales are immutable.  Construction normalizes the component list: adjacent
-or overlapping intervals are merged, discrete points covered by an interval
-are absorbed, discrete components with members within the snap tolerance of
-each other are fused into one point set, and the members of a point set
-closer together than the snap tolerance are coalesced (the representation
-cannot tell them apart at the documented tolerance).  The result does not
-depend on the order of the components, and normalizing a normalized scale
-is the identity.
+Scales are immutable.  A scale is the set of its members, and the snap
+tolerance never decides which members exist: construction merges adjacent
+or overlapping intervals and absorbs the discrete members within the
+tolerance of an interval, and keeps every other distinct member once, so
+two members closer than the tolerance both stay and the gap between them
+is dense.  The result does not depend on the order of the components, and
+normalizing a normalized scale is the identity.
 
 Every query is answered from one flat index built at construction: the
 sorted ``array('d')`` of all discrete members and finite interval endpoints,
@@ -36,7 +35,9 @@ inside or within the tolerance of an interval.  A scale remembers its last
 lookup as one pair (t, bisect_left(index, t)), read and replaced whole, so
 an operator's queries at one point bisect once and a concurrent reader never
 mixes two lookups.  Enumerations read a window of the index, keeping no
-derived copy.  The component list serves ``describe()``, JSON and equality.
+derived copy.  Equality and hashing compare the index and the tolerance, so
+two descriptions of one set are equal; the component list serves
+``describe()`` and JSON.
 """
 
 from __future__ import annotations
@@ -277,7 +278,8 @@ class GeometricGrid:
     """sign * q**k for k = k_min .. k_max, plus 0 when include_zero is set.
 
     q must exceed 1.  With include_zero and a tail q**k_min at or below the
-    snap tolerance, the origin behaves as a dense (accumulation) point.
+    snap tolerance, the origin behaves as a dense (accumulation) point, in a
+    union as alone, since no member is ever merged into another.
     """
 
     q: float
@@ -359,11 +361,11 @@ def _coalesce(values: list[float], tol: float) -> list[float]:
 
 
 def _normalize(comps: list, tol: float):
-    """The merged intervals, sorted and disjoint, and the surviving discrete
-    components as (component, sorted members) pairs.  A lone discrete
-    component is kept as given, a point set coalesced; components fused by
-    members within tol of each other coalesce into one point set.  A grid
-    with consecutive members within tol of each other is a ValidationError."""
+    """The merged intervals, sorted and disjoint, and the discrete components
+    as (component, sorted members) pairs, less the members within tol of an
+    interval (a component that loses some becomes the point set of the rest).
+    Every other member stays, however close to another.  A grid with
+    consecutive members within tol of each other is a ValidationError."""
     intervals: list[Interval] = []
     discretes: list = []
     for c in comps:
@@ -412,35 +414,7 @@ def _normalize(comps: list, tol: float):
                 c, members = FinitePoints(kept), kept
         parts.append((c, members))
 
-    # fuse the components linked by members within tol of each other (one
-    # sorted merge of all members, a union-find over the links, needed only
-    # where two hulls come within tol), then coalesce every point set
-    parent = list(range(len(parts)))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    hulls = sorted((ms[0], ms[-1]) for _, ms in parts)
-    if any(lo - hi <= tol for (_, hi), (lo, _) in zip(hulls, hulls[1:])):
-        tagged = sorted((m, i) for i, (_, ms) in enumerate(parts) for m in ms)
-        for (a, i), (b, j) in zip(tagged, tagged[1:]):
-            if b - a <= tol:
-                parent[root(j)] = root(i)
-    fused: dict = {}
-    for i, part in enumerate(parts):
-        fused.setdefault(root(i), []).append(part)
-    survivors = []
-    for members_of in fused.values():
-        c, ms = members_of[0]
-        if len(members_of) > 1 or isinstance(c, FinitePoints):
-            values = _coalesce([m for _, part in members_of for m in part], tol)
-            if len(members_of) > 1 or len(values) < len(ms):  # else c is unchanged
-                c, ms = FinitePoints(values), values
-        survivors.append((c, ms))
-    return merged, survivors
+    return merged, parts
 
 
 class TimeScale:
@@ -488,16 +462,22 @@ class TimeScale:
         )
         if total > _MAX_POINTS:
             raise ValidationError(f"scale would have {total} members, more than {_MAX_POINTS}")
-        intervals, survivors = _normalize(comps, tol)
+        intervals, parts = _normalize(comps, tol)
         ordered = [((iv.lo, iv.hi), iv) for iv in intervals]
-        ordered += [((ms[0], ms[-1]), c) for c, ms in survivors]
+        ordered += [((ms[0], ms[-1]), c) for c, ms in parts]
         ordered.sort(key=lambda kc: kc[0])
 
-        # the flat index: _inside[i] tells whether the gap between _pts[i-1]
-        # and _pts[i] (unbounded at i == 0 and i == len(_pts)) is an interval;
-        # packed arrays hold a large grid in a quarter of the memory of floats
+        # the flat index: each distinct member once, and _inside[i] telling whether the gap
+        # between _pts[i-1] and _pts[i] (unbounded at i == 0 and i == len(_pts)) is an
+        # interval; packed arrays hold a large grid in a quarter of the memory of floats
         ends = [x for iv in intervals for x in (iv.lo, iv.hi) if math.isfinite(x)]
-        pts = array("d", sorted(chain(ends, *(ms for _, ms in survivors))))
+        members = chain(ends, *(ms for _, ms in parts))
+        # only components whose hulls overlap can share a member (2.0 in grid(1.5,3,0.5) and
+        # points(2,4)), and then two consecutive hulls in the order of their low ends overlap
+        hulls = sorted((ms[0], ms[-1]) for _, ms in parts)
+        if any(lo <= hi for (_, hi), (lo, _) in zip(hulls, hulls[1:])):
+            members = set(members)
+        pts = array("d", sorted(members))
         inside = bytearray(len(pts) + 1)
         for iv in intervals:
             inside[bisect.bisect_left(pts, iv.hi) if math.isfinite(iv.hi) else len(pts)] = 1
@@ -518,15 +498,12 @@ class TimeScale:
     def __reduce__(self):  # pickle and copy rebuild through __init__, not by setting slots
         return (TimeScale, (self.components, self.snap_tol))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TimeScale)
-            and self.components == other.components
-            and self.snap_tol == other.snap_tol
-        )
+    def __eq__(self, other):  # the set itself, however it was described
+        key = (self._pts, self._inside, self.snap_tol)
+        return isinstance(other, TimeScale) and key == (other._pts, other._inside, other.snap_tol)
 
-    def __hash__(self):
-        return hash((self.components, self.snap_tol))
+    def __hash__(self):  # over the floats, not their bytes, so -0.0 hashes as 0.0
+        return hash((tuple(self._pts), self._inside, self.snap_tol))
 
     def __repr__(self):
         return f"TimeScale({self.describe()})"
@@ -788,8 +765,10 @@ class TimeScale:
             t = s
 
     def points_in(self, a: float, b: float, density: float = 33.0) -> list[float]:
-        """Representative scale points in [a, b]: all discrete members plus
-        interval samples at the given points-per-unit density.
+        """Representative scale points in [a, b], ascending: every discrete
+        member within the snap tolerance of [a, b], plus samples of each
+        interval at the given points-per-unit density, those within the
+        tolerance of each other merged.
 
         Raises:
             ValueError: the density is not finite and positive, a bound is
@@ -823,8 +802,8 @@ class TimeScale:
             npts = max(2, int(math.ceil(min((y - x) * density, _MAX_POINTS))) + 1)
             if len(out) + npts > _MAX_POINTS:
                 raise ValueError(f"[{a}, {b}] at density {density} needs over {_MAX_POINTS} samples")
-            out.extend(x + j * (y - x) / (npts - 1) for j in range(npts))
-        return _coalesce(out, tol)
+            out += _coalesce([x + j * (y - x) / (npts - 1) for j in range(npts)], tol)
+        return sorted(out)
 
     # -- serialization ----------------------------------------------------
 

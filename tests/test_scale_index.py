@@ -9,7 +9,10 @@ intervals (some touching or overlapping, some unbounded), point sets,
 uniform grids and geometric grids of both signs, with and without 0.  The
 queries run grouped by point, shuffled, and from four threads at once.
 Each union is also rebuilt from its text form, with and without whitespace
-between the tokens, and must give the same index.
+between the tokens, and must give the same index.  Two seeded properties
+check that the index is the set of members: merging the discrete components
+into one point set, or adding a point outside [rho(t), sigma(t)], changes
+neither the index nor what the scale answers at t.
 """
 
 import math
@@ -40,9 +43,8 @@ class Oracle:
     def __init__(self, T: TimeScale):
         self.tol = T.snap_tol
         self.intervals = [(c.lo, c.hi) for c in T.components if isinstance(c, Interval)]
-        self.discrete = sorted(
-            m for c in T.components if not isinstance(c, Interval) for m in c.iter_members()
-        )
+        # each distinct member once, however many components hold it
+        self.discrete = sorted({m for c in T.components if not isinstance(c, Interval) for m in c.iter_members()})
         ends = [x for iv in self.intervals for x in iv if math.isfinite(x)]
         self.points = sorted(self.discrete + ends)
         lows = [lo for lo, _ in self.intervals] + self.discrete
@@ -166,12 +168,12 @@ class Oracle:
                 out.append(x)
             elif x < y:
                 npts = max(2, int(math.ceil((y - x) * density)) + 1)
-                out.extend(x + j * (y - x) / (npts - 1) for j in range(npts))
-        kept = []
-        for v in sorted(out):
-            if not (kept and v - kept[-1] <= self.tol):
-                kept.append(v)
-        return kept
+                kept = []  # an interval's samples within the tolerance of each other merge
+                for v in (x + j * (y - x) / (npts - 1) for j in range(npts)):
+                    if not (kept and v - kept[-1] <= self.tol):
+                        kept.append(v)
+                out += kept
+        return sorted(out)
 
 
 def _outcome(call):
@@ -214,6 +216,14 @@ def _random_components(rng: random.Random) -> list:
 
 def _random_scale(rng: random.Random) -> TimeScale:
     return TimeScale(_random_components(rng))
+
+
+#: geometric grids whose tails lie within the snap tolerance: one with 0 adjoined, one mirrored
+_DEEP_GRIDS = (GeometricGrid(2.0, -60, 0, include_zero=True), GeometricGrid(2.0, -60, 0, sign=-1))
+
+
+def _random_components_with_deep_grids(rng: random.Random) -> list:
+    return _random_components(rng) + [g for g in _DEEP_GRIDS if rng.random() < 0.5]
 
 
 def _queries(O: Oracle, rng: random.Random):
@@ -326,15 +336,15 @@ _SCALE_TOKEN = re.compile(r"[0-9.]+(?:e[-+]?[0-9]+)?|[a-z]+|[-+(),]")
 @pytest.mark.parametrize("seed", range(40))
 def test_scale_text_rebuilds_the_same_index(seed):
     # a random union's describe() text, and that text with random runs of the four
-    # whitespace characters around its tokens, parse to the same index; the text
-    # has no unbounded interval and writes a mirrored geometric grid as its points
+    # whitespace characters around its tokens, parse to an equal scale with the same
+    # index; the text has no unbounded interval and writes a mirrored geometric grid
+    # as its points, every one of them kept where the grid's tail lies within the
+    # tolerance (odd seeds add such a grid)
     rng = random.Random(seed)
     comps = [c for c in _random_components(rng) if not (isinstance(c, Interval) and math.isinf(c.hi - c.lo))]
+    if seed % 2:
+        comps.append(_DEEP_GRIDS[1])
     T = TimeScale(comps or [Interval(0.0, 1.0)])
-    written = tuple(
-        FinitePoints(tuple(c.iter_members())) if isinstance(c, GeometricGrid) and c.sign < 0 else c
-        for c in T.components
-    )
     text = T.describe()
     tokens = _SCALE_TOKEN.findall(text)
     assert "".join(tokens) == text
@@ -346,7 +356,42 @@ def test_scale_text_rebuilds_the_same_index(seed):
     for src in (text, spaced):
         U = parse_scale(src)
         assert bytes(U._pts) == bytes(T._pts) and U._inside == T._inside, src
-        assert (U.components, U.inf_value, U.sup_value) == (written, T.inf_value, T.sup_value), src
+        assert U == T and hash(U) == hash(T) and U.describe() == text, src
+        assert (U.inf_value, U.sup_value) == (T.inf_value, T.sup_value), src
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_merging_the_discrete_components_keeps_the_scale(seed):
+    # a scale is the set of its members: one point set holding every discrete
+    # member gives the same index, an equal scale and the same hash
+    rng = random.Random(seed)
+    comps = _random_components_with_deep_grids(rng)
+    T = TimeScale(comps)
+    intervals = [c for c in comps if isinstance(c, Interval)]
+    members = [m for c in comps if not isinstance(c, Interval) for m in c.iter_members()]
+    M = TimeScale(intervals + ([FinitePoints(members)] if members else []))
+    assert bytes(M._pts) == bytes(T._pts) and M._inside == T._inside
+    assert M == T and hash(M) == hash(T)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_a_point_outside_the_jumps_of_t_leaves_t_alone(seed):
+    # at a t that is neither end of the scale, adding a point p outside
+    # [rho(t), sigma(t)] changes neither sigma(t), rho(t) nor the class of t,
+    # however close p lies to a member
+    rng = random.Random(seed)
+    comps = _random_components_with_deep_grids(rng)
+    T = TimeScale(comps)
+    pts = list(T._pts)
+    for t in rng.sample(pts, min(len(pts), 4)):
+        if not T.inf_value < t < T.sup_value:
+            continue
+        before = (T.rho(t), T.sigma(t), T.classify(t))
+        near = [m + d * T.snap_tol for m in rng.sample(pts, min(len(pts), 3)) for d in (-0.6, -0.3, 0.3, 0.6)]
+        for p in near + [rng.uniform(-40.0, 40.0) for _ in range(2)]:
+            if not before[0] <= p <= before[1]:
+                U = TimeScale(comps + [FinitePoints([p])])
+                assert (U.rho(t), U.sigma(t), U.classify(t)) == before, (t, p)
 
 
 @pytest.mark.parametrize(

@@ -197,14 +197,15 @@ def test_overlapping_components_merge():
 
 
 def test_normalization_does_not_depend_on_component_order():
-    # b shares a member with a and with c within the tolerance, but a and c
-    # share none: the three fuse into one point set in every order
+    # b has a member within the tolerance of one of a and of one of c, but a
+    # and c have none: every member stays, and all six orders give one scale
     a = FinitePoints([0.0, 5.0])
     b = FinitePoints([0.9e-12, 6.0])
     c = FinitePoints([1.8e-12, 7.0])
-    scales = {TimeScale(perm) for perm in itertools.permutations([a, b, c])}
-    assert len(scales) == 1
-    assert scales.pop().describe() == "points(0,1.8e-12,5,6,7)"
+    scales = [TimeScale(perm) for perm in itertools.permutations([a, b, c])]
+    first = scales[0]
+    assert all(T == first and hash(T) == hash(first) for T in scales) and len(set(scales)) == 1
+    assert tuple(first._pts) == (0.0, 0.9e-12, 1.8e-12, 5.0, 6.0, 7.0)
 
 
 def test_adjacent_interval_and_point_merge():
@@ -569,8 +570,8 @@ def test_json_integer_past_the_float_range_is_invalid(doc):
 
 
 def test_grid_step_is_checked_against_the_scale_tolerance():
-    # under snap_tol=1e-8 this grid built a scale of 1,001 members with 0 right-dense, while
-    # the same members given as points coalesce to 97 with 0 right-scattered
+    # a step at most 4 tolerances is refused as ambiguous; under snap_tol=1e-8 this grid
+    # would have 1,001 members, every gap between them dense
     grid = UniformGrid(0.0, 1e-6, 1e-9)
     for tol in (1e-8, 2.5e-10):  # the step is at most 4 times the tolerance
         with pytest.raises(ValidationError, match="too close to the membership tolerance"):
@@ -615,24 +616,53 @@ def test_grid_near_the_float_spacing_is_kept_while_its_members_stay_apart():
 
 
 def test_a_lone_geometric_grid_is_kept_and_a_fused_one_coalesces():
-    # normalization keeps a lone component as given, so the tail of qgrid(2,-60,0,zero)
-    # below the tolerance makes 0 dense; one more point fuses it with the grid, and the
-    # fused point set coalesces every member within 1e-12 of 0 into 0
+    # the tail of qgrid(2,-60,0,zero) below the tolerance makes 0 dense, alone and
+    # beside a point among the tail's members: every member stays, so the union's
+    # index is the grid's and the point
     from tsfrac import parse_scale
 
     lone = parse_scale("qgrid(2,-60,0,zero)")
-    assert lone.sigma(0.0) == 2.0**-60 == 8.673617379884035e-19 and lone.classify(0.0).dense
-    fused = parse_scale("union(qgrid(2,-60,0,zero),points(7.5e-13))")
-    assert fused.sigma(0.0) == 2.0**-39 == 1.8189894035458565e-12 and fused.classify(0.0).right_scattered
-    assert fused.components == (FinitePoints([0.0] + [2.0**k for k in range(-39, 1)]),)
+    union = parse_scale("union(qgrid(2,-60,0,zero),points(7.5e-13))")
+    for T in (lone, union):
+        assert T.sigma(0.0) == 2.0**-60 == 8.673617379884035e-19 and T.classify(0.0).dense
+        assert T.domain_membership(0.0).in_nabla_domain
+    assert list(union._pts) == sorted([*lone._pts, 7.5e-13]) and len(union._pts) == 63
 
 
 def test_a_lone_point_set_coalesces_and_one_left_unchanged_is_kept():
-    # members within the tolerance of each other coalesce even without a partner;
-    # a point set with none is kept as the same object, not rebuilt
-    assert TimeScale([FinitePoints([0.0, 0.5e-12, 1.0])]).components == (FinitePoints([0.0, 1.0]),)
+    # members within the tolerance of each other all stay, with the gap between
+    # them dense; a point set no interval covers is kept as the same object
+    T = TimeScale([FinitePoints([0.0, 5e-13, 1.0])])
+    assert tuple(T._pts) == (0.0, 5e-13, 1.0)
+    assert T.sigma(0.0) == 5e-13 and T.classify(0.0).right_dense
     P = FinitePoints([0.0, 1.0])
     assert TimeScale([P]).components[0] is P
+
+
+def test_points_in_lists_every_member_and_merges_interval_samples():
+    # a member within the tolerance of another is listed too; the samples of
+    # an interval narrower than the tolerance merge into its low end
+    T = TimeScale([FinitePoints([0.0, 5e-13, 1.0]), Interval(2.0, 3.0)])
+    assert T.points_in(0.0, 1.0) == [0.0, 5e-13, 1.0]
+    assert T.points_in(0.0, 2.5, density=2.0) == [0.0, 5e-13, 1.0, 2.0, 2.5]
+    assert T.points_in(2.5, 2.5 + 1e-13) == [2.5]
+
+
+def test_negative_zero_and_zero_give_one_scale():
+    # -0.0 == 0.0, so the two sets are one; a hash over the index's bytes would
+    # tell them apart
+    P, Z = (TimeScale([FinitePoints([z, 1.0])]) for z in (-0.0, 0.0))
+    assert P == Z and hash(P) == hash(Z)
+
+
+def test_two_descriptions_of_one_set_are_equal():
+    # 2.0 is a member of both components and is indexed once
+    from tsfrac import parse_scale
+
+    U = parse_scale("union(grid(1.5,3,0.5),points(2,4))")
+    P = parse_scale("points(1.5,2,2.5,3,4)")
+    assert U == P and hash(U) == hash(P) and U.describe() != P.describe()
+    assert tuple(U._pts) == (1.5, 2.0, 2.5, 3.0, 4.0) and U.sigma(2.0) == 2.5 and U.rho(2.0) == 1.5
 
 
 @pytest.mark.parametrize(
@@ -694,14 +724,13 @@ def test_scale_member_bound_is_summed_over_components(monkeypatch):
 
 def test_chained_points_fuse_in_linear_time():
     # 20,000 one-point components, each within the snap tolerance of the next,
-    # fuse into one point set; relabelling every link used to take O(k**2)
+    # keep every member and build in linear time
     comps = [FinitePoints([i * 0.5e-12]) for i in range(20_000)]
     start = time.perf_counter()
     T = TimeScale(comps)
     assert time.perf_counter() - start < 1.0
-    [points] = T.components
-    assert isinstance(points, FinitePoints)
-    assert points.values[0] == 0.0 and points.values[-1] <= 19_999 * 0.5e-12
+    assert len(T.components) == len(T._pts) == 20_000
+    assert T._pts[0] == 0.0 and T._pts[-1] == 19_999 * 0.5e-12
 
 
 def test_union_of_large_grids_fails_fast():
