@@ -205,7 +205,7 @@ def _parse_points(text: str):
 
 def _error_record(exc, **extra) -> dict:
     rec = {"error": type(exc).__name__, "message": str(exc)}
-    for attr in ("position", "left", "right"):
+    for attr in ("position", "left", "right", "samples_unavailable"):
         v = getattr(exc, attr, None)
         if v is not None:
             rec[attr] = v

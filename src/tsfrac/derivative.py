@@ -41,9 +41,7 @@ from typing import Callable
 from .errors import (
     LimitDidNotConverge,
     NonFiniteSample,
-    NoSymmetricNeighborhood,
     PointOutsideDomain,
-    SideNotDense,
     SidedLimitsDisagree,
     TsfracError,
 )
@@ -145,16 +143,14 @@ def _side_samples(T: TimeScale, ts: float, side: ApproachSide, cfg: LimitConfig)
     when it cannot supply the three a limit needs: it is scattered, or
     offers fewer points, whether it is discrete or an interval whose steps
     reach the float spacing at ts."""
-    try:
-        seq = T.approach_sequence(ts, side, cfg.max_samples, cfg.h0, cfg.ratio)
-    except SideNotDense:
-        return None
+    seq = T.approach_sequence(ts, side, cfg.max_samples, cfg.h0, cfg.ratio)
     return seq if len(seq) >= 3 else None
 
 
 def _settle(quots, cfg: LimitConfig, side: ApproachSide, ts: float) -> "tuple[float, float]":
     """The limit of one side's quotient sequence and its error estimate, or
-    LimitDidNotConverge."""
+    LimitDidNotConverge.  A zero limit is +0.0: a side whose base is
+    negative divides +0.0 differences by negative powers."""
     est = estimate_limit(quots, cfg)
     if not est.converged:
         label = "symmetric" if side is ApproachSide.BOTH else f"{side.value}-side"
@@ -162,7 +158,7 @@ def _settle(quots, cfg: LimitConfig, side: ApproachSide, ts: float) -> "tuple[fl
             f"{label} quotients did not settle within tol={cfg.tol} at t={ts} "
             f"after {est.samples_used} samples (last difference {est.err_est:.3e})"
         )
-    return est.value, est.err_est
+    return est.value + 0.0, est.err_est
 
 
 def _dense_limit(f: FnOnScale, ts: float, order: Order, cfg: LimitConfig, kind: DerivKind):
@@ -177,7 +173,9 @@ def _dense_limit(f: FnOnScale, ts: float, order: Order, cfg: LimitConfig, kind: 
     if kind is DerivKind.SYMMETRIC:
         pairs = T.symmetric_pairs(ts, cfg.max_samples, cfg.h0, cfg.ratio)
         if len(pairs) < 3:
-            raise NoSymmetricNeighborhood(f"only {len(pairs)} symmetric pairs available near t={ts}")
+            raise LimitDidNotConverge(
+                f"only {len(pairs)} symmetric pairs available near t={ts}", samples_unavailable=True
+            )
         found = [(ApproachSide.BOTH, pairs)]
 
         def quots(hs):
@@ -298,6 +296,14 @@ def symmetric_frac(
 
     Not-dense points use the exact two-neighbor quotient; dense points take
     the limit over mirrored pairs t +/- h.
+
+    Raises:
+        PointNotInScale: t is not a member of the scale.
+        PointOutsideDomain: t is a scattered extremum of the scale.
+        NonFiniteSample: a quotient is NaN or infinite.
+        LimitDidNotConverge: the quotients did not settle, or, with
+            ``samples_unavailable`` set, fewer than three pairs t +/- h lie
+            in the scale.
     """
     return _frac(f, t, order, cfg, DerivKind.SYMMETRIC)
 

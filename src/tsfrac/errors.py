@@ -11,14 +11,10 @@ __all__ = [
     "TsfracError",
     "PointNotInScale",
     "PointOutsideDomain",
-    "SideNotDense",
-    "NoSymmetricNeighborhood",
     "NegativeBaseForGeneralOrder",
     "NonFiniteSample",
     "LimitDidNotConverge",
     "SidedLimitsDisagree",
-    "EndpointNotInScale",
-    "EndpointOutsideKappaSet",
     "QuadratureFailure",
     "ValidationError",
     "ExprSyntaxError",
@@ -32,23 +28,17 @@ class TsfracError(Exception):
 
 
 class PointNotInScale(TsfracError):
-    """A point was expected to be a member of the time scale and is not."""
+    """A point, an integral endpoint or an antiderivative anchor among them,
+    was expected to be a member of the time scale and is not."""
 
 
 class PointOutsideDomain(TsfracError):
     """The point is in the scale but outside the operator's domain.
 
     The nabla derivative is undefined at a scattered minimum, the delta
-    derivative at a scattered maximum, and the symmetric derivative at either.
+    derivative at a scattered maximum, and the symmetric derivative, and so
+    the symmetric integral's endpoints, at either.
     """
-
-
-class SideNotDense(TsfracError):
-    """An approach sequence was requested on a side where the point is scattered."""
-
-
-class NoSymmetricNeighborhood(TsfracError):
-    """No h > 0 with both t+h and t-h in the scale exists below the step bound."""
 
 
 class NegativeBaseForGeneralOrder(TsfracError):
@@ -63,7 +53,8 @@ class LimitDidNotConverge(TsfracError):
     """The quotient sequence did not settle within the configured tolerance.
 
     ``samples_unavailable`` is set when the failure is structural: no side the
-    definition admits has the three scale points a limit needs to sample.
+    definition admits has the three scale points a limit needs to sample, or
+    fewer than three mirrored pairs t +/- h lie in the scale.
     """
 
     def __init__(self, message: str, *, samples_unavailable: bool = False):
@@ -78,14 +69,6 @@ class SidedLimitsDisagree(TsfracError):
         super().__init__(message)
         self.left = left
         self.right = right
-
-
-class EndpointNotInScale(TsfracError):
-    """An integration endpoint is not a member of the time scale."""
-
-
-class EndpointOutsideKappaSet(TsfracError):
-    """A symmetric Cauchy integral endpoint lacks a neighbor on one side."""
 
 
 class QuadratureFailure(TsfracError):

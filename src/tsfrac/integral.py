@@ -53,8 +53,6 @@ from dataclasses import dataclass, field, replace
 from .derivative import _DERIVS, DerivKind, FnOnScale, _side_samples, symmetric_weights
 from .errors import (
     EndpointAdjustedWarning,
-    EndpointNotInScale,
-    EndpointOutsideKappaSet,
     LimitDidNotConverge,
     PointOutsideDomain,
     QuadratureFailure,
@@ -181,8 +179,8 @@ def _integral(
 ) -> float:
     """The classical integral of the kind from a to b, snapped onto the scale."""
     T = f.scale
-    sa = T._require_member(a, "a", EndpointNotInScale)
-    sb = T._require_member(b, "b", EndpointNotInScale)
+    sa = T._require_member(a, "a")
+    sb = T._require_member(b, "b")
     return _walk(f, sa, sb, qc or QuadratureConfig(), kind)
 
 
@@ -226,7 +224,7 @@ class Antiderivative:
     def __post_init__(self):
         if self.kind not in (DerivKind.NABLA, DerivKind.DELTA):
             raise ValidationError("antiderivative kind must be nabla or delta")
-        anchor = self.base.scale._require_member(self.anchor, "t0", EndpointNotInScale)
+        anchor = self.base.scale._require_member(self.anchor, "t0")
         self.anchor = anchor
         if self.qc is None:
             self.qc = QuadratureConfig()
@@ -235,7 +233,7 @@ class Antiderivative:
         self._keys = [anchor]
 
     def eval(self, t: float) -> float:
-        ts = self.base.scale._require_member(t, "t", EndpointNotInScale)
+        ts = self.base.scale._require_member(t)
         with self._lock:
             got = self._known.get(ts)
             if got is not None:
@@ -305,7 +303,7 @@ def _frac_deriv_at(
         # scattered extremum: pretend the scale continues one uniform step
         # past the edge, so G(edge) = f(edge) * step**beta
         step = T.mu(ts) if kind is DerivKind.NABLA else T.nu(ts)
-        beta_value = 1.0 - order.value
+        beta_value = order.one_minus().value
         _warn_adjusted(
             f"{kind.value} fractional integral endpoint t={ts} has no "
             f"{'predecessor' if kind is DerivKind.NABLA else 'successor'} in the "
@@ -343,12 +341,12 @@ def _cauchy(
     if qc is None:
         qc = QuadratureConfig()
     T = f.scale
-    sa = T._require_member(a, "a", EndpointNotInScale)
-    sb = T._require_member(b, "b", EndpointNotInScale)
+    sa = T._require_member(a, "a")
+    sb = T._require_member(b, "b")
     if symmetric:
         for name, e in (("a", sa), ("b", sb)):
             if not T.domain_membership(e).in_symmetric_domain:
-                raise EndpointOutsideKappaSet(
+                raise PointOutsideDomain(
                     f"endpoint {name}={e} is a scattered extremum of the scale; "
                     "the symmetric integral needs neighbors on both sides"
                 )

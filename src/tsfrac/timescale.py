@@ -51,7 +51,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import PointNotInScale, SideNotDense, ValidationError
+from .errors import PointNotInScale, ValidationError
 from .order import LimitConfig
 
 __all__ = [
@@ -534,9 +534,8 @@ class TimeScale:
     def contains(self, t: float) -> bool:
         return self.snap(t) is not None
 
-    def _require_member(self, t: float, name: str = "t", error=PointNotInScale) -> float:
-        """t snapped onto the scale, else ``error``: PointNotInScale, or
-        EndpointNotInScale for an integral endpoint.  The message,
+    def _require_member(self, t: float, name: str = "t") -> float:
+        """t snapped onto the scale, else PointNotInScale.  The message,
         "<name>=<t> is not in the scale", names the argument, never the
         scale, and shows t in at most about 40 characters (an int past the
         float range by its size), so it is short and cannot fail to build."""
@@ -544,7 +543,7 @@ class TimeScale:
         if ts is None:
             big = isinstance(t, int) and t.bit_length() > 1024
             shown = f"<int of {t.bit_length()} bits>" if big else reprlib.repr(t)
-            raise error(f"{name}={shown} is not in the scale")
+            raise PointNotInScale(f"{name}={shown} is not in the scale")
         return ts
 
     def _index(self, t: float) -> int:
@@ -679,12 +678,12 @@ class TimeScale:
         once the step underflows the float spacing at t, so every returned
         point is distinct from t and from its neighbors.  Where the dense
         side is carried by discrete points (a geometric-grid tail), the
-        up to n grid members nearest t are returned.  A side dense by
-        convention only (left of the minimum, right of the maximum) offers
-        no points: the list is empty.
+        up to n grid members nearest t are returned.  A scattered side, and
+        a side dense by convention only (left of the minimum, right of the
+        maximum), offers no points: the list is empty.
 
         Raises:
-            SideNotDense: the requested side of t is scattered.
+            PointNotInScale: t is not a member of the scale.
             ValueError: side is not LEFT or RIGHT, n < 1, h0 <= 0, or ratio
                 outside (0, 1).
         """
@@ -694,7 +693,7 @@ class TimeScale:
         ts = self._require_member(t)
         cls = self.classify(ts)
         if not (cls.right_dense if side is ApproachSide.RIGHT else cls.left_dense):
-            raise SideNotDense(f"t={ts} is scattered on the {side.value} side")
+            return []
 
         pts = self._interval_steps(ts, side, n, h0, ratio)
         return pts if pts is not None else self._members_near(ts, side, n)

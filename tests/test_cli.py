@@ -3,6 +3,7 @@
 import argparse
 import itertools
 import json
+import math
 import time
 
 import pytest
@@ -179,7 +180,7 @@ def test_integ_endpoint_error(capsys):
         "--b", "9",
     )
     assert code == 1
-    assert records(out)[0]["error"] == "EndpointNotInScale"
+    assert records(out)[0]["error"] == "PointNotInScale"
 
 
 def test_integ_with_no_samplable_endpoint_is_one_record(capsys):
@@ -762,3 +763,47 @@ def test_build_parser_returns_a_fresh_parser_main_does_not_use(capsys):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert [rec["t"] for rec in records(out)] == [3.0]
+
+
+@pytest.mark.parametrize(
+    "order, kind, point",
+    [("1/3", "delta", "-5"), ("1", "nabla", "5")],
+)
+def test_a_zero_dense_limit_prints_positive_zero(capsys, order, kind, point):
+    # the one side sampled has a negative base, and +0.0 over a negative
+    # power is -0.0: the limit is printed as 0.0 all the same
+    code, out, _ = run(
+        capsys,
+        "deriv",
+        "--scale", "interval(-5,5)",
+        "--fn", "7.25",
+        "--order", order,
+        "--kind", kind,
+        f"--points={point}",
+    )
+    assert code == 0
+    assert '"value": 0.0}' in out
+    [rec] = records(out)
+    assert rec["path"] == "dense-limit" and math.copysign(1.0, rec["value"]) == 1.0
+
+
+@pytest.mark.parametrize(
+    "scale, fn, order, kind, point, unavailable, message",
+    [
+        # two mirrored pairs: the points give them, the tiny interval none
+        ("union(points(-0.002,-0.001,0.001,0.002),interval(-1e-13,1e-13))", "t", "1/2", "symmetric", "0",
+         True, "only 2 symmetric pairs available near t=0.0"),
+        # at the right end only the right side may be sampled, and it is empty
+        ("interval(0,1)", "t", "1/2", "nabla", "1", True, "no scale points available on the right side"),
+        # sqrt(h)/h grows without bound: the samples exist and do not settle
+        ("interval(0,1)", "sqrt(t)", "1", "delta", "0", False, "right-side quotients did not settle"),
+    ],
+)
+def test_limit_records_say_whether_samples_were_unavailable(capsys, scale, fn, order, kind, point, unavailable, message):
+    code, out, _ = run(
+        capsys, "deriv", "--scale", scale, "--fn", fn, "--order", order, "--kind", kind, "--points", point
+    )
+    assert code == 1
+    [rec] = records(out)
+    assert rec["error"] == "LimitDidNotConverge" and rec["message"].startswith(message)
+    assert rec["samples_unavailable"] is unavailable

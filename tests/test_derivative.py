@@ -22,7 +22,6 @@ from tsfrac import (
     LimitConfig,
     LimitDidNotConverge,
     NonFiniteSample,
-    NoSymmetricNeighborhood,
     Order,
     OrderClass,
     PointNotInScale,
@@ -310,8 +309,9 @@ def test_too_few_symmetric_pairs_raise():
     # the interval around 0 lies within the snap tolerance of it and gives
     # no steps; the points give only two mirrored pairs
     T = TimeScale([FinitePoints((-0.002, -0.001, 0.001, 0.002)), Interval(-1e-13, 1e-13)])
-    with pytest.raises(NoSymmetricNeighborhood, match="only 2 symmetric pairs"):
+    with pytest.raises(LimitDidNotConverge, match="only 2 symmetric pairs") as exc_info:
         symmetric_frac(FnOnScale(lambda x: x, T), 0.0, Order(1, 2))
+    assert exc_info.value.samples_unavailable
 
 
 def test_kink_makes_sides_disagree():
@@ -384,8 +384,9 @@ def test_symmetric_dense_needs_pairs():
     # 2**k accumulates at 0 from the right, so 0 counts as dense, but every
     # mirror candidate -h is missing from the scale
     T = TimeScale([GeometricGrid(2.0, -50, 2, include_zero=True)])
-    with pytest.raises(NoSymmetricNeighborhood):
+    with pytest.raises(LimitDidNotConverge) as exc_info:
         symmetric_frac(ident(T), 0.0, Order(1, 2))
+    assert exc_info.value.samples_unavailable
 
 
 def test_symmetric_weights_dense():

@@ -17,8 +17,6 @@ from tsfrac import (
     Antiderivative,
     DerivKind,
     EndpointAdjustedWarning,
-    EndpointNotInScale,
-    EndpointOutsideKappaSet,
     FinitePoints,
     FnOnScale,
     GeometricGrid,
@@ -26,6 +24,8 @@ from tsfrac import (
     LimitConfig,
     LimitDidNotConverge,
     Order,
+    PointNotInScale,
+    PointOutsideDomain,
     QuadratureConfig,
     QuadratureFailure,
     TimeScale,
@@ -91,20 +91,20 @@ def test_orientation_and_empty_range():
 def test_integral_endpoint_must_be_member():
     T = grid(0, 5)
     f = FnOnScale(lambda x: x, T)
-    with pytest.raises(EndpointNotInScale):
+    with pytest.raises(PointNotInScale):
         nabla_integral(f, 0.25, 4.0)
     # float() of an int past the float range overflows, and str() of 10**5000
     # exceeds Python's digit limit: the message must not need it
     for big in (10**400, 10**5000):
         for integral in (nabla_integral, delta_integral):
-            with pytest.raises(EndpointNotInScale):
+            with pytest.raises(PointNotInScale):
                 integral(f, 0.0, big)
         for integral in (nabla_frac_integral, delta_frac_integral, symmetric_frac_integral):
-            with pytest.raises(EndpointNotInScale):
+            with pytest.raises(PointNotInScale):
                 integral(f, -big, 4.0, Order(1, 2))
-        with pytest.raises(EndpointNotInScale):
+        with pytest.raises(PointNotInScale):
             nabla_antiderivative(f, big)
-        with pytest.raises(EndpointNotInScale):
+        with pytest.raises(PointNotInScale):
             nabla_antiderivative(f, 0.0).eval(big)
 
 
@@ -273,6 +273,14 @@ def test_virtual_extension_warning_points_at_caller(integral):
     _assert_warned_here(caught, line)
 
 
+def test_virtual_extension_exponent_is_beta_itself():
+    # G(9.5) = 0, so the value is G(10) = f(10) * 0.5**beta: beta = 1/3 read
+    # as 1 - 2/3 in floats would round to 0.33333333333333337
+    f = FnOnScale(lambda x: x - 9.5, grid(0, 10, 0.5))
+    with pytest.warns(EndpointAdjustedWarning, match="virtual extension"):
+        assert delta_frac_integral(f, 9.5, 10.0, Order(1, 3)) == 0.5 * 0.5 ** (1 / 3)
+
+
 @pytest.mark.parametrize(
     "integral", [nabla_frac_integral, delta_frac_integral, symmetric_frac_integral]
 )
@@ -329,7 +337,7 @@ def test_symmetric_rejects_beta_zero():
 def test_symmetric_rejects_scattered_extremum_endpoint():
     T = grid(1, 10)
     f = FnOnScale(lambda x: x, T)
-    with pytest.raises(EndpointOutsideKappaSet):
+    with pytest.raises(PointOutsideDomain):
         symmetric_frac_integral(f, 1.0, 9.0, Order(1, 2))
 
 

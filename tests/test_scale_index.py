@@ -117,7 +117,7 @@ class Oracle:
         ts = self.member(t)
         left, right = self.classify(ts)
         if not (right if side is RIGHT else left):
-            return "SideNotDense"
+            return []
         iv = self.interval_at(ts)
         if iv is not None:
             room = iv[1] - ts if side is RIGHT else ts - iv[0]
