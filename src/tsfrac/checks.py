@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .derivative import (
     _DERIVS,
@@ -325,7 +325,7 @@ def _suite_integral_laws(rng: random.Random, trials: int, cfg: LimitConfig) -> _
 
 def _suite_symmetric_relation(rng: random.Random, trials: int, cfg: LimitConfig) -> _Recorder:
     rec = _Recorder()
-    dense_cfg = LimitConfig(h0=cfg.h0, ratio=cfg.ratio, tol=max(cfg.tol, 1e-7), max_samples=max(cfg.max_samples, 80))
+    dense_cfg = replace(cfg, tol=max(cfg.tol, 1e-7), max_samples=max(cfg.max_samples, 80))
     smooth = (
         ("sin(t)", math.sin),
         ("exp(t)", math.exp),
@@ -356,7 +356,7 @@ def _suite_order_lowering(rng: random.Random, trials: int, cfg: LimitConfig) -> 
     rec = _Recorder()
     # Dense-limit quotients carry rounding noise of order eps/h**alpha, so
     # a sub-1e-6 target can push the sampling into that noise; floor it.
-    low_cfg = LimitConfig(h0=cfg.h0, ratio=cfg.ratio, tol=max(cfg.tol, 1e-6), max_samples=max(cfg.max_samples, 80))
+    low_cfg = replace(cfg, tol=max(cfg.tol, 1e-6), max_samples=max(cfg.max_samples, 80))
     scattered_pairs = (
         (Order(1, 4), Order(1, 2)),
         (Order(1, 3), Order(1, 1)),

@@ -48,9 +48,7 @@ from .errors import (
 from .order import (
     LimitConfig,
     Order,
-    OrderClass,
     _require_order_type,
-    classify_order,
     estimate_limit,
     signed_pow,
 )
@@ -194,7 +192,7 @@ def _dense_limit(f: FnOnScale, ts: float, order: Order, cfg: LimitConfig, kind: 
             return ((sign * ev(s) - sft) / copysign(abs(d) ** e, d) for s in seq for d in (sign * s - sts,))
 
         sides = (ApproachSide.LEFT, ApproachSide.RIGHT)
-        if classify_order(order) is OrderClass.GENERAL:
+        if not order.odd_reciprocal:
             sides = (preferred,)
         found = [(side, seq) for side in sides if (seq := _side_samples(T, ts, side, cfg)) is not None]
         if not found:

@@ -174,33 +174,24 @@ def _walk(f: FnOnScale, a: float, b: float, qc: QuadratureConfig, kind: DerivKin
     return total
 
 
-def _integral(
-    f: FnOnScale, a: float, b: float, qc: QuadratureConfig | None, kind: DerivKind
-) -> float:
-    """The classical integral of the kind from a to b, snapped onto the scale."""
-    T = f.scale
-    sa = T._require_member(a, "a")
-    sb = T._require_member(b, "b")
-    return _walk(f, sa, sb, qc or QuadratureConfig(), kind)
-
-
 def nabla_integral(
     f: FnOnScale, a: float, b: float, qc: QuadratureConfig | None = None
 ) -> float:
-    """Classical nabla integral of f from a to b.
+    """Classical nabla integral of f from a to b: the nabla Cauchy integral
+    at beta = 1.
 
     Jumps in (a, b] contribute f(t) * (t - rho(t)); interval stretches are
     integrated numerically.  Orientation flips the sign.
     """
-    return _integral(f, a, b, qc, DerivKind.NABLA)
+    return _cauchy(f, a, b, Order(1, 1), None, qc, DerivKind.NABLA)
 
 
 def delta_integral(
     f: FnOnScale, a: float, b: float, qc: QuadratureConfig | None = None
 ) -> float:
     """Classical delta integral of f from a to b (jumps in [a, b) weighted
-    by f at their left endpoint)."""
-    return _integral(f, a, b, qc, DerivKind.DELTA)
+    by f at their left endpoint): the delta Cauchy integral at beta = 1."""
+    return _cauchy(f, a, b, Order(1, 1), None, qc, DerivKind.DELTA)
 
 
 @dataclass

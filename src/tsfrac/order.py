@@ -1,10 +1,11 @@
 """Exact rational differentiation orders and the limit machinery they share.
 
 An order is a reduced fraction p/q with 0 < p/q <= 1.  The split that drives
-every sign rule in the package: p/q is an *odd reciprocal* when p = 1 and q
-is odd (1, 1/3, 1/5, ...).  For those orders x**(p/q) extends to negative x
-as the real odd root, so two-sided limits make sense; for every other order
-the power is only defined for x >= 0 and limits are one-sided.
+every sign rule in the package: p/q is an *odd reciprocal*
+(``Order.odd_reciprocal``) when p = 1 and q is odd (1, 1/3, 1/5, ...).  For
+those orders x**(p/q) extends to negative x as the real odd root, so
+two-sided limits make sense; for every other order the power is only
+defined for x >= 0 and limits are one-sided.
 
 ``estimate_limit`` turns a shrinking-step sequence of difference quotients
 into a limit estimate with a Cauchy-style stopping rule: once at least three
@@ -15,7 +16,6 @@ the last quotient and the error estimate is that final difference.
 
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
 import math
@@ -26,8 +26,6 @@ from .errors import ExprSyntaxError, NegativeBaseForGeneralOrder, NonFiniteSampl
 
 __all__ = [
     "Order",
-    "OrderClass",
-    "classify_order",
     "signed_pow",
     "LimitConfig",
     "LimitResult",
@@ -109,6 +107,11 @@ class Order:
     def is_one(self) -> bool:
         return self.numerator == self.denominator
 
+    @property
+    def odd_reciprocal(self) -> bool:
+        """1/q with q odd: x**(1/q) is the real odd root for every real x."""
+        return self.numerator == 1 and self.denominator % 2 == 1
+
     def one_minus(self) -> "Order":
         """The complementary order 1 - p/q, reduced."""
         return Order(self.denominator - self.numerator, self.denominator)
@@ -132,38 +135,23 @@ def _require_order_type(order, name: str = "order") -> None:
         raise TypeError(f"{name} must be an Order, got {type(order).__name__}")
 
 
-class OrderClass(enum.Enum):
-    """Sign behavior of x**alpha: odd reciprocals accept negative bases."""
-
-    ODD_RECIPROCAL = "odd-reciprocal"
-    GENERAL = "general"
-
-
-def classify_order(order: Order) -> OrderClass:
-    if order.is_zero:
-        raise ValueError("the zero order has no sign class")
-    if order.numerator == 1 and order.denominator % 2 == 1:
-        return OrderClass.ODD_RECIPROCAL
-    return OrderClass.GENERAL
-
-
 def signed_pow(x: float, order: Order) -> float:
     """x**(p/q) with the real-root convention.
 
-    For odd reciprocals this is sign(x) * |x|**(1/q) for every real x.  For
-    general orders negative bases are rejected.  0**alpha is 0 for every
-    positive alpha.
+    For odd reciprocals (``Order.odd_reciprocal``) this is
+    sign(x) * |x|**(1/q) for every real x.  For every other order negative
+    bases are rejected.  0**alpha is 0 for every positive alpha.
 
     Raises:
         NegativeBaseForGeneralOrder: x < 0 and the order is not an odd
             reciprocal.
     """
-    p, q = order.numerator, order.denominator  # classify_order's rule, read inline: one call a power
+    p, q = order.numerator, order.denominator
     if not p:
         raise ValueError("signed_pow is undefined for the zero order")
     if x == 0:
         return 0.0
-    if p == 1 and q % 2 == 1:
+    if order.odd_reciprocal:
         return math.copysign(abs(x) ** (1 / q), x)  # true division: no float(q) to overflow
     if x < 0:
         raise NegativeBaseForGeneralOrder(

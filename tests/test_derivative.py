@@ -23,13 +23,11 @@ from tsfrac import (
     LimitDidNotConverge,
     NonFiniteSample,
     Order,
-    OrderClass,
     PointNotInScale,
     PointOutsideDomain,
     SidedLimitsDisagree,
     TimeScale,
     UniformGrid,
-    classify_order,
     delta_frac,
     estimate_limit,
     nabla_frac,
@@ -247,7 +245,7 @@ def _dense_from_public_pieces(f, t, order, kind, cfg):
         est = estimate_limit([(f(t + h) - f(t - h)) / signed_pow(2.0 * h, order) for h in hs], cfg)
         return est.value, est.err_est
     sides = [ApproachSide.LEFT, ApproachSide.RIGHT]
-    if classify_order(order) is OrderClass.GENERAL:
+    if not order.odd_reciprocal:
         sides = [ApproachSide.RIGHT if kind is DerivKind.NABLA else ApproachSide.LEFT]
     ests = []
     for side in sides:

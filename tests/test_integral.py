@@ -37,6 +37,7 @@ from tsfrac import (
     nabla_antiderivative,
     nabla_frac_integral,
     nabla_integral,
+    parse_scale,
     symmetric_frac_integral,
 )
 
@@ -203,6 +204,30 @@ def test_beta_one_is_classical():
         got = nabla_frac_integral(f, 1.0, 10.0, ONE)
     assert got == pytest.approx(nabla_integral(f, 1.0, 10.0), abs=1e-12)
     assert got == pytest.approx(54.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "scale, a, b, outside",
+    [
+        ("grid(0,10,1)", 2.0, 7.0, 0.25),
+        ("interval(0,3)", 0.5, 3.0, -0.25),
+        ("union(interval(0,1),points(1.5,2,2.5,3))", 0.5, 3.0, 1.25),
+    ],
+)
+@pytest.mark.parametrize(
+    "classical, cauchy", [(nabla_integral, nabla_frac_integral), (delta_integral, delta_frac_integral)]
+)
+def test_classical_integral_is_the_cauchy_integral_at_beta_one(scale, a, b, outside, classical, cauchy):
+    f = FnOnScale.from_expression("sin(t) + t^2", parse_scale(scale))
+    for x, y in ((a, b), (b, a), (a, a)):
+        want, got = cauchy(f, x, y, ONE), classical(f, x, y)
+        assert got == want, (x, y, got.hex(), want.hex())
+    messages = []
+    for call in (lambda: classical(f, outside, b), lambda: cauchy(f, outside, b, ONE)):
+        with pytest.raises(PointNotInScale) as exc:
+            call()
+        messages.append(str(exc.value))
+    assert messages == [f"a={outside} is not in the scale"] * 2
 
 
 def test_beta_must_be_order_instance():

@@ -69,6 +69,28 @@ def _xfail(item: str, why: str):
     return pytest.mark.xfail(strict=True, reason=f"ROADMAP item {item}: {why}")
 
 
+#: the dense sweep: every derivative at the default LimitConfig on interval(0,10)
+_SWEEP_SCALE = reference.RefScale(intervals=[(0.0, 10.0)])
+_SWEEP_ORDERS = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(4, 5), Fraction(1)]
+
+
+def _sweep_marks(name, kind, order, t):
+    """The sweep's failures today: every row below order 1, and ten at order 1.
+    The ``cli`` workload's wrong ``table`` value is the delta sin row at
+    order 1/3, t=2."""
+    if order == Fraction(1, 3):
+        if (name == "exp" and t == 5.0) or (name, kind, t) == ("sq", "symmetric", 5.0):
+            return _xfail("1", "raises LimitDidNotConverge: the quotients do not settle in 40 samples")
+        return _xfail("1", "outside err_est, which is the last difference, not the error")
+    if order < 1:
+        return _xfail("1", "raises LimitDidNotConverge: the quotients converge like h^(1-alpha), too slowly")
+    if name == "exp" and t != 2.0 and kind != "symmetric":
+        return _xfail("1/12", "raises SidedLimitsDisagree: the sides settle on different rounding plateaus")
+    if (name, kind) == ("sq", "symmetric") and t in (1.0, 2.0):
+        return _xfail("1/12", "outside err_est: the quotients settle on a rounding plateau")
+    return ()
+
+
 #: scale, function, kind, order, t, LimitConfig or None, truth
 DERIVATIVE_CASES = [
     pytest.param(
@@ -108,6 +130,20 @@ DERIVATIVE_CASES = [
     # mended: a zero limit over one side with negative bases is +0.0
     pytest.param("interval(-5,5)", "7.25", "delta", "1/3", -5.0, None, 0.0, id="delta-constant-order1/3-t-5"),
     pytest.param("interval(-5,5)", "7.25", "nabla", "1", 5.0, None, 0.0, id="nabla-constant-order1-t5"),
+    *(
+        pytest.param(
+            "interval(0,10)", fn.text, kind, str(order), t, None,
+            reference.deriv(_SWEEP_SCALE, fn, kind, t, order),
+            marks=_sweep_marks(fn.name, kind, order, t),
+            id=f"{kind}-{fn.text.removesuffix('(t)')}-order{order}-t{t:g}-interval(0,10)",
+        )
+        for order in _SWEEP_ORDERS
+        for fn in (reference.FUNCTIONS[name] for name in ("sin", "exp", "sq", "sqrt"))
+        for t in (0.5, 1.0, 2.0, 5.0)
+        for kind in ("nabla", "delta", "symmetric")
+        # the two rows above
+        if not (fn.name == "exp" and t == 2.0 and order == 1 and kind != "symmetric")
+    ),
 ]
 
 

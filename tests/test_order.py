@@ -12,8 +12,6 @@ from tsfrac import (
     NegativeBaseForGeneralOrder,
     NonFiniteSample,
     Order,
-    OrderClass,
-    classify_order,
     estimate_limit,
     signed_pow,
 )
@@ -98,14 +96,14 @@ def test_order_comparisons():
     assert not Order(1, 2) <= Order(1, 3)
 
 
-def test_classify_order():
-    assert classify_order(Order(1, 3)) is OrderClass.ODD_RECIPROCAL
-    assert classify_order(Order(1, 1)) is OrderClass.ODD_RECIPROCAL
-    assert classify_order(Order(1, 5)) is OrderClass.ODD_RECIPROCAL
-    assert classify_order(Order(1, 2)) is OrderClass.GENERAL
-    assert classify_order(Order(1, 4)) is OrderClass.GENERAL
-    assert classify_order(Order(2, 3)) is OrderClass.GENERAL
-    assert classify_order(Order(3, 4)) is OrderClass.GENERAL
+def test_odd_reciprocal():
+    assert Order(1, 3).odd_reciprocal
+    assert Order(1, 1).odd_reciprocal
+    assert Order(1, 5).odd_reciprocal
+    assert not Order(1, 2).odd_reciprocal
+    assert not Order(1, 4).odd_reciprocal
+    assert not Order(2, 3).odd_reciprocal
+    assert not Order(3, 4).odd_reciprocal
 
 
 def test_signed_pow_odd_reciprocal():
@@ -140,9 +138,9 @@ SIGNED_POW_BASES = [s * x for x in (0.0, 1e-300, 0.3, 1.0, 7.5, 1e300) for s in 
 
 @pytest.mark.parametrize("order", SIGNED_POW_ORDERS, ids=str)
 def test_signed_pow_table(order):
-    # bit for bit the floats of the two closed forms, on the branch classify_order picks
+    # bit for bit the floats of the two closed forms, on the branch odd_reciprocal picks
     p, q = order.numerator, order.denominator
-    odd = classify_order(order) is OrderClass.ODD_RECIPROCAL
+    odd = order.odd_reciprocal
     for x in SIGNED_POW_BASES:
         if x == 0:
             assert signed_pow(x, order).hex() == "0x0.0p+0"
@@ -157,14 +155,12 @@ def test_signed_pow_table(order):
 
 def test_signed_pow_table_covers_both_branches_and_the_zero_order():
     assert Order(1, 1) in SIGNED_POW_ORDERS and len(SIGNED_POW_ORDERS) == 46
-    kinds = [classify_order(o) for o in SIGNED_POW_ORDERS]
-    assert kinds.count(OrderClass.ODD_RECIPROCAL) == 6  # 1, 1/3, ..., 1/11
+    assert sum(o.odd_reciprocal for o in SIGNED_POW_ORDERS) == 6  # 1, 1/3, ..., 1/11
     zero = Order.parse("0", allow_zero=True)
     for x in SIGNED_POW_BASES:
         with pytest.raises(ValueError, match="zero order"):
             signed_pow(x, zero)
-    with pytest.raises(ValueError, match="zero order"):
-        classify_order(zero)
+    assert not zero.odd_reciprocal
 
 
 def test_limit_config_validation():
