@@ -9,19 +9,40 @@ exercising the algebraic rules live in :mod:`tsfrac.checks`, and
 :mod:`tsfrac.cli` exposes everything as the ``tscale-frac`` command.
 
 Every name in the ``__all__`` of a library module is importable from here.
+``import tsfrac`` loads every library module but ``integral`` and ``checks``,
+which no derivative calls: they load when one of their names, or ``__all__``,
+is first read from here (a module ``__getattr__``, PEP 562).
 """
 
-from . import checks, derivative, errors, exprlang, integral, order, timescale
-from .checks import *
+import importlib
+
+from . import derivative, errors, exprlang, order, timescale
 from .derivative import *
 from .errors import *
 from .exprlang import *
-from .integral import *
 from .order import *
 from .timescale import *
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__"] + [
-    name for mod in (timescale, order, derivative, integral, exprlang, checks, errors) for name in mod.__all__
-]
+_LAYERS = ("timescale", "order", "derivative", "integral", "exprlang", "checks", "errors")
+_DEFERRED = ("integral", "checks")
+
+
+def __getattr__(name):
+    # a dunder probe other than __all__ (copy, pickle, inspect) loads nothing
+    if not name.startswith("__") or name == "__all__":
+        for layer in _DEFERRED:  # checks imports integral, so integral's names load only it
+            mod = importlib.import_module(f".{layer}", __name__)
+            if name == layer:
+                return mod
+            if name in mod.__all__:
+                return getattr(mod, name)
+        # each import above bound its module in this namespace
+        if name == "__all__":
+            return ["__version__"] + [n for layer in _LAYERS for n in globals()[layer].__all__]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__getattr__("__all__")})

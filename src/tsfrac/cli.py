@@ -12,7 +12,9 @@ record, and the exit code is 0 only when every requested value was
 computed.  Output is byte-identical for identical flags and seed.
 
 ``main`` parses with one parser per process, built on its first call;
-``build_parser`` returns a fresh parser to each caller.
+``build_parser`` returns a fresh parser to each caller.  ``integ`` loads
+:mod:`tsfrac.integral` when it runs, ``check`` loads :mod:`tsfrac.checks`
+when it reads ``--suite``: a ``deriv``, ``table`` or ``classify`` loads neither.
 """
 
 from __future__ import annotations
@@ -24,11 +26,9 @@ import json
 import math
 import sys
 
-from .checks import SUITE_NAMES, run_suite
 from .derivative import _DERIVS, DerivKind, FnOnScale
 from .errors import ExprSyntaxError, PointNotInScale, PointOutsideDomain, TsfracError
 from .exprlang import _number_text, parse_scale
-from .integral import _CAUCHY, QuadratureConfig
 from .order import LimitConfig, Order
 
 __all__ = ["main", "build_parser"]
@@ -65,6 +65,14 @@ def _flag_reader(convert):
 
 
 _float, _int = _flag_reader(float), _flag_reader(int)
+
+
+class _SuiteNames:
+    """``checks.SUITE_NAMES``, imported when argparse tests or lists a ``--suite``."""
+
+    def __iter__(self):
+        from .checks import SUITE_NAMES
+        return iter(SUITE_NAMES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[limits, fmt],
         help="run a property suite",
     )
-    k.add_argument("--suite", required=True, choices=SUITE_NAMES)
+    # with a metavar, building the parser does not list the choices
+    k.add_argument("--suite", required=True, choices=_SuiteNames(), metavar="NAME", help="one of: %(choices)s")
     k.add_argument("--seed", type=_int, default=0)
     k.add_argument("--trials", type=_int, default=50)
 
@@ -252,6 +261,7 @@ def cmd_deriv(args):
 
 
 def cmd_integ(args):
+    from .integral import _CAUCHY, QuadratureConfig
     a, b = _number("--a", args.a), _number("--b", args.b)
     T = parse_scale(args.scale)
     f = FnOnScale.from_expression(args.fn, T)
@@ -315,6 +325,7 @@ def cmd_classify(args):
 
 
 def cmd_check(args):
+    from .checks import run_suite
     report = run_suite(args.suite, seed=args.seed, trials=args.trials, cfg=_limit_config(args))
     # a non-finite residual is inf, which JSON has no number for: spelled as in scale JSON
     residual = report.max_residual if math.isfinite(report.max_residual) else "inf"

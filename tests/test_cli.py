@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from tsfrac import LimitConfig, cli
+from tsfrac import SUITE_NAMES, LimitConfig, cli
 from tsfrac.cli import main
 
 
@@ -674,6 +674,29 @@ def test_numeric_flags_follow_the_grammar_number_rule(capsys, argv, message):
     assert code == 1
     [rec] = records(out)
     assert rec["error"] == "UsageError" and message in rec["message"]
+
+
+_SUITES = (
+    "linearity", "product", "quotient", "reconstruction", "integral-laws", "symmetric-relation", "order-lowering",
+)
+
+
+def test_unknown_suite_names_every_suite_in_order(capsys):
+    code, out, _ = run(capsys, "check", "--suite", "bogus")
+    assert code == 1
+    [rec] = records(out)
+    assert rec["error"] == "UsageError"
+    # argparse lists the choices by repr; later patch releases list them by str
+    prefix = "tscale-frac check: argument --suite: invalid choice: 'bogus' (choose from "
+    assert rec["message"] in (f"{prefix}{', '.join(map(repr, _SUITES))})", f"{prefix}{', '.join(_SUITES)})")
+
+
+def test_check_help_names_every_suite(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    help_text = capsys.readouterr().out
+    assert all(name in help_text for name in SUITE_NAMES)
 
 
 def test_missing_subcommand_is_structured_record(capsys):

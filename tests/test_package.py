@@ -1,6 +1,11 @@
-"""The package root re-exports the public names of every library module."""
+"""The package root re-exports the public names of every library module,
+and loads ``integral`` and ``checks`` only when one of their names is read."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import tsfrac
 
@@ -16,3 +21,53 @@ def test_root_exports_every_library_name_once():
         assert set(mod.__all__) <= set(names), layer
         assert all(getattr(tsfrac, name) is getattr(mod, name) for name in mod.__all__), layer
     assert "__version__" in names
+
+
+# run in a fresh interpreter: this test process has imported every module
+_DEFERRAL = """
+import contextlib, io, sys
+
+def loaded():
+    return [m for m in ("integral", "checks") if "tsfrac." + m in sys.modules]
+
+def main(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        tsfrac.cli.main(list(argv))
+    return loaded()
+
+import tsfrac, tsfrac.cli
+assert loaded() == [], loaded()
+assert main("deriv", "--scale", "interval(0,4)", "--fn", "sin(t)", "--order", "1/2", "--points", "1,4") == []
+assert main("table", "--scale", "grid(0,4,1)", "--fn", "t^2", "--order", "1/2") == []
+assert main("classify", "--scale", "grid(0,4,1)", "--points", "1,2.5") == []
+# a dunder probe loads nothing
+assert not hasattr(tsfrac, "__wrapped__") and loaded() == []
+assert main("integ", "--scale", "grid(0,4,1)", "--fn", "t", "--beta", "1/2", "--a", "1", "--b", "3") == ["integral"]
+assert main("check", "--suite", "linearity", "--trials", "1") == ["integral", "checks"]
+# an unknown name is an AttributeError naming it
+try:
+    tsfrac.nope
+except AttributeError as exc:
+    assert "'nope'" in str(exc), exc
+else:
+    raise AssertionError("tsfrac.nope resolved")
+"""
+
+_STAR = """
+import sys, tsfrac
+from tsfrac import nabla_frac_integral
+assert "tsfrac.checks" not in sys.modules
+from tsfrac import *
+names = tsfrac.__all__
+assert all(globals()[name] is getattr(tsfrac, name) for name in names)
+assert set(names) <= set(dir(tsfrac))
+assert tsfrac.integral is sys.modules["tsfrac.integral"] and tsfrac.checks is sys.modules["tsfrac.checks"]
+"""
+
+
+def test_integral_and_checks_load_on_first_use():
+    src = str(Path(tsfrac.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for code in (_DEFERRAL, _STAR):
+        run = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
