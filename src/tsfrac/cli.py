@@ -327,7 +327,7 @@ def cmd_classify(args):
 def cmd_check(args):
     from .checks import run_suite
     report = run_suite(args.suite, seed=args.seed, trials=args.trials, cfg=_limit_config(args))
-    # a non-finite residual is inf, which JSON has no number for: spelled as in scale JSON
+    # a non-finite residual is inf, which JSON has no number for: spelled as the scale text writes it
     residual = report.max_residual if math.isfinite(report.max_residual) else "inf"
     return [{**vars(report), "max_residual": residual, "passed": report.passed}], 0 if report.passed else 1
 

@@ -1,8 +1,11 @@
 """Exception hierarchy shared by every tsfrac module.
 
-Everything raised on purpose by this package derives from :class:`TsfracError`,
-so callers can catch one type at the boundary.  The leaf classes are named for
-the condition they report, not for the place that raises them.
+A failed computation, and a scale, expression, point or endpoint that is not
+valid, raise a subclass of :class:`TsfracError`, named for the condition it
+reports, not for the place that raises it.  A malformed argument of another
+kind (an order, a config field, a step or density, a suite name, beta = 0 for
+the symmetric integral) is a ``ValueError``, and an order that is not an
+``Order`` a ``TypeError``.
 """
 
 from __future__ import annotations

@@ -28,10 +28,11 @@ reused registers, few even for long chains.
 Scale grammar::
 
     scale    := piece | "union" "(" scale ("," scale)* ")"
-    piece    := "interval" "(" number "," number ")"
+    piece    := "interval" "(" bound "," bound ")"
               | "points" "(" number ("," number)* ")"
               | "grid" "(" number "," number "," number ")"
               | "qgrid" "(" number "," integer "," integer ("," "zero")? ")"
+    bound    := number | ("-" | "+")? "inf"
 
 Number literals everywhere are decimal or scientific, in ASCII digits, and
 rounded once, correctly, to float (``float`` of the text), so a literal like
@@ -517,7 +518,7 @@ def _piece(p: _Parser):
     """The component a constructor call builds; the name is an identifier."""
     tok = p.take()
     if tok.text == "interval":
-        return Interval(*p.items(_number, _number))
+        return Interval(*p.items(_bound, _bound))
     if tok.text == "points":
         return FinitePoints(tuple(p.items(_number, repeat=True)))
     if tok.text == "grid":
@@ -539,6 +540,19 @@ def _zero(p: _Parser) -> bool:
         p.fail("'zero'")
     p.take()
     return True
+
+
+def _bound(p: _Parser) -> float:
+    """An interval bound: a number, or the keyword ``inf`` after an optional sign."""
+    sign = p.cur.text if p.at_op("-", "+") else ""
+    tok = p.toks[p.i + len(sign)]
+    if tok.kind == "num":
+        return _number(p)
+    p.i += len(sign)
+    if tok.kind != "ident" or tok.text != "inf":
+        p.fail("a number or 'inf'")
+    p.take()
+    return -math.inf if sign == "-" else math.inf
 
 
 def _signed_num_text(p: _Parser) -> "tuple[str, _Token]":

@@ -74,28 +74,18 @@ __all__ = [
 ]
 
 
-#: deepest bisection a quadrature may ask for; the recursion stays far from Python's limit
-_MAX_QUADRATURE_DEPTH = 100
+#: deepest bisection of an adaptive Simpson quadrature
+_QUADRATURE_DEPTH = 30
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    #: bisection depth, 1 to _MAX_QUADRATURE_DEPTH (100)
-    max_depth: int = 30
 
     def __post_init__(self):
         if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
-            raise ValidationError("quadrature tolerances must be finite and positive")
-        if isinstance(self.max_depth, bool) or not isinstance(self.max_depth, int):
-            raise ValidationError(
-                f"quadrature max_depth must be an integer, got {self.max_depth!r}"
-            )
-        if not 1 <= self.max_depth <= _MAX_QUADRATURE_DEPTH:
-            raise ValidationError(
-                f"quadrature max_depth must lie in [1, {_MAX_QUADRATURE_DEPTH}], got {self.max_depth}"
-            )
+            raise ValueError("quadrature tolerances must be finite and positive")
 
 
 def _finite_sample(g, x: float) -> float:
@@ -139,7 +129,7 @@ def _quad(g, lo: float, hi: float, qc: QuadratureConfig) -> float:
     fh = _finite_sample(g, hi)
     whole = (hi - lo) * (fl + 4.0 * fm + fh) / 6.0
     eps = max(qc.abs_tol, qc.rel_tol * abs(whole))
-    return _simpson_rec(g, lo, hi, fl, fm, fh, whole, eps, qc.max_depth)
+    return _simpson_rec(g, lo, hi, fl, fm, fh, whole, eps, _QUADRATURE_DEPTH)
 
 
 def _walk(f: FnOnScale, a: float, b: float, qc: QuadratureConfig, kind: DerivKind) -> float:
@@ -322,7 +312,8 @@ def _cauchy(
     over its terms (kind of G, w_a, w_b).  Nabla and delta have the one
     term (kind, 1, 1) anchored at a; symmetric has (delta, gamma1(a),
     gamma1(b)) and (nabla, gamma2(a), gamma2(b)) anchored at the scale
-    minimum."""
+    minimum, or on a left-unbounded scale at the finite end of its unbounded
+    interval (0 on the real line)."""
     _require_order_type(beta, "beta")
     symmetric = kind is DerivKind.SYMMETRIC
     if symmetric and beta.is_zero:
@@ -346,7 +337,8 @@ def _cauchy(
     if beta.is_zero:
         return _finite_sample(f.eval, sb) - _finite_sample(f.eval, sa)
     if symmetric:
-        anchor = T.inf_value if math.isfinite(T.inf_value) else min(sa, sb)
+        # the first index entry: the minimum, or the finite end of a left-unbounded interval
+        anchor = T._pts[0] if T._pts else 0.0
         wa = symmetric_weights(T, sa, beta)
         wb = symmetric_weights(T, sb, beta)
         terms = [(DerivKind.DELTA, wa.gamma1, wb.gamma1), (DerivKind.NABLA, wa.gamma2, wb.gamma2)]
@@ -415,11 +407,12 @@ def symmetric_frac_integral(
     admit two-sided neighbors (no scattered extrema).  beta=0 is not
     defined for this kind.
 
-    The indefinite integrals are anchored at the scale minimum (falling
-    back to min(a, b) on a left-unbounded scale) so that one fixed pair of
-    G functions serves every endpoint; with per-call anchors the weighted
-    combination would lose orientation antisymmetry and additivity at
-    beta=1 on scales whose graininess ratio varies.
+    The indefinite integrals are anchored at the scale minimum, or on a
+    left-unbounded scale at the finite end of its unbounded interval (0 when
+    the scale is the real line), so that one fixed pair of G functions serves
+    every endpoint; with per-call anchors the weighted combination would
+    lose orientation antisymmetry and additivity at beta=1 on scales whose
+    graininess ratio varies.
     """
     return _cauchy(f, a, b, beta, cfg, qc, DerivKind.SYMMETRIC)
 

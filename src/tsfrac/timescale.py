@@ -3,7 +3,7 @@
 A time scale here is a finite union of four component kinds:
 
 * ``Interval(lo, hi)``: the closed interval [lo, hi] (endpoints may be
-  infinite when built through the API, though not through the text form),
+  infinite),
 * ``FinitePoints(values)``: an explicit finite set,
 * ``UniformGrid(start, stop, step)``: ``start + k*step`` for
   ``k = 0 .. floor((stop - start)/step)``,
@@ -13,10 +13,11 @@ A time scale here is a finite union of four component kinds:
 The jump operators are the usual ones: ``sigma(t)`` is the next scale point
 at or after ``t`` (``inf {s in T : s > t}``, with ``sigma(max T) = max T``)
 and ``rho(t)`` the previous one.  All geometric decisions snap the queried
-real to the nearest scale member first, within an absolute tolerance that is
-stored on the scale (default ``1e-12``).  Gaps at or below that tolerance are
-classified as dense; this is what lets a geometric grid whose tail drops
-below the tolerance stand in for a genuine accumulation point.
+real to the nearest scale member first, within one fixed absolute
+tolerance, ``DEFAULT_SNAP_TOL`` = 1e-12 (also ``TimeScale.snap_tol``).  Gaps
+at or below it are classified as dense; this is what lets a geometric grid
+whose tail drops below the tolerance stand in for a genuine accumulation
+point.
 
 Scales are immutable.  A scale is the set of its members, and the snap
 tolerance never decides which members exist: construction merges adjacent
@@ -35,16 +36,15 @@ inside or within the tolerance of an interval.  A scale remembers its last
 lookup as one pair (t, bisect_left(index, t)), read and replaced whole, so
 an operator's queries at one point bisect once and a concurrent reader never
 mixes two lookups.  Enumerations read a window of the index, keeping no
-derived copy.  Equality and hashing compare the index and the tolerance, so
-two descriptions of one set are equal; the component list serves
-``describe()`` and JSON.
+derived copy.  Equality and hashing compare the index, so two descriptions
+of one set are equal; the component list serves ``describe()``, the text
+that ``parse_scale`` reads back to an equal scale.
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
-import json
 import math
 import reprlib
 from array import array
@@ -67,11 +67,11 @@ __all__ = [
 ]
 
 #: Absolute tolerance used to snap queried reals onto scale members and to
-#: separate "dense" from "scattered" gaps.  Configurable per scale.
+#: separate "dense" from "scattered" gaps.
 DEFAULT_SNAP_TOL = 1e-12
 
 # Guard for uniform grids: a step at most this many snap tolerances would make
-# membership ambiguous.  A grid checks the default tolerance, a scale its own.
+# membership ambiguous.
 _MIN_STEP_FACTOR = 4.0
 
 # Most members of a scale, summed over its discrete components, and most
@@ -147,7 +147,7 @@ def _require_finite_number(name: str, x) -> float:
         xf = float(x)
     except (TypeError, ValueError):
         raise ValidationError(f"{name} must be a real number, got {x!r}")
-    except OverflowError:  # an int past the float range, as scale JSON may hold
+    except OverflowError:  # an int past the float range
         raise ValidationError(f"{name} is past the float range")
     if math.isnan(xf):
         raise ValidationError(f"{name} must not be NaN")
@@ -179,12 +179,6 @@ class Interval:
         if math.isinf(lo) and lo > 0 or math.isinf(hi) and hi < 0:
             raise ValidationError("interval bounds out of order at infinity")
 
-    def to_json_dict(self) -> dict:
-        def enc(x):
-            return _fmt_num(x) if math.isinf(x) else x
-
-        return {"kind": "interval", "lo": enc(self.lo), "hi": enc(self.hi)}
-
     def describe(self) -> str:
         return f"interval({_fmt_num(self.lo)},{_fmt_num(self.hi)})"
 
@@ -208,9 +202,6 @@ class FinitePoints:
 
     def iter_members(self):
         return iter(self.values)
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "points", "points": list(self.values)}
 
     def describe(self) -> str:
         return "points(" + ",".join(_fmt_num(v) for v in self.values) + ")"
@@ -258,14 +249,6 @@ class UniformGrid:
     def iter_members(self):
         start, step = self.start, self.step
         return iter([start + k * step for k in range(self.count)])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "grid",
-            "start": self.start,
-            "stop": self.stop,
-            "step": self.step,
-        }
 
     def describe(self) -> str:
         return (
@@ -321,16 +304,6 @@ class GeometricGrid:
     def iter_members(self):
         return iter(self._members)  # type: ignore[attr-defined]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "qgrid",
-            "q": self.q,
-            "kmin": self.k_min,
-            "kmax": self.k_max,
-            "zero": self.include_zero,
-            "sign": self.sign,
-        }
-
     def describe(self) -> str:
         if self.sign < 0:
             # no text form for mirrored geometric grids; fall back to points
@@ -360,12 +333,14 @@ def _coalesce(values: list[float], tol: float) -> list[float]:
     return out
 
 
-def _normalize(comps: list, tol: float):
+def _normalize(comps: list):
     """The merged intervals, sorted and disjoint, and the discrete components
-    as (component, sorted members) pairs, less the members within tol of an
-    interval (a component that loses some becomes the point set of the rest).
-    Every other member stays, however close to another.  A grid with
-    consecutive members within tol of each other is a ValidationError."""
+    as (component, sorted members) pairs, less the members within the snap
+    tolerance tol of an interval (a component that loses some becomes the
+    point set of the rest).  Every other member stays, however close to
+    another.  A grid with consecutive members within tol of each other is a
+    ValidationError."""
+    tol = DEFAULT_SNAP_TOL
     intervals: list[Interval] = []
     discretes: list = []
     for c in comps:
@@ -422,8 +397,6 @@ class TimeScale:
 
     Args:
         components: any iterable of components (order does not matter).
-        snap_tol: absolute tolerance for membership snapping and for the
-            dense/scattered decision.
 
     Raises:
         ValidationError: if a component is invalid or the list is empty.
@@ -431,7 +404,6 @@ class TimeScale:
 
     __slots__ = (
         "components",
-        "snap_tol",
         "inf_value",
         "sup_value",
         "_pts",
@@ -439,18 +411,16 @@ class TimeScale:
         "_last",
     )
 
-    def __init__(self, components, snap_tol: float = DEFAULT_SNAP_TOL):
+    #: the snap tolerance, for callers; the queries read the module constant, a faster lookup
+    snap_tol = DEFAULT_SNAP_TOL
+
+    def __init__(self, components):
         comps = list(components)
         if not comps:
             raise ValidationError("a time scale needs at least one component")
-        tol = _require_finite_number("snap tolerance", snap_tol)
-        if not 0 < tol < 1:
-            raise ValidationError(f"snap tolerance out of range: {snap_tol}")
         for c in comps:
             if not isinstance(c, (Interval, FinitePoints, UniformGrid, GeometricGrid)):
                 raise ValidationError(f"not a scale component: {c!r}")
-            if isinstance(c, UniformGrid) and c.step <= _MIN_STEP_FACTOR * tol:
-                raise ValidationError(f"grid step {c.step} is too close to the membership tolerance {tol}")
         # count the members _normalize would materialize before it does, since
         # the per-grid bound alone lets a union of large grids through
         total = sum(
@@ -462,7 +432,7 @@ class TimeScale:
         )
         if total > _MAX_POINTS:
             raise ValidationError(f"scale would have {total} members, more than {_MAX_POINTS}")
-        intervals, parts = _normalize(comps, tol)
+        intervals, parts = _normalize(comps)
         ordered = [((iv.lo, iv.hi), iv) for iv in intervals]
         ordered += [((ms[0], ms[-1]), c) for c, ms in parts]
         ordered.sort(key=lambda kc: kc[0])
@@ -482,7 +452,6 @@ class TimeScale:
         for iv in intervals:
             inside[bisect.bisect_left(pts, iv.hi) if math.isfinite(iv.hi) else len(pts)] = 1
         for name, value in (
-            ("snap_tol", tol),
             ("components", tuple(c for _, c in ordered)),
             ("inf_value", -math.inf if inside[0] else pts[0]),
             ("sup_value", math.inf if inside[-1] else pts[-1]),
@@ -496,14 +465,13 @@ class TimeScale:
         raise AttributeError("TimeScale is immutable")
 
     def __reduce__(self):  # pickle and copy rebuild through __init__, not by setting slots
-        return (TimeScale, (self.components, self.snap_tol))
+        return (TimeScale, (self.components,))
 
     def __eq__(self, other):  # the set itself, however it was described
-        key = (self._pts, self._inside, self.snap_tol)
-        return isinstance(other, TimeScale) and key == (other._pts, other._inside, other.snap_tol)
+        return isinstance(other, TimeScale) and (self._pts, self._inside) == (other._pts, other._inside)
 
     def __hash__(self):  # over the floats, not their bytes, so -0.0 hashes as 0.0
-        return hash((tuple(self._pts), self._inside, self.snap_tol))
+        return hash((tuple(self._pts), self._inside))
 
     def __repr__(self):
         return f"TimeScale({self.describe()})"
@@ -529,7 +497,7 @@ class TimeScale:
         if i == len(pts) or (i > 0 and t - pts[i - 1] <= pts[i] - t):
             i -= 1
         m = pts[i]
-        return m if abs(m - t) <= self.snap_tol else None
+        return m if abs(m - t) <= DEFAULT_SNAP_TOL else None
 
     def contains(self, t: float) -> bool:
         return self.snap(t) is not None
@@ -600,8 +568,8 @@ class TimeScale:
         minimum left-dense.
         """
         ts = self._require_member(t)
-        right = (self._sigma_raw(ts) - ts) <= self.snap_tol
-        left = (ts - self._rho_raw(ts)) <= self.snap_tol
+        right = (self._sigma_raw(ts) - ts) <= DEFAULT_SNAP_TOL
+        left = (ts - self._rho_raw(ts)) <= DEFAULT_SNAP_TOL
         return _POINT_CLASSES[left][right]
 
     def domain_membership(self, t: float) -> DomainMembership:
@@ -610,8 +578,8 @@ class TimeScale:
         ts = self.snap(t)
         if ts is None:
             return _NOT_IN_SCALE
-        in_nabla = not (ts == self.inf_value and self._sigma_raw(ts) - ts > self.snap_tol)
-        in_delta = not (ts == self.sup_value and ts - self._rho_raw(ts) > self.snap_tol)
+        in_nabla = not (ts == self.inf_value and self._sigma_raw(ts) - ts > DEFAULT_SNAP_TOL)
+        in_delta = not (ts == self.sup_value and ts - self._rho_raw(ts) > DEFAULT_SNAP_TOL)
         return _MEMBERSHIPS[in_nabla][in_delta]
 
     # -- limit scaffolding ------------------------------------------------
@@ -637,7 +605,7 @@ class TimeScale:
             room = min(ts - lo, hi - ts)
         else:
             room = hi - ts if side is ApproachSide.RIGHT else ts - lo
-        if room <= self.snap_tol:
+        if room <= DEFAULT_SNAP_TOL:
             return None
         h = min(h0, room)
         sign = -1.0 if side is ApproachSide.LEFT else 1.0
@@ -726,11 +694,11 @@ class TimeScale:
         for side, sign in ((ApproachSide.RIGHT, 1.0), (ApproachSide.LEFT, -1.0)):
             for m in self._members_near(ts, side, limit):
                 h = sign * (m - ts)  # exactly ts - m on the left
-                if self.snap_tol < h < h0 and self.snap(ts - sign * h) is not None:
+                if DEFAULT_SNAP_TOL < h < h0 and self.snap(ts - sign * h) is not None:
                     cand.append(h)
         hs = []
         for h in sorted(cand, reverse=True):
-            if hs and hs[-1] - h <= self.snap_tol:
+            if hs and hs[-1] - h <= DEFAULT_SNAP_TOL:
                 continue
             hs.append(h)
         return hs[:n]
@@ -784,7 +752,7 @@ class TimeScale:
         if b < a:
             a, b = b, a
         pts, inside = self._pts, self._inside
-        tol = self.snap_tol
+        tol = DEFAULT_SNAP_TOL
         out = [
             pts[k]
             for k in range(bisect.bisect_left(pts, a - tol), bisect.bisect_right(pts, b + tol))
@@ -804,66 +772,12 @@ class TimeScale:
             out += _coalesce([x + j * (y - x) / (npts - 1) for j in range(npts)], tol)
         return sorted(out)
 
-    # -- serialization ----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        d = {"components": [c.to_json_dict() for c in self.components]}
-        if self.snap_tol != DEFAULT_SNAP_TOL:
-            d["snap_tol"] = self.snap_tol
-        return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TimeScale":
-        if not isinstance(d, dict) or not isinstance(d.get("components"), list):
-            raise ValidationError("scale JSON must be an object with 'components'")
-        comps = []
-        for cd in d["components"]:
-            if not isinstance(cd, dict) or "kind" not in cd:
-                raise ValidationError(f"bad component entry: {cd!r}")
-            kind = cd["kind"]
-            try:
-                if kind == "interval":
-                    comps.append(Interval(_dec_inf(cd["lo"]), _dec_inf(cd["hi"])))
-                elif kind == "points":
-                    comps.append(FinitePoints(cd["points"]))
-                elif kind == "grid":
-                    comps.append(UniformGrid(cd["start"], cd["stop"], cd["step"]))
-                elif kind == "qgrid":
-                    comps.append(
-                        GeometricGrid(
-                            cd["q"], cd["kmin"], cd["kmax"], cd.get("zero", False), cd.get("sign", 1)
-                        )
-                    )
-                else:
-                    raise ValidationError(f"unknown component kind {kind!r}")
-            except KeyError as exc:
-                raise ValidationError(f"component {kind!r} missing field {exc}")
-        return cls(comps, snap_tol=d.get("snap_tol", DEFAULT_SNAP_TOL))
-
-    @classmethod
-    def from_json(cls, text: str) -> "TimeScale":
-        try:
-            d = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # malformed, an over-long integer, or too deep
-            raise ValidationError(f"invalid scale JSON: {exc}")
-        return cls.from_json_dict(d)
+    # -- text form --------------------------------------------------------
 
     def describe(self) -> str:
-        """Canonical text form (the scale mini-language where expressible)."""
+        """Canonical text form, which ``parse_scale`` reads back to an equal scale."""
         parts = [c.describe() for c in self.components]
         if len(parts) == 1:
             return parts[0]
         return "union(" + ",".join(parts) + ")"
 
-
-def _dec_inf(x):
-    if isinstance(x, str):
-        if x == "inf":
-            return math.inf
-        if x == "-inf":
-            return -math.inf
-        raise ValidationError(f"bad numeric string {x!r} in scale JSON")
-    return x

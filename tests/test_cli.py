@@ -575,14 +575,14 @@ def test_quadrature_flags_reach_the_config(capsys):
     assert code == 0 and records(out)[0]["value"] == pytest.approx(2.0)
     for flag in ("--quad-rel-tol", "--quad-abs-tol"):
         code, out, _ = run(capsys, *argv, flag, "0")
-        assert code == 1 and records(out)[0]["error"] == "ValidationError"
+        assert code == 1 and records(out)[0]["error"] == "ValueError"
 
 
 @pytest.mark.parametrize(
     "flag, error",
     [
-        ("--quad-rel-tol", "ValidationError"),
-        ("--quad-abs-tol", "ValidationError"),
+        ("--quad-rel-tol", "ValueError"),
+        ("--quad-abs-tol", "ValueError"),
         ("--tol", "ValueError"),
         ("--h0", "ValueError"),
     ],

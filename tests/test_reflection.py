@@ -67,7 +67,7 @@ def reflect(T: TimeScale) -> TimeScale:
             comps.append(Interval(-c.hi, -c.lo))
         else:
             comps.append(FinitePoints([-v for v in c.iter_members()]))
-    return TimeScale(comps, snap_tol=T.snap_tol)
+    return TimeScale(comps)
 
 
 def pair(text, fn):

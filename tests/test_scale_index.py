@@ -337,14 +337,13 @@ _SCALE_TOKEN = re.compile(r"[0-9.]+(?:e[-+]?[0-9]+)?|[a-z]+|[-+(),]")
 def test_scale_text_rebuilds_the_same_index(seed):
     # a random union's describe() text, and that text with random runs of the four
     # whitespace characters around its tokens, parse to an equal scale with the same
-    # index; the text has no unbounded interval and writes a mirrored geometric grid
-    # as its points, every one of them kept where the grid's tail lies within the
-    # tolerance (odd seeds add such a grid)
+    # index; the text writes an unbounded interval's end as inf, and a mirrored
+    # geometric grid as its points, every one of them kept where the grid's tail
+    # lies within the tolerance (seeds 1 and 3 mod 4 add the deep grid with 0
+    # adjoined, 2 and 3 mod 4 the mirrored one)
     rng = random.Random(seed)
-    comps = [c for c in _random_components(rng) if not (isinstance(c, Interval) and math.isinf(c.hi - c.lo))]
-    if seed % 2:
-        comps.append(_DEEP_GRIDS[1])
-    T = TimeScale(comps or [Interval(0.0, 1.0)])
+    comps = _random_components(rng) + [g for k, g in enumerate(_DEEP_GRIDS) if seed >> k & 1]
+    T = TimeScale(comps)
     text = T.describe()
     tokens = _SCALE_TOKEN.findall(text)
     assert "".join(tokens) == text
