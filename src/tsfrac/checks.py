@@ -32,16 +32,19 @@ import random
 from dataclasses import dataclass, replace
 
 from .derivative import (
+    _AGREE_FACTOR,
     _DERIVS,
     _KINDS,
+    DerivKind,
     FnOnScale,
+    _require_order,
+    delta_frac,
     nabla_frac,
-    order_lowering_check,
     symmetric_frac,
-    symmetric_via_sides,
+    symmetric_weights,
 )
 from .errors import TsfracError
-from .integral import nabla_antiderivative, nabla_frac_integral, symmetric_frac_integral
+from .integral import Antiderivative, nabla_frac_integral, symmetric_frac_integral
 from .order import LimitConfig, Order, signed_pow
 from .timescale import FinitePoints, GeometricGrid, Interval, TimeScale, UniformGrid
 
@@ -315,12 +318,22 @@ def _suite_integral_laws(rng: random.Random, trials: int, cfg: LimitConfig) -> _
         if not beta.is_one:
             order = beta.one_minus()
             ctx = f"trial {k} anchors beta={beta} [{a}, {b}] on {T.describe()}"
-            f1 = nabla_antiderivative(f, a).as_fn()
-            f2 = nabla_antiderivative(f, c).as_fn()
+            f1 = Antiderivative(f, a, DerivKind.NABLA).as_fn()
+            f2 = Antiderivative(f, c, DerivKind.NABLA).as_fn()
             v1 = nabla_frac(f1, b, order, cfg).value - nabla_frac(f1, a, order, cfg).value
             v2 = nabla_frac(f2, b, order, cfg).value - nabla_frac(f2, a, order, cfg).value
             rec.check(abs(v1 - v2), _INTEGRAL_TOL, ctx)
     return rec
+
+
+def _symmetric_via_sides(f: FnOnScale, t: float, order: Order, cfg: LimitConfig | None = None) -> float:
+    """The symmetric derivative assembled as gamma1*delta + gamma2*nabla, a
+    cross-check of :func:`symmetric_frac`; both one-sided derivatives must
+    succeed."""
+    d = delta_frac(f, t, order, cfg)
+    n = nabla_frac(f, t, order, cfg)
+    w = symmetric_weights(f.scale, t, order)
+    return w.gamma1 * d.value + w.gamma2 * n.value
 
 
 def _suite_symmetric_relation(rng: random.Random, trials: int, cfg: LimitConfig) -> _Recorder:
@@ -333,7 +346,7 @@ def _suite_symmetric_relation(rng: random.Random, trials: int, cfg: LimitConfig)
     )
     for k, T, t, alpha, f in _scattered_trials(rng, trials):
         lhs = symmetric_frac(f, t, alpha, cfg).value
-        rhs = symmetric_via_sides(f, t, alpha, cfg).value
+        rhs = _symmetric_via_sides(f, t, alpha, cfg)
         rec.check(abs(lhs - rhs), _EXACT_RELATION_TOL, f"trial {k} scattered alpha={alpha} t={t} on {T.describe()}")
         # dense side: interval interior with a smooth function and an
         # odd-reciprocal order, so both one-sided derivatives exist
@@ -344,12 +357,41 @@ def _suite_symmetric_relation(rng: random.Random, trials: int, cfg: LimitConfig)
         ctx = f"trial {k} dense {name} alpha={alpha} t={t}"
         try:
             lhs = symmetric_frac(f, t, alpha, dense_cfg).value
-            rhs = symmetric_via_sides(f, t, alpha, dense_cfg).value
+            rhs = _symmetric_via_sides(f, t, alpha, dense_cfg)
         except TsfracError as exc:
             rec.fail(f"{ctx}: {type(exc).__name__} ({exc})")
         else:
             rec.check(abs(lhs - rhs), _DENSE_RELATION_TOL, ctx)
     return rec
+
+
+def _order_lowering_check(
+    f: FnOnScale,
+    t: float,
+    lower: Order,
+    higher: Order,
+    cfg: LimitConfig | None = None,
+) -> bool:
+    """Check that existence of the higher-order nabla derivative carries down.
+
+    Evaluates the higher order first (failures propagate: that is a
+    precondition), then the lower order.  Returns False if the lower order
+    fails.  At a left-dense point with higher > lower the lower-order value
+    must additionally vanish, within ten tolerances; scattered points need
+    no value relation.
+    """
+    _require_order(lower)
+    _require_order(higher)
+    if cfg is None:
+        cfg = LimitConfig()
+    nabla_frac(f, t, higher, cfg)
+    try:
+        low = nabla_frac(f, t, lower, cfg)
+    except TsfracError:
+        return False
+    if higher > lower and f.scale.classify(t).left_dense:
+        return abs(low.value) <= _AGREE_FACTOR * cfg.tol
+    return True
 
 
 def _suite_order_lowering(rng: random.Random, trials: int, cfg: LimitConfig) -> _Recorder:
@@ -385,7 +427,7 @@ def _suite_order_lowering(rng: random.Random, trials: int, cfg: LimitConfig) -> 
             lower, higher = rng.choice(dense_pairs)
         ctx = f"trial {k} {lower}<{higher} t={t} on {T.describe()}"
         try:
-            ok = order_lowering_check(f, t, lower, higher, low_cfg)
+            ok = _order_lowering_check(f, t, lower, higher, low_cfg)
         except TsfracError as exc:
             rec.fail(f"{ctx}: higher order failed ({exc})")
             continue

@@ -28,6 +28,8 @@ The symmetric derivative relates to the one-sided ones through the weights
 ``gamma1 = [(sigma(t)-t)/(sigma(t)-rho(t))]**alpha`` and
 ``gamma2 = [(t-rho(t))/(sigma(t)-rho(t))]**alpha`` (both ``2**-alpha`` at
 dense points): ``symmetric = gamma1 * delta + gamma2 * nabla``.
+``symmetric_weights`` gives the pair, and the ``symmetric-relation``
+property suite of :mod:`tsfrac.checks` checks the relation.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .errors import (
     NonFiniteSample,
     PointOutsideDomain,
     SidedLimitsDisagree,
-    TsfracError,
 )
 from .order import (
     LimitConfig,
@@ -64,8 +65,6 @@ __all__ = [
     "delta_frac",
     "symmetric_frac",
     "symmetric_weights",
-    "symmetric_via_sides",
-    "order_lowering_check",
 ]
 
 # Two one-sided estimates each stop within a few tolerances of the limit, so
@@ -82,9 +81,6 @@ class FnOnScale:
     eval: Callable[[float], float]
     scale: TimeScale
     source: object | None = None
-
-    def __call__(self, t: float) -> float:
-        return self.eval(t)
 
     @classmethod
     def from_expression(cls, text: str, scale: TimeScale) -> "FnOnScale":
@@ -326,55 +322,3 @@ def symmetric_weights(T: TimeScale, t: float, order: Order) -> SymmetricWeights:
         ((s - ts) / span) ** order.value,
         ((ts - r) / span) ** order.value,
     )
-
-
-def symmetric_via_sides(
-    f: FnOnScale, t: float, order: Order, cfg: LimitConfig | None = None
-) -> DerivResult:
-    """The symmetric derivative assembled as gamma1*delta + gamma2*nabla.
-
-    Exists as an independent cross-check of :func:`symmetric_frac`; both
-    one-sided derivatives must succeed.
-    """
-    d = delta_frac(f, t, order, cfg)
-    n = nabla_frac(f, t, order, cfg)
-    w = symmetric_weights(f.scale, t, order)
-    value = w.gamma1 * d.value + w.gamma2 * n.value
-    exact = d.path is ComputePath.EXACT_SCATTERED and n.path is ComputePath.EXACT_SCATTERED
-    return DerivResult(
-        value,
-        ComputePath.EXACT_SCATTERED if exact else ComputePath.DENSE_LIMIT,
-        ApproachSide.BOTH,
-        w.gamma1 * d.err_est + w.gamma2 * n.err_est,
-        order,
-        DerivKind.SYMMETRIC,
-    )
-
-
-def order_lowering_check(
-    f: FnOnScale,
-    t: float,
-    lower: Order,
-    higher: Order,
-    cfg: LimitConfig | None = None,
-) -> bool:
-    """Check that existence of the higher-order nabla derivative carries down.
-
-    Evaluates the higher order first (failures propagate: that is a
-    precondition), then the lower order.  Returns False if the lower order
-    fails.  At a left-dense point with higher > lower the lower-order value
-    must additionally vanish, within ten tolerances; scattered points need
-    no value relation.
-    """
-    _require_order(lower)
-    _require_order(higher)
-    if cfg is None:
-        cfg = LimitConfig()
-    nabla_frac(f, t, higher, cfg)
-    try:
-        low = nabla_frac(f, t, lower, cfg)
-    except TsfracError:
-        return False
-    if higher > lower and f.scale.classify(t).left_dense:
-        return abs(low.value) <= _AGREE_FACTOR * cfg.tol
-    return True

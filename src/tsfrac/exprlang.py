@@ -70,7 +70,6 @@ __all__ = [
     "eval_expr",
     "format_expr",
     "parse_scale",
-    "format_scale",
 ]
 
 
@@ -602,7 +601,3 @@ def _integer(p: _Parser) -> int:
             expected="an integer",
         )
     return int(exact)
-
-
-def format_scale(T: TimeScale) -> str:
-    return T.describe()

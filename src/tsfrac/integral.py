@@ -56,7 +56,6 @@ from .errors import (
     LimitDidNotConverge,
     PointOutsideDomain,
     QuadratureFailure,
-    ValidationError,
 )
 from .order import LimitConfig, Order, _require_order_type
 from .timescale import ApproachSide, TimeScale
@@ -66,8 +65,6 @@ __all__ = [
     "Antiderivative",
     "nabla_integral",
     "delta_integral",
-    "nabla_antiderivative",
-    "delta_antiderivative",
     "nabla_frac_integral",
     "delta_frac_integral",
     "symmetric_frac_integral",
@@ -204,7 +201,7 @@ class Antiderivative:
 
     def __post_init__(self):
         if self.kind not in (DerivKind.NABLA, DerivKind.DELTA):
-            raise ValidationError("antiderivative kind must be nabla or delta")
+            raise ValueError(f"antiderivative kind must be nabla or delta, got {self.kind!r}")
         anchor = self.base.scale._require_member(self.anchor, "t0")
         self.anchor = anchor
         if self.qc is None:
@@ -227,23 +224,8 @@ class Antiderivative:
             bisect.insort(self._keys, ts)
             return value
 
-    __call__ = eval
-
     def as_fn(self) -> FnOnScale:
         return FnOnScale(eval=self.eval, scale=self.base.scale)
-
-
-def nabla_antiderivative(
-    f: FnOnScale, t0: float, qc: QuadratureConfig | None = None
-) -> Antiderivative:
-    """F with F(t0) = 0 and nabla derivative f on the scale."""
-    return Antiderivative(f, t0, DerivKind.NABLA, qc)
-
-
-def delta_antiderivative(
-    f: FnOnScale, t0: float, qc: QuadratureConfig | None = None
-) -> Antiderivative:
-    return Antiderivative(f, t0, DerivKind.DELTA, qc)
 
 
 def _nearest_admissible(T: TimeScale, ts: float, cfg: LimitConfig):

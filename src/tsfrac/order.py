@@ -28,7 +28,6 @@ __all__ = [
     "Order",
     "signed_pow",
     "LimitConfig",
-    "LimitResult",
     "estimate_limit",
 ]
 
@@ -115,9 +114,6 @@ class Order:
     def one_minus(self) -> "Order":
         """The complementary order 1 - p/q, reduced."""
         return Order(self.denominator - self.numerator, self.denominator)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
 
     def __float__(self) -> float:
         return self.value

@@ -7,17 +7,16 @@ A time scale here is a finite union of four component kinds:
 * ``FinitePoints(values)``: an explicit finite set,
 * ``UniformGrid(start, stop, step)``: ``start + k*step`` for
   ``k = 0 .. floor((stop - start)/step)``,
-* ``GeometricGrid(q, k_min, k_max, include_zero, sign)``:
-  ``sign * q**k`` for ``k = k_min .. k_max``, optionally together with 0.
+* ``GeometricGrid(q, k_min, k_max, include_zero)``: ``q**k`` for
+  ``k = k_min .. k_max``, optionally together with 0.
 
 The jump operators are the usual ones: ``sigma(t)`` is the next scale point
 at or after ``t`` (``inf {s in T : s > t}``, with ``sigma(max T) = max T``)
 and ``rho(t)`` the previous one.  All geometric decisions snap the queried
 real to the nearest scale member first, within one fixed absolute
-tolerance, ``DEFAULT_SNAP_TOL`` = 1e-12 (also ``TimeScale.snap_tol``).  Gaps
-at or below it are classified as dense; this is what lets a geometric grid
-whose tail drops below the tolerance stand in for a genuine accumulation
-point.
+tolerance, ``DEFAULT_SNAP_TOL`` = 1e-12.  Gaps at or below it are
+classified as dense; this is what lets a geometric grid whose tail drops
+below the tolerance stand in for a genuine accumulation point.
 
 Scales are immutable.  A scale is the set of its members, and the snap
 tolerance never decides which members exist: construction merges adjacent
@@ -258,7 +257,7 @@ class UniformGrid:
 
 @dataclass(frozen=True)
 class GeometricGrid:
-    """sign * q**k for k = k_min .. k_max, plus 0 when include_zero is set.
+    """q**k for k = k_min .. k_max, plus 0 when include_zero is set.
 
     q must exceed 1.  With include_zero and a tail q**k_min at or below the
     snap tolerance, the origin behaves as a dense (accumulation) point, in a
@@ -269,7 +268,6 @@ class GeometricGrid:
     k_min: int
     k_max: int
     include_zero: bool = False
-    sign: int = 1
 
     def __post_init__(self):
         q = _require_finite_number("qgrid q", self.q)
@@ -285,8 +283,6 @@ class GeometricGrid:
             )
         if self.k_max - self.k_min > 100_000:
             raise ValidationError("qgrid exponent range is unreasonably large")
-        if type(self.sign) is not int or self.sign not in (1, -1):
-            raise ValidationError(f"qgrid sign must be the integer 1 or -1, got {self.sign!r}")
         try:
             top = q ** float(self.k_max)
         except OverflowError:
@@ -294,7 +290,7 @@ class GeometricGrid:
         if math.isinf(top):
             raise ValidationError("qgrid largest member overflows")
         object.__setattr__(self, "q", q)
-        members = {self.sign * q**k for k in range(self.k_min, self.k_max + 1)}
+        members = {q**k for k in range(self.k_min, self.k_max + 1)}
         if self.include_zero:
             # q**k can underflow to 0.0 for very negative k, so build through
             # a set to keep members strictly increasing.
@@ -305,9 +301,6 @@ class GeometricGrid:
         return iter(self._members)  # type: ignore[attr-defined]
 
     def describe(self) -> str:
-        if self.sign < 0:
-            # no text form for mirrored geometric grids; fall back to points
-            return "points(" + ",".join(_fmt_num(v) for v in self.iter_members()) + ")"
         zero = ",zero" if self.include_zero else ""
         return f"qgrid({_fmt_num(self.q)},{self.k_min},{self.k_max}{zero})"
 
@@ -410,9 +403,6 @@ class TimeScale:
         "_inside",
         "_last",
     )
-
-    #: the snap tolerance, for callers; the queries read the module constant, a faster lookup
-    snap_tol = DEFAULT_SNAP_TOL
 
     def __init__(self, components):
         comps = list(components)

@@ -24,17 +24,15 @@ from tsfrac import (
     Order,
     TimeScale,
     UniformGrid,
+    checks,
     delta_frac,
     format_expr,
-    format_scale,
     nabla_frac,
     nabla_frac_integral,
-    order_lowering_check,
     parse_expr,
     parse_scale,
     run_suite,
     symmetric_frac,
-    symmetric_via_sides,
 )
 
 ZERO = Order.parse("0", allow_zero=True)
@@ -234,7 +232,7 @@ def test_criterion_07_symmetric_equals_weighted_sides():
     worst_exact = 0.0
     for T, f, t, alpha in scattered_relation_cases():
         direct = symmetric_frac(f, t, alpha).value
-        combo = symmetric_via_sides(f, t, alpha).value
+        combo = checks._symmetric_via_sides(f, t, alpha)
         worst_exact = max(worst_exact, abs(direct - combo))
     assert worst_exact <= 1e-12
 
@@ -248,7 +246,7 @@ def test_criterion_07_symmetric_equals_weighted_sides():
         t = round(rng.uniform(-0.6, 0.6), 3)
         alpha = rng.choice((Order(1, 3), Order(1, 1)))
         direct = symmetric_frac(f, t, alpha, cfg).value
-        combo = symmetric_via_sides(f, t, alpha, cfg).value
+        combo = checks._symmetric_via_sides(f, t, alpha, cfg)
         worst_dense = max(worst_dense, abs(direct - combo))
     assert worst_dense <= 1e-6
     report(
@@ -323,7 +321,7 @@ def test_criterion_12_order_lowering():
     f = FnOnScale(lambda x: x * x - x, T)
     for lower, higher in ((Order(1, 4), Order(1, 2)), (Order(1, 2), Order(3, 4)), (Order(1, 2), Order(1, 1))):
         for t in (2.0, 5.0, 9.0):
-            assert order_lowering_check(f, t, lower, higher)
+            assert checks._order_lowering_check(f, t, lower, higher)
 
     Ti = TimeScale([Interval(-1.0, 1.0)])
     cfg = LimitConfig(tol=1e-6, max_samples=80)
@@ -334,7 +332,7 @@ def test_criterion_12_order_lowering():
         coeffs = [round(rng.uniform(-2.0, 2.0), 3) for _ in range(3)]
         g = FnOnScale(lambda x, c=coeffs: c[0] + x * (c[1] + x * c[2]), Ti)
         for lower, higher in ((Order(1, 4), Order(1, 2)), (Order(1, 3), Order(1, 1)), (Order(1, 2), Order(1, 1))):
-            assert order_lowering_check(g, t, lower, higher, cfg)
+            assert checks._order_lowering_check(g, t, lower, higher, cfg)
             low = nabla_frac(g, t, lower, cfg).value
             worst = max(worst, abs(low))
     assert worst <= 1e-5
@@ -382,7 +380,7 @@ def test_criterion_13_grammar_round_trip():
     }
     for name, text in scale_productions.items():
         T = parse_scale(text)
-        again = parse_scale(format_scale(T))
+        again = parse_scale(T.describe())
         assert again.describe() == T.describe(), name
 
     failures = {

@@ -10,7 +10,6 @@ import pytest
 
 from tsfrac import (
     SUITE_NAMES,
-    ComputePath,
     DerivKind,
     FinitePoints,
     LimitConfig,
@@ -72,15 +71,15 @@ def test_custom_limit_config_is_used():
 
 
 def broken_relation(monkeypatch):
-    """Make symmetric_via_sides miss by 1 on its first 14 calls and return NaN after."""
-    real, calls = checks.symmetric_via_sides, []
+    """Make _symmetric_via_sides miss by 1 on its first 14 calls and return NaN after."""
+    real, calls = checks._symmetric_via_sides, []
 
     def shifted(*args):
         calls.append(None)
         r = real(*args)
-        return dataclasses.replace(r, value=r.value + 1.0 if len(calls) <= 14 else math.nan)
+        return r + 1.0 if len(calls) <= 14 else math.nan
 
-    monkeypatch.setattr(checks, "symmetric_via_sides", shifted)
+    monkeypatch.setattr(checks, "_symmetric_via_sides", shifted)
 
 
 def test_failure_report_caps_messages_and_counts_non_finite_residuals(monkeypatch):
@@ -152,15 +151,15 @@ def test_integral_laws_reports_a_scale_without_three_interior_points(monkeypatch
 
 
 def test_symmetric_relation_reports_a_raising_dense_derivative(monkeypatch):
-    real = checks.symmetric_via_sides
+    real = checks._symmetric_via_sides
 
-    def raising(*args):
-        r = real(*args)
-        if r.path is ComputePath.DENSE_LIMIT:
+    def raising(f, t, *args):
+        r = real(f, t, *args)
+        if not f.scale.classify(t).isolated:  # a one-sided derivative took the dense path
             raise LimitDidNotConverge("quotients did not settle")
         return r
 
-    monkeypatch.setattr(checks, "symmetric_via_sides", raising)
+    monkeypatch.setattr(checks, "_symmetric_via_sides", raising)
     report = run_suite("symmetric-relation", seed=2, trials=6)
     assert report.failures == 6
     assert all("dense" in m and "LimitDidNotConverge (quotients did not settle)" in m for m in report.messages)
@@ -186,7 +185,7 @@ def test_order_lowering_reports_each_failed_trial(monkeypatch, outcome, expected
             raise outcome
         return outcome
 
-    monkeypatch.setattr(checks, "order_lowering_check", check)
+    monkeypatch.setattr(checks, "_order_lowering_check", check)
     report = run_suite("order-lowering", seed=0, trials=4)
     assert report.failures == 4
     assert all(m.startswith("trial ") and m.endswith(expected) for m in report.messages), report.messages

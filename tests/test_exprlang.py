@@ -16,7 +16,6 @@ from tsfrac import (
     ValidationError,
     eval_expr,
     format_expr,
-    format_scale,
     parse_expr,
     parse_scale,
 )
@@ -560,15 +559,15 @@ def test_format_round_trip_simple():
 def test_scale_and_function_printers_agree(x):
     text = format_expr(Const(x))
     scale = parse_scale(f"points({x!r})")
-    assert format_scale(scale) == f"points({text})"
+    assert scale.describe() == f"points({text})"
     # both languages read the printed number back as the same float
     assert ev(text, 0.0) == x
-    assert parse_scale(format_scale(scale)) == scale
+    assert parse_scale(scale.describe()) == scale
 
 
 def test_integral_floats_below_1e16_print_without_a_fraction():
     assert format_expr(Const(1e15)) == "1000000000000000"
-    assert format_scale(parse_scale("points(1e15)")) == "points(1000000000000000)"
+    assert parse_scale("points(1e15)").describe() == "points(1000000000000000)"
     assert format_expr(Const(1e16)) == "1e+16"
 
 
@@ -712,5 +711,5 @@ def test_scale_format_round_trip():
         "union(interval(0,1),points(2,3))",
     ):
         T = parse_scale(text)
-        again = parse_scale(format_scale(T))
+        again = parse_scale(T.describe())
         assert again.describe() == T.describe()

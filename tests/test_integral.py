@@ -29,12 +29,10 @@ from tsfrac import (
     QuadratureConfig,
     QuadratureFailure,
     TimeScale,
+    TsfracError,
     UniformGrid,
-    ValidationError,
-    delta_antiderivative,
     delta_frac_integral,
     delta_integral,
-    nabla_antiderivative,
     nabla_frac_integral,
     nabla_integral,
     parse_scale,
@@ -104,9 +102,9 @@ def test_integral_endpoint_must_be_member():
             with pytest.raises(PointNotInScale):
                 integral(f, -big, 4.0, Order(1, 2))
         with pytest.raises(PointNotInScale):
-            nabla_antiderivative(f, big)
+            Antiderivative(f, big, DerivKind.NABLA)
         with pytest.raises(PointNotInScale):
-            nabla_antiderivative(f, 0.0).eval(big)
+            Antiderivative(f, 0.0, DerivKind.NABLA).eval(big)
 
 
 # -- antiderivative -------------------------------------------------------
@@ -115,16 +113,16 @@ def test_integral_endpoint_must_be_member():
 def test_antiderivative_matches_integral():
     T = TimeScale([Interval(0.0, 1.0), FinitePoints((2.0, 3.0))])
     f = FnOnScale(math.exp, T)
-    F = nabla_antiderivative(f, 0.0)
+    F = Antiderivative(f, 0.0, DerivKind.NABLA)
     for b in (0.5, 1.0, 2.0, 3.0):
-        assert F(b) == pytest.approx(nabla_integral(f, 0.0, b), rel=1e-10)
-    assert F(0.0) == 0.0
+        assert F.eval(b) == pytest.approx(nabla_integral(f, 0.0, b), rel=1e-10)
+    assert F.eval(0.0) == 0.0
 
 
 def test_delta_antiderivative_sums_left_riemann_terms():
     # on the integers the delta integral from 0 to b is f(0) + ... + f(b-1)
-    F = delta_antiderivative(FnOnScale(lambda x: x, grid(0, 3)), 0.0)
-    assert [F(b) for b in (0.0, 1.0, 2.0, 3.0)] == [0.0, 0.0, 1.0, 3.0]
+    F = Antiderivative(FnOnScale(lambda x: x, grid(0, 3)), 0.0, DerivKind.DELTA)
+    assert [F.eval(b) for b in (0.0, 1.0, 2.0, 3.0)] == [0.0, 0.0, 1.0, 3.0]
 
 
 @pytest.mark.parametrize("kind", [DerivKind.NABLA, DerivKind.DELTA])
@@ -134,13 +132,15 @@ def test_antiderivative_without_a_config_uses_the_default(kind):
     F = Antiderivative(f, 0.0, kind, None)
     assert F.qc == QuadratureConfig()
     assert F.eval(0.5) == pytest.approx(0.125 / 3, rel=1e-12)
-    maker = nabla_antiderivative if kind is DerivKind.NABLA else delta_antiderivative
-    assert maker(f, 0.0, None).eval(0.5) == F.eval(0.5)
+    assert Antiderivative(f, 0.0, kind).eval(0.5) == F.eval(0.5)
 
 
 def test_antiderivative_is_nabla_or_delta():
-    with pytest.raises(ValidationError, match="nabla or delta"):
-        Antiderivative(FnOnScale(lambda x: x, grid(0, 3)), 0.0, DerivKind.SYMMETRIC)
+    # a malformed argument, like a bad order or config field: ValueError
+    for kind in (DerivKind.SYMMETRIC, "nabla"):
+        with pytest.raises(ValueError, match=f"nabla or delta, got {kind!r}") as exc_info:
+            Antiderivative(FnOnScale(lambda x: x, grid(0, 3)), 0.0, kind)
+        assert not isinstance(exc_info.value, TsfracError)
 
 
 def test_antiderivative_memoizes_requested_points():
@@ -152,29 +152,29 @@ def test_antiderivative_memoizes_requested_points():
         return x * x
 
     F = Antiderivative(FnOnScale(probe, T), 0.0, DerivKind.NABLA)
-    F(60.0)
+    F.eval(60.0)
     first = len(calls)
     assert first > 0
-    F(60.0)  # answered from the memo
+    F.eval(60.0)  # answered from the memo
     assert len(calls) == first
-    F(30.0)
+    F.eval(30.0)
     mid = len(calls)
-    F(45.0)  # extends from the stored value at 30, not from the anchor
+    F.eval(45.0)  # extends from the stored value at 30, not from the anchor
     assert len(calls) - mid <= 16
     after = len(calls)
-    F(30.0)
+    F.eval(30.0)
     assert len(calls) == after
-    assert F(45.0) == pytest.approx(nabla_integral(FnOnScale(lambda x: x * x, T), 0.0, 45.0))
+    assert F.eval(45.0) == pytest.approx(nabla_integral(FnOnScale(lambda x: x * x, T), 0.0, 45.0))
 
 
 def test_antiderivative_thread_safety():
     T = grid(0, 400)
     f = FnOnScale(lambda x: math.sin(x) + 2.0, T)
-    F = nabla_antiderivative(f, 0.0)
+    F = Antiderivative(f, 0.0, DerivKind.NABLA)
     results = {}
 
     def worker(b):
-        results[b] = F(float(b))
+        results[b] = F.eval(float(b))
 
     threads = [threading.Thread(target=worker, args=(b,)) for b in (400, 100, 250, 399)]
     for th in threads:

@@ -1,11 +1,14 @@
 """The package root re-exports the public names of every library module,
 and loads ``integral`` and ``checks`` only when one of their names is read."""
 
+import dataclasses
 import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import tsfrac
 
@@ -21,6 +24,50 @@ def test_root_exports_every_library_name_once():
         assert set(mod.__all__) <= set(names), layer
         assert all(getattr(tsfrac, name) is getattr(mod, name) for name in mod.__all__), layer
     assert "__version__" in names
+
+
+#: the public surface, one name per concept
+PUBLIC = [
+    "Add", "Antiderivative", "ApproachSide", "Call", "ComputePath", "Const", "DEFAULT_SNAP_TOL", "DerivKind",
+    "DerivResult", "Div", "DomainMembership", "EndpointAdjustedWarning", "EvalDomainError", "Expr",
+    "ExprSyntaxError", "FUNCTIONS", "FinitePoints", "FnOnScale", "GeometricGrid", "Interval", "LimitConfig",
+    "LimitDidNotConverge", "Mul", "Neg", "NegativeBaseForGeneralOrder", "NonFiniteSample", "Order",
+    "PointClass", "PointNotInScale", "PointOutsideDomain", "Pow", "QuadratureConfig", "QuadratureFailure",
+    "SUITE_NAMES", "SidedLimitsDisagree", "Sub", "SuiteReport", "SymmetricWeights", "TimeScale", "TsfracError",
+    "UniformGrid", "ValidationError", "Var", "__version__", "delta_frac", "delta_frac_integral",
+    "delta_integral", "estimate_limit", "eval_expr", "format_expr", "nabla_frac", "nabla_frac_integral",
+    "nabla_integral", "parse_expr", "parse_scale", "run_suite", "signed_pow", "symmetric_frac",
+    "symmetric_frac_integral", "symmetric_weights",
+]
+
+
+def test_public_names_are_pinned():
+    assert len(PUBLIC) == 60
+    assert sorted(tsfrac.__all__) == PUBLIC
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "format_scale",  # T.describe()
+        "nabla_antiderivative",  # Antiderivative(f, t0, DerivKind.NABLA, qc)
+        "delta_antiderivative",  # Antiderivative(f, t0, DerivKind.DELTA, qc)
+        "symmetric_via_sides",  # the symmetric-relation suite
+        "order_lowering_check",  # the order-lowering suite
+        "LimitResult",  # what estimate_limit returns, not exported
+    ],
+)
+def test_second_spellings_are_gone(name):
+    with pytest.raises(AttributeError, match=f"'{name}'"):
+        getattr(tsfrac, name)
+
+
+def test_second_spellings_of_members_are_gone():
+    assert not hasattr(tsfrac.TimeScale, "snap_tol")  # DEFAULT_SNAP_TOL
+    assert not hasattr(tsfrac.Order, "as_fraction")  # Fraction(o.numerator, o.denominator)
+    assert "sign" not in {f.name for f in dataclasses.fields(tsfrac.GeometricGrid)}  # mirror as FinitePoints
+    assert not callable(tsfrac.FnOnScale(abs, tsfrac.parse_scale("points(1)")))  # .eval(t)
+    assert "__call__" not in vars(tsfrac.Antiderivative)  # .eval(t)
 
 
 # run in a fresh interpreter: this test process has imported every module

@@ -5,9 +5,10 @@ member and every interval, and answers each query by a linear scan of
 them, straight from the definitions (sigma(t) = inf {s in T : s > t},
 nearest member with ties to the lower one, enumeration that sees only the
 near endpoint of an interval).  The scales are seeded random unions of
-intervals (some touching or overlapping, some unbounded), point sets,
-uniform grids and geometric grids of both signs, with and without 0.  The
-queries run grouped by point, shuffled, and from four threads at once.
+intervals (some touching or overlapping, some unbounded), point sets
+(mirrored geometric grids among them), uniform grids and geometric grids,
+with and without 0.  The queries run grouped by point, shuffled, and from
+four threads at once.
 Each union is also rebuilt from its text form, with and without whitespace
 between the tokens, and must give the same index.  Two seeded properties
 check that the index is the set of members: merging the discrete components
@@ -24,6 +25,7 @@ import threading
 import pytest
 
 from tsfrac import (
+    DEFAULT_SNAP_TOL,
     ApproachSide,
     ExprSyntaxError,
     FinitePoints,
@@ -41,7 +43,7 @@ LEFT, RIGHT = ApproachSide.LEFT, ApproachSide.RIGHT
 
 class Oracle:
     def __init__(self, T: TimeScale):
-        self.tol = T.snap_tol
+        self.tol = DEFAULT_SNAP_TOL
         self.intervals = [(c.lo, c.hi) for c in T.components if isinstance(c, Interval)]
         # each distinct member once, however many components hold it
         self.discrete = sorted({m for c in T.components if not isinstance(c, Interval) for m in c.iter_members()})
@@ -204,7 +206,7 @@ def _random_component(rng: random.Random):
     if kind == "qgrid":
         return GeometricGrid(rng.choice((1.5, 2.0, 3.0)), rng.choice((-45, -6, -2)), rng.randint(0, 2), include_zero=rng.random() < 0.7)
     if kind == "qgrid-neg":
-        return GeometricGrid(2.0, rng.randint(-4, 0), rng.randint(1, 3), sign=-1)
+        return FinitePoints([-(2.0**k) for k in range(rng.randint(-4, 0), rng.randint(1, 3) + 1)])
     if rng.random() < 0.5:
         return Interval(-math.inf, base - 20)
     return Interval(base + 20, math.inf)
@@ -218,8 +220,8 @@ def _random_scale(rng: random.Random) -> TimeScale:
     return TimeScale(_random_components(rng))
 
 
-#: geometric grids whose tails lie within the snap tolerance: one with 0 adjoined, one mirrored
-_DEEP_GRIDS = (GeometricGrid(2.0, -60, 0, include_zero=True), GeometricGrid(2.0, -60, 0, sign=-1))
+#: geometric grids whose tails lie within the snap tolerance: one with 0 adjoined, one mirrored as points
+_DEEP_GRIDS = (GeometricGrid(2.0, -60, 0, include_zero=True), FinitePoints([-(2.0**k) for k in range(-60, 1)]))
 
 
 def _random_components_with_deep_grids(rng: random.Random) -> list:
@@ -337,10 +339,10 @@ _SCALE_TOKEN = re.compile(r"[0-9.]+(?:e[-+]?[0-9]+)?|[a-z]+|[-+(),]")
 def test_scale_text_rebuilds_the_same_index(seed):
     # a random union's describe() text, and that text with random runs of the four
     # whitespace characters around its tokens, parse to an equal scale with the same
-    # index; the text writes an unbounded interval's end as inf, and a mirrored
-    # geometric grid as its points, every one of them kept where the grid's tail
-    # lies within the tolerance (seeds 1 and 3 mod 4 add the deep grid with 0
-    # adjoined, 2 and 3 mod 4 the mirrored one)
+    # index; the text writes an unbounded interval's end as inf, and keeps every
+    # point of a mirrored geometric grid where its tail lies within the tolerance
+    # (seeds 1 and 3 mod 4 add the deep grid with 0 adjoined, 2 and 3 mod 4 the
+    # mirrored one)
     rng = random.Random(seed)
     comps = _random_components(rng) + [g for k, g in enumerate(_DEEP_GRIDS) if seed >> k & 1]
     T = TimeScale(comps)
@@ -386,7 +388,7 @@ def test_a_point_outside_the_jumps_of_t_leaves_t_alone(seed):
         if not T.inf_value < t < T.sup_value:
             continue
         before = (T.rho(t), T.sigma(t), T.classify(t))
-        near = [m + d * T.snap_tol for m in rng.sample(pts, min(len(pts), 3)) for d in (-0.6, -0.3, 0.3, 0.6)]
+        near = [m + d * DEFAULT_SNAP_TOL for m in rng.sample(pts, min(len(pts), 3)) for d in (-0.6, -0.3, 0.3, 0.6)]
         for p in near + [rng.uniform(-40.0, 40.0) for _ in range(2)]:
             if not before[0] <= p <= before[1]:
                 U = TimeScale(comps + [FinitePoints([p])])

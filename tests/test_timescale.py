@@ -12,7 +12,9 @@ import time
 import pytest
 
 from tsfrac import (
+    Antiderivative,
     ApproachSide,
+    DerivKind,
     DomainMembership,
     FinitePoints,
     FnOnScale,
@@ -25,16 +27,15 @@ from tsfrac import (
     TimeScale,
     UniformGrid,
     ValidationError,
+    checks,
     delta_frac,
     delta_frac_integral,
     delta_integral,
-    nabla_antiderivative,
     nabla_frac,
     nabla_frac_integral,
     nabla_integral,
     symmetric_frac,
     symmetric_frac_integral,
-    symmetric_via_sides,
     symmetric_weights,
 )
 
@@ -75,7 +76,7 @@ def test_finite_points_sorted_and_deduped():
 def test_geometric_grid_members():
     g = GeometricGrid(2.0, -1, 3)
     assert list(g.iter_members()) == [0.5, 1.0, 2.0, 4.0, 8.0]
-    neg = GeometricGrid(2.0, 0, 2, sign=-1)
+    neg = FinitePoints([-(2.0**k) for k in range(0, 3)])
     assert list(neg.iter_members()) == [-4.0, -2.0, -1.0]
 
 
@@ -114,10 +115,6 @@ def test_scale_needs_a_component():
         (lambda: UniformGrid(1.0, 0.0, 0.5), "start <= stop"),
         (lambda: GeometricGrid(2.0, 3, 1), "k_min <= k_max"),
         (lambda: GeometricGrid(1.5, 0, 100_001), "exponent range is unreasonably large"),
-        (lambda: GeometricGrid(2.0, 0, 3, sign=2), "sign must be"),
-        (lambda: GeometricGrid(2.0, 0, 3, sign=True), "sign must be"),
-        (lambda: GeometricGrid(2.0, 0, 3, sign=1.0), "sign must be"),
-        (lambda: GeometricGrid(2.0, 0, 3, sign=-1.0), "sign must be"),
         (lambda: GeometricGrid(2.0, 0, 2000), "largest member overflows"),
         (lambda: TimeScale([object()]), "not a scale component"),
         # float() would overflow on an int past the float range, and accept a
@@ -136,7 +133,6 @@ def test_scale_needs_a_component():
     ids=[
         "interval-none", "interval-nan", "interval-inf-inf", "points-empty", "points-inf", "points-minus-inf",
         "grid-inf", "grid-step-near-tol", "grid-reversed", "qgrid-reversed", "qgrid-range",
-        "qgrid-sign", "qgrid-sign-bool", "qgrid-sign-float", "qgrid-sign-negative-float",
         "qgrid-overflow", "not-a-component", "points-past-float", "interval-past-float", "grid-past-float",
         "points-numeric-string", "qgrid-numeric-string", "points-bool", "interval-bool", "points-null",
         "qgrid-kmin-float", "qgrid-zero-string",
@@ -150,7 +146,7 @@ def test_components_reject_bad_input(build, match):
 def test_scale_is_immutable_and_snaps_only_numbers():
     T = make_hybrid()
     with pytest.raises(AttributeError, match="immutable"):
-        T.snap_tol = 1.0
+        T.inf_value = 1.0
     assert T.snap("1") is None
 
 
@@ -183,14 +179,14 @@ def test_a_non_member_error_names_the_argument_not_the_scale(monkeypatch):
         lambda t: T.approach_sequence(t, ApproachSide.LEFT, 4),
         lambda t: T.symmetric_pairs(t, 4),
         lambda t: symmetric_weights(T, t, half),
-        *(lambda t, d=d: d(f, t, half) for d in (nabla_frac, delta_frac, symmetric_frac, symmetric_via_sides)),
+        *(lambda t, d=d: d(f, t, half) for d in (nabla_frac, delta_frac, symmetric_frac, checks._symmetric_via_sides)),
     ]
     endpoints = [
         lambda t: nabla_integral(f, 0.0, t),
         lambda t: delta_integral(f, 0.0, t),
         *(lambda t, i=i: i(f, 0.0, t, half) for i in (nabla_frac_integral, delta_frac_integral, symmetric_frac_integral)),
-        lambda t: nabla_antiderivative(f, t),
-        nabla_antiderivative(f, 0.0).eval,
+        lambda t: Antiderivative(f, t, DerivKind.NABLA),
+        Antiderivative(f, 0.0, DerivKind.NABLA).eval,
     ]
     for call in points + endpoints:
         with pytest.raises(PointNotInScale) as exc:
@@ -448,20 +444,20 @@ def test_points_in_bound_on_an_interval_end_gives_the_member():
     [
         [
             Interval(-math.inf, -100.0),
-            GeometricGrid(2.0, 0, 3, sign=-1),
+            FinitePoints([-(2.0**k) for k in range(0, 4)]),
             GeometricGrid(2.0, -3, 2, include_zero=True),
             FinitePoints([10.0, 10.5, 11.0]),
             UniformGrid(20.0, 30.0, 2.0),
             Interval(100.0, math.inf),
         ],
         [Interval(-math.inf, math.inf)],
-        [GeometricGrid(1.5, -2, 4, include_zero=True, sign=-1), Interval(0.5, 2.5)],
+        [FinitePoints([0.0] + [-(1.5**k) for k in range(-2, 5)]), Interval(0.5, 2.5)],
     ],
     ids=["every-kind", "real-line", "mirrored-qgrid-with-zero"],
 )
 def test_text_round_trip_of_every_component_kind(components):
-    # the text form writes infinite interval bounds as inf and a mirrored
-    # geometric grid as its points, and reads every scale back to the same index
+    # the text form writes infinite interval bounds as inf, and reads every
+    # scale back to the same index
     from tsfrac import parse_scale
 
     T = TimeScale(components)
@@ -577,10 +573,10 @@ def test_scale_pickles_and_copies(clone):
 def test_expression_function_pickles():
     T = make_hybrid()
     f = FnOnScale.from_expression("2*cos(t/3) + t^2", T)
-    before = f(0.7)
+    before = f.eval(0.7)
     back = pickle.loads(pickle.dumps(f))
     assert back.source == f.source and back.scale == T
-    assert back(0.7).hex() == before.hex()
+    assert back.eval(0.7).hex() == before.hex()
 
 
 def test_uniform_grid_member_bound():

@@ -45,7 +45,7 @@ def oracle(f: FnOnScale, a: float, b: float, kind: DerivKind) -> float:
     while t < b:
         s = T.sigma(t)
         if s > t:
-            total += (f(s) if kind is DerivKind.NABLA else f(t)) * (s - t)
+            total += (f.eval(s) if kind is DerivKind.NABLA else f.eval(t)) * (s - t)
         else:
             s = min(next(iv.hi for iv in intervals if iv.lo <= t < iv.hi), b)
             total += _quad(f.eval, t, s, QC)
