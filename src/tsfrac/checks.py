@@ -32,12 +32,10 @@ import random
 from dataclasses import dataclass, replace
 
 from .derivative import (
-    _AGREE_FACTOR,
     _DERIVS,
     _KINDS,
     DerivKind,
     FnOnScale,
-    _require_order,
     delta_frac,
     nabla_frac,
     symmetric_frac,
@@ -365,35 +363,6 @@ def _suite_symmetric_relation(rng: random.Random, trials: int, cfg: LimitConfig)
     return rec
 
 
-def _order_lowering_check(
-    f: FnOnScale,
-    t: float,
-    lower: Order,
-    higher: Order,
-    cfg: LimitConfig | None = None,
-) -> bool:
-    """Check that existence of the higher-order nabla derivative carries down.
-
-    Evaluates the higher order first (failures propagate: that is a
-    precondition), then the lower order.  Returns False if the lower order
-    fails.  At a left-dense point with higher > lower the lower-order value
-    must additionally vanish, within ten tolerances; scattered points need
-    no value relation.
-    """
-    _require_order(lower)
-    _require_order(higher)
-    if cfg is None:
-        cfg = LimitConfig()
-    nabla_frac(f, t, higher, cfg)
-    try:
-        low = nabla_frac(f, t, lower, cfg)
-    except TsfracError:
-        return False
-    if higher > lower and f.scale.classify(t).left_dense:
-        return abs(low.value) <= _AGREE_FACTOR * cfg.tol
-    return True
-
-
 def _suite_order_lowering(rng: random.Random, trials: int, cfg: LimitConfig) -> _Recorder:
     rec = _Recorder()
     # Dense-limit quotients carry rounding noise of order eps/h**alpha, so
@@ -426,16 +395,18 @@ def _suite_order_lowering(rng: random.Random, trials: int, cfg: LimitConfig) -> 
             f = _rand_poly(rng, T)
             lower, higher = rng.choice(dense_pairs)
         ctx = f"trial {k} {lower}<{higher} t={t} on {T.describe()}"
+        # existence carries down: the higher order first, as a precondition
         try:
-            ok = _order_lowering_check(f, t, lower, higher, low_cfg)
+            nabla_frac(f, t, higher, low_cfg)
         except TsfracError as exc:
             rec.fail(f"{ctx}: higher order failed ({exc})")
             continue
-        if not ok:
+        try:
+            low = nabla_frac(f, t, lower, low_cfg).value
+        except TsfracError:
             rec.fail(ctx)
             continue
         if T.classify(t).left_dense:
-            low = nabla_frac(f, t, lower, low_cfg).value
             rec.check(abs(low), _LOWERED_VALUE_TOL, f"dense lowered value {ctx}")
     return rec
 

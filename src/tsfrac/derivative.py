@@ -47,6 +47,7 @@ from .errors import (
     SidedLimitsDisagree,
 )
 from .order import (
+    _MIN_SAMPLES,
     LimitConfig,
     Order,
     _require_order_type,
@@ -133,12 +134,12 @@ def _require_order(order: Order) -> None:
 
 
 def _side_samples(T: TimeScale, ts: float, side: ApproachSide, cfg: LimitConfig):
-    """The up to cfg.max_samples points one side offers a limit, or None
-    when it cannot supply the three a limit needs: it is scattered, or
-    offers fewer points, whether it is discrete or an interval whose steps
-    reach the float spacing at ts."""
-    seq = T.approach_sequence(ts, side, cfg.max_samples, cfg.h0, cfg.ratio)
-    return seq if len(seq) >= 3 else None
+    """The points ``T.approach_sequence(ts, side, cfg)`` offers a limit, or
+    None when it cannot supply the ``_MIN_SAMPLES`` a limit needs: the side
+    is scattered, or offers fewer points, whether it is discrete or an
+    interval whose steps reach the float spacing at ts."""
+    seq = T.approach_sequence(ts, side, cfg)
+    return seq if len(seq) >= _MIN_SAMPLES else None
 
 
 def _settle(quots, cfg: LimitConfig, side: ApproachSide, ts: float) -> "tuple[float, float]":
@@ -165,8 +166,8 @@ def _dense_limit(f: FnOnScale, ts: float, order: Order, cfg: LimitConfig, kind: 
     # where d > 0, and 2h > 0, so NegativeBaseForGeneralOrder cannot occur
     T, ev, e = f.scale, f.eval, order.value
     if kind is DerivKind.SYMMETRIC:
-        pairs = T.symmetric_pairs(ts, cfg.max_samples, cfg.h0, cfg.ratio)
-        if len(pairs) < 3:
+        pairs = T.symmetric_pairs(ts, cfg)
+        if len(pairs) < _MIN_SAMPLES:
             raise LimitDidNotConverge(
                 f"only {len(pairs)} symmetric pairs available near t={ts}", samples_unavailable=True
             )

@@ -449,7 +449,7 @@ def _kernel_source(root: Expr):
             return "x"
         if isinstance(e, Neg):  # a negation cannot raise: it stays in its operand's text
             return "-" + emit(e.operand, slot, guard)
-        if not isinstance(e, (Pow, Call)):
+        if not isinstance(e, (Pow, Call)) or (isinstance(e, Call) and FUNCTIONS.get(e.name) != len(e.args)):
             raise TypeError(f"not an Expr node: {e!r}")
         name, args = ("pow", (e.left, e.right)) if isinstance(e, Pow) else (_FUNC_NAME[e.name], e.args)
         operands = ", ".join([emit(a, slot + j, guard) for j, a in enumerate(args)])

@@ -57,7 +57,7 @@ from .errors import (
     PointOutsideDomain,
     QuadratureFailure,
 )
-from .order import LimitConfig, Order, _require_order_type
+from .order import _MIN_SAMPLES, LimitConfig, Order, _require_order_type
 from .timescale import ApproachSide, TimeScale
 
 __all__ = [
@@ -181,14 +181,15 @@ def delta_integral(
     return _cauchy(f, a, b, Order(1, 1), None, qc, DerivKind.DELTA)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Antiderivative:
     """F(t) = integral of f from the anchor to t, memoized per queried point.
 
     Queries are answered incrementally from the nearest already-known point
     (the walk is additive over adjacent ranges), which keeps repeated
     evaluations along an approach sequence cheap.  Safe under concurrent
-    use: the memo is guarded by a lock.
+    use: the memo is guarded by a lock.  Frozen, so the memo always belongs
+    to the base, anchor, kind and qc it was built for.
     """
 
     base: FnOnScale
@@ -203,12 +204,11 @@ class Antiderivative:
         if self.kind not in (DerivKind.NABLA, DerivKind.DELTA):
             raise ValueError(f"antiderivative kind must be nabla or delta, got {self.kind!r}")
         anchor = self.base.scale._require_member(self.anchor, "t0")
-        self.anchor = anchor
-        if self.qc is None:
-            self.qc = QuadratureConfig()
-        self._lock = threading.Lock()
-        self._known = {anchor: 0.0}
-        self._keys = [anchor]
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "qc", self.qc or QuadratureConfig())
+        object.__setattr__(self, "_lock", threading.Lock())
+        object.__setattr__(self, "_known", {anchor: 0.0})
+        object.__setattr__(self, "_keys", [anchor])
 
     def eval(self, t: float) -> float:
         ts = self.base.scale._require_member(t)
@@ -229,11 +229,11 @@ class Antiderivative:
 
 
 def _nearest_admissible(T: TimeScale, ts: float, cfg: LimitConfig):
-    """The nearest of the three points a side of ts offers a limit, the left
-    side first; None when neither side offers three."""
-    three = replace(cfg, max_samples=3)
+    """The nearest of the ``_MIN_SAMPLES`` points a side of ts offers a
+    limit, the left side first; None when neither side offers that many."""
+    fewest = replace(cfg, max_samples=_MIN_SAMPLES)
     for side in (ApproachSide.LEFT, ApproachSide.RIGHT):
-        seq = _side_samples(T, ts, side, three)
+        seq = _side_samples(T, ts, side, fewest)
         if seq is not None:
             return seq[-1]
     return None

@@ -157,9 +157,14 @@ def signed_pow(x: float, order: Order) -> float:
     return x ** (p / q)
 
 
+#: the fewest samples a limit is estimated from: two successive differences
+_MIN_SAMPLES = 3
+
+
 @dataclass(frozen=True)
 class LimitConfig:
-    """Knobs for dense-point limit estimation."""
+    """Knobs for dense-point limit estimation: the steps the scale samples
+    (``TimeScale.approach_sequence``) and when ``estimate_limit`` stops."""
 
     #: first step away from the point
     h0: float = 1e-2
@@ -179,8 +184,8 @@ class LimitConfig:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if isinstance(self.max_samples, bool) or not isinstance(self.max_samples, int):
             raise ValueError(f"max_samples must be an integer, got {self.max_samples!r}")
-        if self.max_samples < 3:
-            raise ValueError(f"max_samples must be at least 3, got {self.max_samples}")
+        if self.max_samples < _MIN_SAMPLES:
+            raise ValueError(f"max_samples must be at least {_MIN_SAMPLES}, got {self.max_samples}")
 
 
 @dataclass(frozen=True)
@@ -207,9 +212,9 @@ def estimate_limit(quotients, cfg: LimitConfig | None = None) -> LimitResult:
 
     Raises:
         NonFiniteSample: a quotient came out NaN or infinite.
-        ValueError: fewer than three samples were available.  The
-            derivatives never pass such a sequence: they drop a side with
-            fewer than three sample points before estimating.
+        ValueError: fewer than ``_MIN_SAMPLES`` (three) samples were
+            available.  The derivatives never pass such a sequence: they
+            drop a side with fewer sample points before estimating.
     """
     if cfg is None:
         cfg = LimitConfig()
@@ -225,6 +230,6 @@ def estimate_limit(quotients, cfg: LimitConfig | None = None) -> LimitResult:
         prev_diff, diff, value = diff, abs(q - value), q
         if diff <= tol and prev_diff <= tol:
             return LimitResult(value, diff, True, used)
-    if used < 3:
-        raise ValueError(f"estimate_limit needs at least 3 samples, got {used}")
+    if used < _MIN_SAMPLES:
+        raise ValueError(f"estimate_limit needs at least {_MIN_SAMPLES} samples, got {used}")
     return LimitResult(value, diff, False, used)

@@ -305,16 +305,6 @@ class GeometricGrid:
         return f"qgrid({_fmt_num(self.q)},{self.k_min},{self.k_max}{zero})"
 
 
-def _check_steps(n: int, h0: float, ratio: float) -> None:
-    """The checks shared by the step sequences of the limit scaffolding."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not (0 < ratio < 1):
-        raise ValueError("ratio must lie in (0, 1)")
-    if not h0 > 0:
-        raise ValueError("h0 must be positive")
-
-
 def _coalesce(values: list[float], tol: float) -> list[float]:
     """Sort and merge runs of values closer together than tol, keeping the
     smallest of each run."""
@@ -574,13 +564,14 @@ class TimeScale:
 
     # -- limit scaffolding ------------------------------------------------
 
-    def _interval_steps(self, ts: float, side: ApproachSide, n: int, h0: float, ratio: float):
-        """Up to n steps h*ratio**k into the interval holding the member ts,
-        h = min(h0, room) with room the distance to its end on the side (to
-        the nearer end for BOTH); None if room is within the snap tolerance.
-        They stop where ts +/- step reaches ts or repeats, and with BOTH
-        also where ts - step reaches ts.  BOTH returns the steps, a side the
-        points ts +/- step themselves, built in the same loop."""
+    def _interval_steps(self, ts: float, side: ApproachSide, cfg: LimitConfig):
+        """Up to cfg.max_samples steps h*cfg.ratio**k into the interval
+        holding the member ts, h = min(cfg.h0, room) with room the distance
+        to its end on the side (to the nearer end for BOTH); None if room is
+        within the snap tolerance.  They stop where ts +/- step reaches ts or
+        repeats, and with BOTH also where ts - step reaches ts.  BOTH returns
+        the steps, a side the points ts +/- step themselves, built in the
+        same loop."""
         pts, inside = self._pts, self._inside
         i = self._index(ts)
         if not inside[i]:
@@ -597,13 +588,13 @@ class TimeScale:
             room = hi - ts if side is ApproachSide.RIGHT else ts - lo
         if room <= DEFAULT_SNAP_TOL:
             return None
-        h = min(h0, room)
+        h = min(cfg.h0, room)
         sign = -1.0 if side is ApproachSide.LEFT else 1.0
         both = side is ApproachSide.BOTH
         out: list[float] = []
         prev = ts
-        for k in range(n):
-            step = h * ratio**k
+        for k in range(cfg.max_samples):
+            step = h * cfg.ratio**k
             s = ts + sign * step  # exactly ts - step on the left
             if s == ts or s == prev or (both and ts - step == ts):
                 break
@@ -624,74 +615,69 @@ class TimeScale:
             return nearest[:limit][::-1]
         return [pts[k] for k in range(max(0, i - 2 * limit), i) if not inside[k + 1]][-limit:]
 
-    def approach_sequence(
-        self, t: float, side: ApproachSide, n: int, h0: float = LimitConfig.h0, ratio: float = LimitConfig.ratio
-    ) -> list[float]:
-        """Up to n scale points approaching t monotonically from one side,
-        farthest first: the points a dense side offers.
+    def approach_sequence(self, t: float, side: ApproachSide, cfg: LimitConfig | None = None) -> list[float]:
+        """Up to cfg.max_samples scale points approaching t monotonically
+        from one side, farthest first: the points a dense side offers; cfg
+        None is the default :class:`LimitConfig`.
 
-        Inside an interval the sequence is geometric, t +/- h*ratio**k with
-        h = min(h0, room to the component boundary); h0 and ratio default
-        to those of :class:`LimitConfig`.  The sequence is cut short of n
-        once the step underflows the float spacing at t, so every returned
-        point is distinct from t and from its neighbors.  Where the dense
-        side is carried by discrete points (a geometric-grid tail), the
-        up to n grid members nearest t are returned.  A scattered side, and
-        a side dense by convention only (left of the minimum, right of the
-        maximum), offers no points: the list is empty.
+        Inside an interval the sequence is geometric, t +/- h*cfg.ratio**k
+        with h = min(cfg.h0, room to the component boundary).  The sequence
+        is cut short once the step underflows the float spacing at t, so
+        every returned point is distinct from t and from its neighbors.
+        Where the dense side is carried by discrete points (a geometric-grid
+        tail), the up to cfg.max_samples grid members nearest t are
+        returned.  A scattered side, and a side dense by convention only
+        (left of the minimum, right of the maximum), offers no points: the
+        list is empty.
 
         Raises:
             PointNotInScale: t is not a member of the scale.
-            ValueError: side is not LEFT or RIGHT, n < 1, h0 <= 0, or ratio
-                outside (0, 1).
+            ValueError: side is not LEFT or RIGHT.
         """
         if side not in (ApproachSide.LEFT, ApproachSide.RIGHT):
             raise ValueError("side must be LEFT or RIGHT")
-        _check_steps(n, h0, ratio)
+        cfg = cfg or LimitConfig()
         ts = self._require_member(t)
         cls = self.classify(ts)
         if not (cls.right_dense if side is ApproachSide.RIGHT else cls.left_dense):
             return []
 
-        pts = self._interval_steps(ts, side, n, h0, ratio)
-        return pts if pts is not None else self._members_near(ts, side, n)
+        pts = self._interval_steps(ts, side, cfg)
+        return pts if pts is not None else self._members_near(ts, side, cfg.max_samples)
 
-    def symmetric_pairs(
-        self, t: float, n: int, h0: float = LimitConfig.h0, ratio: float = LimitConfig.ratio
-    ) -> list[float]:
-        """Up to n values h > 0 with both t+h and t-h in the scale,
-        decreasing.
+    def symmetric_pairs(self, t: float, cfg: LimitConfig | None = None) -> list[float]:
+        """Up to cfg.max_samples values h > 0 with both t+h and t-h in the
+        scale, decreasing; cfg None is the default :class:`LimitConfig`.
 
-        Inside an interval these are geometric steps h*ratio**k, h0 and
-        ratio defaulting to those of :class:`LimitConfig`; in discrete
-        neighborhoods they are the realizable pair distances strictly below
-        h0 (so a uniform grid yields its minimal pair).  Fewer than n
-        values, none at all where no pair exists below h0, are returned
-        when the neighborhood runs out of pairs.
+        Inside an interval these are geometric steps h*cfg.ratio**k; in
+        discrete neighborhoods they are the realizable pair distances
+        strictly below cfg.h0 (so a uniform grid yields its minimal pair).
+        Fewer values, none at all where no pair exists below cfg.h0, are
+        returned when the neighborhood runs out of pairs.
 
         Raises:
-            ValueError: n < 1, h0 <= 0, or ratio outside (0, 1).
+            PointNotInScale: t is not a member of the scale.
         """
-        _check_steps(n, h0, ratio)
+        cfg = cfg or LimitConfig()
         ts = self._require_member(t)
 
-        hs = self._interval_steps(ts, ApproachSide.BOTH, n, h0, ratio)
+        hs = self._interval_steps(ts, ApproachSide.BOTH, cfg)
         if hs is not None:
             return hs
 
-        limit = max(8 * n, 64)
+        limit = max(8 * cfg.max_samples, 64)
         cand: list[float] = []
         for side, sign in ((ApproachSide.RIGHT, 1.0), (ApproachSide.LEFT, -1.0)):
             for m in self._members_near(ts, side, limit):
                 h = sign * (m - ts)  # exactly ts - m on the left
-                if DEFAULT_SNAP_TOL < h < h0 and self.snap(ts - sign * h) is not None:
+                if DEFAULT_SNAP_TOL < h < cfg.h0 and self.snap(ts - sign * h) is not None:
                     cand.append(h)
         hs = []
         for h in sorted(cand, reverse=True):
             if hs and hs[-1] - h <= DEFAULT_SNAP_TOL:
                 continue
             hs.append(h)
-        return hs[:n]
+        return hs[:cfg.max_samples]
 
     # -- enumeration ------------------------------------------------------
 

@@ -5,6 +5,7 @@ import json
 import math
 
 import random
+import re
 
 import pytest
 
@@ -17,6 +18,7 @@ from tsfrac import (
     SuiteReport,
     TimeScale,
     checks,
+    nabla_frac,
     run_suite,
 )
 from tsfrac.cli import main
@@ -175,17 +177,35 @@ def test_symmetric_relation_seed_17_gives_a_report(capsys):
 
 
 @pytest.mark.parametrize(
-    "outcome, expected",
-    [(LimitDidNotConverge("no samples"), "higher order failed (no samples)"), (False, "")],
+    "every, message",
+    [(1, r"trial \d+ [^:]+ on [^:]+: higher order failed \(no samples\)"), (2, r"trial \d+ [^:]+ on [^:]+")],
     ids=["higher-order-raises", "lower-order-fails"],
 )
-def test_order_lowering_reports_each_failed_trial(monkeypatch, outcome, expected):
-    def check(*args):
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
+def test_order_lowering_reports_each_failed_trial(monkeypatch, every, message):
+    # each trial asks the higher order, then the lower one: raising at every
+    # call fails each higher order, at every second call each lower one
+    calls = []
 
-    monkeypatch.setattr(checks, "_order_lowering_check", check)
+    def nabla(f, t, order, cfg=None):
+        calls.append(order)
+        if len(calls) % every == 0:
+            raise LimitDidNotConverge("no samples")
+        return nabla_frac(f, t, order, cfg)
+
+    monkeypatch.setattr(checks, "nabla_frac", nabla)
     report = run_suite("order-lowering", seed=0, trials=4)
-    assert report.failures == 4
-    assert all(m.startswith("trial ") and m.endswith(expected) for m in report.messages), report.messages
+    assert report.failures == 4 and len(calls) == 4 * every
+    assert all(re.fullmatch(message, m) for m in report.messages), report.messages
+
+
+def test_order_lowering_asks_each_order_once_per_trial(monkeypatch):
+    calls = []
+
+    def nabla(*args):
+        calls.append(args)
+        return nabla_frac(*args)
+
+    monkeypatch.setattr(checks, "nabla_frac", nabla)
+    report = run_suite("order-lowering", seed=0, trials=8)
+    assert report.failures == 0 and len(calls) == 2 * 8
+    assert all(higher[2] > lower[2] for higher, lower in zip(calls[::2], calls[1::2]))

@@ -6,6 +6,7 @@ antiderivative, so most checks here are against hand-computed values on
 small scales.
 """
 
+import dataclasses
 import inspect
 import math
 import threading
@@ -133,6 +134,23 @@ def test_antiderivative_without_a_config_uses_the_default(kind):
     assert F.qc == QuadratureConfig()
     assert F.eval(0.5) == pytest.approx(0.125 / 3, rel=1e-12)
     assert Antiderivative(f, 0.0, kind).eval(0.5) == F.eval(0.5)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("base", FnOnScale(lambda x: 2 * x, grid(0, 3))),
+    ("anchor", 1.0),
+    ("kind", DerivKind.DELTA),
+    ("qc", QuadratureConfig(rel_tol=1e-6)),
+])
+def test_antiderivative_fields_are_frozen(field, value):
+    # the memo holds the values of the base, anchor, kind and qc it was built
+    # for: none can change under it
+    F = Antiderivative(FnOnScale(lambda x: x, grid(0, 3)), 0.0, DerivKind.NABLA)
+    assert F.eval(3.0) == 6.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(F, field, value)
+    assert (F.anchor, F.kind, F.qc) == (0.0, DerivKind.NABLA, QuadratureConfig())
+    assert [F.eval(b) for b in (3.0, 2.0)] == [6.0, 3.0]
 
 
 def test_antiderivative_is_nabla_or_delta():

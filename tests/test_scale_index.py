@@ -115,7 +115,8 @@ class Oracle:
         below = [m for m in self.discrete if m < ts] + [hi for _, hi in self.intervals if hi < ts]
         return sorted(below)[-limit:] if limit else []
 
-    def approach_sequence(self, t, side, n, h0=LimitConfig.h0):
+    def approach_sequence(self, t, side, cfg):
+        n, h0, ratio = cfg.max_samples, cfg.h0, cfg.ratio
         ts = self.member(t)
         left, right = self.classify(ts)
         if not (right if side is RIGHT else left):
@@ -128,7 +129,7 @@ class Oracle:
                 sign = 1.0 if side is RIGHT else -1.0
                 out = []
                 for k in range(n):
-                    s = ts + sign * h * 0.5**k
+                    s = ts + sign * h * ratio**k
                     if s == ts or (out and s == out[-1]):
                         break
                     out.append(s)
@@ -136,7 +137,8 @@ class Oracle:
         members = self.enumerate(ts, side, n)
         return members[::-1] if side is RIGHT else members
 
-    def symmetric_pairs(self, t, n, h0=LimitConfig.h0):
+    def symmetric_pairs(self, t, cfg):
+        n, h0, ratio = cfg.max_samples, cfg.h0, cfg.ratio
         ts = self.member(t)
         iv = self.interval_at(ts)
         if iv is not None:
@@ -145,7 +147,7 @@ class Oracle:
                 h = min(h0, room)
                 hs = []
                 for k in range(n):
-                    step = h * 0.5**k
+                    step = h * ratio**k
                     if ts + step == ts or ts - step == ts or (hs and ts + step == ts + hs[-1]):
                         break
                     hs.append(step)
@@ -239,14 +241,18 @@ def _queries(O: Oracle, rng: random.Random):
     return qs
 
 
+def _cfgs(h0):
+    """The configs a query is asked with: the default first step and h0, each at 3 and 40 samples."""
+    return [LimitConfig(max_samples=n, h0=h) for n in (3, 40) for h in (LimitConfig.h0, h0)]
+
+
 def _asks(O: Oracle, t):
     """(method, args) of every query at t; the oracle's methods take the
     same positional arguments as the scale's."""
     asks = [(name, (t,)) for name in ("snap", "sigma", "rho", "mu", "nu", "classify", "domain_membership")]
     if O.snap(t) is not None:
-        # with the default first step, and with one given
-        asks += [("approach_sequence", (t, s, n, *h0)) for s in (LEFT, RIGHT) for n in (3, 40) for h0 in ((), (0.3,))]
-        asks += [("symmetric_pairs", (t, n, *h0)) for n in (3, 40) for h0 in ((), (2.5,))]
+        asks += [("approach_sequence", (t, s, cfg)) for s in (LEFT, RIGHT) for cfg in _cfgs(0.3)]
+        asks += [("symmetric_pairs", (t, cfg)) for cfg in _cfgs(2.5)]
     return asks
 
 
@@ -294,7 +300,7 @@ def test_shuffled_queries_match_brute_force_oracle(seed):
         # symmetric_pairs at m between, whose snaps of m +/- h replace it
         for name in ("sigma", "rho", "classify"):
             _check(T, O, [ask for d in (-0.4, 0.4) for ask in ((name, (m + d * tol,)), (name, (m,)))])
-        _check(T, O, [("classify", (m,)), ("symmetric_pairs", (m, 40, 2.5)), ("mu", (m,)), ("nu", (m,))])
+        _check(T, O, [("classify", (m,)), ("symmetric_pairs", (m, LimitConfig(h0=2.5))), ("mu", (m,)), ("nu", (m,))])
     # -0.0 and 0.0 compare equal and bisect to one index
     _check(T, O, [(name, (z,)) for name in ("snap", "sigma", "rho", "classify") for z in (-0.0, 0.0)])
 

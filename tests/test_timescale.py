@@ -159,8 +159,8 @@ def test_int_past_the_float_range_is_no_point():
     for big in (10**400, 10**5000):
         for query in (
             T.sigma, T.rho, T.mu, T.nu, T.classify,
-            lambda t: T.approach_sequence(t, ApproachSide.LEFT, 4),
-            lambda t: T.symmetric_pairs(t, 4),
+            lambda t: T.approach_sequence(t, ApproachSide.LEFT),
+            lambda t: T.symmetric_pairs(t),
         ):
             with pytest.raises(PointNotInScale):
                 query(big)
@@ -176,8 +176,8 @@ def test_a_non_member_error_names_the_argument_not_the_scale(monkeypatch):
     half = Order(1, 2)
     points = [
         T.sigma, T.rho, T.mu, T.nu, T.classify,
-        lambda t: T.approach_sequence(t, ApproachSide.LEFT, 4),
-        lambda t: T.symmetric_pairs(t, 4),
+        lambda t: T.approach_sequence(t, ApproachSide.LEFT),
+        lambda t: T.symmetric_pairs(t),
         lambda t: symmetric_weights(T, t, half),
         *(lambda t, d=d: d(f, t, half) for d in (nabla_frac, delta_frac, symmetric_frac, checks._symmetric_via_sides)),
     ]
@@ -298,15 +298,24 @@ def test_classify_and_domain_membership_records_are_shared_and_frozen():
 
 def test_approach_sequence_interval():
     T = TimeScale([Interval(0.0, 4.0)])
-    seq = T.approach_sequence(2.0, ApproachSide.LEFT, 5, h0=0.5, ratio=0.5)
+    seq = T.approach_sequence(2.0, ApproachSide.LEFT, LimitConfig(max_samples=5, h0=0.5, ratio=0.5))
     assert seq == [1.5, 1.75, 1.875, 1.9375, 1.96875]
-    seq = T.approach_sequence(2.0, ApproachSide.RIGHT, 3, h0=0.5, ratio=0.5)
+    seq = T.approach_sequence(2.0, ApproachSide.RIGHT, LimitConfig(max_samples=3, h0=0.5, ratio=0.5))
     assert seq == [2.5, 2.25, 2.125]
+
+
+def test_the_steps_are_the_configs():
+    # every knob of the config reaches the sampler: the cap, the first step
+    # and the ratio
+    T = TimeScale([Interval(0.0, 4.0)])
+    cfg = LimitConfig(h0=0.5, ratio=0.25, max_samples=4)
+    assert T.approach_sequence(2.0, ApproachSide.LEFT, cfg) == [2 - 0.5 * 0.25**k for k in range(4)]
+    assert T.symmetric_pairs(2.0, cfg) == [0.5 * 0.25**k for k in range(4)]
 
 
 def test_approach_sequence_respects_room():
     T = TimeScale([Interval(0.0, 4.0)])
-    seq = T.approach_sequence(0.25, ApproachSide.LEFT, 4, h0=10.0, ratio=0.5)
+    seq = T.approach_sequence(0.25, ApproachSide.LEFT, LimitConfig(max_samples=4, h0=10.0, ratio=0.5))
     # h0 is clipped to the room available inside the component
     assert seq[0] >= 0.0
     assert all(0.0 <= s < 0.25 for s in seq)
@@ -314,7 +323,7 @@ def test_approach_sequence_respects_room():
 
 def test_approach_sequence_truncates_at_float_resolution():
     T = TimeScale([Interval(0.0, 4.0)])
-    seq = T.approach_sequence(2.0, ApproachSide.LEFT, 200, h0=1e-2, ratio=0.5)
+    seq = T.approach_sequence(2.0, ApproachSide.LEFT, LimitConfig(max_samples=200, h0=1e-2, ratio=0.5))
     assert len(seq) < 200
     assert len(seq) == len(set(seq))
     assert all(s != 2.0 for s in seq)
@@ -323,19 +332,20 @@ def test_approach_sequence_truncates_at_float_resolution():
 def test_approach_sequence_scattered_side():
     # a scattered side offers no points, as a side dense by convention does
     T = make_hybrid()
-    assert T.approach_sequence(2.0, ApproachSide.LEFT, 3) == []
+    assert T.approach_sequence(2.0, ApproachSide.LEFT) == []
     # left of 1.0 is dense, right is scattered
-    assert T.approach_sequence(1.0, ApproachSide.RIGHT, 3) == []
-    assert len(T.approach_sequence(1.0, ApproachSide.LEFT, 6)) == 6
+    assert T.approach_sequence(1.0, ApproachSide.RIGHT) == []
+    assert len(T.approach_sequence(1.0, ApproachSide.LEFT, LimitConfig(max_samples=6))) == 6
 
 
 @pytest.mark.parametrize(
     "call, match",
     [
-        (lambda T: T.approach_sequence(0.5, ApproachSide.BOTH, 3), "LEFT or RIGHT"),
-        (lambda T: T.approach_sequence(0.5, ApproachSide.LEFT, 0), "n must be positive"),
-        (lambda T: T.approach_sequence(0.5, ApproachSide.LEFT, 3, ratio=1.0), "ratio"),
-        (lambda T: T.symmetric_pairs(0.5, 3, h0=0.0), "h0 must be positive"),
+        (lambda T: T.approach_sequence(0.5, ApproachSide.BOTH), "LEFT or RIGHT"),
+        # the steps come from a LimitConfig, which refuses bad values itself
+        (lambda T: T.approach_sequence(0.5, ApproachSide.LEFT, LimitConfig(max_samples=0)), "max_samples must be at least 3"),
+        (lambda T: T.approach_sequence(0.5, ApproachSide.LEFT, LimitConfig(ratio=1.0)), "ratio"),
+        (lambda T: T.symmetric_pairs(0.5, LimitConfig(h0=0.0)), "h0 must be finite and positive"),
     ],
     ids=["both-sides", "n-zero", "ratio-one", "h0-zero"],
 )
@@ -348,63 +358,63 @@ def test_approach_sequence_convention_only_side():
     # the minimum of an interval, or of a point set, is left-dense by
     # convention, but there are no scale points below it to offer
     for T in (TimeScale([Interval(0.0, 1.0)]), TimeScale([FinitePoints((0.0, 1.0))])):
-        assert T.approach_sequence(0.0, ApproachSide.LEFT, 3) == []
-        assert T.approach_sequence(1.0, ApproachSide.RIGHT, 3) == []
+        assert T.approach_sequence(0.0, ApproachSide.LEFT) == []
+        assert T.approach_sequence(1.0, ApproachSide.RIGHT) == []
 
 
 def test_short_discrete_side_offers_all_its_members():
     # 2**k for k in -45..3 accumulates at 0: 49 members on the right, all of
     # which a request for more returns, nearest last
     T = TimeScale([GeometricGrid(2.0, -45, 3, include_zero=True)])
-    seq = T.approach_sequence(0.0, ApproachSide.RIGHT, 100)
+    seq = T.approach_sequence(0.0, ApproachSide.RIGHT, LimitConfig(max_samples=100))
     assert seq == [2.0**k for k in range(3, -46, -1)]
-    assert T.approach_sequence(0.0, ApproachSide.RIGHT, 49) == seq
-    assert T.approach_sequence(0.0, ApproachSide.RIGHT, 3) == seq[-3:]
+    assert T.approach_sequence(0.0, ApproachSide.RIGHT, LimitConfig(max_samples=49)) == seq
+    assert T.approach_sequence(0.0, ApproachSide.RIGHT, LimitConfig(max_samples=3)) == seq[-3:]
 
 
 def test_default_steps_are_the_limit_configs():
     # one first step and one ratio: what LimitConfig() samples
-    cfg = LimitConfig()
+    cfg, five = LimitConfig(), LimitConfig(max_samples=5)
     T = TimeScale([Interval(0.0, 4.0)])
     for side, sign in ((ApproachSide.LEFT, -1.0), (ApproachSide.RIGHT, 1.0)):
-        seq = T.approach_sequence(2.0, side, 5)
-        assert seq == T.approach_sequence(2.0, side, 5, cfg.h0, cfg.ratio)
-        assert seq == [2.0 + sign * cfg.h0 * cfg.ratio**k for k in range(5)]
-    assert T.symmetric_pairs(2.0, 5) == T.symmetric_pairs(2.0, 5, cfg.h0, cfg.ratio)
-    assert T.symmetric_pairs(2.0, 5) == [cfg.h0 * cfg.ratio**k for k in range(5)]
+        seq = T.approach_sequence(2.0, side)
+        assert seq == T.approach_sequence(2.0, side, cfg) and len(seq) == cfg.max_samples
+        assert T.approach_sequence(2.0, side, five) == [2.0 + sign * cfg.h0 * cfg.ratio**k for k in range(5)]
+    assert T.symmetric_pairs(2.0) == T.symmetric_pairs(2.0, cfg)
+    assert T.symmetric_pairs(2.0, five) == [cfg.h0 * cfg.ratio**k for k in range(5)]
     # near an end the first step is the room left, as with any h0
-    assert T.approach_sequence(0.004, ApproachSide.LEFT, 2) == [0.0, 0.002]
+    assert T.approach_sequence(0.004, ApproachSide.LEFT, LimitConfig(max_samples=3)) == [0.0, 0.002, 0.003]
     # a discrete neighborhood pairs only below the first step
     G = TimeScale([UniformGrid(0.0, 1.0, 0.004)])
-    hs = G.symmetric_pairs(0.4, 5)
-    assert hs == G.symmetric_pairs(0.4, 5, cfg.h0, cfg.ratio) and hs == pytest.approx([0.008, 0.004])
+    hs = G.symmetric_pairs(0.4)
+    assert hs == G.symmetric_pairs(0.4, cfg) and hs == pytest.approx([0.008, 0.004])
 
 
 def test_approach_sequence_geometric_tail():
     # 2**k for k in -40..3 accumulates at 0 from the right
     T = TimeScale([GeometricGrid(2.0, -40, 3, include_zero=True)])
-    seq = T.approach_sequence(0.0, ApproachSide.RIGHT, 5)
+    seq = T.approach_sequence(0.0, ApproachSide.RIGHT, LimitConfig(max_samples=5))
     assert seq[0] > seq[1] > seq[2] > seq[3] > seq[4] > 0.0
     assert seq[-1] == 2.0**-40
 
 
 def test_symmetric_pairs_interval():
     T = TimeScale([Interval(0.0, 2.0)])
-    hs = T.symmetric_pairs(1.0, 4, h0=0.4, ratio=0.5)
+    hs = T.symmetric_pairs(1.0, LimitConfig(max_samples=4, h0=0.4, ratio=0.5))
     assert hs == [0.4, 0.2, 0.1, 0.05]
 
 
 def test_symmetric_pairs_grid():
     T = TimeScale([UniformGrid(0.0, 6.0, 1.0)])
-    hs = T.symmetric_pairs(3.0, 5, h0=2.5)
+    hs = T.symmetric_pairs(3.0, LimitConfig(max_samples=5, h0=2.5))
     assert hs == [2.0, 1.0]
 
 
 def test_symmetric_pairs_without_a_pair_are_empty():
     # 2**k accumulates at 0 from the right, but no -h is in the scale; and
     # the grid's pairs all lie at or above a first step of 1
-    assert TimeScale([GeometricGrid(2.0, -50, 2, include_zero=True)]).symmetric_pairs(0.0, 40) == []
-    assert TimeScale([UniformGrid(0.0, 6.0, 1.0)]).symmetric_pairs(3.0, 5, h0=1.0) == []
+    assert TimeScale([GeometricGrid(2.0, -50, 2, include_zero=True)]).symmetric_pairs(0.0) == []
+    assert TimeScale([UniformGrid(0.0, 6.0, 1.0)]).symmetric_pairs(3.0, LimitConfig(max_samples=5, h0=1.0)) == []
 
 
 def test_points_in_hybrid():
