@@ -50,7 +50,8 @@ def _flag_reader(convert):
     """An argparse ``type`` reading one ``num`` of the grammars, then as
     ``convert`` does, under convert's name, so a bad value still reads
     "invalid float value: 'abc'".  The float words inf and nan are no
-    ``num`` but reach the configs, which reject them as out of range."""
+    ``num`` but reach ``LimitConfig`` and ``points_in``, which reject them
+    as out of range."""
 
     def read(text: str):
         try:
@@ -141,8 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--beta", required=True, metavar="P/Q", help="order in [0,1], e.g. 1/2")
     i.add_argument("--a", required=True, help="lower endpoint (scale member)")
     i.add_argument("--b", required=True, help="upper endpoint (scale member)")
-    i.add_argument("--quad-rel-tol", type=_float, help="quadrature relative tolerance")
-    i.add_argument("--quad-abs-tol", type=_float, help="quadrature absolute tolerance")
 
     t = sub.add_parser(
         "table",
@@ -182,14 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)  # main's own; parse_args leaves it unchanged
 
 
-def _given(args, names, prefix=""):
-    """The flags ``prefix + name`` set on the command line, by name; a config
-    class keeps its own defaults for the rest."""
-    return {name: v for name in names if (v := getattr(args, prefix + name)) is not None}
-
-
 def _limit_config(args) -> LimitConfig:
-    return LimitConfig(**_given(args, ("h0", "ratio", "tol", "max_samples")))
+    """The limit flags set on the command line; LimitConfig keeps its own
+    defaults for the rest."""
+    names = ("h0", "ratio", "tol", "max_samples")
+    return LimitConfig(**{name: v for name in names if (v := getattr(args, name)) is not None})
 
 
 def _number(name: str, text: str) -> float:
@@ -261,16 +257,15 @@ def cmd_deriv(args):
 
 
 def cmd_integ(args):
-    from .integral import _CAUCHY, QuadratureConfig
+    from .integral import _CAUCHY
     a, b = _number("--a", args.a), _number("--b", args.b)
     T = parse_scale(args.scale)
     f = FnOnScale.from_expression(args.fn, T)
     beta = Order.parse(args.beta, allow_zero=True)
     cfg = _limit_config(args)
-    qc = QuadratureConfig(**_given(args, ("rel_tol", "abs_tol"), "quad_"))
     compute = _CAUCHY[DerivKind(args.kind)]
     try:
-        value = compute(f, a, b, beta, cfg, qc)
+        value = compute(f, a, b, beta, cfg)
     except (TsfracError, ValueError) as exc:
         return [_error_record(exc, a=a, b=b)], 1
     return (

@@ -70,8 +70,7 @@ __all__ = [
 
 # Two one-sided estimates each stop within a few tolerances of the limit, so
 # exact agreement at cfg.tol is not achievable; this factor bounds the
-# legitimate spread (and matches the documented differentiable-implies-zero
-# bound of 10 * tol).
+# legitimate spread.
 _AGREE_FACTOR = 10.0
 
 

@@ -3,12 +3,14 @@
 Classical nabla/delta integrals walk the scale from a to b: every scattered
 step contributes an exact jump term (f at the step's right endpoint times
 the gap for nabla, f at the left endpoint for delta) and every interval
-stretch is integrated by adaptive Simpson quadrature.  The walk goes run by
-run: each maximal run of consecutive jumps is one loop straight over the
-scale's packed index, adding its terms into the total one at a time from
-the left, so the value is bit for bit the jump-by-jump sum.  A non-finite
-value of f, at a quadrature sample, on a jump or as the total of the jump
-terms, raises QuadratureFailure.
+stretch is integrated by adaptive Simpson quadrature to a fixed accuracy: an
+error estimate within max(1e-12, 1e-10 * |first Simpson estimate|), halved
+at each of at most 30 bisections.  The walk goes run by run: each maximal
+run of consecutive jumps is one loop straight over the scale's packed index,
+adding its terms into the total one at a time from the left, so the value
+is bit for bit the jump-by-jump sum.  A non-finite value of f, at a
+quadrature sample, on a jump or as the total of the jump terms, raises
+QuadratureFailure.
 
 The fractional Cauchy integral of order beta in [0, 1] is built on top of a
 classical antiderivative F anchored at a:
@@ -61,7 +63,6 @@ from .order import _MIN_SAMPLES, LimitConfig, Order, _require_order_type
 from .timescale import ApproachSide, TimeScale
 
 __all__ = [
-    "QuadratureConfig",
     "Antiderivative",
     "nabla_integral",
     "delta_integral",
@@ -71,18 +72,11 @@ __all__ = [
 ]
 
 
+#: adaptive Simpson's error target: max(_ABS_TOL, _REL_TOL * |first estimate|)
+_REL_TOL = 1e-10
+_ABS_TOL = 1e-12
 #: deepest bisection of an adaptive Simpson quadrature
 _QUADRATURE_DEPTH = 30
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-
-    def __post_init__(self):
-        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
-            raise ValueError("quadrature tolerances must be finite and positive")
 
 
 def _finite_sample(g, x: float) -> float:
@@ -118,18 +112,18 @@ def _simpson_rec(g, lo, hi, fl, fm, fh, whole, eps, depth):
     )
 
 
-def _quad(g, lo: float, hi: float, qc: QuadratureConfig) -> float:
+def _quad(g, lo: float, hi: float) -> float:
     """Adaptive Simpson integral of g over [lo, hi], lo < hi."""
     m = 0.5 * (lo + hi)
     fl = _finite_sample(g, lo)
     fm = _finite_sample(g, m)
     fh = _finite_sample(g, hi)
     whole = (hi - lo) * (fl + 4.0 * fm + fh) / 6.0
-    eps = max(qc.abs_tol, qc.rel_tol * abs(whole))
+    eps = max(_ABS_TOL, _REL_TOL * abs(whole))
     return _simpson_rec(g, lo, hi, fl, fm, fh, whole, eps, _QUADRATURE_DEPTH)
 
 
-def _walk(f: FnOnScale, a: float, b: float, qc: QuadratureConfig, kind: DerivKind) -> float:
+def _walk(f: FnOnScale, a: float, b: float, kind: DerivKind) -> float:
     """The classical integral of the kind from a to b (both scale members),
     walked upwards; a > b flips the sign.  Each interval stretch is one
     quadrature, and each maximal run of jumps one loop over the scale index
@@ -137,13 +131,13 @@ def _walk(f: FnOnScale, a: float, b: float, qc: QuadratureConfig, kind: DerivKin
     total from the left, jump by jump.  A run that leaves the total
     non-finite raises QuadratureFailure."""
     if a > b:
-        return -_walk(f, b, a, qc, kind)
+        return -_walk(f, b, a, kind)
     g = f.eval
     nabla = kind is DerivKind.NABLA
     total = 0.0
     for t, s, run in f.scale._runs(a, b):
         if run is None:
-            total += _quad(g, t, s, qc)
+            total += _quad(g, t, s)
             continue
         start = t
         if nabla:
@@ -161,24 +155,20 @@ def _walk(f: FnOnScale, a: float, b: float, qc: QuadratureConfig, kind: DerivKin
     return total
 
 
-def nabla_integral(
-    f: FnOnScale, a: float, b: float, qc: QuadratureConfig | None = None
-) -> float:
+def nabla_integral(f: FnOnScale, a: float, b: float) -> float:
     """Classical nabla integral of f from a to b: the nabla Cauchy integral
     at beta = 1.
 
     Jumps in (a, b] contribute f(t) * (t - rho(t)); interval stretches are
     integrated numerically.  Orientation flips the sign.
     """
-    return _cauchy(f, a, b, Order(1, 1), None, qc, DerivKind.NABLA)
+    return _cauchy(f, a, b, Order(1, 1), None, DerivKind.NABLA)
 
 
-def delta_integral(
-    f: FnOnScale, a: float, b: float, qc: QuadratureConfig | None = None
-) -> float:
+def delta_integral(f: FnOnScale, a: float, b: float) -> float:
     """Classical delta integral of f from a to b (jumps in [a, b) weighted
     by f at their left endpoint): the delta Cauchy integral at beta = 1."""
-    return _cauchy(f, a, b, Order(1, 1), None, qc, DerivKind.DELTA)
+    return _cauchy(f, a, b, Order(1, 1), None, DerivKind.DELTA)
 
 
 @dataclass(frozen=True)
@@ -189,13 +179,12 @@ class Antiderivative:
     (the walk is additive over adjacent ranges), which keeps repeated
     evaluations along an approach sequence cheap.  Safe under concurrent
     use: the memo is guarded by a lock.  Frozen, so the memo always belongs
-    to the base, anchor, kind and qc it was built for.
+    to the base, anchor and kind it was built for.
     """
 
     base: FnOnScale
     anchor: float
     kind: DerivKind
-    qc: QuadratureConfig | None = None  # None: the default QuadratureConfig
     _lock: threading.Lock = field(init=False, repr=False, compare=False)
     _known: dict = field(init=False, repr=False, compare=False)
     _keys: list = field(init=False, repr=False, compare=False)
@@ -205,7 +194,6 @@ class Antiderivative:
             raise ValueError(f"antiderivative kind must be nabla or delta, got {self.kind!r}")
         anchor = self.base.scale._require_member(self.anchor, "t0")
         object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "qc", self.qc or QuadratureConfig())
         object.__setattr__(self, "_lock", threading.Lock())
         object.__setattr__(self, "_known", {anchor: 0.0})
         object.__setattr__(self, "_keys", [anchor])
@@ -219,7 +207,7 @@ class Antiderivative:
             i = bisect.bisect_left(self._keys, ts)
             candidates = self._keys[max(0, i - 1) : i + 1]
             start = min(candidates, key=lambda k: abs(k - ts))
-            value = self._known[start] + _walk(self.base, start, ts, self.qc, self.kind)
+            value = self._known[start] + _walk(self.base, start, ts, self.kind)
             self._known[ts] = value
             bisect.insort(self._keys, ts)
             return value
@@ -287,8 +275,7 @@ def _frac_deriv_at(
 
 
 def _cauchy(
-    f: FnOnScale, a: float, b: float, beta: Order, cfg: LimitConfig | None,
-    qc: QuadratureConfig | None, kind: DerivKind
+    f: FnOnScale, a: float, b: float, beta: Order, cfg: LimitConfig | None, kind: DerivKind
 ) -> float:
     """The Cauchy integral of any kind: the sum of ``w_b*G(b) - w_a*G(a)``
     over its terms (kind of G, w_a, w_b).  Nabla and delta have the one
@@ -302,8 +289,6 @@ def _cauchy(
         raise ValueError("symmetric fractional integral requires beta > 0")
     if cfg is None:
         cfg = LimitConfig()
-    if qc is None:
-        qc = QuadratureConfig()
     T = f.scale
     sa = T._require_member(a, "a")
     sb = T._require_member(b, "b")
@@ -325,13 +310,13 @@ def _cauchy(
         wb = symmetric_weights(T, sb, beta)
         terms = [(DerivKind.DELTA, wa.gamma1, wb.gamma1), (DerivKind.NABLA, wa.gamma2, wb.gamma2)]
     elif beta.is_one:
-        return _walk(f, sa, sb, qc, kind)
+        return _walk(f, sa, sb, kind)
     else:
         anchor = sa
         terms = [(kind, 1.0, 1.0)]
     # build (and snap the anchor of) every antiderivative before evaluating
     # any, so a failing term does not change which scale queries ran
-    Gs = [Antiderivative(f, anchor, k, qc).as_fn() for k, _, _ in terms]
+    Gs = [Antiderivative(f, anchor, k).as_fn() for k, _, _ in terms]
     order = beta.one_minus()
     total = 0.0
     for (k, w_a, w_b), G in zip(terms, Gs):
@@ -350,7 +335,6 @@ def nabla_frac_integral(
     b: float,
     beta: Order,
     cfg: LimitConfig | None = None,
-    qc: QuadratureConfig | None = None,
 ) -> float:
     """Cauchy nabla fractional integral of f from a to b at order beta.
 
@@ -358,7 +342,7 @@ def nabla_frac_integral(
     f(b) - f(a); in between the value is G(b) - G(a) for G the
     (1-beta)-order nabla derivative of the antiderivative anchored at a.
     """
-    return _cauchy(f, a, b, beta, cfg, qc, DerivKind.NABLA)
+    return _cauchy(f, a, b, beta, cfg, DerivKind.NABLA)
 
 
 def delta_frac_integral(
@@ -367,11 +351,10 @@ def delta_frac_integral(
     b: float,
     beta: Order,
     cfg: LimitConfig | None = None,
-    qc: QuadratureConfig | None = None,
 ) -> float:
     """Cauchy delta fractional integral, forward mirror of
     :func:`nabla_frac_integral`."""
-    return _cauchy(f, a, b, beta, cfg, qc, DerivKind.DELTA)
+    return _cauchy(f, a, b, beta, cfg, DerivKind.DELTA)
 
 
 def symmetric_frac_integral(
@@ -380,7 +363,6 @@ def symmetric_frac_integral(
     b: float,
     beta: Order,
     cfg: LimitConfig | None = None,
-    qc: QuadratureConfig | None = None,
 ) -> float:
     """Cauchy symmetric fractional integral of f from a to b at order beta.
 
@@ -396,7 +378,7 @@ def symmetric_frac_integral(
     lose orientation antisymmetry and additivity at beta=1 on scales whose
     graininess ratio varies.
     """
-    return _cauchy(f, a, b, beta, cfg, qc, DerivKind.SYMMETRIC)
+    return _cauchy(f, a, b, beta, cfg, DerivKind.SYMMETRIC)
 
 
 #: the Cauchy integral of each kind; a dict, so that a wrapper put in its

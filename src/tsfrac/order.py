@@ -139,9 +139,11 @@ def signed_pow(x: float, order: Order) -> float:
     bases are rejected.  0**alpha is 0 for every positive alpha.
 
     Raises:
+        TypeError: the order is not an ``Order``.
         NegativeBaseForGeneralOrder: x < 0 and the order is not an odd
             reciprocal.
     """
+    _require_order_type(order)
     p, q = order.numerator, order.denominator
     if not p:
         raise ValueError("signed_pow is undefined for the zero order")

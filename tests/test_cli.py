@@ -569,26 +569,25 @@ def test_row_commands_report_the_first_bad_input(capsys, command, bad, error):
         assert "finite" in rec["message"]
 
 
-def test_quadrature_flags_reach_the_config(capsys):
+@pytest.mark.parametrize("flag", ["--quad-rel-tol", "--quad-abs-tol"])
+def test_quadrature_flags_are_usage_errors(capsys, flag):
+    # the quadrature accuracy is fixed: there is no flag to set it
     argv = ("integ", "--scale", "interval(0,2)", "--fn", "t", "--beta", "1", "--a", "0", "--b", "2")
-    code, out, _ = run(capsys, *argv, "--quad-abs-tol", "1e-9")
-    assert code == 0 and records(out)[0]["value"] == pytest.approx(2.0)
-    for flag in ("--quad-rel-tol", "--quad-abs-tol"):
-        code, out, _ = run(capsys, *argv, flag, "0")
-        assert code == 1 and records(out)[0]["error"] == "ValueError"
+    code, out, _ = run(capsys, *argv, flag, "1e-6")
+    assert code == 1
+    [rec] = records(out)
+    assert rec["error"] == "UsageError" and f"unrecognized arguments: {flag} 1e-6" in rec["message"]
 
 
 @pytest.mark.parametrize(
     "flag, error",
     [
-        ("--quad-rel-tol", "ValueError"),
-        ("--quad-abs-tol", "ValueError"),
         ("--tol", "ValueError"),
         ("--h0", "ValueError"),
     ],
 )
 def test_infinite_tolerances_are_structured_errors(capsys, flag, error):
-    # --quad-rel-tol inf used to print a value 1e-3 off with exit code 0
+    # an infinite tolerance is out of range, not a value that accepts any estimate
     argv = ("integ", "--scale", "interval(0,10)", "--fn", "sin(t)", "--beta", "1", "--a", "0", "--b", "3")
     code, out, _ = run(capsys, *argv, flag, "inf")
     assert code == 1
@@ -724,7 +723,7 @@ SEQUENCE = [
     DERIV,
     [*TABLE, "--density", "5"],
     TABLE,
-    [*INTEG, "--quad-rel-tol", "1e-6"],
+    [*INTEG, "--h0", "0.05"],
     INTEG,
     [*DERIV, "--tol", "abc"],
     ["--help"],
@@ -764,9 +763,9 @@ def test_consecutive_main_calls_share_no_parsed_state(capsys, monkeypatch):
     assert {rec["kind"] for rec in records(out) if "error" not in rec} == {"nabla"}
     assert cli._limit_config(argparse.Namespace(**deriv)) == LimitConfig()
     assert shared[3][3][0]["density"] == 33.0
-    assert shared[5][3][0]["quad_rel_tol"] is None
+    assert shared[5][3][0]["h0"] is None
     # the flags change the output, so a leaked one would show there too
-    assert shared[2][1] != shared[3][1] and shared[0][1] != shared[1][1]
+    assert shared[2][1] != shared[3][1] and shared[0][1] != shared[1][1] and shared[4][1] != shared[5][1]
     usage, help_, after = shared[6:]
     assert usage[0] == 1 and records(usage[1])[0]["error"] == "UsageError"
     assert help_[0] == ("exit", 0) and help_[1].startswith("usage: tscale-frac")

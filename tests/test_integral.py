@@ -27,7 +27,6 @@ from tsfrac import (
     Order,
     PointNotInScale,
     PointOutsideDomain,
-    QuadratureConfig,
     QuadratureFailure,
     TimeScale,
     TsfracError,
@@ -127,29 +126,32 @@ def test_delta_antiderivative_sums_left_riemann_terms():
 
 
 @pytest.mark.parametrize("kind", [DerivKind.NABLA, DerivKind.DELTA])
-def test_antiderivative_without_a_config_uses_the_default(kind):
-    # a None config used to reach the quadrature and fail there with AttributeError
+def test_antiderivative_on_an_interval_is_the_quadrature(kind):
+    # on an interval both kinds are the integral of x^2 from 0: x^3 / 3
     f = FnOnScale(lambda x: x * x, TimeScale([Interval(0.0, 1.0)]))
-    F = Antiderivative(f, 0.0, kind, None)
-    assert F.qc == QuadratureConfig()
-    assert F.eval(0.5) == pytest.approx(0.125 / 3, rel=1e-12)
-    assert Antiderivative(f, 0.0, kind).eval(0.5) == F.eval(0.5)
+    assert Antiderivative(f, 0.0, kind).eval(0.5) == pytest.approx(0.125 / 3, rel=1e-12)
+
+
+def test_antiderivative_takes_no_quadrature_config():
+    # the quadrature accuracy is fixed: no field sets it
+    assert [fld.name for fld in dataclasses.fields(Antiderivative) if fld.init] == ["base", "anchor", "kind"]
+    with pytest.raises(TypeError):
+        Antiderivative(FnOnScale(lambda x: x, grid(0, 3)), 0.0, DerivKind.NABLA, None)
 
 
 @pytest.mark.parametrize("field, value", [
     ("base", FnOnScale(lambda x: 2 * x, grid(0, 3))),
     ("anchor", 1.0),
     ("kind", DerivKind.DELTA),
-    ("qc", QuadratureConfig(rel_tol=1e-6)),
 ])
 def test_antiderivative_fields_are_frozen(field, value):
-    # the memo holds the values of the base, anchor, kind and qc it was built
+    # the memo holds the values of the base, anchor and kind it was built
     # for: none can change under it
     F = Antiderivative(FnOnScale(lambda x: x, grid(0, 3)), 0.0, DerivKind.NABLA)
     assert F.eval(3.0) == 6.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(F, field, value)
-    assert (F.anchor, F.kind, F.qc) == (0.0, DerivKind.NABLA, QuadratureConfig())
+    assert (F.anchor, F.kind) == (0.0, DerivKind.NABLA)
     assert [F.eval(b) for b in (3.0, 2.0)] == [6.0, 3.0]
 
 
@@ -421,44 +423,47 @@ def test_symmetric_integral_on_a_left_unbounded_scale(beta):
         assert symmetric_frac_integral(R, -1.0, 2.0, beta) == pytest.approx(6.0, rel=1e-9, abs=0)
 
 
-# -- quadrature config ----------------------------------------------------
+# -- quadrature -----------------------------------------------------------
 
 
-def test_quadrature_config_validation():
-    # a bad config field is a ValueError, as in LimitConfig
-    with pytest.raises(ValueError, match="finite and positive"):
-        QuadratureConfig(rel_tol=-1.0)
-
-
-@pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
-@pytest.mark.parametrize("bad", [math.inf, math.nan])
-def test_quadrature_tolerances_must_be_finite(field, bad):
-    # rel_tol=inf used to accept the first Simpson refinement: 1.9889521
-    # for the integral of sin over [0, 3], whose value is 1.9899925
-    with pytest.raises(ValueError, match="finite and positive"):
-        QuadratureConfig(**{field: bad})
+@pytest.mark.parametrize(
+    "integral",
+    [nabla_integral, delta_integral, nabla_frac_integral, delta_frac_integral, symmetric_frac_integral],
+    ids=lambda integral: integral.__name__,
+)
+def test_integrals_take_no_quadrature_config(integral):
+    # the quadrature accuracy is fixed: no argument sets it
+    orders = () if integral in (nabla_integral, delta_integral) else (ONE, None)
+    args = (FnOnScale(lambda x: x, TimeScale([Interval(0.0, 1.0)])), 0.0, 1.0, *orders)
+    assert integral(*args) == 0.5
+    for call in (lambda: integral(*args, None), lambda: integral(*args, qc=None)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_unreachable_tolerance_fails_along_one_path():
-    # a narrow interval used to return its coarse estimate while the bisection
-    # went on, exploring an exponential tree: now one path fails at depth 30
+    # sqrt's slope is unbounded at 0, so the bisection toward 0 never meets
+    # the target; a narrow interval used to return its coarse estimate while
+    # the bisection went on, exploring an exponential tree: now one path
+    # fails at depth 30
     T = TimeScale([Interval(0.0, 1.0)])
     points = []
     f = FnOnScale(lambda x: points.append(x) or math.sqrt(x), T)
-    qc = QuadratureConfig(rel_tol=1e-300, abs_tol=1e-300)
     with pytest.raises(QuadratureFailure, match="failed to converge on"):
-        nabla_integral(f, 0.0, 1.0, qc)
+        nabla_integral(f, 0.0, 1.0)
     assert len(points) <= 2 * 30 + 5
 
 
 def test_interval_too_narrow_to_bisect_raises():
     # around 1e8 the doubles are 1.5e-8 apart, so bisecting [1e8, 1e8 + 1]
-    # runs out of room before depth 30 and used to return an unchecked value there
+    # toward sqrt's unbounded slope at its left end runs out of room before
+    # depth 30, where it used to return an unchecked value; sin converges
     T = TimeScale([Interval(1e8, 1e8 + 1)])
-    f = FnOnScale(math.sin, T)
-    qc = QuadratureConfig(rel_tol=1e-300, abs_tol=1e-300)
+    f = FnOnScale(lambda x: math.sqrt(x - 1e8), T)
     with pytest.raises(QuadratureFailure, match=r"on \[100000000\.\d*, 100000000\.\d*\] \(too narrow"):
-        nabla_integral(f, 1e8, 1e8 + 1, qc)
+        nabla_integral(f, 1e8, 1e8 + 1)
+    smooth = nabla_integral(FnOnScale(math.sin, T), 1e8, 1e8 + 1)
+    assert smooth == pytest.approx(math.cos(1e8) - math.cos(1e8 + 1), rel=1e-6)
 
 
 def test_converged_estimate_on_an_unbisectable_interval_is_returned():
@@ -472,8 +477,10 @@ def test_converged_estimate_on_an_unbisectable_interval_is_returned():
 def test_tight_quadrature_matches_loose():
     T = TimeScale([Interval(0.0, 3.0)])
     f = FnOnScale(lambda x: math.exp(-x * x), T)
-    loose = nabla_integral(f, 0.0, 3.0, QuadratureConfig(rel_tol=1e-6, abs_tol=1e-8))
     tight = nabla_integral(f, 0.0, 3.0)
+    # a loose check by composite midpoint rule, then the tight one against erf
+    h = 3.0 / 1000
+    loose = h * math.fsum(f.eval((k + 0.5) * h) for k in range(1000))
     assert loose == pytest.approx(tight, rel=1e-5)
     assert tight == pytest.approx(math.sqrt(math.pi) / 2.0 * math.erf(3.0), rel=1e-9)
 

@@ -124,6 +124,13 @@ def test_signed_pow_general():
         signed_pow(-4.0, Order(1, 2))
 
 
+@pytest.mark.parametrize("order", [0.5, "1/2", Fraction(1, 2)], ids=repr)
+def test_signed_pow_takes_only_an_order(order):
+    # these used to fail inside with AttributeError on .numerator or .odd_reciprocal
+    with pytest.raises(TypeError, match=f"order must be an Order, got {type(order).__name__}"):
+        signed_pow(2.0, order)
+
+
 def test_signed_pow_matches_float_pow_on_positives():
     rng = random.Random(7)
     for _ in range(100):

@@ -22,7 +22,6 @@ from tsfrac import (
     FnOnScale,
     GeometricGrid,
     Interval,
-    QuadratureConfig,
     TimeScale,
     UniformGrid,
     delta_integral,
@@ -31,7 +30,6 @@ from tsfrac import (
 from tsfrac.integral import _quad
 
 SEEDS = range(48)
-QC = QuadratureConfig()
 INTEGRALS = {DerivKind.NABLA: nabla_integral, DerivKind.DELTA: delta_integral}
 
 
@@ -48,7 +46,7 @@ def oracle(f: FnOnScale, a: float, b: float, kind: DerivKind) -> float:
             total += (f.eval(s) if kind is DerivKind.NABLA else f.eval(t)) * (s - t)
         else:
             s = min(next(iv.hi for iv in intervals if iv.lo <= t < iv.hi), b)
-            total += _quad(f.eval, t, s, QC)
+            total += _quad(f.eval, t, s)
         t = s
     return total
 
