@@ -103,8 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     limits = argparse.ArgumentParser(add_help=False)
     limits.add_argument("--tol", type=_float, help="limit convergence tolerance")
-    limits.add_argument("--h0", type=_float, help="first approach offset at dense points")
-    limits.add_argument("--ratio", type=_float, help="offset shrink ratio per sample")
     limits.add_argument("--max-samples", type=_int, help="limit sample budget")
 
     fmt = argparse.ArgumentParser(add_help=False)
@@ -184,7 +182,7 @@ _parser = functools.cache(build_parser)  # main's own; parse_args leaves it unch
 def _limit_config(args) -> LimitConfig:
     """The limit flags set on the command line; LimitConfig keeps its own
     defaults for the rest."""
-    names = ("h0", "ratio", "tol", "max_samples")
+    names = ("tol", "max_samples")
     return LimitConfig(**{name: v for name in names if (v := getattr(args, name)) is not None})
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -161,29 +162,24 @@ def signed_pow(x: float, order: Order) -> float:
 
 #: the fewest samples a limit is estimated from: two successive differences
 _MIN_SAMPLES = 3
+#: a dense point is approached along the steps _FIRST_STEP * _STEP_RATIO**k
+_FIRST_STEP = 1e-2
+_STEP_RATIO = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class LimitConfig:
-    """Knobs for dense-point limit estimation: the steps the scale samples
-    (``TimeScale.approach_sequence``) and when ``estimate_limit`` stops."""
+    """When ``estimate_limit`` stops, and how many of the fixed steps
+    (``TimeScale.approach_sequence``: 1e-2, then each half the last) it samples."""
 
-    #: first step away from the point
-    h0: float = 1e-2
-    #: geometric shrink factor between successive steps
-    ratio: float = 0.5
     #: two successive quotients this close stop the run
     tol: float = 1e-8
     #: hard cap on evaluated quotients per side
     max_samples: int = 40
 
     def __post_init__(self):
-        if not 0 < self.h0 < math.inf:
-            raise ValueError(f"h0 must be finite and positive, got {self.h0}")
-        if not (0 < self.ratio < 1):
-            raise ValueError(f"ratio must lie in (0, 1), got {self.ratio}")
-        if not 0 < self.tol < math.inf:
-            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        if isinstance(self.tol, bool) or not isinstance(self.tol, (float, numbers.Real)) or not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
         if isinstance(self.max_samples, bool) or not isinstance(self.max_samples, int):
             raise ValueError(f"max_samples must be an integer, got {self.max_samples!r}")
         if self.max_samples < _MIN_SAMPLES:

@@ -45,13 +45,14 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+import numbers
 import reprlib
 from array import array
 from dataclasses import dataclass
 from itertools import chain
 
 from .errors import PointNotInScale, ValidationError
-from .order import LimitConfig
+from .order import _FIRST_STEP, _STEP_RATIO, LimitConfig
 
 __all__ = [
     "DEFAULT_SNAP_TOL",
@@ -460,9 +461,10 @@ class TimeScale:
 
     def snap(self, t: float):
         """The exact member nearest to t if one lies within the snap
-        tolerance, else None.  Ties go to the lower member."""
+        tolerance, else None.  Ties go to the lower member.  A t that is no
+        ``numbers.Real`` (a ``str``, a ``Decimal``) is no member."""
         try:
-            t = float(t) if isinstance(t, (int, float)) else math.nan
+            t = float(t) if isinstance(t, (int, float, numbers.Real)) else math.nan  # int, float first: no ABC check
         except OverflowError:  # an int past the float range
             return None
         if not math.isfinite(t):
@@ -564,10 +566,10 @@ class TimeScale:
 
     # -- limit scaffolding ------------------------------------------------
 
-    def _interval_steps(self, ts: float, side: ApproachSide, cfg: LimitConfig):
-        """Up to cfg.max_samples steps h*cfg.ratio**k into the interval
-        holding the member ts, h = min(cfg.h0, room) with room the distance
-        to its end on the side (to the nearer end for BOTH); None if room is
+    def _interval_steps(self, ts: float, side: ApproachSide, limit: int):
+        """Up to limit steps h*_STEP_RATIO**k into the interval holding the
+        member ts, h = min(_FIRST_STEP, room) with room the distance to its
+        end on the side (to the nearer end for BOTH); None if room is
         within the snap tolerance.  They stop where ts +/- step reaches ts or
         repeats, and with BOTH also where ts - step reaches ts.  BOTH returns
         the steps, a side the points ts +/- step themselves, built in the
@@ -588,13 +590,13 @@ class TimeScale:
             room = hi - ts if side is ApproachSide.RIGHT else ts - lo
         if room <= DEFAULT_SNAP_TOL:
             return None
-        h = min(cfg.h0, room)
+        h = min(_FIRST_STEP, room)
         sign = -1.0 if side is ApproachSide.LEFT else 1.0
         both = side is ApproachSide.BOTH
         out: list[float] = []
         prev = ts
-        for k in range(cfg.max_samples):
-            step = h * cfg.ratio**k
+        for k in range(limit):
+            step = h * _STEP_RATIO**k
             s = ts + sign * step  # exactly ts - step on the left
             if s == ts or s == prev or (both and ts - step == ts):
                 break
@@ -620,8 +622,9 @@ class TimeScale:
         from one side, farthest first: the points a dense side offers; cfg
         None is the default :class:`LimitConfig`.
 
-        Inside an interval the sequence is geometric, t +/- h*cfg.ratio**k
-        with h = min(cfg.h0, room to the component boundary).  The sequence
+        Inside an interval the sequence is geometric, t +/- h*r**k with
+        h = min(s, room to the component boundary), s and r the fixed first
+        step and ratio (:class:`LimitConfig`).  The sequence
         is cut short once the step underflows the float spacing at t, so
         every returned point is distinct from t and from its neighbors.
         Where the dense side is carried by discrete points (a geometric-grid
@@ -642,18 +645,18 @@ class TimeScale:
         if not (cls.right_dense if side is ApproachSide.RIGHT else cls.left_dense):
             return []
 
-        pts = self._interval_steps(ts, side, cfg)
+        pts = self._interval_steps(ts, side, cfg.max_samples)
         return pts if pts is not None else self._members_near(ts, side, cfg.max_samples)
 
     def symmetric_pairs(self, t: float, cfg: LimitConfig | None = None) -> list[float]:
         """Up to cfg.max_samples values h > 0 with both t+h and t-h in the
         scale, decreasing; cfg None is the default :class:`LimitConfig`.
 
-        Inside an interval these are geometric steps h*cfg.ratio**k; in
-        discrete neighborhoods they are the realizable pair distances
-        strictly below cfg.h0 (so a uniform grid yields its minimal pair).
-        Fewer values, none at all where no pair exists below cfg.h0, are
-        returned when the neighborhood runs out of pairs.
+        Inside an interval these are the steps h*r**k of
+        :meth:`approach_sequence`; in discrete neighborhoods they are the
+        realizable pair distances strictly below its first step s (so a
+        uniform grid finer than s yields its minimal pair), fewer or none
+        where the neighborhood runs out of pairs.
 
         Raises:
             PointNotInScale: t is not a member of the scale.
@@ -661,7 +664,7 @@ class TimeScale:
         cfg = cfg or LimitConfig()
         ts = self._require_member(t)
 
-        hs = self._interval_steps(ts, ApproachSide.BOTH, cfg)
+        hs = self._interval_steps(ts, ApproachSide.BOTH, cfg.max_samples)
         if hs is not None:
             return hs
 
@@ -670,7 +673,7 @@ class TimeScale:
         for side, sign in ((ApproachSide.RIGHT, 1.0), (ApproachSide.LEFT, -1.0)):
             for m in self._members_near(ts, side, limit):
                 h = sign * (m - ts)  # exactly ts - m on the left
-                if DEFAULT_SNAP_TOL < h < cfg.h0 and self.snap(ts - sign * h) is not None:
+                if DEFAULT_SNAP_TOL < h < _FIRST_STEP and self.snap(ts - sign * h) is not None:
                     cand.append(h)
         hs = []
         for h in sorted(cand, reverse=True):
@@ -715,16 +718,17 @@ class TimeScale:
 
         Raises:
             ValueError: the density is not finite and positive, a bound is
-                NaN or past the float range, or over a million points result.
+                NaN, no ``numbers.Real`` or past the float range, or over a
+                million points result.
         """
         if not (0 < density < math.inf):
             raise ValueError(f"density must be finite and positive, got {density!r}")
+        if not all(isinstance(x, numbers.Real) and x == x for x in (a, b)):  # x != x: NaN
+            raise ValueError(f"bounds must be numbers, got [{a!r}, {b!r}]")
         try:
             a, b = float(a), float(b)
         except OverflowError:  # an int past the float range
             raise ValueError("bounds must lie in the float range") from None
-        if math.isnan(a) or math.isnan(b):
-            raise ValueError(f"bounds must be numbers, got [{a}, {b}]")
         if b < a:
             a, b = b, a
         pts, inside = self._pts, self._inside

@@ -555,7 +555,7 @@ def test_row_commands_report_the_first_bad_input(capsys, command, bad, error):
         "--scale", "interval(0," if "scale" in broken else "grid(0,4,1)",
         "--fn", "t +" if "fn" in broken else "t",
         "--order", "2" if "order" in broken else "1/2",
-        "--ratio", "2" if "limits" in broken else "0.5",
+        "--tol", "0" if "limits" in broken else "1e-8",
     ]
     argv += ["--points=nan" if "points" in broken else "--points=1"] if command == "deriv" else []
     argv += ["--a=nan"] if command == "table" and "points" in broken else []
@@ -564,7 +564,7 @@ def test_row_commands_report_the_first_bad_input(capsys, command, bad, error):
     [rec] = records(out)
     assert rec["error"] == error
     if bad == "limits":
-        assert "ratio" in rec["message"]
+        assert "tol" in rec["message"]
     if bad == "points":
         assert "finite" in rec["message"]
 
@@ -579,11 +579,20 @@ def test_quadrature_flags_are_usage_errors(capsys, flag):
     assert rec["error"] == "UsageError" and f"unrecognized arguments: {flag} 1e-6" in rec["message"]
 
 
+@pytest.mark.parametrize("flag", ["--h0", "--ratio"])
+def test_step_flags_are_usage_errors(capsys, flag):
+    # the approach steps at dense points are fixed: there is no flag to set them
+    argv = ("deriv", "--scale", "interval(0,4)", "--fn", "t", "--order", "1", "--points", "2")
+    code, out, _ = run(capsys, *argv, flag, "0.5")
+    assert code == 1
+    [rec] = records(out)
+    assert rec["error"] == "UsageError" and f"unrecognized arguments: {flag} 0.5" in rec["message"]
+
+
 @pytest.mark.parametrize(
     "flag, error",
     [
         ("--tol", "ValueError"),
-        ("--h0", "ValueError"),
     ],
 )
 def test_infinite_tolerances_are_structured_errors(capsys, flag, error):
@@ -599,11 +608,11 @@ def test_dense_side_with_under_three_samples_is_structured_error(capsys):
     code, out, _ = run(
         capsys,
         "deriv",
-        "--scale", "interval(0,10)",
+        # the float spacing at 1e4 leaves one approach point on either side
+        "--scale", "interval(9999.999999999998,10000.000000000002)",
         "--fn", "t",
         "--order", "1",
-        "--points", "3",
-        "--ratio", "0.9999999999999999",
+        "--points", "10000",
     )
     assert code == 1
     [rec] = records(out)
@@ -723,7 +732,7 @@ SEQUENCE = [
     DERIV,
     [*TABLE, "--density", "5"],
     TABLE,
-    [*INTEG, "--h0", "0.05"],
+    [*INTEG, "--max-samples", "10"],
     INTEG,
     [*DERIV, "--tol", "abc"],
     ["--help"],
@@ -763,7 +772,7 @@ def test_consecutive_main_calls_share_no_parsed_state(capsys, monkeypatch):
     assert {rec["kind"] for rec in records(out) if "error" not in rec} == {"nabla"}
     assert cli._limit_config(argparse.Namespace(**deriv)) == LimitConfig()
     assert shared[3][3][0]["density"] == 33.0
-    assert shared[5][3][0]["h0"] is None
+    assert shared[5][3][0]["max_samples"] is None
     # the flags change the output, so a leaked one would show there too
     assert shared[2][1] != shared[3][1] and shared[0][1] != shared[1][1] and shared[4][1] != shared[5][1]
     usage, help_, after = shared[6:]

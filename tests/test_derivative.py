@@ -115,6 +115,10 @@ def test_domain_exclusions():
                 call(f, big, Order(1, 2))
         with pytest.raises(PointNotInScale):
             symmetric_weights(INTEGERS, big, Order(1, 2))
+    # a Fraction is a point like its float, on the exact and the dense path
+    assert nabla_frac(f, Fraction(3), Order(1, 2)) == nabla_frac(f, 3.0, Order(1, 2))
+    g = ident(TimeScale([Interval(0.0, 1.0)]))
+    assert nabla_frac(g, Fraction(1, 2), Order(1, 1)) == nabla_frac(g, 0.5, Order(1, 1))
     # the excluded endpoint is fine for the operator looking the other way
     assert delta_frac(f, 0.0, Order(1, 2)).value == 1.0
     assert nabla_frac(f, 10.0, Order(1, 2)).value == 1.0
@@ -333,8 +337,8 @@ def test_edge_point_of_interval_uses_available_side():
     [
         # float spacing at 1e4 leaves two approach points on either side
         (TimeScale([Interval(10000.0, 10000.000000000004)]), 10000.0, None),
-        # a ratio this close to 1 repeats the first step at once
-        (TimeScale([Interval(0.0, 10.0)]), 3.0, LimitConfig(ratio=0.9999999999999999)),
+        # and an end 1 ulp away one, however few samples are asked for
+        (TimeScale([Interval(9999.999999999998, 10000.000000000002)]), 10000.0, LimitConfig(max_samples=3)),
     ],
 )
 @pytest.mark.parametrize("deriv", [nabla_frac, delta_frac])

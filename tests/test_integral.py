@@ -545,21 +545,21 @@ def test_endpoint_with_no_admissible_neighbour_reraises():
 
 
 @pytest.mark.parametrize(
-    "cfg",
-    [LimitConfig(ratio=0.9999999999999999), LimitConfig(h0=2.0**-51)],
+    "lo",
+    [9999.999999999998, 9999.999999999996],
     ids=["one-step", "two-steps"],
 )
 @pytest.mark.parametrize("integral", [nabla_frac_integral, delta_frac_integral, symmetric_frac_integral])
-def test_endpoint_whose_sides_offer_under_three_steps_reraises_unadjusted(integral, cfg):
-    # at 2.0 one side is empty and the other offers the interval steps the
-    # float spacing leaves: a ratio within an ulp of 1 repeats the first
-    # step, and a first step of 2 ulps halves once before it reaches 2.0;
-    # under three points is no admissible neighbour, so nothing is adjusted
-    f = FnOnScale(math.cos, TimeScale([Interval(1.0, 2.0)]))
+def test_endpoint_whose_sides_offer_under_three_steps_reraises_unadjusted(integral, lo):
+    # at 1e4 one side is empty and the other offers the interval steps the
+    # float spacing leaves: an end 1 ulp below gives one step, an end 2 ulps
+    # below halves once before it reaches 1e4; under three points is no
+    # admissible neighbour, so nothing is adjusted
+    f = FnOnScale(math.cos, TimeScale([Interval(lo, 10000.0)]))
     with warnings.catch_warnings():
         warnings.simplefilter("error", EndpointAdjustedWarning)
-        with pytest.raises(LimitDidNotConverge, match=r"side of t=2\.0 to sample") as info:
-            integral(f, 1.0, 2.0, Order(1, 2), cfg)
+        with pytest.raises(LimitDidNotConverge, match=r"side of t=10000\.0 to sample") as info:
+            integral(f, lo, 10000.0, Order(1, 2))
     assert info.value.samples_unavailable
 
 

@@ -1,5 +1,6 @@
 """Order arithmetic, signed powers, and the shrinking-step limit estimator."""
 
+import dataclasses
 import math
 import random
 import time
@@ -173,20 +174,29 @@ def test_signed_pow_table_covers_both_branches_and_the_zero_order():
 
 def test_limit_config_validation():
     with pytest.raises(ValueError):
-        LimitConfig(h0=0.0)
-    with pytest.raises(ValueError):
-        LimitConfig(ratio=1.0)
-    with pytest.raises(ValueError):
         LimitConfig(tol=-1e-9)
     with pytest.raises(ValueError):
         LimitConfig(max_samples=2)
 
 
-@pytest.mark.parametrize("field", ["h0", "tol"])
-@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("field", ["tol"])
+# a str or None would escape as a bare TypeError from "<", and True pass as 1.0
+@pytest.mark.parametrize("bad", [math.inf, math.nan, "1e-3", None, True])
 def test_limit_config_steps_and_tolerance_must_be_finite(field, bad):
     with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
         LimitConfig(**{field: bad})
+
+
+def test_limit_config_has_no_step_fields_and_takes_keywords_only():
+    # the approach steps are fixed, and a positional call written for the
+    # four old fields (h0, ratio, tol, max_samples) cannot be misread
+    assert [f.name for f in dataclasses.fields(LimitConfig)] == ["tol", "max_samples"]
+    for field in ("h0", "ratio"):
+        with pytest.raises(TypeError, match=field):
+            LimitConfig(**{field: 0.5})
+    with pytest.raises(TypeError):
+        LimitConfig(1e-3, 50)
+    assert LimitConfig(tol=Fraction(1, 1000)).tol == Fraction(1, 1000)
 
 
 @pytest.mark.parametrize("bad", [40.5, 40.0, True, "40", None])

@@ -39,6 +39,8 @@ from tsfrac import (
 )
 
 LEFT, RIGHT = ApproachSide.LEFT, ApproachSide.RIGHT
+#: the documented approach steps at a dense point: 1e-2, then each half the last
+FIRST_STEP, RATIO = 1e-2, 0.5
 
 
 class Oracle:
@@ -52,6 +54,7 @@ class Oracle:
         lows = [lo for lo, _ in self.intervals] + self.discrete
         highs = [hi for _, hi in self.intervals] + self.discrete
         self.inf, self.sup = min(lows), max(highs)
+        self.discrete_pairs = 0  # non-empty symmetric_pairs answers from discrete neighborhoods
 
     def snap(self, t):
         if not math.isfinite(t):
@@ -116,7 +119,7 @@ class Oracle:
         return sorted(below)[-limit:] if limit else []
 
     def approach_sequence(self, t, side, cfg):
-        n, h0, ratio = cfg.max_samples, cfg.h0, cfg.ratio
+        n = cfg.max_samples
         ts = self.member(t)
         left, right = self.classify(ts)
         if not (right if side is RIGHT else left):
@@ -125,11 +128,11 @@ class Oracle:
         if iv is not None:
             room = iv[1] - ts if side is RIGHT else ts - iv[0]
             if room > self.tol:
-                h = min(h0, room)
+                h = min(FIRST_STEP, room)
                 sign = 1.0 if side is RIGHT else -1.0
                 out = []
                 for k in range(n):
-                    s = ts + sign * h * ratio**k
+                    s = ts + sign * h * RATIO**k
                     if s == ts or (out and s == out[-1]):
                         break
                     out.append(s)
@@ -138,29 +141,30 @@ class Oracle:
         return members[::-1] if side is RIGHT else members
 
     def symmetric_pairs(self, t, cfg):
-        n, h0, ratio = cfg.max_samples, cfg.h0, cfg.ratio
+        n = cfg.max_samples
         ts = self.member(t)
         iv = self.interval_at(ts)
         if iv is not None:
             room = min(ts - iv[0], iv[1] - ts)
             if room > self.tol:
-                h = min(h0, room)
+                h = min(FIRST_STEP, room)
                 hs = []
                 for k in range(n):
-                    step = h * ratio**k
+                    step = h * RATIO**k
                     if ts + step == ts or ts - step == ts or (hs and ts + step == ts + hs[-1]):
                         break
                     hs.append(step)
                 return hs
         limit = max(8 * n, 64)
         cand = [m - ts for m in self.enumerate(ts, RIGHT, limit)]
-        cand = [h for h in cand if self.tol < h < h0 and self.snap(ts - h) is not None]
+        cand = [h for h in cand if self.tol < h < FIRST_STEP and self.snap(ts - h) is not None]
         mirrored = [ts - m for m in self.enumerate(ts, LEFT, limit)]
-        cand += [h for h in mirrored if self.tol < h < h0 and self.snap(ts + h) is not None]
+        cand += [h for h in mirrored if self.tol < h < FIRST_STEP and self.snap(ts + h) is not None]
         hs = []
         for h in sorted(cand, reverse=True):
             if not (hs and hs[-1] - h <= self.tol):
                 hs.append(h)
+        self.discrete_pairs += bool(hs)
         return hs[:n]
 
     def points_in(self, a, b, density):
@@ -219,7 +223,11 @@ def _random_components(rng: random.Random) -> list:
 
 
 def _random_scale(rng: random.Random) -> TimeScale:
-    return TimeScale(_random_components(rng))
+    """Random components and a grid of step 2**-7, whose members pair below
+    the first approach step: the discrete branch of symmetric_pairs."""
+    comps = _random_components(rng)
+    base = rng.randint(-12, 12) + rng.choice((0.25, 0.75))
+    return TimeScale(comps + [UniformGrid(base, base + 2.0**-7 * rng.randint(2, 8), 2.0**-7)])
 
 
 #: geometric grids whose tails lie within the snap tolerance: one with 0 adjoined, one mirrored as points
@@ -241,9 +249,8 @@ def _queries(O: Oracle, rng: random.Random):
     return qs
 
 
-def _cfgs(h0):
-    """The configs a query is asked with: the default first step and h0, each at 3 and 40 samples."""
-    return [LimitConfig(max_samples=n, h0=h) for n in (3, 40) for h in (LimitConfig.h0, h0)]
+#: the configs a query is asked with: the fewest samples and the default cap
+_CFGS = [LimitConfig(max_samples=n) for n in (3, 40)]
 
 
 def _asks(O: Oracle, t):
@@ -251,8 +258,8 @@ def _asks(O: Oracle, t):
     same positional arguments as the scale's."""
     asks = [(name, (t,)) for name in ("snap", "sigma", "rho", "mu", "nu", "classify", "domain_membership")]
     if O.snap(t) is not None:
-        asks += [("approach_sequence", (t, s, cfg)) for s in (LEFT, RIGHT) for cfg in _cfgs(0.3)]
-        asks += [("symmetric_pairs", (t, cfg)) for cfg in _cfgs(2.5)]
+        asks += [("approach_sequence", (t, s, cfg)) for s in (LEFT, RIGHT) for cfg in _CFGS]
+        asks += [("symmetric_pairs", (t, cfg)) for cfg in _CFGS]
     return asks
 
 
@@ -284,6 +291,20 @@ def test_queries_match_brute_force_oracle(seed):
         assert T.points_in(a, b, density=3.0) == O.points_in(a, b, 3.0), (a, b)
 
 
+def test_the_oracle_reaches_discrete_symmetric_pairs():
+    # the symmetric_pairs asks of the 40 scales above, counted where the
+    # oracle answers from a discrete neighborhood with at least one pair:
+    # pinned, so that this branch cannot drop out of the comparison unseen
+    found = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        T = _random_scale(rng)
+        O = Oracle(T)
+        _check(T, O, [ask for t in _queries(O, rng) for ask in _asks(O, t) if ask[0] == "symmetric_pairs"])
+        found += O.discrete_pairs
+    assert found == 760
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_shuffled_queries_match_brute_force_oracle(seed):
     # a scale remembers only its last lookup: here consecutive queries name
@@ -300,7 +321,7 @@ def test_shuffled_queries_match_brute_force_oracle(seed):
         # symmetric_pairs at m between, whose snaps of m +/- h replace it
         for name in ("sigma", "rho", "classify"):
             _check(T, O, [ask for d in (-0.4, 0.4) for ask in ((name, (m + d * tol,)), (name, (m,)))])
-        _check(T, O, [("classify", (m,)), ("symmetric_pairs", (m, LimitConfig(h0=2.5))), ("mu", (m,)), ("nu", (m,))])
+        _check(T, O, [("classify", (m,)), ("symmetric_pairs", (m, LimitConfig())), ("mu", (m,)), ("nu", (m,))])
     # -0.0 and 0.0 compare equal and bisect to one index
     _check(T, O, [(name, (z,)) for name in ("snap", "sigma", "rho", "classify") for z in (-0.0, 0.0)])
 

@@ -8,6 +8,8 @@ import pickle
 import random
 import re
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -148,6 +150,23 @@ def test_scale_is_immutable_and_snaps_only_numbers():
     with pytest.raises(AttributeError, match="immutable"):
         T.inf_value = 1.0
     assert T.snap("1") is None
+
+
+def test_a_point_is_any_real_number():
+    # a Fraction is a numbers.Real and names the member 1/2; a str and a
+    # Decimal are no numbers.Real, so they name no member and bound no range
+    T = TimeScale([Interval(0.0, 1.0)])
+    assert T.snap(Fraction(1, 2)) == 0.5 and T.classify(Fraction(1, 2)) == PointClass(True, True)
+    assert T.points_in(Fraction(0), Fraction(1, 2)) == T.points_in(0.0, 0.5)
+    for bad in ("0.5", Decimal("0.5")):
+        assert T.snap(bad) is None
+        with pytest.raises(PointNotInScale):
+            T.classify(bad)
+        for bounds in ((bad, 1.0), (0.0, bad)):
+            with pytest.raises(ValueError, match="bounds must be numbers"):
+                T.points_in(*bounds)
+    with pytest.raises(ValueError, match="bounds must be numbers"):
+        T.points_in("0", "1")  # not 34 points of float("0") to float("1")
 
 
 def test_int_past_the_float_range_is_no_point():
@@ -298,35 +317,38 @@ def test_classify_and_domain_membership_records_are_shared_and_frozen():
 
 def test_approach_sequence_interval():
     T = TimeScale([Interval(0.0, 4.0)])
-    seq = T.approach_sequence(2.0, ApproachSide.LEFT, LimitConfig(max_samples=5, h0=0.5, ratio=0.5))
-    assert seq == [1.5, 1.75, 1.875, 1.9375, 1.96875]
-    seq = T.approach_sequence(2.0, ApproachSide.RIGHT, LimitConfig(max_samples=3, h0=0.5, ratio=0.5))
-    assert seq == [2.5, 2.25, 2.125]
+    seq = T.approach_sequence(2.0, ApproachSide.LEFT, LimitConfig(max_samples=5))
+    assert seq == [1.99, 1.995, 1.9975, 1.99875, 1.999375]
+    seq = T.approach_sequence(2.0, ApproachSide.RIGHT, LimitConfig(max_samples=3))
+    assert seq == [2.01, 2.005, 2.0025]
 
 
 def test_the_steps_are_the_configs():
-    # every knob of the config reaches the sampler: the cap, the first step
-    # and the ratio
+    # the cap reaches the sampler; the steps, 1e-2 halved each sample, are
+    # the same under every config
     T = TimeScale([Interval(0.0, 4.0)])
-    cfg = LimitConfig(h0=0.5, ratio=0.25, max_samples=4)
-    assert T.approach_sequence(2.0, ApproachSide.LEFT, cfg) == [2 - 0.5 * 0.25**k for k in range(4)]
-    assert T.symmetric_pairs(2.0, cfg) == [0.5 * 0.25**k for k in range(4)]
+    for cfg in (LimitConfig(max_samples=4), LimitConfig(tol=1e-3, max_samples=4)):
+        assert T.approach_sequence(2.0, ApproachSide.LEFT, cfg) == [2 - 1e-2 * 0.5**k for k in range(4)]
+        assert T.symmetric_pairs(2.0, cfg) == [1e-2 * 0.5**k for k in range(4)]
 
 
 def test_approach_sequence_respects_room():
     T = TimeScale([Interval(0.0, 4.0)])
-    seq = T.approach_sequence(0.25, ApproachSide.LEFT, LimitConfig(max_samples=4, h0=10.0, ratio=0.5))
-    # h0 is clipped to the room available inside the component
-    assert seq[0] >= 0.0
-    assert all(0.0 <= s < 0.25 for s in seq)
+    seq = T.approach_sequence(0.005, ApproachSide.LEFT, LimitConfig(max_samples=4))
+    # the first step 1e-2 is clipped to the room available inside the component
+    assert seq == [0.0, 0.0025, 0.00375, 0.004375]
 
 
 def test_approach_sequence_truncates_at_float_resolution():
     T = TimeScale([Interval(0.0, 4.0)])
-    seq = T.approach_sequence(2.0, ApproachSide.LEFT, LimitConfig(max_samples=200, h0=1e-2, ratio=0.5))
+    seq = T.approach_sequence(2.0, ApproachSide.LEFT, LimitConfig(max_samples=200))
     assert len(seq) < 200
     assert len(seq) == len(set(seq))
     assert all(s != 2.0 for s in seq)
+    # at 1e3 the default cap of 40 outlasts the float spacing: 1e-2/2**36 is
+    # the last step above half an ulp there
+    T = TimeScale([Interval(0.0, 4e3)])
+    assert len(T.approach_sequence(1e3, ApproachSide.LEFT)) == len(T.symmetric_pairs(1e3)) == 37
 
 
 def test_approach_sequence_scattered_side():
@@ -344,10 +366,8 @@ def test_approach_sequence_scattered_side():
         (lambda T: T.approach_sequence(0.5, ApproachSide.BOTH), "LEFT or RIGHT"),
         # the steps come from a LimitConfig, which refuses bad values itself
         (lambda T: T.approach_sequence(0.5, ApproachSide.LEFT, LimitConfig(max_samples=0)), "max_samples must be at least 3"),
-        (lambda T: T.approach_sequence(0.5, ApproachSide.LEFT, LimitConfig(ratio=1.0)), "ratio"),
-        (lambda T: T.symmetric_pairs(0.5, LimitConfig(h0=0.0)), "h0 must be finite and positive"),
     ],
-    ids=["both-sides", "n-zero", "ratio-one", "h0-zero"],
+    ids=["both-sides", "n-zero"],
 )
 def test_limit_scaffolding_rejects_bad_arguments(call, match):
     with pytest.raises(ValueError, match=match):
@@ -379,10 +399,10 @@ def test_default_steps_are_the_limit_configs():
     for side, sign in ((ApproachSide.LEFT, -1.0), (ApproachSide.RIGHT, 1.0)):
         seq = T.approach_sequence(2.0, side)
         assert seq == T.approach_sequence(2.0, side, cfg) and len(seq) == cfg.max_samples
-        assert T.approach_sequence(2.0, side, five) == [2.0 + sign * cfg.h0 * cfg.ratio**k for k in range(5)]
+        assert T.approach_sequence(2.0, side, five) == [2.0 + sign * 1e-2 * 0.5**k for k in range(5)]
     assert T.symmetric_pairs(2.0) == T.symmetric_pairs(2.0, cfg)
-    assert T.symmetric_pairs(2.0, five) == [cfg.h0 * cfg.ratio**k for k in range(5)]
-    # near an end the first step is the room left, as with any h0
+    assert T.symmetric_pairs(2.0, five) == [1e-2 * 0.5**k for k in range(5)]
+    # near an end the first step is the room left
     assert T.approach_sequence(0.004, ApproachSide.LEFT, LimitConfig(max_samples=3)) == [0.0, 0.002, 0.003]
     # a discrete neighborhood pairs only below the first step
     G = TimeScale([UniformGrid(0.0, 1.0, 0.004)])
@@ -400,21 +420,24 @@ def test_approach_sequence_geometric_tail():
 
 def test_symmetric_pairs_interval():
     T = TimeScale([Interval(0.0, 2.0)])
-    hs = T.symmetric_pairs(1.0, LimitConfig(max_samples=4, h0=0.4, ratio=0.5))
-    assert hs == [0.4, 0.2, 0.1, 0.05]
+    assert T.symmetric_pairs(1.0, LimitConfig(max_samples=4)) == [0.01, 0.005, 0.0025, 0.00125]
+    # in an interval narrower than 2e-2 the first step is the room to the nearer end
+    T = TimeScale([Interval(0.0, 0.008)])
+    assert T.symmetric_pairs(0.003, LimitConfig(max_samples=4)) == [0.003, 0.0015, 0.00075, 0.000375]
 
 
 def test_symmetric_pairs_grid():
-    T = TimeScale([UniformGrid(0.0, 6.0, 1.0)])
-    hs = T.symmetric_pairs(3.0, LimitConfig(max_samples=5, h0=2.5))
-    assert hs == [2.0, 1.0]
+    # pairs at 1, 2 and 3 steps of 2**-8 (0.0117), only the first two below 1e-2
+    T = TimeScale([UniformGrid(0.0, 6 * 2.0**-8, 2.0**-8)])
+    hs = T.symmetric_pairs(3 * 2.0**-8, LimitConfig(max_samples=5))
+    assert hs == [2.0**-7, 2.0**-8]
 
 
 def test_symmetric_pairs_without_a_pair_are_empty():
     # 2**k accumulates at 0 from the right, but no -h is in the scale; and
-    # the grid's pairs all lie at or above a first step of 1
+    # the grid's pairs all lie above the first step 1e-2
     assert TimeScale([GeometricGrid(2.0, -50, 2, include_zero=True)]).symmetric_pairs(0.0) == []
-    assert TimeScale([UniformGrid(0.0, 6.0, 1.0)]).symmetric_pairs(3.0, LimitConfig(max_samples=5, h0=1.0)) == []
+    assert TimeScale([UniformGrid(0.0, 6.0, 1.0)]).symmetric_pairs(3.0, LimitConfig(max_samples=5)) == []
 
 
 def test_points_in_hybrid():
