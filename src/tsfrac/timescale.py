@@ -45,7 +45,6 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-import numbers
 import reprlib
 from array import array
 from dataclasses import dataclass
@@ -461,12 +460,14 @@ class TimeScale:
 
     def snap(self, t: float):
         """The exact member nearest to t if one lies within the snap
-        tolerance, else None.  Ties go to the lower member.  A t that is no
-        ``numbers.Real`` (a ``str``, a ``Decimal``) is no member."""
-        try:
-            t = float(t) if isinstance(t, (int, float, numbers.Real)) else math.nan  # int, float first: no ABC check
-        except OverflowError:  # an int past the float range
-            return None
+        tolerance, else None.  Ties go to the lower member.  A t that a
+        component would refuse (a ``str``, a bool, an int past the float
+        range) is no member."""
+        if type(t) is not float:  # a float, the common case, needs no check
+            try:
+                t = _require_finite_number("t", t)
+            except ValidationError:
+                return None
         if not math.isfinite(t):
             return None
         pts = self._pts
@@ -718,17 +719,15 @@ class TimeScale:
 
         Raises:
             ValueError: the density is not finite and positive, a bound is
-                NaN, no ``numbers.Real`` or past the float range, or over a
-                million points result.
+                one a component would refuse (NaN, a ``str``, a bool, an int
+                past the float range), or over a million points result.
         """
         if not (0 < density < math.inf):
             raise ValueError(f"density must be finite and positive, got {density!r}")
-        if not all(isinstance(x, numbers.Real) and x == x for x in (a, b)):  # x != x: NaN
-            raise ValueError(f"bounds must be numbers, got [{a!r}, {b!r}]")
         try:
-            a, b = float(a), float(b)
-        except OverflowError:  # an int past the float range
-            raise ValueError("bounds must lie in the float range") from None
+            a, b = _require_finite_number("bound", a), _require_finite_number("bound", b)
+        except ValidationError as e:
+            raise ValueError(f"points_in bounds: {e}") from None
         if b < a:
             a, b = b, a
         pts, inside = self._pts, self._inside

@@ -222,12 +222,17 @@ def _random_components(rng: random.Random) -> list:
     return [_random_component(rng) for _ in range(rng.randint(1, 6))]
 
 
-def _random_scale(rng: random.Random) -> TimeScale:
-    """Random components and a grid of step 2**-7, whose members pair below
-    the first approach step: the discrete branch of symmetric_pairs."""
+def _random_scale(rng: random.Random) -> tuple[TimeScale, UniformGrid]:
+    """Random components and a grid of 3 to 9 members 2**-7 apart, clear of
+    their intervals; its members pair below the first approach step, so they
+    reach the discrete branch of symmetric_pairs.  Returns the scale and
+    that grid."""
     comps = _random_components(rng)
-    base = rng.randint(-12, 12) + rng.choice((0.25, 0.75))
-    return TimeScale(comps + [UniformGrid(base, base + 2.0**-7 * rng.randint(2, 8), 2.0**-7)])
+    spans = [(c.lo, c.hi) for c in comps if isinstance(c, Interval)]
+    bases = [k + f for k in range(-12, 13) for f in (0.25, 0.75)]
+    base = rng.choice([x for x in bases if not any(lo < x + 0.1 and x - 0.1 < hi for lo, hi in spans)])
+    fine = UniformGrid(base, base + 2.0**-7 * rng.randint(2, 8), 2.0**-7)
+    return TimeScale(comps + [fine]), fine
 
 
 #: geometric grids whose tails lie within the snap tolerance: one with 0 adjoined, one mirrored as points
@@ -281,28 +286,16 @@ def _check(T: TimeScale, O: Oracle, asks):
 @pytest.mark.parametrize("seed", range(40))
 def test_queries_match_brute_force_oracle(seed):
     rng = random.Random(seed)
-    T = _random_scale(rng)
+    T, _ = _random_scale(rng)
     O = Oracle(T)
     assert (T.inf_value, T.sup_value) == (O.inf, O.sup)
     for t in _queries(O, rng):
         _check(T, O, _asks(O, t))
+    # the fine grid's members were compared on symmetric_pairs' discrete branch
+    assert O.discrete_pairs > 0
     for _ in range(5):
         a, b = rng.uniform(-40.0, 40.0), rng.uniform(-40.0, 40.0)
         assert T.points_in(a, b, density=3.0) == O.points_in(a, b, 3.0), (a, b)
-
-
-def test_the_oracle_reaches_discrete_symmetric_pairs():
-    # the symmetric_pairs asks of the 40 scales above, counted where the
-    # oracle answers from a discrete neighborhood with at least one pair:
-    # pinned, so that this branch cannot drop out of the comparison unseen
-    found = 0
-    for seed in range(40):
-        rng = random.Random(seed)
-        T = _random_scale(rng)
-        O = Oracle(T)
-        _check(T, O, [ask for t in _queries(O, rng) for ask in _asks(O, t) if ask[0] == "symmetric_pairs"])
-        found += O.discrete_pairs
-    assert found == 760
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -310,18 +303,22 @@ def test_shuffled_queries_match_brute_force_oracle(seed):
     # a scale remembers only its last lookup: here consecutive queries name
     # different points, so nearly every query finds another t remembered
     rng = random.Random(seed)
-    T = _random_scale(rng)
+    T, fine = _random_scale(rng)
     O = Oracle(T)
     asks = [ask for t in _queries(O, rng) for ask in _asks(O, t)]
     rng.shuffle(asks)
     _check(T, O, asks)
     tol = O.tol
-    for m in rng.sample(O.points, min(len(O.points), 6)):
+    inner = [p for p in O.points if fine.start < p < fine.stop]
+    paired = O.discrete_pairs
+    for m in rng.sample(O.points, min(len(O.points), 6)) + [rng.choice(inner)]:
         # a point just off a member, then the member; and a lookup at m with
         # symmetric_pairs at m between, whose snaps of m +/- h replace it
         for name in ("sigma", "rho", "classify"):
             _check(T, O, [ask for d in (-0.4, 0.4) for ask in ((name, (m + d * tol,)), (name, (m,)))])
         _check(T, O, [("classify", (m,)), ("symmetric_pairs", (m, LimitConfig())), ("mu", (m,)), ("nu", (m,))])
+    # at least the fine grid's inner member paired, so its snaps replaced the lookup
+    assert O.discrete_pairs > paired
     # -0.0 and 0.0 compare equal and bisect to one index
     _check(T, O, [(name, (z,)) for name in ("snap", "sigma", "rho", "classify") for z in (-0.0, 0.0)])
 

@@ -153,19 +153,24 @@ def test_scale_is_immutable_and_snaps_only_numbers():
 
 
 def test_a_point_is_any_real_number():
-    # a Fraction is a numbers.Real and names the member 1/2; a str and a
-    # Decimal are no numbers.Real, so they name no member and bound no range
+    # a point reads as a component value does: a Fraction or a Decimal names
+    # the member 1/2, as FinitePoints accepts either; a str or a bool, which
+    # every component refuses, names no member and bounds no range
     T = TimeScale([Interval(0.0, 1.0)])
-    assert T.snap(Fraction(1, 2)) == 0.5 and T.classify(Fraction(1, 2)) == PointClass(True, True)
-    assert T.points_in(Fraction(0), Fraction(1, 2)) == T.points_in(0.0, 0.5)
-    for bad in ("0.5", Decimal("0.5")):
+    for half in (Fraction(1, 2), Decimal("0.5")):
+        assert T.snap(half) == 0.5 and T.classify(half) == PointClass(True, True)
+        assert TimeScale([FinitePoints([half])]).snap(half) == 0.5
+    assert T.points_in(Fraction(0), Decimal("0.5")) == T.points_in(0.0, 0.5)
+    for bad in ("0.5", True):
         assert T.snap(bad) is None
         with pytest.raises(PointNotInScale):
             T.classify(bad)
+        with pytest.raises(ValidationError, match="real number"):
+            FinitePoints([bad])
         for bounds in ((bad, 1.0), (0.0, bad)):
-            with pytest.raises(ValueError, match="bounds must be numbers"):
+            with pytest.raises(ValueError, match="bounds: bound must be a real number"):
                 T.points_in(*bounds)
-    with pytest.raises(ValueError, match="bounds must be numbers"):
+    with pytest.raises(ValueError, match="bounds: bound must be a real number"):
         T.points_in("0", "1")  # not 34 points of float("0") to float("1")
 
 
@@ -435,9 +440,10 @@ def test_symmetric_pairs_grid():
 
 def test_symmetric_pairs_without_a_pair_are_empty():
     # 2**k accumulates at 0 from the right, but no -h is in the scale; and
-    # the grid's pairs all lie above the first step 1e-2
+    # the pairs all lie at or above the first step 1e-2, the points' exactly
     assert TimeScale([GeometricGrid(2.0, -50, 2, include_zero=True)]).symmetric_pairs(0.0) == []
     assert TimeScale([UniformGrid(0.0, 6.0, 1.0)]).symmetric_pairs(3.0, LimitConfig(max_samples=5)) == []
+    assert TimeScale([FinitePoints((-0.01, 0.0, 0.01))]).symmetric_pairs(0.0) == []
 
 
 def test_points_in_hybrid():
