@@ -10,7 +10,10 @@ rule is stated once in (D, lo, hi), should hold to rounding error, and is
 checked for the nabla, delta and symmetric derivatives alike.  Dense-point
 behavior has its own suites (symmetric-relation includes interval points,
 order-lowering mixes both) with looser tolerances, since those values come
-from limit estimation.
+from limit estimation.  Each suite fixes its own limits: symmetric-relation's
+interval trials take ``LimitConfig(tol=1e-7, max_samples=80)``, every
+order-lowering trial ``LimitConfig(tol=1e-6, max_samples=80)``, and the
+rest pass no config, as their quotients are exact.
 
 Suites (names as accepted by the CLI `check` command):
 
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .derivative import (
     _DERIVS,
@@ -54,6 +57,13 @@ _INTEGRAL_TOL = 1e-9
 _EXACT_RELATION_TOL = 1e-12
 _DENSE_RELATION_TOL = 1e-6
 _LOWERED_VALUE_TOL = 1e-5
+
+# At the default 1e-8, 2 to 5 of 50 interval trials of symmetric-relation
+# do not settle (seeds 0, 1 and 17).
+_DENSE_CFG = LimitConfig(tol=1e-7, max_samples=80)
+# Dense-limit quotients carry rounding noise of order eps/h**alpha, so a
+# sub-1e-6 target can push order-lowering's sampling into that noise.
+_LOWERING_CFG = LimitConfig(tol=1e-6, max_samples=80)
 
 _ALPHAS = (Order(1, 3), Order(1, 2), Order(3, 4), Order(1, 1))
 _BETAS = (Order(1, 4), Order(1, 2), Order(3, 4), Order(1, 1))
@@ -216,7 +226,7 @@ def _rand_bounded_poly(rng: random.Random, T: TimeScale, points: tuple) -> FnOnS
 # suites
 
 
-def _suite_linearity(rng: random.Random, trials: int, cfg: LimitConfig) -> _Recorder:
+def _suite_linearity(rng: random.Random, trials: int) -> _Recorder:
     rec = _Recorder()
     for k, T, t, alpha in _isolated_trials(rng, trials):
         lam = round(rng.uniform(-3.0, 3.0), 3)
@@ -225,29 +235,29 @@ def _suite_linearity(rng: random.Random, trials: int, cfg: LimitConfig) -> _Reco
         fg = FnOnScale(lambda x: f.eval(x) + g.eval(x), T)
         lf = FnOnScale(lambda x: lam * f.eval(x), T)
         for kind, deriv in _DERIVS.items():
-            df = deriv(f, t, alpha, cfg).value
-            dg = deriv(g, t, alpha, cfg).value
+            df = deriv(f, t, alpha).value
+            dg = deriv(g, t, alpha).value
             ctx = f"trial {k} {kind.value} alpha={alpha} t={t} on {T.describe()}"
-            rec.check(abs(deriv(fg, t, alpha, cfg).value - (df + dg)), _RULE_TOL, f"sum {ctx}")
-            rec.check(abs(deriv(lf, t, alpha, cfg).value - lam * df), _RULE_TOL, f"scalar {ctx}")
+            rec.check(abs(deriv(fg, t, alpha).value - (df + dg)), _RULE_TOL, f"sum {ctx}")
+            rec.check(abs(deriv(lf, t, alpha).value - lam * df), _RULE_TOL, f"scalar {ctx}")
     return rec
 
 
-def _suite_product(rng: random.Random, trials: int, cfg: LimitConfig) -> _Recorder:
+def _suite_product(rng: random.Random, trials: int) -> _Recorder:
     rec = _Recorder()
     for k, T, t, alpha in _isolated_trials(rng, trials):
         f = _rand_poly(rng, T, max_coeffs=3)
         g = _rand_poly(rng, T, max_coeffs=3)
         prod = FnOnScale(lambda x: f.eval(x) * g.eval(x), T)
         for name, deriv, lo, hi in _kinds_at(T, t):
-            df, dg, dprod = (deriv(h, t, alpha, cfg).value for h in (f, g, prod))
+            df, dg, dprod = (deriv(h, t, alpha).value for h in (f, g, prod))
             ctx = f"trial {k} {name} alpha={alpha} t={t} on {T.describe()}"
             rec.check(abs(dprod - (df * g.eval(hi) + f.eval(lo) * dg)), _RULE_TOL, f"product form 1 {ctx}")
             rec.check(abs(dprod - (df * g.eval(lo) + f.eval(hi) * dg)), _RULE_TOL, f"product form 2 {ctx}")
     return rec
 
 
-def _suite_quotient(rng: random.Random, trials: int, cfg: LimitConfig) -> _Recorder:
+def _suite_quotient(rng: random.Random, trials: int) -> _Recorder:
     rec = _Recorder()
     for k, T, t, alpha in _isolated_trials(rng, trials):
         f = _rand_poly(rng, T, max_coeffs=3)
@@ -255,7 +265,7 @@ def _suite_quotient(rng: random.Random, trials: int, cfg: LimitConfig) -> _Recor
         quot = FnOnScale(lambda x: f.eval(x) / g.eval(x), T)
         recip = FnOnScale(lambda x: 1.0 / g.eval(x), T)
         for name, deriv, lo, hi in _kinds_at(T, t):
-            df, dg, drecip, dquot = (deriv(h, t, alpha, cfg).value for h in (f, g, recip, quot))
+            df, dg, drecip, dquot = (deriv(h, t, alpha).value for h in (f, g, recip, quot))
             glo, ghi = g.eval(lo), g.eval(hi)
             ctx = f"trial {k} {name} alpha={alpha} t={t} on {T.describe()}"
             rec.check(abs(drecip + dg / (glo * ghi)), _RULE_TOL, f"reciprocal {ctx}")
@@ -264,12 +274,12 @@ def _suite_quotient(rng: random.Random, trials: int, cfg: LimitConfig) -> _Recor
     return rec
 
 
-def _suite_reconstruction(rng: random.Random, trials: int, cfg: LimitConfig) -> _Recorder:
+def _suite_reconstruction(rng: random.Random, trials: int) -> _Recorder:
     rec = _Recorder()
     for k, T, t, alpha, f in _scattered_trials(rng, trials):
         for name, deriv, lo, hi in _kinds_at(T, t):
             if lo < hi:
-                value = deriv(f, t, alpha, cfg).value
+                value = deriv(f, t, alpha).value
                 rec.check(
                     abs(f.eval(hi) - (f.eval(lo) + signed_pow(hi - lo, alpha) * value)),
                     _RECON_TOL,
@@ -278,7 +288,7 @@ def _suite_reconstruction(rng: random.Random, trials: int, cfg: LimitConfig) -> 
     return rec
 
 
-def _suite_integral_laws(rng: random.Random, trials: int, cfg: LimitConfig) -> _Recorder:
+def _suite_integral_laws(rng: random.Random, trials: int) -> _Recorder:
     rec = _Recorder()
     for k in range(trials):
         interior: list[float] = []
@@ -300,17 +310,17 @@ def _suite_integral_laws(rng: random.Random, trials: int, cfg: LimitConfig) -> _
         lf = FnOnScale(lambda x: lam * f.eval(x), T)
         for label, integ in (("nabla", nabla_frac_integral), ("symmetric", symmetric_frac_integral)):
             ctx = f"trial {k} {label} beta={beta} [{a}, {b}] on {T.describe()}"
-            i_f = integ(f, a, b, beta, cfg)
-            i_g = integ(g, a, b, beta, cfg)
-            rec.check(abs(integ(fg, a, b, beta, cfg) - (i_f + i_g)), _INTEGRAL_TOL, f"sum {ctx}")
-            rec.check(abs(integ(lf, a, b, beta, cfg) - lam * i_f), _INTEGRAL_TOL, f"scalar {ctx}")
-            rec.check(abs(integ(f, b, a, beta, cfg) + i_f), _INTEGRAL_TOL, f"orientation {ctx}")
+            i_f = integ(f, a, b, beta)
+            i_g = integ(g, a, b, beta)
+            rec.check(abs(integ(fg, a, b, beta) - (i_f + i_g)), _INTEGRAL_TOL, f"sum {ctx}")
+            rec.check(abs(integ(lf, a, b, beta) - lam * i_f), _INTEGRAL_TOL, f"scalar {ctx}")
+            rec.check(abs(integ(f, b, a, beta) + i_f), _INTEGRAL_TOL, f"orientation {ctx}")
             rec.check(
-                abs(integ(f, a, c, beta, cfg) + integ(f, c, b, beta, cfg) - i_f),
+                abs(integ(f, a, c, beta) + integ(f, c, b, beta) - i_f),
                 _INTEGRAL_TOL,
                 f"additivity {ctx}",
             )
-            rec.check(abs(integ(f, a, a, beta, cfg)), 0.0, f"vanishing {ctx}")
+            rec.check(abs(integ(f, a, a, beta)), 0.0, f"vanishing {ctx}")
         # anchor independence: the nabla Cauchy value computed through
         # antiderivatives anchored at two different points must agree
         if not beta.is_one:
@@ -318,8 +328,8 @@ def _suite_integral_laws(rng: random.Random, trials: int, cfg: LimitConfig) -> _
             ctx = f"trial {k} anchors beta={beta} [{a}, {b}] on {T.describe()}"
             f1 = Antiderivative(f, a, DerivKind.NABLA).as_fn()
             f2 = Antiderivative(f, c, DerivKind.NABLA).as_fn()
-            v1 = nabla_frac(f1, b, order, cfg).value - nabla_frac(f1, a, order, cfg).value
-            v2 = nabla_frac(f2, b, order, cfg).value - nabla_frac(f2, a, order, cfg).value
+            v1 = nabla_frac(f1, b, order).value - nabla_frac(f1, a, order).value
+            v2 = nabla_frac(f2, b, order).value - nabla_frac(f2, a, order).value
             rec.check(abs(v1 - v2), _INTEGRAL_TOL, ctx)
     return rec
 
@@ -334,17 +344,16 @@ def _symmetric_via_sides(f: FnOnScale, t: float, order: Order, cfg: LimitConfig 
     return w.gamma1 * d.value + w.gamma2 * n.value
 
 
-def _suite_symmetric_relation(rng: random.Random, trials: int, cfg: LimitConfig) -> _Recorder:
+def _suite_symmetric_relation(rng: random.Random, trials: int) -> _Recorder:
     rec = _Recorder()
-    dense_cfg = replace(cfg, tol=max(cfg.tol, 1e-7), max_samples=max(cfg.max_samples, 80))
     smooth = (
         ("sin(t)", math.sin),
         ("exp(t)", math.exp),
         ("t^3", lambda x: x**3),
     )
     for k, T, t, alpha, f in _scattered_trials(rng, trials):
-        lhs = symmetric_frac(f, t, alpha, cfg).value
-        rhs = _symmetric_via_sides(f, t, alpha, cfg)
+        lhs = symmetric_frac(f, t, alpha).value
+        rhs = _symmetric_via_sides(f, t, alpha)
         rec.check(abs(lhs - rhs), _EXACT_RELATION_TOL, f"trial {k} scattered alpha={alpha} t={t} on {T.describe()}")
         # dense side: interval interior with a smooth function and an
         # odd-reciprocal order, so both one-sided derivatives exist
@@ -354,8 +363,8 @@ def _suite_symmetric_relation(rng: random.Random, trials: int, cfg: LimitConfig)
         f = FnOnScale(fn, _UNIT_INTERVAL)
         ctx = f"trial {k} dense {name} alpha={alpha} t={t}"
         try:
-            lhs = symmetric_frac(f, t, alpha, dense_cfg).value
-            rhs = _symmetric_via_sides(f, t, alpha, dense_cfg)
+            lhs = symmetric_frac(f, t, alpha, _DENSE_CFG).value
+            rhs = _symmetric_via_sides(f, t, alpha, _DENSE_CFG)
         except TsfracError as exc:
             rec.fail(f"{ctx}: {type(exc).__name__} ({exc})")
         else:
@@ -363,11 +372,8 @@ def _suite_symmetric_relation(rng: random.Random, trials: int, cfg: LimitConfig)
     return rec
 
 
-def _suite_order_lowering(rng: random.Random, trials: int, cfg: LimitConfig) -> _Recorder:
+def _suite_order_lowering(rng: random.Random, trials: int) -> _Recorder:
     rec = _Recorder()
-    # Dense-limit quotients carry rounding noise of order eps/h**alpha, so
-    # a sub-1e-6 target can push the sampling into that noise; floor it.
-    low_cfg = replace(cfg, tol=max(cfg.tol, 1e-6), max_samples=max(cfg.max_samples, 80))
     scattered_pairs = (
         (Order(1, 4), Order(1, 2)),
         (Order(1, 3), Order(1, 1)),
@@ -397,12 +403,12 @@ def _suite_order_lowering(rng: random.Random, trials: int, cfg: LimitConfig) -> 
         ctx = f"trial {k} {lower}<{higher} t={t} on {T.describe()}"
         # existence carries down: the higher order first, as a precondition
         try:
-            nabla_frac(f, t, higher, low_cfg)
+            nabla_frac(f, t, higher, _LOWERING_CFG)
         except TsfracError as exc:
             rec.fail(f"{ctx}: higher order failed ({exc})")
             continue
         try:
-            low = nabla_frac(f, t, lower, low_cfg).value
+            low = nabla_frac(f, t, lower, _LOWERING_CFG).value
         except TsfracError:
             rec.fail(ctx)
             continue
@@ -424,18 +430,14 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(
-    suite: str, seed: int = 0, trials: int = 50, cfg: LimitConfig | None = None
-) -> SuiteReport:
+def run_suite(suite: str, seed: int = 0, trials: int = 50) -> SuiteReport:
     """Run one named property suite; deterministic for a given seed."""
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {', '.join(SUITE_NAMES)}")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if cfg is None:
-        cfg = LimitConfig()
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
     rng = random.Random(seed)
-    rec = _SUITES[suite](rng, trials, cfg)
+    rec = _SUITES[suite](rng, trials)
     return SuiteReport(
         suite=suite,
         trials=trials,

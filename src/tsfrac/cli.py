@@ -49,16 +49,12 @@ class _Parser(argparse.ArgumentParser):
 def _flag_reader(convert):
     """An argparse ``type`` reading one ``num`` of the grammars, then as
     ``convert`` does, under convert's name, so a bad value still reads
-    "invalid float value: 'abc'".  The float words inf and nan are no
-    ``num`` but reach ``LimitConfig`` and ``points_in``, which reject them
-    as out of range."""
+    "invalid float value: 'abc'"."""
 
     def read(text: str):
         try:
             return convert(_number_text(text))
         except ExprSyntaxError:
-            if convert is float and text.strip(" \t\r\n").lstrip("+-").lower() in ("inf", "infinity", "nan"):
-                return float(text)
             raise ValueError(text) from None
 
     read.__name__ = convert.__name__
@@ -165,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     k = sub.add_parser(
         "check",
-        parents=[limits, fmt],
+        parents=[fmt],
         help="run a property suite",
     )
     # with a metavar, building the parser does not list the choices
@@ -319,7 +315,7 @@ def cmd_classify(args):
 
 def cmd_check(args):
     from .checks import run_suite
-    report = run_suite(args.suite, seed=args.seed, trials=args.trials, cfg=_limit_config(args))
+    report = run_suite(args.suite, seed=args.seed, trials=args.trials)
     # a non-finite residual is inf, which JSON has no number for: spelled as the scale text writes it
     residual = report.max_residual if math.isfinite(report.max_residual) else "inf"
     return [{**vars(report), "max_residual": residual, "passed": report.passed}], 0 if report.passed else 1

@@ -3,10 +3,10 @@
 A failed computation, and a scale, expression, point or endpoint that is not
 valid, raise a subclass of :class:`TsfracError`, named for the condition it
 reports, not for the place that raises it.  A malformed argument of another
-kind (an order, a ``LimitConfig`` field, a step or density, a suite name, an
-antiderivative kind other than nabla or delta, beta = 0 for the symmetric
-integral) is a ``ValueError``, and an order that is not an ``Order`` a
-``TypeError``.
+kind (an order, a ``LimitConfig`` field, a step or density, a suite name
+or trial count, an antiderivative kind other than nabla or delta, beta = 0
+for the symmetric integral) is a ``ValueError``, and an order that is not
+an ``Order`` a ``TypeError``.
 """
 
 from __future__ import annotations

@@ -718,16 +718,17 @@ class TimeScale:
         tolerance of each other merged.
 
         Raises:
-            ValueError: the density is not finite and positive, a bound is
-                one a component would refuse (NaN, a ``str``, a bool, an int
-                past the float range), or over a million points result.
+            ValueError: a bound or the density is one a component would
+                refuse (NaN, a ``str``, a bool, an int past the float range),
+                the density is not finite and positive, or over 1e6 points result.
         """
-        if not (0 < density < math.inf):
-            raise ValueError(f"density must be finite and positive, got {density!r}")
         try:
             a, b = _require_finite_number("bound", a), _require_finite_number("bound", b)
+            density = _require_finite_number("density", density)
         except ValidationError as e:
             raise ValueError(f"points_in bounds: {e}") from None
+        if not (0 < density < math.inf):
+            raise ValueError(f"density must be finite and positive, got {density!r}")
         if b < a:
             a, b = b, a
         pts, inside = self._pts, self._inside

@@ -65,11 +65,52 @@ def test_bad_trial_count():
         run_suite("linearity", trials=0)
 
 
-def test_custom_limit_config_is_used():
-    # a hopeless budget must surface as failures, not hang or crash
-    cfg = LimitConfig(tol=1e-15, max_samples=4)
-    report = run_suite("symmetric-relation", seed=3, trials=6, cfg=cfg)
-    assert report.trials == 6
+@pytest.mark.parametrize("trials", [2.5, "5", None, True])
+def test_a_trial_count_that_is_no_integer_is_a_value_error(trials):
+    # a bool is no count, though int() reads True as 1
+    with pytest.raises(ValueError, match=r"trials must be a positive integer, got "):
+        run_suite("linearity", trials=trials)
+
+
+def test_the_suites_take_no_limit_config():
+    with pytest.raises(TypeError, match="cfg"):
+        run_suite("symmetric-relation", seed=3, trials=6, cfg=LimitConfig())
+
+
+@pytest.mark.parametrize("flag, value", [("--tol", "1e-3"), ("--max-samples", "5")])
+def test_check_has_no_limit_flags(capsys, flag, value):
+    assert main(["check", "--suite", "linearity", flag, value]) == 1
+    [rec] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rec["error"] == "UsageError" and f"unrecognized arguments: {flag} {value}" in rec["message"]
+
+
+def test_each_suite_limits_its_dense_trials_by_its_own_constant(monkeypatch):
+    # the config every derivative and integral of a suite receives, None when
+    # it passes none: only the dense trials pass one, and exactly their own
+    seen = []
+
+    def recording(real, at):  # at: the position of real's cfg argument
+        def call(*args):
+            seen.append(args[at] if len(args) > at else None)
+            return real(*args)
+
+        return call
+
+    for name, at in (("symmetric_frac", 3), ("delta_frac", 3), ("nabla_frac", 3),
+                     ("nabla_frac_integral", 4), ("symmetric_frac_integral", 4)):
+        monkeypatch.setattr(checks, name, recording(getattr(checks, name), at))
+    # a dict of checks' own: the integrals' inner derivatives are not the suites'
+    monkeypatch.setattr(checks, "_DERIVS", {kind: recording(d, 3) for kind, d in checks._DERIVS.items()})
+    configs = {}
+    for suite in SUITE_NAMES:
+        seen.clear()
+        assert run_suite(suite, seed=1, trials=6).passed
+        configs[suite] = set(seen)
+    dense = {
+        "symmetric-relation": {None, LimitConfig(tol=1e-7, max_samples=80)},
+        "order-lowering": {LimitConfig(tol=1e-6, max_samples=80)},
+    }
+    assert configs == {suite: dense.get(suite, {None}) for suite in SUITE_NAMES}
 
 
 def broken_relation(monkeypatch):

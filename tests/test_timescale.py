@@ -154,13 +154,14 @@ def test_scale_is_immutable_and_snaps_only_numbers():
 
 def test_a_point_is_any_real_number():
     # a point reads as a component value does: a Fraction or a Decimal names
-    # the member 1/2, as FinitePoints accepts either; a str or a bool, which
-    # every component refuses, names no member and bounds no range
+    # the member 1/2, as FinitePoints accepts either, and a Decimal density
+    # is its float; a str or a bool, which every component refuses, names no
+    # member and bounds no range
     T = TimeScale([Interval(0.0, 1.0)])
     for half in (Fraction(1, 2), Decimal("0.5")):
         assert T.snap(half) == 0.5 and T.classify(half) == PointClass(True, True)
         assert TimeScale([FinitePoints([half])]).snap(half) == 0.5
-    assert T.points_in(Fraction(0), Decimal("0.5")) == T.points_in(0.0, 0.5)
+    assert T.points_in(Fraction(0), Decimal("0.5"), Decimal("2")) == T.points_in(0.0, 0.5, 2.0)
     for bad in ("0.5", True):
         assert T.snap(bad) is None
         with pytest.raises(PointNotInScale):
@@ -455,9 +456,10 @@ def test_points_in_hybrid():
     assert len(inside) >= 4
 
 
-@pytest.mark.parametrize("density", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("density", [math.inf, math.nan, 0.0, -1.0, "33", None, True])
 def test_points_in_rejects_bad_density(density):
-    # a discrete-only range must reject it too, not only an interval stretch
+    # a discrete-only range must reject it too, not only an interval stretch;
+    # a str or a bool is no density, as no component reads one as a number
     for T in (make_hybrid(), TimeScale([UniformGrid(0.0, 3.0, 1.0)])):
         with pytest.raises(ValueError, match="density"):
             T.points_in(0.0, 3.0, density=density)
