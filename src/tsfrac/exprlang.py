@@ -40,7 +40,9 @@ rounded once, correctly, to float (``float`` of the text), so a literal like
 the float range or longer than ``_MAX_LITERAL`` characters is an
 ExprSyntaxError at its column, and a ``qgrid`` exponent must be an exact
 integer.  Both parsers reject input that nests more than 100 levels deep
-(``_MAX_DEPTH``) with ExprSyntaxError.
+(``_MAX_DEPTH``) with ExprSyntaxError.  Both scan the whole text first, in one
+``findall``, so a character that starts no token is the error reported wherever
+it stands; a token's column is worked out only for an error, by scanning again.
 """
 
 from __future__ import annotations
@@ -141,15 +143,6 @@ class Call(Expr):
 FUNCTIONS = {"sqrt": 1, "abs": 1, "sin": 1, "cos": 1, "exp": 1, "ln": 1, "pow": 2}
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind  # "num" | "ident" | "op" | "end"
-        self.text = text
-        self.pos = pos  # 1-based column
-
-
 #: deepest nesting the recursive-descent parsers accept before the stack runs out
 _MAX_DEPTH = 100
 
@@ -167,52 +160,48 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(src: str) -> list:
-    out = [_Token(kind := m.lastgroup, m[kind], m.start(kind) + 1) for m in _TOKEN_RE.finditer(src)]
-    if out and out[-1].kind == "bad":
-        raise ExprSyntaxError(f"unexpected character {out[-1].text[0]!r}", position=out[-1].pos)
-    out.append(_Token("end", "", len(src) + 1))
-    return out
+    """src's tokens as (num, ident, op, bad) texts, only the token's kind not empty,
+    then the end ("", "", "", ""); ExprSyntaxError at a character that starts none."""
+    toks = _TOKEN_RE.findall(src)
+    if toks and (bad := toks[-1][3]):  # a bad match runs to the end of src
+        raise ExprSyntaxError(f"unexpected character {bad[0]!r}", position=len(src) - len(bad) + 1)
+    toks.append(("", "", "", ""))
+    return toks
+
+
+def _column(src: str, k: int) -> int:
+    """The 1-based column of src's token k."""
+    for j, m in enumerate(_TOKEN_RE.finditer(src)):
+        if j == k:
+            return m.start(m.lastgroup) + 1
+    return len(src) + 1  # the end
 
 
 class _Parser:
-    def __init__(self, src: str):
+    """Reads the tokens of one text by index; ``i`` is the current token."""
+
+    def __init__(self, src: str, what: str):
+        if not isinstance(src, str):
+            raise TypeError(f"{what} must be a str, got {type(src).__name__}")
+        self.src = src
         self.toks = _tokenize(src)
-        self.i = 0
-        self.depth = 0
-
-    @property
-    def cur(self) -> _Token:
-        return self.toks[self.i]
-
-    def take(self) -> _Token:
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
+        self.i = self.depth = 0
 
     def at_op(self, *ops: str) -> bool:
-        return self.toks[self.i].text in ops  # only an op token's text is punctuation
+        return self.toks[self.i][2] in ops
 
     def expect_op(self, op: str) -> None:
-        if self.toks[self.i].text != op:
+        if self.toks[self.i][2] != op:
             self.fail(f"'{op}'")
         self.i += 1
 
-    def items(self, *reads, least=None, repeat=False) -> list:
-        """The items of a list ``( item, item, ... )``, item k read by reads[k]
-        and, with repeat, every item past them by the last reader.  The list
-        holds at least ``least`` items (default: one per reader); a ')' too
-        early fails as a missing ',' and a ',' too many as a missing ')'."""
-        least = len(reads) if least is None else least
+    def items(self, read) -> list:
+        """The items of a list ``( item, item, ... )``, each read by read."""
         self.expect_op("(")
-        out = [reads[0](self)]
-        for read in reads[1:]:
-            if len(out) >= least and not self.at_op(","):
-                break
-            self.expect_op(",")
+        out = [read(self)]
+        while self.at_op(","):
+            self.i += 1
             out.append(read(self))
-        while repeat and self.at_op(","):
-            self.take()
-            out.append(reads[-1](self))
         self.expect_op(")")
         return out
 
@@ -227,17 +216,17 @@ class _Parser:
         self.depth -= 1
         return node
 
-    def fail(self, expected: str):
-        tok = self.cur
-        what = "end of input" if tok.kind == "end" else repr(tok.text)
-        raise ExprSyntaxError(
-            f"expected {expected}, found {what}",
-            position=tok.pos,
-            expected=expected,
-        )
+    def error(self, message: str, at: int, expected: str):
+        raise ExprSyntaxError(message, position=_column(self.src, at), expected=expected)
+
+    def fail(self, expected: str, at=None):
+        """ExprSyntaxError: expected, found token at (default: the current one)."""
+        at = self.i if at is None else at
+        text = "".join(self.toks[at])
+        self.error(f"expected {expected}, found {repr(text) if text else 'end of input'}", at, expected)
 
     def done(self) -> None:
-        if self.cur.kind != "end":
+        if self.i != len(self.toks) - 1:
             self.fail("end of input")
 
 
@@ -247,7 +236,7 @@ class _Parser:
 def parse_expr(src: str) -> Expr:
     """Parse function source into an AST; raises ExprSyntaxError with a
     1-based column on malformed input."""
-    p = _Parser(src)
+    p = _Parser(src, "expression text")
     node = _expr(p)
     p.done()
     return node
@@ -266,15 +255,16 @@ def _chain(p: _Parser, operand, *infix) -> Expr:
     the infix node classes."""
     by_op = {cls.symbol.strip(): cls for cls in infix}
     node = operand(p)
-    while p.at_op(*by_op):
-        node = by_op[p.take().text](node, operand(p))
+    while (op := p.toks[p.i][2]) in by_op:
+        p.i += 1
+        node = by_op[op](node, operand(p))
     return node
 
 
 def _unary(p: _Parser) -> Expr:
     if p.at_op("-"):
         p.enter()
-        p.take()
+        p.i += 1
         return p.leave(Neg(_unary(p)))
     return _power(p)
 
@@ -283,49 +273,50 @@ def _power(p: _Parser) -> Expr:
     node = _atom(p)
     if p.at_op("^"):
         p.enter()
-        p.take()
+        p.i += 1
         return p.leave(Pow(node, _unary(p)))
     return node
 
 
 def _atom(p: _Parser) -> Expr:
-    tok = p.cur
-    if tok.kind == "num":
-        p.take()
-        return Const(_literal(tok.text, tok))
-    if tok.kind == "ident":
-        p.take()
-        if tok.text == "t":
+    at = p.i
+    num, name, _, _ = p.toks[at]
+    if num:
+        p.i += 1
+        return Const(_literal(p, num, at))
+    if name:
+        p.i += 1
+        if name == "t":
             return Var()
-        if tok.text in FUNCTIONS:
+        if name in FUNCTIONS:
             p.enter()
-            return p.leave(_call(p, tok))
-        raise ExprSyntaxError(
-            f"unknown name {tok.text!r} (the variable is 't'; functions are "
+            return p.leave(_call(p, name, at))
+        p.error(
+            f"unknown name {name!r} (the variable is 't'; functions are "
             + ", ".join(sorted(FUNCTIONS)) + ")",
-            position=tok.pos,
-            expected="a known function or 't'",
+            at,
+            "a known function or 't'",
         )
     if p.at_op("("):
         p.enter()
-        p.take()
+        p.i += 1
         node = _expr(p)
         p.expect_op(")")
         return p.leave(node)
     p.fail("a number, 't', a function call, or '('")
 
 
-def _call(p: _Parser, name_tok: _Token) -> Expr:
-    args = p.items(_expr, repeat=True)
-    want = FUNCTIONS[name_tok.text]
+def _call(p: _Parser, name: str, at: int) -> Expr:
+    """The call of name, the token at; its argument list is the current token."""
+    args = p.items(_expr)
+    want = FUNCTIONS[name]
     if len(args) != want:
-        raise ExprSyntaxError(
-            f"{name_tok.text} expects {want} argument{'s' if want != 1 else ''}, "
-            f"got {len(args)}",
-            position=name_tok.pos,
-            expected=f"{want} arguments",
+        p.error(
+            f"{name} expects {want} argument{'s' if want != 1 else ''}, got {len(args)}",
+            at,
+            f"{want} arguments",
         )
-    return Call(name_tok.text, tuple(args))
+    return Call(name, tuple(args))
 
 
 _FUNCS = {"sqrt": math.sqrt, "abs": abs, "sin": math.sin, "cos": math.cos, "exp": math.exp,
@@ -496,108 +487,112 @@ def format_expr(e: Expr) -> str:
 
 def parse_scale(src: str) -> TimeScale:
     """Parse scale source into a normalized TimeScale."""
-    p = _Parser(src)
+    p = _Parser(src, "scale text")
     comps = _scale(p)
     p.done()
     return TimeScale(comps)
 
 
 def _scale(p: _Parser) -> list:
-    tok = p.cur
-    if tok.kind != "ident":
-        p.fail("one of interval, points, grid, qgrid, union")
-    if tok.text == "union":
+    """The components of the scale at the current token."""
+    at, name = p.i, p.toks[p.i][1]
+    if name == "union":
         p.enter()
-        p.take()
-        return p.leave([c for part in p.items(_scale, repeat=True) for c in part])
-    return [_piece(p)]
-
-
-def _piece(p: _Parser):
-    """The component a constructor call builds; the name is an identifier."""
-    tok = p.take()
-    if tok.text == "interval":
-        return Interval(*p.items(_bound, _bound))
-    if tok.text == "points":
-        return FinitePoints(tuple(p.items(_number, repeat=True)))
-    if tok.text == "grid":
-        return UniformGrid(*p.items(_number, _number, _number))
-    if tok.text == "qgrid":
-        q, k_min, k_max, *zero = p.items(_number, _integer, _integer, _zero, least=3)
-        return GeometricGrid(q, k_min, k_max, include_zero=bool(zero))
-    p.expect_op("(")
-    raise ExprSyntaxError(
-        f"unknown scale constructor {tok.text!r}",
-        position=tok.pos,
-        expected="one of interval, points, grid, qgrid, union",
-    )
-
-
-def _zero(p: _Parser) -> bool:
-    """qgrid's optional last item, the flag ``zero``."""
-    if p.cur.kind != "ident" or p.cur.text != "zero":
-        p.fail("'zero'")
-    p.take()
-    return True
-
-
-def _bound(p: _Parser) -> float:
-    """An interval bound: a number, or the keyword ``inf`` after an optional sign."""
-    sign = p.cur.text if p.at_op("-", "+") else ""
-    tok = p.toks[p.i + len(sign)]
-    if tok.kind == "num":
-        return _number(p)
-    p.i += len(sign)
-    if tok.kind != "ident" or tok.text != "inf":
-        p.fail("a number or 'inf'")
-    p.take()
-    return -math.inf if sign == "-" else math.inf
-
-
-def _signed_num_text(p: _Parser) -> "tuple[str, _Token]":
-    sign = p.take().text if p.at_op("-", "+") else ""
-    tok = p.cur
-    if tok.kind != "num":
-        p.fail("a number")
+        p.i += 1
+        return p.leave([c for part in p.items(_scale) for c in part])
+    if not name:
+        p.fail("one of interval, points, grid, qgrid, union")
     p.i += 1
-    return ("-" + tok.text if sign == "-" else tok.text), tok
+    if name == "interval":
+        return [Interval(*_numbers(p, "bb"))]
+    if name == "points":
+        return [FinitePoints(tuple(_numbers(p, "n", repeat=True)))]
+    if name == "grid":
+        return [UniformGrid(*_numbers(p, "nnn"))]
+    if name == "qgrid":
+        q, k_min, k_max, *zero = _numbers(p, "niiz", least=3)
+        return [GeometricGrid(q, k_min, k_max, include_zero=bool(zero))]
+    p.expect_op("(")
+    p.error(f"unknown scale constructor {name!r}", at, "one of interval, points, grid, qgrid, union")
+
+
+#: the item rules of ``_numbers``: a number, an integer, a bound (a number, or
+#: ``inf`` after an optional sign) or the flag ``zero``
+_RULES = {"n": "a number", "i": "a number", "b": "a number or 'inf'", "z": "'zero'"}
+
+
+def _numbers(p: _Parser, rules: str, least=None, repeat=False) -> list:
+    """The items of a constructor's list ``( item, item, ... )`` in one loop with no
+    call per token: item k read by rules[k] and, with repeat, every item past them
+    by the last rule.  At least ``least`` items (default: one per rule); a ')' too
+    early fails as a missing ',' and a ',' too many as a missing ')'."""
+    least = len(rules) if least is None else least
+    most, last, inf = math.inf if repeat else len(rules), len(rules) - 1, math.inf
+    toks, i, k, out = p.toks, p.i, 0, []
+    if toks[i][2] != "(":
+        p.fail("'('")
+    while True:
+        rule = rules[k if k < last else last]
+        i += 1
+        num, name, op, _ = toks[i]
+        if not num and op in ("-", "+") and rule != "z":  # a sign
+            i += 1
+            num, name, _, _ = toks[i]
+        if num and rule != "z":
+            text = "-" + num if op == "-" else num
+            if rule == "i":
+                x = _integer(p, text, i)
+            else:  # _literal's rule inline: no call unless the literal is refused
+                x = float(text) + 0.0 if len(text) <= _MAX_LITERAL else inf
+                if x == inf or x == -inf:
+                    _literal(p, text, i)
+        elif rule == "b" and name == "inf":
+            x = -inf if op == "-" else inf
+        elif rule == "z" and name == "zero":
+            x = True
+        else:
+            p.fail(_RULES[rule], i)
+        out.append(x)
+        k += 1
+        i += 1
+        sep = toks[i][2]
+        if k == most or (k >= least and sep != ","):
+            break
+        if sep != ",":
+            p.fail("','", i)
+    if sep != ")":
+        p.fail("')'", i)
+    p.i = i + 1
+    return out
 
 
 def _number_text(src: str) -> str:
     """The one signed number literal src holds between optional whitespace,
     else ExprSyntaxError: the number rule the CLI and Order.parse read by."""
-    p = _Parser(src)
-    text, _ = _signed_num_text(p)
+    p = _Parser(src, "number text")
+    sign = p.toks[0][2] if p.at_op("-", "+") else ""
+    p.i = len(sign)
+    num = p.toks[p.i][0]
+    if not num:
+        p.fail("a number")
+    p.i += 1
     p.done()
-    return text
+    return "-" + num if sign == "-" else num
 
 
-def _literal(text: str, tok: _Token) -> float:
-    """The float nearest the number literal ``text`` (``tok`` is where it
-    stands), or ExprSyntaxError when it is too long or past the float range.
-    ``float`` rounds correctly and reads any exponent at once."""
+def _literal(p: _Parser, text: str, at: int) -> float:
+    """The float nearest the number literal ``text`` (token ``at``), or
+    ExprSyntaxError when it is too long or past the float range.  ``float``
+    rounds correctly and reads any exponent at once."""
     value = float(text) if len(text) <= _MAX_LITERAL else math.inf
     if math.isinf(value):
-        raise ExprSyntaxError(
-            f"number literal past the float range or over {_MAX_LITERAL} characters",
-            position=tok.pos,
-            expected="a finite number",
-        )
+        p.error(f"number literal past the float range or over {_MAX_LITERAL} characters", at, "a finite number")
     return value + 0.0  # '-0' reads as 0.0, not -0.0
 
 
-def _number(p: _Parser) -> float:
-    return _literal(*_signed_num_text(p))
-
-
-def _integer(p: _Parser) -> int:
-    text, tok = _signed_num_text(p)
-    _literal(text, tok)  # the range and length rule of every literal
+def _integer(p: _Parser, text: str, at: int) -> int:
+    _literal(p, text, at)  # the range and length rule of every literal
     exact = Decimal(text)  # exact, with no 10**exponent built
     if exact != exact.to_integral_value():
-        raise ExprSyntaxError(
-            f"expected an integer, found {text!r}",
-            position=tok.pos,
-            expected="an integer",
-        )
+        p.error(f"expected an integer, found {text!r}", at, "an integer")
     return int(exact)

@@ -5,6 +5,7 @@ import operator
 import pickle
 import random
 import re
+import struct
 import time
 from fractions import Fraction
 
@@ -13,13 +14,18 @@ import pytest
 from tsfrac import (
     EvalDomainError,
     ExprSyntaxError,
+    FinitePoints,
+    FnOnScale,
+    Interval,
+    TimeScale,
+    UniformGrid,
     ValidationError,
     eval_expr,
     format_expr,
     parse_expr,
     parse_scale,
 )
-from tsfrac.exprlang import FUNCTIONS, Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var, _kernel_source, _tokenize
+from tsfrac.exprlang import FUNCTIONS, Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var, _column, _kernel_source, _tokenize
 
 
 def ev(text, t):
@@ -71,6 +77,8 @@ def test_out_of_range_literal_is_a_syntax_error(text, column):
         ("interval(0,1e400)", 12),
         ("interval(-1e400,0)", 11),
         ("points(1," + "9" * 5000 + ")", 10),
+        ("points(1,0." + "0" * 4298 + "1)", 10),  # finite, but 4,301 characters
+        ("points(1,-0." + "0" * 4297 + "1)", 11),  # the sign counts
         ("grid(0,1e10000000,1)", 8),
         ("qgrid(2,0,1e10000000)", 11),
         ("qgrid(2,0,1e-400)", 11),
@@ -186,11 +194,20 @@ def test_number_literals_have_ascii_digits_only(parse, text, column):
     assert e.value.position == column
 
 
+def _token_triples(src):
+    # (kind, text, column) of each token: its kind is the field of its text, and
+    # the column is worked out apart from the token list
+    return [
+        (next((kind for kind, text in zip(("num", "ident", "op"), tok) if text), "end"), "".join(tok), _column(src, k))
+        for k, tok in enumerate(_tokenize(src))
+    ]
+
+
 def test_tokens_pin_kind_text_and_column():
     # every operator, every number form, identifiers with '_' and digits, and
     # each whitespace character the scanner skips
     src = "f_1(x2,.5)^2.5e-3 +\t1.\r-1E+2*\n_a/1"
-    got = [(tok.kind, tok.text, tok.pos) for tok in _tokenize(src)]
+    got = _token_triples(src)
     assert got == [
         ("ident", "f_1", 1),
         ("op", "(", 4),
@@ -211,8 +228,8 @@ def test_tokens_pin_kind_text_and_column():
         ("end", "", 35),
     ]
     # whitespace before the end is skipped, and the end stands one past the last column
-    assert [(tok.kind, tok.pos) for tok in _tokenize(" t \n")] == [("ident", 2), ("end", 5)]
-    assert [(tok.kind, tok.pos) for tok in _tokenize(" \t")] == [("end", 3)]
+    assert _token_triples(" t \n") == [("ident", "t", 2), ("end", "", 5)]
+    assert _token_triples(" \t") == [("end", "", 3)]
 
 
 def test_error_position_unbalanced_paren():
@@ -441,6 +458,18 @@ def test_eval_rejects_non_expressions():
         format_expr(1)
 
 
+@pytest.mark.parametrize("text", [None, 123, b"points(1)"], ids=["None", "int", "bytes"])
+def test_text_that_is_no_str_is_a_type_error(text):
+    # one TypeError naming the argument, not the tokenizer's own re error
+    got = type(text).__name__
+    with pytest.raises(TypeError, match=f"^scale text must be a str, got {got}$"):
+        parse_scale(text)
+    with pytest.raises(TypeError, match=f"^expression text must be a str, got {got}$"):
+        parse_expr(text)
+    with pytest.raises(TypeError, match=f"^expression text must be a str, got {got}$"):
+        FnOnScale.from_expression(text, parse_scale("points(1)"))
+
+
 # -- the generated kernels --------------------------------------------------
 
 
@@ -648,6 +677,7 @@ def test_parse_scale_negative_numbers():
     assert T.contains(-2.0)
     # '-0' is the member 0.0, not -0.0: the index bytes tell the two apart
     assert bytes(parse_scale("points(-0,1e-400,1)")._pts) == bytes(parse_scale("points(0,1)")._pts)
+    assert bytes(parse_scale("points(-0." + "0" * 4296 + "1)")._pts) == bytes(parse_scale("points(0)")._pts)
 
 
 def test_scale_errors():
@@ -691,8 +721,8 @@ def test_scale_errors():
     ],
 )
 def test_argument_list_errors(parse, text, message, position, expected):
-    # one reader serves every argument list of both grammars: a ')' too early
-    # is a missing ',', a ',' too many a missing ')', and arity is the caller's
+    # in every argument list of both grammars a ')' too early is a missing ',',
+    # a ',' too many a missing ')', and arity is the caller's
     with pytest.raises(ExprSyntaxError) as e:
         parse(text)
     assert (str(e.value), e.value.position, e.value.expected) == (message, position, expected)
@@ -716,3 +746,88 @@ def test_scale_format_round_trip():
         T = parse_scale(text)
         again = parse_scale(T.describe())
         assert again.describe() == T.describe()
+
+
+@pytest.mark.parametrize("parse, text, position", [(parse_scale, "points(1,,2)@", 13), (parse_expr, "sin(t,)@", 8)])
+def test_a_character_that_starts_no_token_is_reported_wherever_it_stands(parse, text, position):
+    # the whole text is scanned before it is parsed: the ',,' or ',)' before the
+    # '@' is not the error reported
+    with pytest.raises(ExprSyntaxError) as e:
+        parse(text)
+    assert (str(e.value), e.value.position) == ("unexpected character '@'", position)
+
+
+def _draw(rng):
+    """A random finite float: random bits (17-digit reprs), a subnormal, a wide
+    exponent, a short binary fraction, or a zero of either sign."""
+    pick = rng.randrange(5)
+    if pick == 0:
+        x = struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0]
+        return x if math.isfinite(x) else 1.0
+    if pick == 1:
+        return rng.choice((1, -1)) * rng.randint(1, 2**52 - 1) * 5e-324
+    if pick == 2:
+        return rng.uniform(-10, 10) * 10.0 ** rng.randint(-300, 300)
+    if pick == 3:
+        return rng.randint(-40, 40) / 8
+    return rng.choice((0.0, -0.0))
+
+
+def _spell(rng, x):
+    """x written as the scale grammar's num in a random spelling, and the text
+    ``float`` reads for it: the spelling less any whitespace after the sign."""
+    sign = "-" if math.copysign(1.0, x) < 0 else rng.choice(("", "+"))
+    mag = abs(x)
+    form = rng.randrange(4)
+    if form == 0:
+        digits = repr(mag)
+    elif form == 1:
+        digits = ("%.17e" % mag).replace("e", rng.choice("eE"))
+    elif form == 2:  # the .5 and 5. forms
+        digits = repr(mag)
+        digits = digits[1:] if digits.startswith("0.") else digits[:-1] if digits.endswith(".0") else digits
+    else:  # an integral value in integer digits, so -0.0 is '-0'
+        digits = "%.0f" % mag if mag == int(mag) else repr(mag)
+    gap = rng.choice(("", "", " ", "\t", "\n ")) if sign else ""
+    assert float(sign + digits) == x
+    return sign + gap + digits, sign + digits
+
+
+def _index(T):
+    return bytes(T._pts), T._inside
+
+
+def test_scale_number_spellings_read_as_float_reads_them():
+    # each literal is float() of its text, and '-0' is 0.0 (the index bytes tell
+    # the zeros apart); a component refusing the floats refuses the text alike
+    rng = random.Random(5)
+    build = {"points": FinitePoints, "grid": lambda v: UniformGrid(*v), "interval": lambda v: Interval(*v)}
+    outcomes = {"index": 0, "refused": 0}
+    for _ in range(600):
+        kind = rng.choice(sorted(build))
+        values = [_draw(rng) for _ in range({"points": rng.randint(1, 6), "grid": 3, "interval": 2}[kind])]
+        if kind == "grid" and rng.random() < 0.7:  # start, stop, step with a few members
+            values[2] = abs(values[2]) or 0.5
+            values[1] = values[0] + rng.randint(0, 40) * values[2]
+        elif kind == "interval" and rng.random() < 0.7:
+            values.sort()
+        spelled = [_spell(rng, x) for x in values]
+        text = kind + "(" + ",".join(rng.choice(("", " ")) + s for s, _ in spelled) + ")"
+        try:
+            want = TimeScale([build[kind]([float(f) + 0.0 for _, f in spelled])])
+        except ValidationError as e:
+            with pytest.raises(ValidationError) as got:
+                parse_scale(text)
+            assert str(got.value) == str(e), text
+            outcomes["refused"] += 1
+            continue
+        assert _index(parse_scale(text)) == _index(want), text
+        outcomes["index"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_a_long_points_text_reads_as_its_members():
+    rng = random.Random(9)
+    spelled = [_spell(rng, _draw(rng)) for _ in range(10_000)]
+    got = parse_scale("points(" + ",".join(s for s, _ in spelled) + ")")
+    assert _index(got) == _index(TimeScale([FinitePoints([float(f) + 0.0 for _, f in spelled])]))
