@@ -1,9 +1,11 @@
 """Randomized property suites for the derivative and integral laws.
 
 Each suite draws (scale, function, point, order) tuples from a seeded
-generator, evaluates both sides of the law it covers, and reports the
-largest residual seen.  The algebraic rules are exercised at scattered
-points, where every kind's derivative is the exact quotient
+generator, evaluates both sides of the law it covers, and yields each check
+as (residual, tol, context), or (None, None, context) for a trial that fails
+outright; :func:`run_suite` judges them and reports the largest residual
+seen.  The algebraic rules are exercised at scattered points, where every
+kind's derivative is the exact quotient
 ``D = [f(hi) - f(lo)] / (hi - lo)**alpha``, with lo = rho(t) if the kind
 looks left (else t) and hi = sigma(t) if it looks right (else t).  Each
 rule is stated once in (D, lo, hi), should hold to rounding error, and is
@@ -83,27 +85,6 @@ class SuiteReport:
     @property
     def passed(self) -> bool:
         return self.failures == 0
-
-
-class _Recorder:
-    def __init__(self):
-        self.max_residual = 0.0
-        self.failures = 0
-        self.messages = []
-
-    def check(self, residual: float, tol: float, context: str) -> None:
-        if not math.isfinite(residual):
-            residual = math.inf
-        self.max_residual = max(self.max_residual, residual)
-        if residual > tol:
-            self.failures += 1
-            if len(self.messages) < 10:
-                self.messages.append(f"{context}: residual {residual:.3e} > {tol:g}")
-
-    def fail(self, context: str) -> None:
-        self.failures += 1
-        if len(self.messages) < 10:
-            self.messages.append(context)
 
 
 # generators
@@ -226,25 +207,27 @@ def _rand_bounded_poly(rng: random.Random, T: TimeScale, points: tuple) -> FnOnS
 # suites
 
 
-def _suite_linearity(rng: random.Random, trials: int) -> _Recorder:
-    rec = _Recorder()
+def _linear(op, f: FnOnScale, g: FnOnScale, lam: float, tol: float, ctx: str):
+    """Yield the sum and scalar checks op(f+g) = op(f) + op(g) and
+    op(lam*f) = lam*op(f); return op(f)."""
+    T = f.scale
+    of, og = op(f), op(g)
+    yield abs(op(FnOnScale(lambda x: f.eval(x) + g.eval(x), T)) - (of + og)), tol, f"sum {ctx}"
+    yield abs(op(FnOnScale(lambda x: lam * f.eval(x), T)) - lam * of), tol, f"scalar {ctx}"
+    return of
+
+
+def _suite_linearity(rng: random.Random, trials: int):
     for k, T, t, alpha in _isolated_trials(rng, trials):
         lam = round(rng.uniform(-3.0, 3.0), 3)
         f = _rand_poly(rng, T)
         g = _rand_poly(rng, T)
-        fg = FnOnScale(lambda x: f.eval(x) + g.eval(x), T)
-        lf = FnOnScale(lambda x: lam * f.eval(x), T)
         for kind, deriv in _DERIVS.items():
-            df = deriv(f, t, alpha).value
-            dg = deriv(g, t, alpha).value
             ctx = f"trial {k} {kind.value} alpha={alpha} t={t} on {T.describe()}"
-            rec.check(abs(deriv(fg, t, alpha).value - (df + dg)), _RULE_TOL, f"sum {ctx}")
-            rec.check(abs(deriv(lf, t, alpha).value - lam * df), _RULE_TOL, f"scalar {ctx}")
-    return rec
+            yield from _linear(lambda h: deriv(h, t, alpha).value, f, g, lam, _RULE_TOL, ctx)
 
 
-def _suite_product(rng: random.Random, trials: int) -> _Recorder:
-    rec = _Recorder()
+def _suite_product(rng: random.Random, trials: int):
     for k, T, t, alpha in _isolated_trials(rng, trials):
         f = _rand_poly(rng, T, max_coeffs=3)
         g = _rand_poly(rng, T, max_coeffs=3)
@@ -252,13 +235,11 @@ def _suite_product(rng: random.Random, trials: int) -> _Recorder:
         for name, deriv, lo, hi in _kinds_at(T, t):
             df, dg, dprod = (deriv(h, t, alpha).value for h in (f, g, prod))
             ctx = f"trial {k} {name} alpha={alpha} t={t} on {T.describe()}"
-            rec.check(abs(dprod - (df * g.eval(hi) + f.eval(lo) * dg)), _RULE_TOL, f"product form 1 {ctx}")
-            rec.check(abs(dprod - (df * g.eval(lo) + f.eval(hi) * dg)), _RULE_TOL, f"product form 2 {ctx}")
-    return rec
+            yield abs(dprod - (df * g.eval(hi) + f.eval(lo) * dg)), _RULE_TOL, f"product form 1 {ctx}"
+            yield abs(dprod - (df * g.eval(lo) + f.eval(hi) * dg)), _RULE_TOL, f"product form 2 {ctx}"
 
 
-def _suite_quotient(rng: random.Random, trials: int) -> _Recorder:
-    rec = _Recorder()
+def _suite_quotient(rng: random.Random, trials: int):
     for k, T, t, alpha in _isolated_trials(rng, trials):
         f = _rand_poly(rng, T, max_coeffs=3)
         g = _rand_bounded_poly(rng, T, (t, T.rho(t), T.sigma(t)))
@@ -268,28 +249,24 @@ def _suite_quotient(rng: random.Random, trials: int) -> _Recorder:
             df, dg, drecip, dquot = (deriv(h, t, alpha).value for h in (f, g, recip, quot))
             glo, ghi = g.eval(lo), g.eval(hi)
             ctx = f"trial {k} {name} alpha={alpha} t={t} on {T.describe()}"
-            rec.check(abs(drecip + dg / (glo * ghi)), _RULE_TOL, f"reciprocal {ctx}")
-            rec.check(abs(dquot - (df * ghi - f.eval(hi) * dg) / (glo * ghi)), _RULE_TOL, f"quotient form 1 {ctx}")
-            rec.check(abs(dquot - (df * glo - f.eval(lo) * dg) / (glo * ghi)), _RULE_TOL, f"quotient form 2 {ctx}")
-    return rec
+            yield abs(drecip + dg / (glo * ghi)), _RULE_TOL, f"reciprocal {ctx}"
+            yield abs(dquot - (df * ghi - f.eval(hi) * dg) / (glo * ghi)), _RULE_TOL, f"quotient form 1 {ctx}"
+            yield abs(dquot - (df * glo - f.eval(lo) * dg) / (glo * ghi)), _RULE_TOL, f"quotient form 2 {ctx}"
 
 
-def _suite_reconstruction(rng: random.Random, trials: int) -> _Recorder:
-    rec = _Recorder()
+def _suite_reconstruction(rng: random.Random, trials: int):
     for k, T, t, alpha, f in _scattered_trials(rng, trials):
         for name, deriv, lo, hi in _kinds_at(T, t):
             if lo < hi:
                 value = deriv(f, t, alpha).value
-                rec.check(
+                yield (
                     abs(f.eval(hi) - (f.eval(lo) + signed_pow(hi - lo, alpha) * value)),
                     _RECON_TOL,
                     f"reconstruction trial {k} {name} alpha={alpha} t={t} on {T.describe()}",
                 )
-    return rec
 
 
-def _suite_integral_laws(rng: random.Random, trials: int) -> _Recorder:
-    rec = _Recorder()
+def _suite_integral_laws(rng: random.Random, trials: int):
     for k in range(trials):
         interior: list[float] = []
         for _ in range(30):
@@ -298,7 +275,7 @@ def _suite_integral_laws(rng: random.Random, trials: int) -> _Recorder:
             if len(interior) >= 3:
                 break
         if len(interior) < 3:
-            rec.fail(f"trial {k}: too few interior points in {T.describe()}")
+            yield None, None, f"trial {k}: too few interior points in {T.describe()}"
             continue
         ia, ic, ib = sorted(rng.sample(range(len(interior)), 3))
         a, c, b = interior[ia], interior[ic], interior[ib]
@@ -306,32 +283,21 @@ def _suite_integral_laws(rng: random.Random, trials: int) -> _Recorder:
         lam = round(rng.uniform(-3.0, 3.0), 3)
         f = _rand_poly(rng, T)
         g = _rand_poly(rng, T)
-        fg = FnOnScale(lambda x: f.eval(x) + g.eval(x), T)
-        lf = FnOnScale(lambda x: lam * f.eval(x), T)
         for label, integ in (("nabla", nabla_frac_integral), ("symmetric", symmetric_frac_integral)):
             ctx = f"trial {k} {label} beta={beta} [{a}, {b}] on {T.describe()}"
-            i_f = integ(f, a, b, beta)
-            i_g = integ(g, a, b, beta)
-            rec.check(abs(integ(fg, a, b, beta) - (i_f + i_g)), _INTEGRAL_TOL, f"sum {ctx}")
-            rec.check(abs(integ(lf, a, b, beta) - lam * i_f), _INTEGRAL_TOL, f"scalar {ctx}")
-            rec.check(abs(integ(f, b, a, beta) + i_f), _INTEGRAL_TOL, f"orientation {ctx}")
-            rec.check(
-                abs(integ(f, a, c, beta) + integ(f, c, b, beta) - i_f),
-                _INTEGRAL_TOL,
-                f"additivity {ctx}",
-            )
-            rec.check(abs(integ(f, a, a, beta)), 0.0, f"vanishing {ctx}")
+            i_f = yield from _linear(lambda h: integ(h, a, b, beta), f, g, lam, _INTEGRAL_TOL, ctx)
+            yield abs(integ(f, b, a, beta) + i_f), _INTEGRAL_TOL, f"orientation {ctx}"
+            yield abs(integ(f, a, c, beta) + integ(f, c, b, beta) - i_f), _INTEGRAL_TOL, f"additivity {ctx}"
+            yield abs(integ(f, a, a, beta)), 0.0, f"vanishing {ctx}"
         # anchor independence: the nabla Cauchy value computed through
         # antiderivatives anchored at two different points must agree
         if not beta.is_one:
             order = beta.one_minus()
-            ctx = f"trial {k} anchors beta={beta} [{a}, {b}] on {T.describe()}"
             f1 = Antiderivative(f, a, DerivKind.NABLA).as_fn()
             f2 = Antiderivative(f, c, DerivKind.NABLA).as_fn()
             v1 = nabla_frac(f1, b, order).value - nabla_frac(f1, a, order).value
             v2 = nabla_frac(f2, b, order).value - nabla_frac(f2, a, order).value
-            rec.check(abs(v1 - v2), _INTEGRAL_TOL, ctx)
-    return rec
+            yield abs(v1 - v2), _INTEGRAL_TOL, f"trial {k} anchors beta={beta} [{a}, {b}] on {T.describe()}"
 
 
 def _symmetric_via_sides(f: FnOnScale, t: float, order: Order, cfg: LimitConfig | None = None) -> float:
@@ -344,8 +310,7 @@ def _symmetric_via_sides(f: FnOnScale, t: float, order: Order, cfg: LimitConfig 
     return w.gamma1 * d.value + w.gamma2 * n.value
 
 
-def _suite_symmetric_relation(rng: random.Random, trials: int) -> _Recorder:
-    rec = _Recorder()
+def _suite_symmetric_relation(rng: random.Random, trials: int):
     smooth = (
         ("sin(t)", math.sin),
         ("exp(t)", math.exp),
@@ -354,7 +319,7 @@ def _suite_symmetric_relation(rng: random.Random, trials: int) -> _Recorder:
     for k, T, t, alpha, f in _scattered_trials(rng, trials):
         lhs = symmetric_frac(f, t, alpha).value
         rhs = _symmetric_via_sides(f, t, alpha)
-        rec.check(abs(lhs - rhs), _EXACT_RELATION_TOL, f"trial {k} scattered alpha={alpha} t={t} on {T.describe()}")
+        yield abs(lhs - rhs), _EXACT_RELATION_TOL, f"trial {k} scattered alpha={alpha} t={t} on {T.describe()}"
         # dense side: interval interior with a smooth function and an
         # odd-reciprocal order, so both one-sided derivatives exist
         name, fn = smooth[k % len(smooth)]
@@ -366,14 +331,12 @@ def _suite_symmetric_relation(rng: random.Random, trials: int) -> _Recorder:
             lhs = symmetric_frac(f, t, alpha, _DENSE_CFG).value
             rhs = _symmetric_via_sides(f, t, alpha, _DENSE_CFG)
         except TsfracError as exc:
-            rec.fail(f"{ctx}: {type(exc).__name__} ({exc})")
+            yield None, None, f"{ctx}: {type(exc).__name__} ({exc})"
         else:
-            rec.check(abs(lhs - rhs), _DENSE_RELATION_TOL, ctx)
-    return rec
+            yield abs(lhs - rhs), _DENSE_RELATION_TOL, ctx
 
 
-def _suite_order_lowering(rng: random.Random, trials: int) -> _Recorder:
-    rec = _Recorder()
+def _suite_order_lowering(rng: random.Random, trials: int):
     scattered_pairs = (
         (Order(1, 4), Order(1, 2)),
         (Order(1, 3), Order(1, 1)),
@@ -405,16 +368,15 @@ def _suite_order_lowering(rng: random.Random, trials: int) -> _Recorder:
         try:
             nabla_frac(f, t, higher, _LOWERING_CFG)
         except TsfracError as exc:
-            rec.fail(f"{ctx}: higher order failed ({exc})")
+            yield None, None, f"{ctx}: higher order failed ({exc})"
             continue
         try:
             low = nabla_frac(f, t, lower, _LOWERING_CFG).value
         except TsfracError:
-            rec.fail(ctx)
+            yield None, None, ctx
             continue
         if T.classify(t).left_dense:
-            rec.check(abs(low), _LOWERED_VALUE_TOL, f"dense lowered value {ctx}")
-    return rec
+            yield abs(low), _LOWERED_VALUE_TOL, f"dense lowered value {ctx}"
 
 
 _SUITES = {
@@ -436,13 +398,16 @@ def run_suite(suite: str, seed: int = 0, trials: int = 50) -> SuiteReport:
         raise ValueError(f"unknown suite {suite!r}; pick one of {', '.join(SUITE_NAMES)}")
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    rng = random.Random(seed)
-    rec = _SUITES[suite](rng, trials)
-    return SuiteReport(
-        suite=suite,
-        trials=trials,
-        seed=seed,
-        max_residual=rec.max_residual,
-        failures=rec.failures,
-        messages=tuple(rec.messages),
-    )
+    max_residual, failures, messages = 0.0, 0, []
+    for residual, tol, context in _SUITES[suite](random.Random(seed), trials):
+        if residual is not None:
+            if not math.isfinite(residual):
+                residual = math.inf
+            max_residual = max(max_residual, residual)
+            if residual <= tol:
+                continue
+            context = f"{context}: residual {residual:.3e} > {tol:g}"
+        failures += 1
+        if len(messages) < 10:
+            messages.append(context)
+    return SuiteReport(suite, trials, seed, max_residual, failures, tuple(messages))

@@ -204,7 +204,7 @@ def _parse_points(text: str):
 
 def _error_record(exc, **extra) -> dict:
     rec = {"error": type(exc).__name__, "message": str(exc)}
-    for attr in ("position", "left", "right", "samples_unavailable"):
+    for attr in ("position", "expected", "left", "right", "samples_unavailable", "t"):
         v = getattr(exc, attr, None)
         if v is not None:
             rec[attr] = v

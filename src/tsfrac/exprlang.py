@@ -543,7 +543,7 @@ def _numbers(p: _Parser, rules: str, least=None, repeat=False) -> list:
             if rule == "i":
                 x = _integer(p, text, i)
             else:  # _literal's rule inline: no call unless the literal is refused
-                x = float(text) + 0.0 if len(text) <= _MAX_LITERAL else inf
+                x = float(text) if len(text) <= _MAX_LITERAL else inf
                 if x == inf or x == -inf:
                     _literal(p, text, i)
         elif rule == "b" and name == "inf":
@@ -587,7 +587,7 @@ def _literal(p: _Parser, text: str, at: int) -> float:
     value = float(text) if len(text) <= _MAX_LITERAL else math.inf
     if math.isinf(value):
         p.error(f"number literal past the float range or over {_MAX_LITERAL} characters", at, "a finite number")
-    return value + 0.0  # '-0' reads as 0.0, not -0.0
+    return value
 
 
 def _integer(p: _Parser, text: str, at: int) -> int:

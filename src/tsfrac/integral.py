@@ -314,12 +314,10 @@ def _cauchy(
     else:
         anchor = sa
         terms = [(kind, 1.0, 1.0)]
-    # build (and snap the anchor of) every antiderivative before evaluating
-    # any, so a failing term does not change which scale queries ran
-    Gs = [Antiderivative(f, anchor, k).as_fn() for k, _, _ in terms]
     order = beta.one_minus()
     total = 0.0
-    for (k, w_a, w_b), G in zip(terms, Gs):
+    for k, w_a, w_b in terms:
+        G = Antiderivative(f, anchor, k).as_fn()
         if order.is_zero:
             gb, ga = G.eval(sb), G.eval(sa)
         else:

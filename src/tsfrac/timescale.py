@@ -150,7 +150,7 @@ def _require_finite_number(name: str, x) -> float:
         raise ValidationError(f"{name} is past the float range")
     if math.isnan(xf):
         raise ValidationError(f"{name} must not be NaN")
-    return xf
+    return xf + 0.0  # -0.0 is stored as 0.0, as the text form reads '-0'
 
 
 def _fmt_num(x: float) -> str:
@@ -624,10 +624,11 @@ class TimeScale:
         None is the default :class:`LimitConfig`.
 
         Inside an interval the sequence is geometric, t +/- h*r**k with
-        h = min(s, room to the component boundary), s and r the fixed first
-        step and ratio (:class:`LimitConfig`).  The sequence
-        is cut short once the step underflows the float spacing at t, so
-        every returned point is distinct from t and from its neighbors.
+        h = min(s, room to the component boundary), s = 1e-2 and r = 1/2 the
+        fixed first step and ratio (``order._FIRST_STEP`` and
+        ``order._STEP_RATIO``).  The sequence is cut short once the step
+        underflows the float spacing at t, so every returned point is
+        distinct from t and from its neighbors.
         Where the dense side is carried by discrete points (a geometric-grid
         tail), the up to cfg.max_samples grid members nearest t are
         returned.  A scattered side, and a side dense by convention only

@@ -119,6 +119,26 @@ def test_bad_expression_reports_position(capsys):
     assert rec["position"] == 4
 
 
+def test_syntax_error_record_says_what_was_expected(capsys):
+    code, out, _ = run(capsys, "classify", "--scale", "points(1,,2)", "--points", "1")
+    assert code == 1
+    assert records(out) == [
+        {"error": "ExprSyntaxError", "message": "expected a number, found ','", "position": 10, "expected": "a number"}
+    ]
+
+
+def test_eval_domain_error_record_names_its_point(capsys):
+    # an integral's record names the point where the integrand left its
+    # domain; a derivative row names the point it was asked for
+    code, out, _ = run(capsys, "integ", "--scale", "grid(0,4,1)", "--fn", "1/(t-2)", "--beta", "1", "--a", "0", "--b", "4")
+    assert code == 1
+    [rec] = records(out)
+    assert (rec["error"], rec["t"]) == ("EvalDomainError", 2.0) and "node" not in rec
+    code, out, _ = run(capsys, "deriv", "--scale", "grid(0,4,1)", "--fn", "1/(t-2)", "--order", "1", "--points", "3")
+    assert code == 1
+    assert [(r["error"], r["t"]) for r in records(out)] == [("EvalDomainError", 3.0)]
+
+
 def test_integ(capsys):
     code, out, _ = run(
         capsys,

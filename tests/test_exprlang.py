@@ -709,6 +709,7 @@ def test_scale_errors():
          1, "one of interval, points, grid, qgrid, union"),
         (parse_scale, "blob(1,2)", "unknown scale constructor 'blob'", 1, "one of interval, points, grid, qgrid, union"),
         (parse_scale, "blob 1", "expected '(', found '1'", 6, "'('"),
+        (parse_scale, "points 1", "expected '(', found '1'", 8, "'('"),
         # inf is a keyword of interval bounds only, spelled exactly so
         (parse_scale, "points(inf)", "expected a number, found 'inf'", 8, "a number"),
         (parse_scale, "grid(0,inf,1)", "expected a number, found 'inf'", 8, "a number"),

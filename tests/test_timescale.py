@@ -253,6 +253,40 @@ def test_snap_and_contains():
     assert not T.contains(3.1)
 
 
+@pytest.mark.parametrize("text", ["grid(0,10,1)", "interval(0,inf)"])
+def test_snap_finds_no_member_at_infinity_or_nan(text):
+    # on interval(0,inf) a bisect alone would return inf as a member
+    from tsfrac import parse_scale
+
+    T = parse_scale(text)
+    assert [T.snap(x) for x in (math.inf, -math.inf, math.nan)] == [None, None, None]
+
+
+def test_a_negative_zero_point_is_the_member_zero():
+    # the text form reads '-0' as 0.0, and so does every component: the index
+    # bytes tell -0.0 and 0.0 apart
+    from tsfrac import parse_scale
+
+    assert bytes(TimeScale([FinitePoints([-0.0, 1.0])])._pts) == bytes(parse_scale("points(0,1)")._pts)
+
+
+def test_points_in_returns_a_negative_zero_point_as_zero():
+    zero, one = TimeScale([FinitePoints([-0.0, 1.0])]).points_in(-1, 2)
+    assert (math.copysign(1.0, zero), one) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "T, lowest",
+    [
+        (TimeScale([Interval(-0.0, 1.0)]), lambda T: T.inf_value),
+        (TimeScale([UniformGrid(-0.0, 1.0, 1.0)]), lambda T: T.components[0].start),
+    ],
+    ids=["interval", "grid"],
+)
+def test_a_component_starting_at_negative_zero_starts_at_zero(T, lowest):
+    assert math.copysign(1.0, lowest(T)) == 1.0
+
+
 def test_sigma_rho_on_hybrid():
     T = make_hybrid()
     assert T.sigma(0.5) == 0.5  # interior of interval
