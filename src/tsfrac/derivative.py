@@ -47,6 +47,7 @@ from .errors import (
     SidedLimitsDisagree,
 )
 from .order import (
+    _DEFAULT_LIMITS,
     _MIN_SAMPLES,
     LimitConfig,
     Order,
@@ -160,9 +161,10 @@ def _dense_limit(f: FnOnScale, ts: float, order: Order, cfg: LimitConfig, kind: 
     mirrored pairs for symmetric, approach sequences on the sides the order
     admits for nabla (base ``s - t``) and delta (base ``t - s``), each sample
     one quotient raised to the order's exponent worked out once."""
-    # e is signed_pow's exponent p/q (1/q when p = 1) and copysign(|d|**e, d)
-    # its value bit for bit: a general order samples only its preferred side,
-    # where d > 0, and 2h > 0, so NegativeBaseForGeneralOrder cannot occur
+    # e is signed_pow's exponent p/q (1/q when p = 1), and as a side's bases d have one
+    # sign, d**e (d > 0) or -((-d)**e) (d < 0) is signed_pow's copysign(|d|**e, d) bit for
+    # bit, negation being exact; a general order samples only its preferred side, where
+    # d > 0, and 2h > 0, so NegativeBaseForGeneralOrder cannot occur
     T, ev, e = f.scale, f.eval, order.value
     if kind is DerivKind.SYMMETRIC:
         pairs = T.symmetric_pairs(ts, cfg)
@@ -172,7 +174,7 @@ def _dense_limit(f: FnOnScale, ts: float, order: Order, cfg: LimitConfig, kind: 
             )
         found = [(ApproachSide.BOTH, pairs)]
 
-        def quots(hs):
+        def quots(hs, side):
             return ((ev(ts + h) - ev(ts - h)) / (2.0 * h) ** e for h in hs)
 
     else:
@@ -182,10 +184,11 @@ def _dense_limit(f: FnOnScale, ts: float, order: Order, cfg: LimitConfig, kind: 
         sign = 1.0 if kind is DerivKind.NABLA else -1.0
         preferred = ApproachSide.RIGHT if sign > 0 else ApproachSide.LEFT
         sft, sts = sign * ev(ts), sign * ts
-        copysign = math.copysign
 
-        def quots(seq):
-            return ((sign * ev(s) - sft) / copysign(abs(d) ** e, d) for s in seq for d in (sign * s - sts,))
+        def quots(seq, side):  # d = sign*s - sts, and sts - sign*s is -d
+            if side is preferred:
+                return ((sign * ev(s) - sft) / (sign * s - sts) ** e for s in seq)
+            return ((sign * ev(s) - sft) / -((sts - sign * s) ** e) for s in seq)
 
         sides = (ApproachSide.LEFT, ApproachSide.RIGHT)
         if not order.odd_reciprocal:
@@ -196,7 +199,7 @@ def _dense_limit(f: FnOnScale, ts: float, order: Order, cfg: LimitConfig, kind: 
             if len(sides) > 1:
                 where = f"either side of t={ts}"
             raise LimitDidNotConverge(f"no scale points available on {where}", samples_unavailable=True)
-    ests = [(*_settle(quots(seq), cfg, side, ts), side) for side, seq in found]
+    ests = [(*_settle(quots(seq, side), cfg, side, ts), side) for side, seq in found]
     if len(ests) == 1:
         return ests[0]
     (lval, lerr, _), (rval, rerr, _) = ests
@@ -257,7 +260,7 @@ def _frac(f: FnOnScale, t: float, order: Order, cfg: LimitConfig | None, kind: D
         if not math.isfinite(value):
             raise NonFiniteSample(f"exact {kind.value} quotient at t={ts} is {value!r}")
         return DerivResult(value, ComputePath.EXACT_SCATTERED, side, 0.0, order, kind)
-    value, err, side = _dense_limit(f, ts, order, cfg or LimitConfig(), kind)
+    value, err, side = _dense_limit(f, ts, order, cfg or _DEFAULT_LIMITS, kind)
     return DerivResult(value, ComputePath.DENSE_LIMIT, side, err, order, kind)
 
 

@@ -164,7 +164,8 @@ def _tokenize(src: str) -> list:
     then the end ("", "", "", ""); ExprSyntaxError at a character that starts none."""
     toks = _TOKEN_RE.findall(src)
     if toks and (bad := toks[-1][3]):  # a bad match runs to the end of src
-        raise ExprSyntaxError(f"unexpected character {bad[0]!r}", position=len(src) - len(bad) + 1)
+        expected = "a number, a name, or one of + - * / ^ ( ) ,"  # what starts a token
+        raise ExprSyntaxError(f"unexpected character {bad[0]!r}", position=len(src) - len(bad) + 1, expected=expected)
     toks.append(("", "", "", ""))
     return toks
 

@@ -59,7 +59,7 @@ from .errors import (
     PointOutsideDomain,
     QuadratureFailure,
 )
-from .order import _MIN_SAMPLES, LimitConfig, Order, _require_order_type
+from .order import _DEFAULT_LIMITS, _MIN_SAMPLES, LimitConfig, Order, _require_order_type
 from .timescale import ApproachSide, TimeScale
 
 __all__ = [
@@ -288,7 +288,7 @@ def _cauchy(
     if symmetric and beta.is_zero:
         raise ValueError("symmetric fractional integral requires beta > 0")
     if cfg is None:
-        cfg = LimitConfig()
+        cfg = _DEFAULT_LIMITS
     T = f.scale
     sa = T._require_member(a, "a")
     sb = T._require_member(b, "b")

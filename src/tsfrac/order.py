@@ -186,6 +186,10 @@ class LimitConfig:
             raise ValueError(f"max_samples must be at least {_MIN_SAMPLES}, got {self.max_samples}")
 
 
+#: the config a call given None uses; frozen, so every such call can share it
+_DEFAULT_LIMITS = LimitConfig()
+
+
 @dataclass(frozen=True)
 class LimitResult:
     """Outcome of one limit estimation run."""
@@ -207,6 +211,7 @@ def estimate_limit(quotients, cfg: LimitConfig | None = None) -> LimitResult:
     function values repeat once the step approaches the float spacing.  If
     the sequence runs out or the cap is hit first, the result is marked
     unconverged and carries the last quotient and the last difference.
+    A sample that is no float (an int, a float subclass) is read by ``float()``.
 
     Raises:
         NonFiniteSample: a quotient came out NaN or infinite.
@@ -215,14 +220,15 @@ def estimate_limit(quotients, cfg: LimitConfig | None = None) -> LimitResult:
             drop a side with fewer sample points before estimating.
     """
     if cfg is None:
-        cfg = LimitConfig()
+        cfg = _DEFAULT_LIMITS
     tol, isfinite = cfg.tol, math.isfinite
     # value holds the previous sample; from inf, the first difference is inf,
     # so two finite differences at most tol need three samples
     value = diff = math.inf
     used = 0
-    for used, qv in enumerate(itertools.islice(iter(quotients), cfg.max_samples), 1):
-        q = float(qv)
+    for q in itertools.islice(quotients, cfg.max_samples):
+        used += 1
+        q = q if type(q) is float else float(q)
         if not isfinite(q):
             raise NonFiniteSample(f"quotient sample {used} is {q!r}")
         prev_diff, diff, value = diff, abs(q - value), q

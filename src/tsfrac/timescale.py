@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import PointNotInScale, ValidationError
-from .order import _FIRST_STEP, _STEP_RATIO, LimitConfig
+from .order import _DEFAULT_LIMITS, _FIRST_STEP, _STEP_RATIO, LimitConfig
 
 __all__ = [
     "DEFAULT_SNAP_TOL",
@@ -68,6 +68,10 @@ __all__ = [
 #: Absolute tolerance used to snap queried reals onto scale members and to
 #: separate "dense" from "scattered" gaps.
 DEFAULT_SNAP_TOL = 1e-12
+
+#: the approach-step factors _STEP_RATIO**k, each a power (halving differs among the
+#: subnormals); the last, k = 1075, is 0.0, so every step loop ends inside the table
+_STEP_FACTORS = tuple(_STEP_RATIO**k for k in range(1076))
 
 # Guard for uniform grids: a step at most this many snap tolerances would make
 # membership ambiguous.
@@ -571,10 +575,10 @@ class TimeScale:
         """Up to limit steps h*_STEP_RATIO**k into the interval holding the
         member ts, h = min(_FIRST_STEP, room) with room the distance to its
         end on the side (to the nearer end for BOTH); None if room is
-        within the snap tolerance.  They stop where ts +/- step reaches ts or
+        within the snap tolerance.  Each factor _STEP_RATIO**k is read from
+        the table _STEP_FACTORS.  They stop where ts +/- step reaches ts or
         repeats, and with BOTH also where ts - step reaches ts.  BOTH returns
-        the steps, a side the points ts +/- step themselves, built in the
-        same loop."""
+        the steps, a side the points ts +/- step themselves."""
         pts, inside = self._pts, self._inside
         i = self._index(ts)
         if not inside[i]:
@@ -592,16 +596,22 @@ class TimeScale:
         if room <= DEFAULT_SNAP_TOL:
             return None
         h = min(_FIRST_STEP, room)
-        sign = -1.0 if side is ApproachSide.LEFT else 1.0
-        both = side is ApproachSide.BOTH
         out: list[float] = []
         prev = ts
-        for k in range(limit):
-            step = h * _STEP_RATIO**k
-            s = ts + sign * step  # exactly ts - step on the left
-            if s == ts or s == prev or (both and ts - step == ts):
+        if side is ApproachSide.BOTH:
+            for r in _STEP_FACTORS[:limit]:
+                s = ts + (step := h * r)
+                if s == ts or s == prev or ts - step == ts:
+                    break
+                out.append(step)
+                prev = s
+            return out
+        d = -h if side is ApproachSide.LEFT else h
+        for r in _STEP_FACTORS[:limit]:
+            s = ts + d * r  # exactly ts - h*r on the left
+            if s == ts or s == prev:
                 break
-            out.append(step if both else s)
+            out.append(s)
             prev = s
         return out
 
@@ -641,7 +651,7 @@ class TimeScale:
         """
         if side not in (ApproachSide.LEFT, ApproachSide.RIGHT):
             raise ValueError("side must be LEFT or RIGHT")
-        cfg = cfg or LimitConfig()
+        cfg = cfg or _DEFAULT_LIMITS
         ts = self._require_member(t)
         cls = self.classify(ts)
         if not (cls.right_dense if side is ApproachSide.RIGHT else cls.left_dense):
@@ -663,7 +673,7 @@ class TimeScale:
         Raises:
             PointNotInScale: t is not a member of the scale.
         """
-        cfg = cfg or LimitConfig()
+        cfg = cfg or _DEFAULT_LIMITS
         ts = self._require_member(t)
 
         hs = self._interval_steps(ts, ApproachSide.BOTH, cfg.max_samples)

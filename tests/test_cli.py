@@ -127,6 +127,19 @@ def test_syntax_error_record_says_what_was_expected(capsys):
     ]
 
 
+def test_unexpected_character_record_says_what_can_start_a_token(capsys):
+    code, out, _ = run(capsys, "classify", "--scale", "points(1,,2)@", "--points", "1")
+    assert code == 1
+    assert records(out) == [
+        {
+            "error": "ExprSyntaxError",
+            "message": "unexpected character '@'",
+            "position": 13,
+            "expected": "a number, a name, or one of + - * / ^ ( ) ,",
+        }
+    ]
+
+
 def test_eval_domain_error_record_names_its_point(capsys):
     # an integral's record names the point where the integrand left its
     # domain; a derivative row names the point it was asked for

@@ -297,6 +297,41 @@ def test_dense_quotients_are_bit_identical_to_the_definition(T, src, t, kind, or
     assert repr((r.value, r.err_est)) == repr(_dense_from_public_pieces(f, t, order, kind, cfg))
 
 
+_I10 = parse_scale("interval(0,10)")
+_TOL4 = LimitConfig(tol=1e-4, max_samples=80)
+_CUBIC, _QUAD = "t*t*t - 2*t", "t*t + 3*t"
+
+
+@pytest.mark.parametrize(
+    "kind, T, src, t, order, cfg, pinned, side",
+    [
+        # two-sided: odd-reciprocal orders at an interior point
+        (DerivKind.NABLA, _I10, _CUBIC, 2.0, Order(1, 3), None, "(6.921008541756708e-09, 4.065407698108785e-09)", "both"),
+        (DerivKind.DELTA, _I10, _CUBIC, 2.0, Order(1, 3), None, "(6.921008541756708e-09, 4.065407698108785e-09)", "both"),
+        (DerivKind.NABLA, _I10, _CUBIC, 2.0, Order(1, 1), None, "(10.0, 0.0)", "both"),
+        (DerivKind.DELTA, _I10, _CUBIC, 2.0, Order(1, 1), None, "(10.0, 0.0)", "both"),
+        # one-sided: general orders sample their preferred side only
+        (DerivKind.NABLA, _I10, _CUBIC, 2.0, Order(1, 2), _TOL4, "(0.0001220702542923252, 5.056328351220125e-05)", "right"),
+        (DerivKind.DELTA, _I10, _CUBIC, 2.0, Order(2, 3), _TOL4, "(0.0002630780975633794, 6.837953532301945e-05)", "left"),
+        (DerivKind.SYMMETRIC, _I10, _CUBIC, 2.0, Order(1, 1), None, "(10.000000000400178, 1.1027623258996755e-09)", "both"),
+        (DerivKind.SYMMETRIC, _I10, _CUBIC, 2.0, Order(1, 2), _TOL4, "(0.00012207019608467817, 5.0563259401791006e-05)", "both"),
+        # the interval's ends: nabla's positive side at 0, its negative side at 10
+        (DerivKind.NABLA, _I10, _CUBIC, 0.0, Order(1, 1), None, "(-1.9999999996185303, 1.1444092340440193e-09)", "right"),
+        (DerivKind.NABLA, _I10, _CUBIC, 10.0, Order(1, 3), _TOL4, "(8.375877168996717e-05, 4.919965020167671e-05)", "left"),
+        # a geometric tail at 0: nabla's positive side, delta's negative one
+        (DerivKind.NABLA, _QZERO, _QUAD, 0.0, Order(1, 1), None, "(3.0000000037252903, 3.725290298461914e-09)", "right"),
+        (DerivKind.DELTA, _QZERO, _QUAD, 0.0, Order(1, 1), None, "(3.0000000037252903, 3.725290298461914e-09)", "right"),
+    ],
+)
+def test_dense_results_are_pinned(kind, T, src, t, order, cfg, pinned, side):
+    # the bits of whole results, steps, quotients and estimator together, where
+    # the definition test above rebuilds them through the same estimator; f has
+    # + - * only, so no libm routine of f can move them
+    deriv = {DerivKind.NABLA: nabla_frac, DerivKind.DELTA: delta_frac, DerivKind.SYMMETRIC: symmetric_frac}[kind]
+    r = deriv(FnOnScale.from_expression(src, T), t, order, cfg)
+    assert (r.path, repr((r.value, r.err_est)), r.side.value) == (ComputePath.DENSE_LIMIT, pinned, side)
+
+
 @pytest.mark.parametrize("order", [Order(1, 2), Order(2, 3)])
 def test_delta_of_a_constant_is_positive_zero(order):
     # each difference -f(s) - (-f(t)) is +0.0 over a positive base

@@ -243,6 +243,31 @@ def test_estimate_limit_unconverged():
     assert res.value == seq[7]
 
 
+class _Skewed(float):
+    """A float whose own subtraction is wrong: float() drops it."""
+
+    def __sub__(self, other):
+        return 0.0
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [
+        [3, 2, 2, 2, 2],
+        [1, 2, 3, 4],
+        [Fraction(1, 3) + Fraction(1, 3**k) for k in range(40)],
+        [1, Fraction(1, 2), 0.25, True, Fraction(1, 8), 0.125, 0.125, 0.125],
+        [_Skewed(1.0 + 0.5**k) for k in range(40)],
+    ],
+    ids=["ints", "ints-unconverged", "fractions", "mixed", "float-subclass"],
+)
+def test_estimate_limit_reads_samples_as_float_does(seq):
+    cfg = LimitConfig(tol=1e-9, max_samples=30)
+    res = estimate_limit(seq, cfg)
+    assert res == estimate_limit([float(x) for x in seq], cfg)
+    assert type(res.value) is float and type(res.err_est) is float
+
+
 def test_estimate_limit_rejects_nan():
     with pytest.raises(NonFiniteSample):
         estimate_limit([1.0, float("nan"), 1.0], LimitConfig())

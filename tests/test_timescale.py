@@ -450,6 +450,18 @@ def test_default_steps_are_the_limit_configs():
     assert hs == G.symmetric_pairs(0.4, cfg) and hs == pytest.approx([0.008, 0.004])
 
 
+def test_interval_steps_run_into_the_subnormals():
+    # each step is 1e-2 * 0.5**k as such, down to the smallest subnormal:
+    # halving the last step instead rounds differently there
+    T = TimeScale([Interval(-1.0, 1.0)])
+    cfg = LimitConfig(max_samples=1100)
+    steps = [1e-2 * 0.5**k for k in range(1068)]
+    assert steps[-1] == 5e-324
+    assert T.approach_sequence(0.0, ApproachSide.RIGHT, cfg) == steps
+    assert T.approach_sequence(0.0, ApproachSide.LEFT, cfg) == [-h for h in steps]
+    assert T.symmetric_pairs(0.0, cfg) == steps
+
+
 def test_approach_sequence_geometric_tail():
     # 2**k for k in -40..3 accumulates at 0 from the right
     T = TimeScale([GeometricGrid(2.0, -40, 3, include_zero=True)])
