@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import enum
 import functools
 import json
 import math
@@ -34,7 +35,7 @@ from .order import LimitConfig, Order
 __all__ = ["main", "build_parser"]
 
 
-class _UsageError(Exception):
+class UsageError(Exception):
     """A command line the parser cannot read."""
 
 
@@ -43,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
     that main reports them as a record like every other failure."""
 
     def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}")
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _flag_reader(convert):
@@ -202,14 +203,19 @@ def _parse_points(text: str):
     return points
 
 
+def _fields(obj) -> dict:
+    """obj's public attributes that are set, an enum by its value and an
+    order as p/q: the fields of a record.  An EvalDomainError's node is
+    left out, as its message shows it."""
+    return {
+        name: v.value if isinstance(v, enum.Enum) else str(v) if isinstance(v, Order) else v
+        for name, v in vars(obj).items()
+        if v is not None and name[0] != "_" and name != "node"
+    }
+
+
 def _error_record(exc, **extra) -> dict:
-    rec = {"error": type(exc).__name__, "message": str(exc)}
-    for attr in ("position", "expected", "left", "right", "samples_unavailable", "t"):
-        v = getattr(exc, attr, None)
-        if v is not None:
-            rec[attr] = v
-    rec.update(extra)
-    return rec
+    return {"error": type(exc).__name__, "message": str(exc), **_fields(exc), **extra}
 
 
 def _deriv_rows(args, points_of, skip=()):
@@ -232,17 +238,7 @@ def _deriv_rows(args, points_of, skip=()):
             records.append(_error_record(exc, t=t))
             code = 1
             continue
-        records.append(
-            {
-                "t": T.snap(t),
-                "kind": args.kind,
-                "order": str(order),
-                "value": res.value,
-                "path": res.path.value,
-                "side": res.side.value,
-                "err_est": res.err_est,
-            }
-        )
+        records.append({"t": T.snap(t), **_fields(res)})
     return records, code
 
 
@@ -280,6 +276,8 @@ def cmd_table(args):
     def points_of(T):
         a = T.inf_value if args.a is None else _number("--a", args.a)
         b = T.sup_value if args.b is None else _number("--b", args.b)
+        if math.isinf(a) or math.isinf(b):
+            raise ValueError(f"{'--a' if math.isinf(a) else '--b'} is needed: the scale is unbounded on that side")
         return T.points_in(a, b, density=args.density)
 
     # a point outside the derivative's domain (a scattered end) has no row
@@ -300,15 +298,7 @@ def cmd_classify(args):
         cls = T.classify(ts)
         dm = T.domain_membership(ts)
         records.append(
-            {
-                "t": ts,
-                "class": str(cls),
-                "left_dense": cls.left_dense,
-                "right_dense": cls.right_dense,
-                "in_nabla_domain": dm.in_nabla_domain,
-                "in_delta_domain": dm.in_delta_domain,
-                "in_symmetric_domain": dm.in_symmetric_domain,
-            }
+            {"t": ts, "class": str(cls), **_fields(cls), **_fields(dm), "in_symmetric_domain": dm.in_symmetric_domain}
         )
     return records, code
 
@@ -364,9 +354,9 @@ def _emit(records, fmt: str, out) -> None:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except _UsageError as exc:
+    except UsageError as exc:
         # the flags, --format among them, could not be read: report in json
-        _emit([{"error": "UsageError", "message": str(exc)}], "json", sys.stdout)
+        _emit([_error_record(exc)], "json", sys.stdout)
         return 1
     try:
         records, code = _COMMANDS[args.command](args)

@@ -253,7 +253,7 @@ def _frac(f: FnOnScale, t: float, order: Order, cfg: LimitConfig | None, kind: D
     ts = _domain_point(T, t, order, kind)
     cls = T.classify(ts)
     left, right, side, _ = _KINDS[kind]
-    if (left and cls.left_scattered) or (right and cls.right_scattered):
+    if (left and not cls.left_dense) or (right and not cls.right_dense):
         hi = T.sigma(ts) if right else ts
         lo = T.rho(ts) if left else ts
         value = (f.eval(hi) - f.eval(lo)) / signed_pow(hi - lo, order)

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import sys
 import threading
 import warnings
 from dataclasses import dataclass, field, replace
@@ -227,15 +226,6 @@ def _nearest_admissible(T: TimeScale, ts: float, cfg: LimitConfig):
     return None
 
 
-def _warn_adjusted(message: str) -> None:
-    """Issue an EndpointAdjustedWarning attributed to the first frame
-    outside this module: the line that called the integral."""
-    frame, level = sys._getframe(), 1
-    while frame is not None and frame.f_code.co_filename == __file__:
-        frame, level = frame.f_back, level + 1
-    warnings.warn(message, EndpointAdjustedWarning, stacklevel=level)
-
-
 def _frac_deriv_at(
     integrand: FnOnScale,
     F: FnOnScale,
@@ -245,7 +235,9 @@ def _frac_deriv_at(
     kind: DerivKind,
 ) -> float:
     """G(ts) where G is the order-(1-beta) derivative of F, with the two
-    endpoint fallbacks described in the module docstring."""
+    endpoint fallbacks described in the module docstring.  A fallback warns
+    at stack level 4, the integral's caller: only _cauchy calls this, and
+    only the public integrals call _cauchy."""
     deriv = _DERIVS[kind]
     T = F.scale
     try:
@@ -255,10 +247,12 @@ def _frac_deriv_at(
         # past the edge, so G(edge) = f(edge) * step**beta
         step = T.mu(ts) if kind is DerivKind.NABLA else T.nu(ts)
         beta_value = order.one_minus().value
-        _warn_adjusted(
+        warnings.warn(
             f"{kind.value} fractional integral endpoint t={ts} has no "
             f"{'predecessor' if kind is DerivKind.NABLA else 'successor'} in the "
-            f"scale; used a one-step virtual extension (step {step})"
+            f"scale; used a one-step virtual extension (step {step})",
+            EndpointAdjustedWarning,
+            stacklevel=4,
         )
         return _finite_sample(integrand.eval, ts) * step**beta_value
     except LimitDidNotConverge as exc:
@@ -267,9 +261,11 @@ def _frac_deriv_at(
         adj = _nearest_admissible(T, ts, cfg)
         if adj is None:
             raise
-        _warn_adjusted(
+        warnings.warn(
             f"one-sided limit at endpoint t={ts} has no scale points to sample; "
-            f"evaluated at the nearest admissible point t={adj}"
+            f"evaluated at the nearest admissible point t={adj}",
+            EndpointAdjustedWarning,
+            stacklevel=4,
         )
         return deriv(F, adj, order, cfg).value
 

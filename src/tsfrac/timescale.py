@@ -98,14 +98,6 @@ class PointClass:
     right_dense: bool
 
     @property
-    def left_scattered(self) -> bool:
-        return not self.left_dense
-
-    @property
-    def right_scattered(self) -> bool:
-        return not self.right_dense
-
-    @property
     def dense(self) -> bool:
         return self.left_dense and self.right_dense
 
@@ -128,7 +120,6 @@ class DomainMembership:
     derivative requires both.
     """
 
-    in_scale: bool
     in_nabla_domain: bool
     in_delta_domain: bool
 
@@ -139,8 +130,7 @@ class DomainMembership:
 
 # shared results of classify and domain_membership: a frozen record costs ~1 us to build
 _POINT_CLASSES = tuple(tuple(PointClass(left, right) for right in (False, True)) for left in (False, True))
-_NOT_IN_SCALE = DomainMembership(False, False, False)
-_MEMBERSHIPS = tuple(tuple(DomainMembership(True, n, d) for d in (False, True)) for n in (False, True))
+_MEMBERSHIPS = tuple(tuple(DomainMembership(n, d) for d in (False, True)) for n in (False, True))
 
 
 def _require_finite_number(name: str, x) -> float:
@@ -560,11 +550,9 @@ class TimeScale:
         return _POINT_CLASSES[left][right]
 
     def domain_membership(self, t: float) -> DomainMembership:
-        """Domain flags for the derivative operators at t (see
+        """Domain flags for the derivative operators at the member t (see
         :class:`DomainMembership`)."""
-        ts = self.snap(t)
-        if ts is None:
-            return _NOT_IN_SCALE
+        ts = self._require_member(t)
         in_nabla = not (ts == self.inf_value and self._sigma_raw(ts) - ts > DEFAULT_SNAP_TOL)
         in_delta = not (ts == self.sup_value and ts - self._rho_raw(ts) > DEFAULT_SNAP_TOL)
         return _MEMBERSHIPS[in_nabla][in_delta]

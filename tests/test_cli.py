@@ -290,6 +290,27 @@ def test_table_range_flags(capsys):
     assert [r["t"] for r in records(out)] == [4.0, 5.0, 6.0]
 
 
+@pytest.mark.parametrize(
+    "scale, flags, missing",
+    [
+        ("interval(-inf,0)", [], "--a"),
+        ("interval(-inf,0)", ["--b", "-1"], "--a"),
+        ("union(grid(0,3,1),interval(5,inf))", [], "--b"),
+        ("interval(-inf,inf)", ["--b", "1"], "--a"),
+        ("interval(-inf,inf)", ["--a", "1"], "--b"),
+    ],
+)
+def test_table_on_an_unbounded_scale_names_the_missing_end(capsys, scale, flags, missing):
+    code, out, _ = run(capsys, "table", "--scale", scale, "--fn", "t", "--order", "1", *flags)
+    assert code == 1
+    assert records(out) == [{"error": "ValueError", "message": f"{missing} is needed: the scale is unbounded on that side"}]
+
+
+def test_table_on_the_real_line_reads_the_range_it_is_given(capsys):
+    code, out, _ = run(capsys, "table", "--scale", "interval(-inf,inf)", "--fn", "t", "--order", "1", "--a", "-1", "--b", "1", "--density", "1")
+    assert code == 0 and [r["t"] for r in records(out)] == [-1.0, 0.0, 1.0]
+
+
 def test_classify(capsys):
     code, out, _ = run(
         capsys,
@@ -331,6 +352,57 @@ def test_check_subcommand(capsys):
     assert rec["failures"] == 0
     assert rec["trials"] == 5
     assert rec["messages"] == [] and rec["suite"] == "linearity" and rec["seed"] == 1
+
+
+_DERIV_KEYS = ["err_est", "kind", "order", "path", "side", "t", "value"]
+_ERROR_KEYS = ["error", "message"]
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["deriv", "--scale", "grid(0,10,1)", "--fn", "t^2", "--order", "1/2", "--points", "3"], _DERIV_KEYS),
+        (["deriv", "--scale", "interval(0,1)", "--fn", "t^2", "--order", "1", "--points", "0.5"], _DERIV_KEYS),
+        (["table", "--scale", "grid(0,3,1)", "--fn", "t", "--order", "1", "--a", "1", "--b", "1"], _DERIV_KEYS),
+        (
+            ["classify", "--scale", "grid(0,3,1)", "--points", "1"],
+            ["class", "in_delta_domain", "in_nabla_domain", "in_symmetric_domain", "left_dense", "right_dense", "t"],
+        ),
+        (["integ", "--scale", "grid(0,10,1)", "--fn", "t", "--beta", "1/2", "--a", "1", "--b", "5"], ["a", "b", "beta", "kind", "value"]),
+    ],
+    ids=["exact-deriv", "dense-deriv", "table", "classify", "integ"],
+)
+def test_each_row_kind_has_exactly_its_keys(capsys, argv, keys):
+    code, out, _ = run(capsys, *argv)
+    [rec] = records(out)
+    assert code == 0 and sorted(rec) == keys
+
+
+@pytest.mark.parametrize(
+    "error, argv, keys",
+    [
+        ("PointNotInScale", ["deriv", "--scale", "grid(0,10,1)", "--fn", "t", "--order", "1", "--points", "2.5"], ["t"]),
+        # the node an EvalDomainError carries shows only in its message
+        ("EvalDomainError", ["deriv", "--scale", "grid(0,10,1)", "--fn", "ln(t)", "--order", "1", "--points", "1"], ["t"]),
+        (
+            "LimitDidNotConverge",
+            ["deriv", "--scale", "interval(0,1)", "--fn", "t^2", "--order", "1/2", "--points", "0.5"],
+            ["samples_unavailable", "t"],
+        ),
+        (
+            "SidedLimitsDisagree",
+            ["deriv", "--scale", "interval(-1,1)", "--fn", "abs(t)", "--order", "1", "--points", "0"],
+            ["left", "right", "t"],
+        ),
+        ("ExprSyntaxError", ["classify", "--scale", "points(1,,2)", "--points", "1"], ["expected", "position"]),
+        ("UsageError", ["deriv", "--scale", "grid(0,10,1)"], []),
+    ],
+)
+def test_each_error_record_has_exactly_its_keys(capsys, error, argv, keys):
+    code, out, _ = run(capsys, *argv)
+    [rec] = records(out)
+    assert code == 1 and rec["error"] == error
+    assert sorted(rec) == sorted(_ERROR_KEYS + keys)
 
 
 def test_output_is_deterministic(capsys):

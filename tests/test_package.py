@@ -69,6 +69,17 @@ def test_second_spellings_of_members_are_gone():
     assert "sign" not in {f.name for f in dataclasses.fields(tsfrac.GeometricGrid)}  # mirror as FinitePoints
     assert not callable(tsfrac.FnOnScale(abs, tsfrac.parse_scale("points(1)")))  # .eval(t)
     assert "__call__" not in vars(tsfrac.Antiderivative)  # .eval(t)
+    assert not hasattr(tsfrac.PointClass, "left_scattered")  # not cls.left_dense
+    assert not hasattr(tsfrac.PointClass, "right_scattered")  # not cls.right_dense
+    assert "in_scale" not in {f.name for f in dataclasses.fields(tsfrac.DomainMembership)}  # T.contains(t)
+
+
+def test_dir_lists_every_public_name_sorted():
+    names = dir(tsfrac)
+    assert names == sorted(names)
+    assert set(tsfrac.__all__) <= set(names)
+    # names of the lazily loaded layers among them
+    assert {"Antiderivative", "run_suite"} <= set(names)
 
 
 # run in a fresh interpreter: this test process has imported every module

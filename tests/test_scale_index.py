@@ -27,11 +27,13 @@ import pytest
 from tsfrac import (
     DEFAULT_SNAP_TOL,
     ApproachSide,
+    DomainMembership,
     ExprSyntaxError,
     FinitePoints,
     GeometricGrid,
     Interval,
     LimitConfig,
+    PointClass,
     TimeScale,
     TsfracError,
     UniformGrid,
@@ -101,12 +103,10 @@ class Oracle:
         return left, right
 
     def domain_membership(self, t):
-        ts = self.snap(t)
-        if ts is None:
-            return False, False, False
+        ts = self.member(t)
         inf_scattered = math.isfinite(self.inf) and self.sigma_raw(self.inf) - self.inf > self.tol
         sup_scattered = math.isfinite(self.sup) and self.sup - self.rho_raw(self.sup) > self.tol
-        return True, not (inf_scattered and ts == self.inf), not (sup_scattered and ts == self.sup)
+        return not (inf_scattered and ts == self.inf), not (sup_scattered and ts == self.sup)
 
     def interval_at(self, ts):
         return next(((lo, hi) for lo, hi in self.intervals if lo <= ts <= hi), None)
@@ -271,10 +271,10 @@ def _asks(O: Oracle, t):
 def _answer(T: TimeScale, name, args):
     """The scale's answer to one query, in the oracle's terms."""
     got = _outcome(lambda: getattr(T, name)(*args))
-    if name == "classify" and not isinstance(got, str):
+    if isinstance(got, PointClass):
         return got.left_dense, got.right_dense
-    if name == "domain_membership":
-        return got.in_scale, got.in_nabla_domain, got.in_delta_domain
+    if isinstance(got, DomainMembership):
+        return got.in_nabla_domain, got.in_delta_domain
     return got
 
 

@@ -346,13 +346,19 @@ def test_classify_and_domain_membership_records_are_shared_and_frozen():
     got = [T.classify(t) for t in (-1.0, 0.0, 0.5, 1.0, 2.0)]
     want = [PointClass(True, False), PointClass(False, True), PointClass(True, True), PointClass(True, False), PointClass(False, False)]
     assert got == want and [hash(c) for c in got] == [hash(c) for c in want]
-    got = [T.domain_membership(t) for t in (5.0, -1.0, 0.5, 3.0)]
-    want = [DomainMembership(*flags) for flags in ((False,) * 3, (True, False, True), (True,) * 3, (True, True, False))]
+    got = [T.domain_membership(t) for t in (-1.0, 0.5, 3.0)]
+    want = [DomainMembership(False, True), DomainMembership(True, True), DomainMembership(True, False)]
     assert got == want and [hash(d) for d in got] == [hash(d) for d in want]
-    for record, field in ((T.classify(0.0), "left_dense"), (T.domain_membership(5.0), "in_scale")):
+    assert [f.name for f in dataclasses.fields(DomainMembership)] == ["in_nabla_domain", "in_delta_domain"]
+    assert [f.name for f in dataclasses.fields(PointClass)] == ["left_dense", "right_dense"]
+    for record, field in ((T.classify(0.0), "left_dense"), (T.domain_membership(3.0), "in_delta_domain")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, field, True)
-    assert T.classify(0.0) == PointClass(False, True) and not T.domain_membership(5.0).in_scale
+    assert T.classify(0.0) == PointClass(False, True) and not T.domain_membership(3.0).in_delta_domain
+    # a non-member has no domain flags, as it has no class
+    for query in (T.classify, T.domain_membership):
+        with pytest.raises(PointNotInScale, match=r"^t=5\.0 is not in the scale$"):
+            query(5.0)
 
 
 def test_approach_sequence_interval():
