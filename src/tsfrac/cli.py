@@ -28,7 +28,7 @@ import math
 import sys
 
 from .derivative import _DERIVS, DerivKind, FnOnScale
-from .errors import ExprSyntaxError, PointNotInScale, PointOutsideDomain, TsfracError
+from .errors import ExprSyntaxError, PointOutsideDomain, TsfracError
 from .exprlang import _number_text, parse_scale
 from .order import LimitConfig, Order
 
@@ -218,6 +218,21 @@ def _error_record(exc, **extra) -> dict:
     return {"error": type(exc).__name__, "message": str(exc), **_fields(exc), **extra}
 
 
+def _point_rows(points, row, skip=()):
+    """The records ``row(t)`` of the points; a point whose error is of a type in ``skip``
+    gets none, and any other TsfracError is an error record with its t (exit code 1)."""
+    records, code = [], 0
+    for t in points:
+        try:
+            records.append(row(t))
+        except skip:
+            pass
+        except TsfracError as exc:
+            records.append(_error_record(exc, t=t))
+            code = 1
+    return records, code
+
+
 def _deriv_rows(args, points_of, skip=()):
     """One derivative record per point of ``points_of(T)``, built after the
     scale, function, order and limit flags are read; a point whose error is
@@ -227,19 +242,12 @@ def _deriv_rows(args, points_of, skip=()):
     order = Order.parse(args.order)
     cfg = _limit_config(args)
     compute = _DERIVS[DerivKind(args.kind)]
-    records = []
-    code = 0
-    for t in points_of(T):
-        try:
-            res = compute(f, t, order, cfg)
-        except skip:
-            continue
-        except TsfracError as exc:
-            records.append(_error_record(exc, t=t))
-            code = 1
-            continue
-        records.append({"t": T.snap(t), **_fields(res)})
-    return records, code
+
+    def row(t):
+        res = compute(f, t, order, cfg)
+        return {"t": T.snap(t), **_fields(res)}
+
+    return _point_rows(points_of(T), row, skip)
 
 
 def cmd_deriv(args):
@@ -286,21 +294,13 @@ def cmd_table(args):
 
 def cmd_classify(args):
     T = parse_scale(args.scale)
-    records = []
-    code = 0
-    for t in _parse_points(args.points):
-        try:
-            ts = T._require_member(t)
-        except PointNotInScale as exc:
-            records.append(_error_record(exc, t=t))
-            code = 1
-            continue
-        cls = T.classify(ts)
-        dm = T.domain_membership(ts)
-        records.append(
-            {"t": ts, "class": str(cls), **_fields(cls), **_fields(dm), "in_symmetric_domain": dm.in_symmetric_domain}
-        )
-    return records, code
+
+    def row(t):
+        t = T._require_member(t)  # the member t snaps to
+        cls, dm = T.classify(t), T.domain_membership(t)
+        return {"t": t, "class": str(cls), **_fields(cls), **_fields(dm), "in_symmetric_domain": dm.in_symmetric_domain}
+
+    return _point_rows(_parse_points(args.points), row)
 
 
 def cmd_check(args):

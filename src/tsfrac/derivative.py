@@ -46,6 +46,7 @@ from .errors import (
     PointOutsideDomain,
     SidedLimitsDisagree,
 )
+from .exprlang import eval_expr, parse_expr
 from .order import (
     _DEFAULT_LIMITS,
     _MIN_SAMPLES,
@@ -86,8 +87,6 @@ class FnOnScale:
     @classmethod
     def from_expression(cls, text: str, scale: TimeScale) -> "FnOnScale":
         """Build from expression-language source, e.g. ``"t^2 - 1"``."""
-        from .exprlang import eval_expr, parse_expr
-
         ast = parse_expr(text)
         return cls(eval=functools.partial(eval_expr, ast), scale=scale, source=text)
 

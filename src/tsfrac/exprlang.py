@@ -106,8 +106,9 @@ class Neg(Expr):
 @dataclass(frozen=True)
 class _Binary(Expr):
     """A node with two operands.  The infix ones, + - * /, chain to the left
-    and say how they print: ``symbol`` between the operands, binding at
-    precedence ``prec`` (class attributes, not fields)."""
+    and say how they parse and print: ``symbol`` between the operands (its
+    stripped text the token), binding at precedence ``prec`` (class attributes,
+    not fields)."""
 
     left: Expr
     right: Expr
@@ -132,6 +133,16 @@ class Div(_Binary):
 
 class Pow(_Binary):
     """``left^right``, right associative; its kernel step is ``pow(left, right)``."""
+
+
+#: the infix nodes by their operator token
+_INFIX = {cls.symbol.strip(): cls for cls in (Add, Sub, Mul, Div)}
+
+#: binding precedences above the infix nodes' own (1 for + -, 2 for * /); the parser
+#: reads the unary minus's and the ``^``'s, the printer all three
+_ATOM_PREC = 9
+_NEG_PREC = 3
+_POW_PREC = 4
 
 
 @dataclass(frozen=True)
@@ -243,39 +254,25 @@ def parse_expr(src: str) -> Expr:
     return node
 
 
-def _expr(p: _Parser) -> Expr:
-    return _chain(p, _term, Add, Sub)
-
-
-def _term(p: _Parser) -> Expr:
-    return _chain(p, _unary, Mul, Div)
-
-
-def _chain(p: _Parser, operand, *infix) -> Expr:
-    """``operand (op operand)*`` as a left chain, each op the symbol of one of
-    the infix node classes."""
-    by_op = {cls.symbol.strip(): cls for cls in infix}
-    node = operand(p)
-    while (op := p.toks[p.i][2]) in by_op:
-        p.i += 1
-        node = by_op[op](node, operand(p))
-    return node
-
-
-def _unary(p: _Parser) -> Expr:
+def _expr(p: _Parser, prec: int = 1) -> Expr:
+    """The expression at the current token whose infix operators bind at ``prec``
+    or tighter, by precedence climbing: a unary minus reads its operand at
+    ``_NEG_PREC``, a ``^`` its right operand at ``_POW_PREC`` (so it is right
+    associative), and each + - * / its right operand at its class's ``prec`` + 1,
+    in a loop (so they chain to the left)."""
     if p.at_op("-"):
         p.enter()
         p.i += 1
-        return p.leave(Neg(_unary(p)))
-    return _power(p)
-
-
-def _power(p: _Parser) -> Expr:
-    node = _atom(p)
-    if p.at_op("^"):
-        p.enter()
+        node = p.leave(Neg(_expr(p, _NEG_PREC)))
+    else:
+        node = _atom(p)
+        if p.at_op("^"):
+            p.enter()
+            p.i += 1
+            node = p.leave(Pow(node, _expr(p, _POW_PREC)))
+    while (cls := _INFIX.get(p.toks[p.i][2])) is not None and cls.prec >= prec:
         p.i += 1
-        return p.leave(Pow(node, _unary(p)))
+        node = cls(node, _expr(p, cls.prec + 1))
     return node
 
 
@@ -322,11 +319,6 @@ def _call(p: _Parser, name: str, at: int) -> Expr:
 
 _FUNCS = {"sqrt": math.sqrt, "abs": abs, "sin": math.sin, "cos": math.cos, "exp": math.exp,
           "ln": math.log, "pow": math.pow}
-
-#: binding precedences above the infix nodes' own (1 for + -, 2 for * /)
-_ATOM_PREC = 9
-_NEG_PREC = 3
-_POW_PREC = 4
 
 _ARITH = (ValueError, ZeroDivisionError, OverflowError)
 

@@ -58,13 +58,9 @@ class Order:
             raise ValueError(f"order must be nonnegative, got {p}/{q}")
         if p > q:
             raise ValueError(f"order must not exceed 1, got {p}/{q}")
-        g = math.gcd(p, q) if p else 0
-        if p == 0:
-            p, q = 0, 1
-        elif g > 1:
-            p, q = p // g, q // g
-        object.__setattr__(self, "numerator", p)
-        object.__setattr__(self, "denominator", q)
+        g = math.gcd(p, q)  # gcd(0, q) is q: a zero order is 0/1
+        object.__setattr__(self, "numerator", p // g)
+        object.__setattr__(self, "denominator", q // g)
 
     @classmethod
     def parse(cls, text: str, allow_zero: bool = False) -> "Order":
@@ -178,7 +174,7 @@ class LimitConfig:
     max_samples: int = 40
 
     def __post_init__(self):
-        if isinstance(self.tol, bool) or not isinstance(self.tol, (float, numbers.Real)) or not 0 < self.tol < math.inf:
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real) or not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
         if isinstance(self.max_samples, bool) or not isinstance(self.max_samples, int):
             raise ValueError(f"max_samples must be an integer, got {self.max_samples!r}")

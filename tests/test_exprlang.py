@@ -159,6 +159,25 @@ def test_ast_shape():
     assert parse_expr("-t") == Neg(Var())
 
 
+def test_operator_mixes_parse_to_their_trees():
+    # shapes that values cannot tell apart: -t*t is Mul(Neg(t), t), not Neg(Mul(t, t))
+    t = Var()
+    cases = {
+        "-t*t": Mul(Neg(t), t),
+        "-t-t": Sub(Neg(t), t),
+        "t/t*t": Mul(Div(t, t), t),
+        "t-t-t": Sub(Sub(t, t), t),
+        "-t^2*3": Mul(Neg(Pow(t, Const(2.0))), Const(3.0)),
+        "t^-t*2": Mul(Pow(t, Neg(t)), Const(2.0)),
+        "2^-t^2": Pow(Const(2.0), Neg(Pow(t, Const(2.0)))),
+        "t*-t^t": Mul(t, Neg(Pow(t, t))),
+        "--t^t": Neg(Neg(Pow(t, t))),
+        "t^t^-t*t": Mul(Pow(t, Pow(t, Neg(t))), t),
+    }
+    for text, tree in cases.items():
+        assert parse_expr(text) == tree, text
+
+
 # -- syntax errors --------------------------------------------------------
 
 
