@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .derivative import (
     _DERIVS,
@@ -46,7 +45,7 @@ from .derivative import (
     symmetric_frac,
     symmetric_weights,
 )
-from .errors import TsfracError
+from .errors import TsfracError, _Record
 from .integral import Antiderivative, nabla_frac_integral, symmetric_frac_integral
 from .order import LimitConfig, Order, signed_pow
 from .timescale import FinitePoints, GeometricGrid, Interval, TimeScale, UniformGrid
@@ -73,14 +72,9 @@ _BETAS = (Order(1, 4), Order(1, 2), Order(3, 4), Order(1, 1))
 _UNIT_INTERVAL = TimeScale([Interval(-1.0, 1.0)])
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    suite: str
-    trials: int
-    seed: int
-    max_residual: float
-    failures: int
-    messages: tuple
+class SuiteReport(_Record):
+    def __init__(self, suite: str, trials: int, seed: int, max_residual: float, failures: int, messages: tuple):
+        vars(self).update(suite=suite, trials=trials, seed=seed, max_residual=max_residual, failures=failures, messages=messages)
 
     @property
     def passed(self) -> bool:

@@ -37,14 +37,13 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 from .errors import (
     LimitDidNotConverge,
     NonFiniteSample,
     PointOutsideDomain,
     SidedLimitsDisagree,
+    _Record,
 )
 from .exprlang import eval_expr, parse_expr
 from .order import (
@@ -76,13 +75,11 @@ __all__ = [
 _AGREE_FACTOR = 10.0
 
 
-@dataclass(frozen=True)
-class FnOnScale:
-    """A real function paired with the time scale it lives on."""
+class FnOnScale(_Record):
+    """A real function ``eval`` of t paired with the time scale it lives on."""
 
-    eval: Callable[[float], float]
-    scale: TimeScale
-    source: object | None = None
+    def __init__(self, eval, scale: TimeScale, source: object | None = None):
+        vars(self).update(eval=eval, scale=scale, source=source)
 
     @classmethod
     def from_expression(cls, text: str, scale: TimeScale) -> "FnOnScale":
@@ -104,26 +101,20 @@ class ComputePath(enum.Enum):
     DENSE_LIMIT = "dense-limit"
 
 
-@dataclass(frozen=True)
-class DerivResult:
+class DerivResult(_Record):
     """A derivative evaluation with its provenance.
 
     ``err_est`` is 0 on the exact scattered path and the limit estimator's
     final difference on the dense path.
     """
 
-    value: float
-    path: ComputePath
-    side: ApproachSide
-    err_est: float
-    order: Order
-    kind: DerivKind
+    def __init__(self, value: float, path: ComputePath, side: ApproachSide, err_est: float, order: Order, kind: DerivKind):
+        vars(self).update(value=value, path=path, side=side, err_est=err_est, order=order, kind=kind)
 
 
-@dataclass(frozen=True)
-class SymmetricWeights:
-    gamma1: float
-    gamma2: float
+class SymmetricWeights(_Record):
+    def __init__(self, gamma1: float, gamma2: float):
+        vars(self).update(gamma1=gamma1, gamma2=gamma2)
 
 
 def _require_order(order: Order) -> None:

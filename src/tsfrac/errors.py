@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by every tsfrac module.
+"""Exception hierarchy shared by every tsfrac module, and the base of its
+immutable records.
 
 A failed computation, and a scale, expression, point or endpoint that is not
 valid, raise a subclass of :class:`TsfracError`, named for the condition it
@@ -25,6 +26,37 @@ __all__ = [
     "EvalDomainError",
     "EndpointAdjustedWarning",
 ]
+
+
+class _Record:
+    """An immutable record: its fields are the public entries of its instance
+    dict, which the subclass's ``__init__`` sets in declared order with
+    ``vars(self).update``.  An entry whose name starts with ``_`` is a memo,
+    not a field.  ``==`` holds between records of one class with equal
+    fields, ``hash`` and ``repr`` read the fields, and assigning or deleting
+    an attribute raises ``AttributeError``.
+    """
+
+    def _fields(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k[0] != "_"}
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(tuple(self._fields().values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in self._fields().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class TsfracError(Exception):

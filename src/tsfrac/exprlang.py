@@ -49,11 +49,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from functools import cached_property, lru_cache
 
-from .errors import EvalDomainError, ExprSyntaxError
+from .errors import EvalDomainError, ExprSyntaxError, _Record
 from .timescale import FinitePoints, GeometricGrid, Interval, TimeScale, UniformGrid, _fmt_num
 
 __all__ = [
@@ -75,10 +74,8 @@ __all__ = [
 ]
 
 
-class Expr:
+class Expr(_Record):
     """Base class for function AST nodes."""
-
-    __slots__ = ()
 
     @cached_property
     def _code(self):  # this tree's kernel, a function of t generated on first use
@@ -88,31 +85,30 @@ class Expr:
         return {k: v for k, v in self.__dict__.items() if k != "_code"}
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    value: float
+    def __init__(self, value: float):
+        vars(self).update(value=value)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
     pass
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    operand: Expr
+    def __init__(self, operand: Expr):
+        vars(self).update(operand=operand)
 
 
-@dataclass(frozen=True)
 class _Binary(Expr):
     """A node with two operands.  The infix ones, + - * /, chain to the left
     and say how they parse and print: ``symbol`` between the operands (its
     stripped text the token), binding at precedence ``prec`` (class attributes,
     not fields)."""
 
-    left: Expr
-    right: Expr
     symbol = prec = None
+
+    def __init__(self, left: Expr, right: Expr):
+        vars(self).update(left=left, right=right)
 
 
 class Add(_Binary):
@@ -145,10 +141,9 @@ _NEG_PREC = 3
 _POW_PREC = 4
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    name: str
-    args: tuple
+    def __init__(self, name: str, args: tuple):
+        vars(self).update(name=name, args=args)
 
 
 FUNCTIONS = {"sqrt": 1, "abs": 1, "sin": 1, "cos": 1, "exp": 1, "ln": 1, "pow": 2}

@@ -49,7 +49,6 @@ import bisect
 import math
 import threading
 import warnings
-from dataclasses import dataclass, field, replace
 
 from .derivative import _DERIVS, DerivKind, FnOnScale, _side_samples, symmetric_weights
 from .errors import (
@@ -57,6 +56,7 @@ from .errors import (
     LimitDidNotConverge,
     PointOutsideDomain,
     QuadratureFailure,
+    _Record,
 )
 from .order import _DEFAULT_LIMITS, _MIN_SAMPLES, LimitConfig, Order, _require_order_type
 from .timescale import ApproachSide, TimeScale
@@ -170,32 +170,21 @@ def delta_integral(f: FnOnScale, a: float, b: float) -> float:
     return _cauchy(f, a, b, Order(1, 1), None, DerivKind.DELTA)
 
 
-@dataclass(frozen=True)
-class Antiderivative:
+class Antiderivative(_Record):
     """F(t) = integral of f from the anchor to t, memoized per queried point.
 
     Queries are answered incrementally from the nearest already-known point
     (the walk is additive over adjacent ranges), which keeps repeated
     evaluations along an approach sequence cheap.  Safe under concurrent
-    use: the memo is guarded by a lock.  Frozen, so the memo always belongs
+    use: the memo is guarded by a lock.  Immutable, so the memo always belongs
     to the base, anchor and kind it was built for.
     """
 
-    base: FnOnScale
-    anchor: float
-    kind: DerivKind
-    _lock: threading.Lock = field(init=False, repr=False, compare=False)
-    _known: dict = field(init=False, repr=False, compare=False)
-    _keys: list = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.kind not in (DerivKind.NABLA, DerivKind.DELTA):
-            raise ValueError(f"antiderivative kind must be nabla or delta, got {self.kind!r}")
-        anchor = self.base.scale._require_member(self.anchor, "t0")
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "_lock", threading.Lock())
-        object.__setattr__(self, "_known", {anchor: 0.0})
-        object.__setattr__(self, "_keys", [anchor])
+    def __init__(self, base: FnOnScale, anchor: float, kind: DerivKind):
+        if kind not in (DerivKind.NABLA, DerivKind.DELTA):
+            raise ValueError(f"antiderivative kind must be nabla or delta, got {kind!r}")
+        anchor = base.scale._require_member(anchor, "t0")
+        vars(self).update(base=base, anchor=anchor, kind=kind, _lock=threading.Lock(), _known={anchor: 0.0}, _keys=[anchor])
 
     def eval(self, t: float) -> float:
         ts = self.base.scale._require_member(t)
@@ -218,7 +207,7 @@ class Antiderivative:
 def _nearest_admissible(T: TimeScale, ts: float, cfg: LimitConfig):
     """The nearest of the ``_MIN_SAMPLES`` points a side of ts offers a
     limit, the left side first; None when neither side offers that many."""
-    fewest = replace(cfg, max_samples=_MIN_SAMPLES)
+    fewest = LimitConfig(tol=cfg.tol, max_samples=_MIN_SAMPLES)
     for side in (ApproachSide.LEFT, ApproachSide.RIGHT):
         seq = _side_samples(T, ts, side, fewest)
         if seq is not None:

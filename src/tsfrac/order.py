@@ -20,10 +20,9 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ExprSyntaxError, NegativeBaseForGeneralOrder, NonFiniteSample
+from .errors import ExprSyntaxError, NegativeBaseForGeneralOrder, NonFiniteSample, _Record
 
 __all__ = [
     "Order",
@@ -34,8 +33,7 @@ __all__ = [
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
-class Order:
+class Order(_Record):
     """A differentiation or integration order, kept as an exact reduced
     fraction.
 
@@ -45,11 +43,8 @@ class Order:
     reject it.
     """
 
-    numerator: int
-    denominator: int
-
-    def __post_init__(self):
-        p, q = self.numerator, self.denominator
+    def __init__(self, numerator: int, denominator: int):
+        p, q = numerator, denominator
         if not isinstance(p, int) or not isinstance(q, int) or isinstance(p, bool) or isinstance(q, bool):
             raise ValueError(f"order needs integer numerator/denominator, got {p!r}/{q!r}")
         if q <= 0:
@@ -59,8 +54,7 @@ class Order:
         if p > q:
             raise ValueError(f"order must not exceed 1, got {p}/{q}")
         g = math.gcd(p, q)  # gcd(0, q) is q: a zero order is 0/1
-        object.__setattr__(self, "numerator", p // g)
-        object.__setattr__(self, "denominator", q // g)
+        vars(self).update(numerator=p // g, denominator=q // g)
 
     @classmethod
     def parse(cls, text: str, allow_zero: bool = False) -> "Order":
@@ -119,6 +113,8 @@ class Order:
         return f"{self.numerator}/{self.denominator}"
 
     def __lt__(self, other: "Order") -> bool:
+        if not isinstance(other, Order):  # an order compares only with an order
+            return NotImplemented
         return self.numerator * other.denominator < other.numerator * self.denominator
 
 
@@ -163,37 +159,33 @@ _FIRST_STEP = 1e-2
 _STEP_RATIO = 0.5
 
 
-@dataclass(frozen=True, kw_only=True)
-class LimitConfig:
+class LimitConfig(_Record):
     """When ``estimate_limit`` stops, and how many of the fixed steps
-    (``TimeScale.approach_sequence``: 1e-2, then each half the last) it samples."""
+    (``TimeScale.approach_sequence``: 1e-2, then each half the last) it samples.
 
-    #: two successive quotients this close stop the run
-    tol: float = 1e-8
-    #: hard cap on evaluated quotients per side
-    max_samples: int = 40
+    ``tol``: two successive quotients this close stop the run.
+    ``max_samples``: hard cap on evaluated quotients per side.
+    """
 
-    def __post_init__(self):
-        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real) or not 0 < self.tol < math.inf:
-            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
-        if isinstance(self.max_samples, bool) or not isinstance(self.max_samples, int):
-            raise ValueError(f"max_samples must be an integer, got {self.max_samples!r}")
-        if self.max_samples < _MIN_SAMPLES:
-            raise ValueError(f"max_samples must be at least {_MIN_SAMPLES}, got {self.max_samples}")
+    def __init__(self, *, tol: float = 1e-8, max_samples: int = 40):
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {tol!r}")
+        if isinstance(max_samples, bool) or not isinstance(max_samples, int):
+            raise ValueError(f"max_samples must be an integer, got {max_samples!r}")
+        if max_samples < _MIN_SAMPLES:
+            raise ValueError(f"max_samples must be at least {_MIN_SAMPLES}, got {max_samples}")
+        vars(self).update(tol=tol, max_samples=max_samples)
 
 
-#: the config a call given None uses; frozen, so every such call can share it
+#: the config a call given None uses; immutable, so every such call can share it
 _DEFAULT_LIMITS = LimitConfig()
 
 
-@dataclass(frozen=True)
-class LimitResult:
+class LimitResult(_Record):
     """Outcome of one limit estimation run."""
 
-    value: float
-    err_est: float
-    converged: bool
-    samples_used: int
+    def __init__(self, value: float, err_est: float, converged: bool, samples_used: int):
+        vars(self).update(value=value, err_est=err_est, converged=converged, samples_used=samples_used)
 
 
 def estimate_limit(quotients, cfg: LimitConfig | None = None) -> LimitResult:

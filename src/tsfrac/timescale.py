@@ -47,10 +47,9 @@ import enum
 import math
 import reprlib
 from array import array
-from dataclasses import dataclass
 from itertools import chain
 
-from .errors import PointNotInScale, ValidationError
+from .errors import PointNotInScale, ValidationError, _Record
 from .order import _DEFAULT_LIMITS, _FIRST_STEP, _STEP_RATIO, LimitConfig
 
 __all__ = [
@@ -90,12 +89,11 @@ class ApproachSide(enum.Enum):
     BOTH = "both"
 
 
-@dataclass(frozen=True)
-class PointClass:
+class PointClass(_Record):
     """Density classification of a scale point on each side."""
 
-    left_dense: bool
-    right_dense: bool
+    def __init__(self, left_dense: bool, right_dense: bool):
+        vars(self).update(left_dense=left_dense, right_dense=right_dense)
 
     @property
     def dense(self) -> bool:
@@ -111,8 +109,7 @@ class PointClass:
         return f"left-{left}, right-{right}"
 
 
-@dataclass(frozen=True)
-class DomainMembership:
+class DomainMembership(_Record):
     """Whether a point belongs to the domains of the three derivative kinds.
 
     The nabla derivative is undefined at a finite scattered minimum, the
@@ -120,31 +117,32 @@ class DomainMembership:
     derivative requires both.
     """
 
-    in_nabla_domain: bool
-    in_delta_domain: bool
+    def __init__(self, in_nabla_domain: bool, in_delta_domain: bool):
+        vars(self).update(in_nabla_domain=in_nabla_domain, in_delta_domain=in_delta_domain)
 
     @property
     def in_symmetric_domain(self) -> bool:
         return self.in_nabla_domain and self.in_delta_domain
 
 
-# shared results of classify and domain_membership: a frozen record costs ~1 us to build
+# shared results of classify and domain_membership: building a record costs ~0.3 us (Python 3.11)
 _POINT_CLASSES = tuple(tuple(PointClass(left, right) for right in (False, True)) for left in (False, True))
 _MEMBERSHIPS = tuple(tuple(DomainMembership(n, d) for d in (False, True)) for n in (False, True))
 
 
 def _require_finite_number(name: str, x) -> float:
-    if isinstance(x, (str, bytes, bool)):  # float() would accept "2" and True
-        raise ValidationError(f"{name} must be a real number, got {x!r}")
-    try:
-        xf = float(x)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be a real number, got {x!r}")
-    except OverflowError:  # an int past the float range
-        raise ValidationError(f"{name} is past the float range")
-    if math.isnan(xf):
+    if type(x) is not float:  # a float, what the parsers read, needs no conversion
+        if isinstance(x, (str, bytes, bool)):  # float() would accept "2" and True
+            raise ValidationError(f"{name} must be a real number, got {x!r}")
+        try:
+            x = float(x)
+        except (TypeError, ValueError):
+            raise ValidationError(f"{name} must be a real number, got {x!r}")
+        except OverflowError:  # an int past the float range
+            raise ValidationError(f"{name} is past the float range")
+    if x != x:
         raise ValidationError(f"{name} must not be NaN")
-    return xf + 0.0  # -0.0 is stored as 0.0, as the text form reads '-0'
+    return x + 0.0  # -0.0 is stored as 0.0, as the text form reads '-0'
 
 
 def _fmt_num(x: float) -> str:
@@ -154,34 +152,26 @@ def _fmt_num(x: float) -> str:
     return repr(x)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(_Record):
     """The closed interval [lo, hi].  lo == hi is allowed and degenerates to
     a single point during normalization."""
 
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        lo = _require_finite_number("interval lo", self.lo)
-        hi = _require_finite_number("interval hi", self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+    def __init__(self, lo: float, hi: float):
+        lo = _require_finite_number("interval lo", lo)
+        hi = _require_finite_number("interval hi", hi)
         if lo > hi:
             raise ValidationError(f"interval requires lo <= hi, got [{lo}, {hi}]")
         if math.isinf(lo) and lo > 0 or math.isinf(hi) and hi < 0:
             raise ValidationError("interval bounds out of order at infinity")
+        vars(self).update(lo=lo, hi=hi)
 
     def describe(self) -> str:
         return f"interval({_fmt_num(self.lo)},{_fmt_num(self.hi)})"
 
 
-@dataclass(frozen=True)
-class FinitePoints:
+class FinitePoints(_Record):
     """An explicit finite point set, stored sorted with exact duplicates
     removed."""
-
-    values: tuple
 
     def __init__(self, values):
         if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
@@ -191,7 +181,7 @@ class FinitePoints:
             raise ValidationError("points component requires at least one point")
         if math.isinf(vals[0]) or math.isinf(vals[-1]):  # sorted: an infinity is at an end
             raise ValidationError("points must be finite")
-        object.__setattr__(self, "values", tuple(vals))
+        vars(self).update(values=tuple(vals))
 
     def iter_members(self):
         return iter(self.values)
@@ -200,22 +190,17 @@ class FinitePoints:
         return "points(" + ",".join(_fmt_num(v) for v in self.values) + ")"
 
 
-@dataclass(frozen=True)
-class UniformGrid:
+class UniformGrid(_Record):
     """start + k*step for k = 0 .. floor((stop - start)/step).
 
     The stored stop is canonicalized to the last actual member, so two grids
     describing the same point set compare equal.
     """
 
-    start: float
-    stop: float
-    step: float
-
-    def __post_init__(self):
-        start = _require_finite_number("grid start", self.start)
-        stop = _require_finite_number("grid stop", self.stop)
-        step = _require_finite_number("grid step", self.step)
+    def __init__(self, start: float, stop: float, step: float):
+        start = _require_finite_number("grid start", start)
+        stop = _require_finite_number("grid stop", stop)
+        step = _require_finite_number("grid step", step)
         if math.isinf(start) or math.isinf(stop) or math.isinf(step):
             raise ValidationError("grid parameters must be finite")
         if step <= 0:
@@ -230,14 +215,11 @@ class UniformGrid:
         if not span < _MAX_POINTS:
             raise ValidationError(f"grid would have more than {_MAX_POINTS} members")
         count = int(math.floor(span)) + 1
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "stop", start + (count - 1) * step)
-        object.__setattr__(self, "_count", count)
+        vars(self).update(start=start, stop=start + (count - 1) * step, step=step, _count=count)
 
     @property
     def count(self) -> int:
-        return self._count  # type: ignore[attr-defined]
+        return self._count
 
     def iter_members(self):
         start, step = self.start, self.step
@@ -249,8 +231,7 @@ class UniformGrid:
         )
 
 
-@dataclass(frozen=True)
-class GeometricGrid:
+class GeometricGrid(_Record):
     """q**k for k = k_min .. k_max, plus 0 when include_zero is set.
 
     q must exceed 1.  With include_zero and a tail q**k_min at or below the
@@ -258,41 +239,33 @@ class GeometricGrid:
     union as alone, since no member is ever merged into another.
     """
 
-    q: float
-    k_min: int
-    k_max: int
-    include_zero: bool = False
-
-    def __post_init__(self):
-        q = _require_finite_number("qgrid q", self.q)
+    def __init__(self, q: float, k_min: int, k_max: int, include_zero: bool = False):
+        q = _require_finite_number("qgrid q", q)
         if q <= 1:
             raise ValidationError(f"qgrid requires q > 1, got {q}")
-        if not all(type(k) is int for k in (self.k_min, self.k_max)):
+        if not all(type(k) is int for k in (k_min, k_max)):
             raise ValidationError("qgrid exponent bounds must be integers")
-        if not isinstance(self.include_zero, bool):
-            raise ValidationError(f"qgrid zero flag must be a bool, got {self.include_zero!r}")
-        if self.k_min > self.k_max:
-            raise ValidationError(
-                f"qgrid requires k_min <= k_max, got {self.k_min} > {self.k_max}"
-            )
-        if self.k_max - self.k_min > 100_000:
+        if not isinstance(include_zero, bool):
+            raise ValidationError(f"qgrid zero flag must be a bool, got {include_zero!r}")
+        if k_min > k_max:
+            raise ValidationError(f"qgrid requires k_min <= k_max, got {k_min} > {k_max}")
+        if k_max - k_min > 100_000:
             raise ValidationError("qgrid exponent range is unreasonably large")
         try:
-            top = q ** float(self.k_max)
+            top = q ** float(k_max)
         except OverflowError:
             top = math.inf
         if math.isinf(top):
             raise ValidationError("qgrid largest member overflows")
-        object.__setattr__(self, "q", q)
-        members = {q**k for k in range(self.k_min, self.k_max + 1)}
-        if self.include_zero:
+        members = {q**k for k in range(k_min, k_max + 1)}
+        if include_zero:
             # q**k can underflow to 0.0 for very negative k, so build through
             # a set to keep members strictly increasing.
             members.add(0.0)
-        object.__setattr__(self, "_members", tuple(sorted(members)))
+        vars(self).update(q=q, k_min=k_min, k_max=k_max, include_zero=include_zero, _members=tuple(sorted(members)))
 
     def iter_members(self):
-        return iter(self._members)  # type: ignore[attr-defined]
+        return iter(self._members)
 
     def describe(self) -> str:
         zero = ",zero" if self.include_zero else ""

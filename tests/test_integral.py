@@ -6,7 +6,6 @@ antiderivative, so most checks here are against hand-computed values on
 small scales.
 """
 
-import dataclasses
 import inspect
 import math
 import threading
@@ -134,7 +133,7 @@ def test_antiderivative_on_an_interval_is_the_quadrature(kind):
 
 def test_antiderivative_takes_no_quadrature_config():
     # the quadrature accuracy is fixed: no field sets it
-    assert [fld.name for fld in dataclasses.fields(Antiderivative) if fld.init] == ["base", "anchor", "kind"]
+    assert list(inspect.signature(Antiderivative).parameters) == ["base", "anchor", "kind"]
     with pytest.raises(TypeError):
         Antiderivative(FnOnScale(lambda x: x, grid(0, 3)), 0.0, DerivKind.NABLA, None)
 
@@ -149,7 +148,7 @@ def test_antiderivative_fields_are_frozen(field, value):
     # for: none can change under it
     F = Antiderivative(FnOnScale(lambda x: x, grid(0, 3)), 0.0, DerivKind.NABLA)
     assert F.eval(3.0) == 6.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
         setattr(F, field, value)
     assert (F.anchor, F.kind) == (0.0, DerivKind.NABLA)
     assert [F.eval(b) for b in (3.0, 2.0)] == [6.0, 3.0]

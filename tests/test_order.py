@@ -1,7 +1,7 @@
 """Order arithmetic, signed powers, and the shrinking-step limit estimator."""
 
-import dataclasses
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -98,6 +98,18 @@ def test_order_comparisons():
     assert not Order(1, 2) <= Order(1, 3)
 
 
+@pytest.mark.parametrize("other", [0.5, 1, None], ids=["float", "int", "None"])
+def test_an_order_compares_only_with_an_order(other):
+    # an order equals no number (Order(1, 1) != 1), so it is not ordered
+    # against one either: 1 < Order(1, 1) once read int.denominator
+    assert Order(1, 1) != other and Order(1, 2) != other
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(Order(1, 1), other)
+        with pytest.raises(TypeError):
+            compare(other, Order(1, 2))
+
+
 def test_odd_reciprocal():
     assert Order(1, 3).odd_reciprocal
     assert Order(1, 1).odd_reciprocal
@@ -190,7 +202,7 @@ def test_limit_config_steps_and_tolerance_must_be_finite(field, bad):
 def test_limit_config_has_no_step_fields_and_takes_keywords_only():
     # the approach steps are fixed, and a positional call written for the
     # four old fields (h0, ratio, tol, max_samples) cannot be misread
-    assert [f.name for f in dataclasses.fields(LimitConfig)] == ["tol", "max_samples"]
+    assert list(vars(LimitConfig())) == ["tol", "max_samples"]
     for field in ("h0", "ratio"):
         with pytest.raises(TypeError, match=field):
             LimitConfig(**{field: 0.5})

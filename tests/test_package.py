@@ -1,7 +1,6 @@
 """The package root re-exports the public names of every library module,
 and loads ``integral`` and ``checks`` only when one of their names is read."""
 
-import dataclasses
 import importlib
 import os
 import subprocess
@@ -66,12 +65,13 @@ def test_second_spellings_are_gone(name):
 def test_second_spellings_of_members_are_gone():
     assert not hasattr(tsfrac.TimeScale, "snap_tol")  # DEFAULT_SNAP_TOL
     assert not hasattr(tsfrac.Order, "as_fraction")  # Fraction(o.numerator, o.denominator)
-    assert "sign" not in {f.name for f in dataclasses.fields(tsfrac.GeometricGrid)}  # mirror as FinitePoints
+    fields = [name for name in vars(tsfrac.GeometricGrid(2.0, 0, 1)) if name[0] != "_"]  # less the member memo
+    assert fields == ["q", "k_min", "k_max", "include_zero"]  # no sign: mirror as FinitePoints
     assert not callable(tsfrac.FnOnScale(abs, tsfrac.parse_scale("points(1)")))  # .eval(t)
     assert "__call__" not in vars(tsfrac.Antiderivative)  # .eval(t)
     assert not hasattr(tsfrac.PointClass, "left_scattered")  # not cls.left_dense
     assert not hasattr(tsfrac.PointClass, "right_scattered")  # not cls.right_dense
-    assert "in_scale" not in {f.name for f in dataclasses.fields(tsfrac.DomainMembership)}  # T.contains(t)
+    assert list(vars(tsfrac.DomainMembership(True, True))) == ["in_nabla_domain", "in_delta_domain"]  # no in_scale: T.contains(t)
 
 
 def test_dir_lists_every_public_name_sorted():
@@ -124,9 +124,25 @@ assert tsfrac.integral is sys.modules["tsfrac.integral"] and tsfrac.checks is sy
 """
 
 
-def test_integral_and_checks_load_on_first_use():
+def _run_fresh(code, *flags):
+    """Run code in a fresh interpreter that imports tsfrac from this checkout."""
     src = str(Path(tsfrac.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, *flags, "-W", "error", "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_integral_and_checks_load_on_first_use():
     for code in (_DEFERRAL, _STAR):
-        run = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True)
-        assert run.returncode == 0, run.stderr
+        _run_fresh(code)
+
+
+def test_no_module_imports_dataclasses():
+    # the records are plain classes, so a cold process never imports dataclasses
+    # (nor the inspect, ast and dis it pulls in); -S keeps site-packages from
+    # importing it first
+    _run_fresh(
+        "import sys, tsfrac, tsfrac.cli, tsfrac.integral, tsfrac.checks\n"
+        "assert 'dataclasses' not in sys.modules, sorted(sys.modules)",
+        "-S",
+    )

@@ -1,7 +1,6 @@
 """Structure tests for scale construction and the point operators."""
 
 import copy
-import dataclasses
 import itertools
 import math
 import pickle
@@ -349,10 +348,10 @@ def test_classify_and_domain_membership_records_are_shared_and_frozen():
     got = [T.domain_membership(t) for t in (-1.0, 0.5, 3.0)]
     want = [DomainMembership(False, True), DomainMembership(True, True), DomainMembership(True, False)]
     assert got == want and [hash(d) for d in got] == [hash(d) for d in want]
-    assert [f.name for f in dataclasses.fields(DomainMembership)] == ["in_nabla_domain", "in_delta_domain"]
-    assert [f.name for f in dataclasses.fields(PointClass)] == ["left_dense", "right_dense"]
+    assert list(vars(T.domain_membership(0.5))) == ["in_nabla_domain", "in_delta_domain"]
+    assert list(vars(T.classify(0.5))) == ["left_dense", "right_dense"]
     for record, field in ((T.classify(0.0), "left_dense"), (T.domain_membership(3.0), "in_delta_domain")):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
             setattr(record, field, True)
     assert T.classify(0.0) == PointClass(False, True) and not T.domain_membership(3.0).in_delta_domain
     # a non-member has no domain flags, as it has no class
