@@ -13,17 +13,12 @@ other character::
 with NAME one of sqrt, abs, sin, cos, exp, ln, pow (arity checked while
 parsing).  ``^`` and ``pow`` follow standard real semantics: a negative base
 with a non-integer exponent is a domain error, not an odd root.  The first
-``eval_expr`` of an AST generates one straight-line Python function for it
-(its kernel), kept on the root, so every later sample runs in a single frame.
-Each ``+ - * /``, call and power is one statement, its IEEE operation and
-finiteness check, in the order of a recursive walk; a negation stays inline
-in its operand's text.  A raw arithmetic error is matched to its node by the
-line it stops on, through a table N with one entry per line, so values and
-errors (message, node, t) are the walk's.  A kernel reads constants and nodes
-from tables and names only whitelisted functions: no text of the input
-reaches the generated source.  Generating it walks a left chain of ``+ - * /``
-in a loop (``t+t+...+t`` does not recurse), and the kernel's locals are
-reused registers, few even for long chains.
+``eval_expr`` of an AST generates one straight-line Python function of a float
+t for it (its kernel, see ``_kernel_source``), kept on the root, so every later
+sample runs in a single frame, with the values and errors (message, node, t) of
+a recursive walk.  Generating it walks a left chain of ``+ - * /`` in a loop
+(``t+t+...+t`` does not recurse), and the kernel's locals are reused
+registers, few even for long chains.
 
 Scale grammar::
 
@@ -53,7 +48,7 @@ from decimal import Decimal
 from functools import cached_property, lru_cache
 
 from .errors import EvalDomainError, ExprSyntaxError, _Record
-from .timescale import FinitePoints, GeometricGrid, Interval, TimeScale, UniformGrid, _fmt_num
+from .timescale import FinitePoints, GeometricGrid, Interval, TimeScale, UniformGrid, _fmt_num, _require_finite_number
 
 __all__ = [
     "Expr",
@@ -319,14 +314,14 @@ _ARITH = (ValueError, ZeroDivisionError, OverflowError)
 
 
 def eval_expr(e: Expr, t: float) -> float:
-    """Evaluate the AST at t.  Any mathematically undefined step (division
-    by zero, sqrt/ln outside their domain, negative base under a fractional
-    power) and any non-finite intermediate raise EvalDomainError."""
+    """Evaluate the AST at t, read by the components' number rule.  Any undefined
+    step (division by zero, sqrt/ln outside their domain, negative base under a
+    fractional power) and any non-finite intermediate raise EvalDomainError."""
     try:
         code = e._code
     except AttributeError:
         raise TypeError(f"not an Expr node: {e!r}") from None
-    return code(t)
+    return code(t if type(t) is float else _require_finite_number("t", t))
 
 
 def _domain_error(node: Expr, t, exc=None) -> EvalDomainError:
@@ -347,7 +342,6 @@ def _left_spine(e: Expr):
 #: what a kernel's source may name besides its tables and its own locals; no builtins
 _KERNEL_GLOBALS = {
     **_FUNCS,
-    "float": float,
     "isfinite": math.isfinite,
     "_ARITH": _ARITH,
     "_domain_error": _domain_error,
@@ -357,15 +351,26 @@ _KERNEL_GLOBALS = {
 #: a Call's name mapped to the whitelist's own string, the only function text a kernel holds
 _FUNC_NAME = {name: name for name in _FUNCS}
 
+
+def _step_name(e) -> str:
+    """The function a Call or Pow e steps by, as the whitelist's own string, or ""
+    for a Const, Var or Neg; TypeError for a node the parser cannot make, such as a
+    Call off the whitelist (name or arity) or a Const that is not a finite float.
+    Checked where a kernel is made or a tree printed, never per sample."""
+    if isinstance(e, Call) and isinstance(e.name, str) and FUNCTIONS.get(e.name) == len(e.args):
+        return _FUNC_NAME[e.name]
+    if isinstance(e, (Var, Neg)) or isinstance(e, Const) and type(e.value) is float and math.isfinite(e.value):
+        return ""
+    if isinstance(e, Pow):
+        return "pow"
+    raise TypeError(f"not an Expr node: {e!r}")
+
 _KERNEL = """\
 def kernel(t):
     try:
 {body}
     except _ARITH as exc:
-        node = N[exc.__traceback__.tb_lineno - 3]
-        if node is None:
-            raise
-        raise _domain_error(node, t, exc) from None
+        raise _domain_error(N[exc.__traceback__.tb_lineno - 3], t, exc) from None
     return {out}
 """
 
@@ -393,48 +398,38 @@ def _kernel_source(root: Expr):
     The kernel is straight-line code in the walk's order.  Each + - * /, call and
     power is one statement, ``if not isfinite(r<slot> := <step>): raise
     _domain_error(N[i], t)``, that keeps its value in the register of its operand
-    slot; a negation stays inline in its operand's text, and ``x = float(t)`` stands
-    where the walk first reads t.  N has one entry per body line i (source line 3 + i):
-    a step's own node, and for the ``x`` line the innermost + - * / around it (None if
-    there is none), since as in the walk a + - * / node's check covers evaluating its
-    operands and its step, a call's or power's its step only.  So the one ``except``
-    names the node of the line that raised, or re-raises a raw error no node covers.
-    The source is made of fixed templates, indices and ``_FUNC_NAME`` alone: no text
-    of the input, constants or names included, reaches it."""
+    slot; a negation stays inline in its operand's text, and t, a float, is read
+    where it stands.  N holds body line i's node (source line 3 + i), so the one
+    ``except`` names the node of the line that raised.  The source is made of fixed
+    templates, indices and ``_FUNC_NAME`` alone: no text of the input, constants or
+    names included, reaches it."""
     consts, nodes, lines = [], [], []
-    var = False  # whether x is set
 
     def check(node, slot, step):  # node's one statement; the register it sets
         lines.append(f"if not isfinite(r{slot} := {step}): raise _domain_error(N[{len(nodes)}], t)")
         nodes.append(node)
         return f"r{slot}"
 
-    def emit(e, slot, guard):  # e's statements; its operand text.  guard: the + - * / around e
-        nonlocal var
+    def emit(e, slot):  # e's statements; its operand text
         first, spine = _left_spine(e)
         if spine:  # a left chain is a loop here, not a recursion
-            out = emit(first, slot, spine[0])
+            out = emit(first, slot)
             for n in spine:
-                out = check(n, slot, f"{out} {n.symbol.strip()} {emit(n.right, slot + 1, n)}")
+                out = check(n, slot, f"{out} {n.symbol.strip()} {emit(n.right, slot + 1)}")
             return out
+        name = _step_name(e)
         if isinstance(e, Const):
             consts.append(e.value)
             return f"C[{len(consts) - 1}]"
         if isinstance(e, Var):
-            if not var:
-                var = True
-                lines.append("x = float(t)")
-                nodes.append(guard)
-            return "x"
+            return "t"
         if isinstance(e, Neg):  # a negation cannot raise: it stays in its operand's text
-            return "-" + emit(e.operand, slot, guard)
-        if not isinstance(e, (Pow, Call)) or (isinstance(e, Call) and FUNCTIONS.get(e.name) != len(e.args)):
-            raise TypeError(f"not an Expr node: {e!r}")
-        name, args = ("pow", (e.left, e.right)) if isinstance(e, Pow) else (_FUNC_NAME[e.name], e.args)
-        operands = ", ".join([emit(a, slot + j, guard) for j, a in enumerate(args)])
+            return "-" + emit(e.operand, slot)
+        args = (e.left, e.right) if isinstance(e, Pow) else e.args
+        operands = ", ".join([emit(a, slot + j) for j, a in enumerate(args)])
         return check(e, slot, f"{name}({operands})")
 
-    out = emit(root, 0, None)
+    out = emit(root, 0)
     body = "\n".join("        " + line for line in lines or ["pass"])  # constants alone: no line
     return _KERNEL.format(body=body, out=out), tuple(consts), tuple(nodes)
 
@@ -444,21 +439,20 @@ def _kernel_source(root: Expr):
 
 def _fmt(e: Expr, slot: int) -> str:
     e, spine = _left_spine(e)
+    name = _step_name(e)
     if isinstance(e, Const):
         text = _fmt_num(e.value)
         prec = _ATOM_PREC if e.value >= 0 else _NEG_PREC
     elif isinstance(e, Var):
         text, prec = "t", _ATOM_PREC
-    elif isinstance(e, Call):
-        text = f"{e.name}({', '.join(_fmt(a, 0) for a in e.args)})"
-        prec = _ATOM_PREC
     elif isinstance(e, Neg):
         text, prec = "-" + _fmt(e.operand, _NEG_PREC), _NEG_PREC
     elif isinstance(e, Pow):
         text = f"{_fmt(e.left, _POW_PREC + 1)}^{_fmt(e.right, _POW_PREC)}"
         prec = _POW_PREC
-    else:
-        raise TypeError(f"not an Expr node: {e!r}")
+    else:  # a Call
+        text = f"{name}({', '.join(_fmt(a, 0) for a in e.args)})"
+        prec = _ATOM_PREC
     for node in spine:  # outward along the left spine, without recursion
         if prec < node.prec:
             text = f"({text})"

@@ -76,6 +76,8 @@ _REL_TOL = 1e-10
 _ABS_TOL = 1e-12
 #: deepest bisection of an adaptive Simpson quadrature
 _QUADRATURE_DEPTH = 30
+#: the config of an endpoint's nearest admissible point; approach_sequence reads only max_samples
+_FEWEST = LimitConfig(max_samples=_MIN_SAMPLES)
 
 
 def _finite_sample(g, x: float) -> float:
@@ -203,13 +205,15 @@ class Antiderivative(_Record):
     def as_fn(self) -> FnOnScale:
         return FnOnScale(eval=self.eval, scale=self.base.scale)
 
+    def __reduce__(self):  # pickle and copy rebuild through __init__: a fresh lock, an empty memo
+        return (Antiderivative, (self.base, self.anchor, self.kind))
 
-def _nearest_admissible(T: TimeScale, ts: float, cfg: LimitConfig):
+
+def _nearest_admissible(T: TimeScale, ts: float):
     """The nearest of the ``_MIN_SAMPLES`` points a side of ts offers a
     limit, the left side first; None when neither side offers that many."""
-    fewest = LimitConfig(tol=cfg.tol, max_samples=_MIN_SAMPLES)
     for side in (ApproachSide.LEFT, ApproachSide.RIGHT):
-        seq = _side_samples(T, ts, side, fewest)
+        seq = _side_samples(T, ts, side, _FEWEST)
         if seq is not None:
             return seq[-1]
     return None
@@ -247,7 +251,7 @@ def _frac_deriv_at(
     except LimitDidNotConverge as exc:
         if not exc.samples_unavailable:
             raise
-        adj = _nearest_admissible(T, ts, cfg)
+        adj = _nearest_admissible(T, ts)
         if adj is None:
             raise
         warnings.warn(

@@ -7,6 +7,7 @@ import random
 import re
 import struct
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from tsfrac import (
     parse_scale,
 )
 from tsfrac.exprlang import FUNCTIONS, Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var, _column, _kernel_source, _tokenize
+from tsfrac.timescale import _require_finite_number
 
 
 def ev(text, t):
@@ -402,22 +404,27 @@ def _oracle_step(node, t, thunk):
 
 
 def oracle(e, t):
-    """Tree walk: a + - * / node checks its operands' evaluation and its
-    step, a call or power its step only, after evaluating its arguments."""
+    """Read t by the components' number rule, then walk the tree."""
+    return _walk(e, t if type(t) is float else _require_finite_number("t", t))
+
+
+def _walk(e, t):
+    """Tree walk: each + - * /, call and power checks its step after
+    evaluating its operands."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
-        return float(t)
+        return t
     if isinstance(e, Neg):
-        return -oracle(e.operand, t)
+        return -_walk(e.operand, t)
     if isinstance(e, Pow):
-        x, y = oracle(e.left, t), oracle(e.right, t)
+        x, y = _walk(e.left, t), _walk(e.right, t)
         return _oracle_step(e, t, lambda: math.pow(x, y))
     if isinstance(e, Call):
-        xs = [oracle(a, t) for a in e.args]
+        xs = [_walk(a, t) for a in e.args]
         return _oracle_step(e, t, lambda: _ORACLE_FNS[e.name](*xs))
-    op = _ORACLE_OPS[type(e)]
-    return _oracle_step(e, t, lambda: op(oracle(e.left, t), oracle(e.right, t)))
+    x, y = _walk(e.left, t), _walk(e.right, t)
+    return _oracle_step(e, t, lambda: _ORACLE_OPS[type(e)](x, y))
 
 
 def _random_ast(rng, depth):
@@ -440,16 +447,15 @@ def _random_ast(rng, depth):
 def test_compiled_evaluator_matches_recursive_oracle():
     rng = random.Random(5)
     outcomes = {"value": 0, "error": 0}
-    # an int past the float range fails float(t) itself: where that error
-    # surfaces, and whether a + - * / node names it, shows which checks
-    # cover which evaluations
+    # an int past the float range is refused by the number rule before any
+    # node is evaluated, whatever the tree
     points = (0.0, -1.0, 1.0, 2.0, -0.5, 1e200, 10**400)
     for _ in range(3000):
         ast = _random_ast(rng, rng.randint(1, 6))
         for t in (rng.choice(points), rng.uniform(-5.0, 5.0)):
             try:
                 want = oracle(ast, t)
-            except (EvalDomainError, OverflowError) as exc:
+            except (EvalDomainError, ValidationError) as exc:
                 outcomes["error"] += 1
                 with pytest.raises(type(exc)) as got:
                     eval_expr(ast, t)
@@ -500,8 +506,8 @@ def test_kernel_source_holds_no_text_of_the_expression():
     mul, power = ast.left, ast.right
     cos = mul.right
     div = cos.args[0]
-    # one entry per body line: x = float(t) under t/3, then each step's own node
-    want = (div, div, cos, mul, power.left, power, ast)
+    # one entry per body line, each step's own node
+    want = (div, cos, mul, power.left, power, ast)
     assert consts == (2.0, 3.0, 0.5, 1.25) and len(nodes) == len(want)
     assert all(got is node for got, node in zip(nodes, want))
     assert not any(text in src for text in ("7.125", "1e300", "123456", "0.5", "1.25"))
@@ -517,12 +523,16 @@ def test_kernel_names_only_whitelisted_functions():
         __str__ = __repr__ = lambda self: "__import__('os').getpid()"
 
     src, _, _ = _kernel_source(Call(Sly("sin"), (Var(),)))
-    assert "sin(x)" in src and "import" not in src and "getpid" not in src
+    assert "sin(t)" in src and "import" not in src and "getpid" not in src
+    # the printer prints the whitelist's own name too
+    assert format_expr(Mul(Const(2.0), Call(Sly("sin"), (Var(),)))) == "2*sin(t)"
     # an unknown name, or a known one with the wrong number of arguments, is
-    # refused when the kernel is made, not when it runs
-    for bad in (Call("__import__", (Var(),)), Call("sqrt", (Var(), Var())), Call("pow", (Var(),)), Call("sin", ())):
-        with pytest.raises(TypeError, match="not an Expr node"):
-            eval_expr(Add(Const(1.0), bad), 1.0)
+    # refused when the kernel is made or the tree printed, not when it runs
+    for bad in (Call("evil", (Var(),)), Call("__import__", (Var(),)), Call("sqrt", (Var(), Var())),
+                Call("pow", (Var(),)), Call("sin", ()), Call(["sin"], (Var(),))):
+        for use in (lambda e: eval_expr(e, 1.0), format_expr):
+            with pytest.raises(TypeError, match=r"^not an Expr node: Call\("):
+                use(Add(Const(1.0), bad))
 
 
 _STEP_LINE = re.compile(r"if not isfinite\(r\d+ := .+\): raise _domain_error\(N\[(\d+)\], t\)")
@@ -534,40 +544,37 @@ def _kernel_body(src):
 
 
 @pytest.mark.parametrize("text, statements", [
-    ("2*cos(t/3)", 4),
-    ("+".join(["t"] * 2000), 2000),
-    ("-t^-2 / -(1 - ln(t))", 5),
-    ("pow(-t, 2) * -sin(t)", 4),
+    ("2*cos(t/3)", 3),
+    ("+".join(["t"] * 2000), 1999),
+    ("-t^-2 / -(1 - ln(t))", 4),
+    ("pow(-t, 2) * -sin(t)", 3),
     ("-(2 - -3)", 1),
 ], ids=["cos", "chain-2000", "neg-pow-ln", "neg-call", "constants"])
 def test_kernel_is_one_checked_statement_per_node(text, statements):
-    # x = float(t) where t is first read, then one line per + - * /, call and power:
-    # no cover register, no separate check or negation statement
+    # one line per + - * /, call and power, and no other: t is read where it
+    # stands, with no cover register and no separate check or negation statement
     body = _kernel_body(_kernel_source(parse_expr(text))[0])
-    assert len(body) == statements and body.count("x = float(t)") == ("t" in text)
+    assert len(body) == statements
     for i, line in enumerate(body):
         m = _STEP_LINE.fullmatch(line)
-        assert line == "x = float(t)" or (m and int(m.group(1)) == i), line
+        assert m and int(m.group(1)) == i, line
 
 
-def test_kernel_x_line_names_the_innermost_arithmetic_around_t():
-    for text, cover in [
-        ("2*cos(t/3)", lambda e: e.right.args[0]),
-        ("1 + sin(t)*2", lambda e: e.right),
-        ("1 + sin(t)", lambda e: e),  # a call's check covers its step only, not its argument
-        ("sin(t)", lambda e: None),
-        ("-t^2", lambda e: None),
+@pytest.mark.parametrize("text", ["t", "-t", "t+1", "2*t", "sin(t)", "2"])
+def test_a_point_is_read_by_the_number_rule_whatever_the_tree(text):
+    ast = parse_expr(text)
+    for bad, message in [
+        ("3", "t must be a real number, got '3'"),
+        (b"3", "t must be a real number, got b'3'"),
+        (True, "t must be a real number, got True"),
+        (Decimal("NaN"), "t must not be NaN"),
+        (10**400, "t is past the float range"),
     ]:
-        ast = parse_expr(text)
-        _, _, nodes = _kernel_source(ast)
-        assert nodes[0] is cover(ast), text
-        if cover(ast) is None:  # an int past the float range fails float(t) itself
-            with pytest.raises(OverflowError):
-                eval_expr(ast, 10**400)
-        else:
-            with pytest.raises(EvalDomainError, match=r"is undefined at t=10{400} \(") as e:
-                eval_expr(ast, 10**400)
-            assert e.value.node is cover(ast)
+        with pytest.raises(ValidationError) as e:
+            eval_expr(ast, bad)
+        assert str(e.value) == message, (text, bad)
+    for good in (3, Fraction(1, 3), Decimal("0.1")):
+        assert eval_expr(ast, good).hex() == eval_expr(ast, float(good)).hex(), (text, good)
 
 
 @pytest.mark.parametrize("op, value", [("+", 2000.0), ("*", 1.0), ("-", -1998.0)])
@@ -622,8 +629,14 @@ def test_integral_floats_below_1e16_print_without_a_fraction():
     assert format_expr(Const(1e16)) == "1e+16"
 
 
-def test_non_finite_constants_print():
-    assert [format_expr(Const(x)) for x in (math.inf, -math.inf, math.nan)] == ["inf", "-inf", "nan"]
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, "x", True, 2, Fraction(1, 2)])
+def test_a_constant_that_is_no_finite_float_is_refused(value):
+    # the parser makes only finite floats, and "inf" would not parse back
+    for use in (lambda e: eval_expr(e, 1.0), format_expr):
+        with pytest.raises(TypeError, match=r"^not an Expr node: Const\("):
+            use(Const(value))
+        with pytest.raises(TypeError, match=r"^not an Expr node: Const\("):
+            use(Mul(Var(), Neg(Const(value))))
 
 
 def test_format_preserves_precedence():

@@ -3,6 +3,7 @@ entries of its instance dict, in declared order; ``==`` holds only within one
 class; ``hash`` and ``repr`` read the fields; the record cannot be changed;
 and a memo (an entry named with a leading underscore) is no field."""
 
+import copy
 import pickle
 
 import pytest
@@ -135,10 +136,25 @@ def test_a_record_cannot_be_changed(record, names):
     assert vars(record) == before
 
 
-@pytest.mark.parametrize("record", [r for r, _ in RECORDS if not isinstance(r, Antiderivative)], ids=lambda r: type(r).__name__)
-def test_pickle_round_trip(record):  # an antiderivative's memo holds a lock, which no pickle takes
-    copy = pickle.loads(pickle.dumps(record))
-    assert type(copy) is type(record) and copy == record and vars(copy) == vars(record)
+@pytest.mark.parametrize("record", [r for r, _ in RECORDS], ids=_IDS)
+def test_pickle_round_trip(record):
+    again = pickle.loads(pickle.dumps(record))
+    assert type(again) is type(record) and again == record
+    if isinstance(record, Antiderivative):  # its memo is a cache, rebuilt empty with a lock of its own
+        assert again._lock is not record._lock and (again._known, again._keys) == ({again.anchor: 0.0}, [again.anchor])
+    else:
+        assert vars(again) == vars(record)
+
+
+def test_an_antiderivative_copy_has_its_own_lock_and_memo():
+    F = Antiderivative(FnOnScale(abs, _T), 0.0, DerivKind.DELTA)
+    values = [F.eval(t) for t in (0.5, 2.5, 1.0)]
+    for make in (lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy):
+        again = make(F)
+        assert again == F and again._lock is not F._lock
+        assert (again._known, again._keys) == ({0.0: 0.0}, [0.0])
+        assert [again.eval(t) for t in (0.5, 2.5, 1.0)] == values
+        assert len(F._keys) == 4 and len(again._keys) == 4
 
 
 def test_the_binary_nodes_compare_only_within_their_class():
