@@ -35,8 +35,8 @@ property suite of :mod:`tsfrac.checks` checks the relation.
 from __future__ import annotations
 
 import enum
-import functools
 import math
+from types import MethodType
 
 from .errors import (
     LimitDidNotConverge,
@@ -79,13 +79,30 @@ class FnOnScale(_Record):
     """A real function ``eval`` of t paired with the time scale it lives on."""
 
     def __init__(self, eval, scale: TimeScale, source: object | None = None):
+        if not callable(eval):
+            raise TypeError(f"eval must be callable, got {type(eval).__name__}")
+        if not isinstance(scale, TimeScale):
+            raise TypeError(f"scale must be a TimeScale, got {type(scale).__name__}")
         vars(self).update(eval=eval, scale=scale, source=source)
 
     @classmethod
     def from_expression(cls, text: str, scale: TimeScale) -> "FnOnScale":
-        """Build from expression-language source, e.g. ``"t^2 - 1"``."""
-        ast = parse_expr(text)
-        return cls(eval=functools.partial(eval_expr, ast), scale=scale, source=text)
+        """Build from expression-language source, e.g. ``"t^2 - 1"``.  Its ``eval``
+        is ``eval_expr`` bound to the parsed AST as a method, so each sample is one
+        call of ``eval_expr``; pickling and copying carry the AST.  The text is
+        parsed first, so a text that does not parse is the error even when
+        ``scale`` is not a TimeScale too."""
+        return cls._from_ast(parse_expr(text), scale, text)
+
+    @classmethod
+    def _from_ast(cls, ast, scale: TimeScale, source: object | None) -> "FnOnScale":
+        return cls(eval=MethodType(eval_expr, ast), scale=scale, source=source)
+
+    def __reduce__(self):  # a bound eval_expr is not found again by name: rebuild from its AST
+        ev = self.eval
+        if type(ev) is MethodType and ev.__func__ is eval_expr:
+            return (type(self)._from_ast, (ev.__self__, self.scale, self.source))
+        return (type(self), (ev, self.scale, self.source))
 
 
 class DerivKind(enum.Enum):

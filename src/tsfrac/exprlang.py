@@ -15,10 +15,13 @@ parsing).  ``^`` and ``pow`` follow standard real semantics: a negative base
 with a non-integer exponent is a domain error, not an odd root.  The first
 ``eval_expr`` of an AST generates one straight-line Python function of a float
 t for it (its kernel, see ``_kernel_source``), kept on the root, so every later
-sample runs in a single frame, with the values and errors (message, node, t) of
-a recursive walk.  Generating it walks a left chain of ``+ - * /`` in a loop
-(``t+t+...+t`` does not recurse), and the kernel's locals are reused
-registers, few even for long chains.
+sample runs the whole tree in the kernel's one frame, with the values and errors
+(message, node, t) of a recursive walk.  ``FnOnScale.from_expression`` makes its
+``eval`` ``eval_expr`` bound to the AST as a method: one call of ``eval_expr``
+per sample, with no wrapper between, and pickling or copying the function
+carries the AST (the kernel is rebuilt on first use).  Generating a kernel walks
+a left chain of ``+ - * /`` in a loop (``t+t+...+t`` does not recurse), and the
+kernel's locals are reused registers, few even for long chains.
 
 Scale grammar::
 
@@ -316,12 +319,18 @@ _ARITH = (ValueError, ZeroDivisionError, OverflowError)
 def eval_expr(e: Expr, t: float) -> float:
     """Evaluate the AST at t, read by the components' number rule.  Any undefined
     step (division by zero, sqrt/ln outside their domain, negative base under a
-    fractional power) and any non-finite intermediate raise EvalDomainError."""
+    fractional power) and any non-finite intermediate raise EvalDomainError.
+
+    The point is read first, so a t that breaks the number rule is the
+    ValidationError even when e is not an expression (a TypeError otherwise).
+    ``FnOnScale.from_expression`` binds this function to its AST as a method,
+    so each sample of an expression function is one call of it."""
+    if type(t) is not float:
+        t = _require_finite_number("t", t)
     try:
-        code = e._code
+        return e._code(t)
     except AttributeError:
         raise TypeError(f"not an Expr node: {e!r}") from None
-    return code(t if type(t) is float else _require_finite_number("t", t))
 
 
 def _domain_error(node: Expr, t, exc=None) -> EvalDomainError:

@@ -194,12 +194,16 @@ class Antiderivative(_Record):
             got = self._known.get(ts)
             if got is not None:
                 return got
-            i = bisect.bisect_left(self._keys, ts)
-            candidates = self._keys[max(0, i - 1) : i + 1]
-            start = min(candidates, key=lambda k: abs(k - ts))
+            keys = self._keys
+            i = bisect.bisect_left(keys, ts)
+            # keys[i - 1] < ts < keys[i]: start from the nearer, the lower one on a tie
+            if i == len(keys) or i and ts - keys[i - 1] <= keys[i] - ts:
+                start = keys[i - 1]
+            else:
+                start = keys[i]
             value = self._known[start] + _walk(self.base, start, ts, self.kind)
             self._known[ts] = value
-            bisect.insort(self._keys, ts)
+            keys.insert(i, ts)
             return value
 
     def as_fn(self) -> FnOnScale:

@@ -15,6 +15,7 @@ from tsfrac import (
     ApproachSide,
     ComputePath,
     DerivKind,
+    ExprSyntaxError,
     FinitePoints,
     FnOnScale,
     GeometricGrid,
@@ -31,7 +32,9 @@ from tsfrac import (
     checks,
     delta_frac,
     estimate_limit,
+    eval_expr,
     nabla_frac,
+    parse_expr,
     parse_scale,
     signed_pow,
     symmetric_frac,
@@ -571,6 +574,49 @@ def test_fn_from_expression():
     assert f.source == "t^2 - 1"
     r = nabla_frac(f, 3.0, Order(1, 2))
     assert r.value == pytest.approx(5.0)
+
+
+def test_an_expression_function_calls_eval_expr_once_per_sample(monkeypatch):
+    # the contract the benchmark's f_evals counter reads: one eval_expr call per
+    # sample, with the function's own AST, and not the kernel called directly
+    from tsfrac import derivative
+
+    calls = []
+
+    def counted(e, t):
+        calls.append(e)
+        return eval_expr(e, t)
+
+    monkeypatch.setattr(derivative, "eval_expr", counted)
+    text = "2*cos(t/3) + t^2"
+    f = FnOnScale.from_expression(text, INTEGERS)
+    points = [0.7, -3.0, 0.7, 1e6, 5.0]
+    got = [f.eval(t) for t in points]
+    assert len(calls) == len(points) and all(e is calls[0] for e in calls)
+    assert calls[0] == parse_expr(text)
+    assert [v.hex() for v in got] == [eval_expr(calls[0], t).hex() for t in points]
+
+
+def test_fn_on_scale_checks_its_arguments():
+    with pytest.raises(TypeError, match="^scale must be a TimeScale, got str$"):
+        FnOnScale.from_expression("t", "grid(0,3,1)")
+    with pytest.raises(TypeError, match="^scale must be a TimeScale, got NoneType$"):
+        FnOnScale(abs, None)
+    with pytest.raises(TypeError, match="^eval must be callable, got NoneType$"):
+        FnOnScale(None, INTEGERS)
+    with pytest.raises(TypeError, match="^eval must be callable, got str$"):
+        FnOnScale("t", INTEGERS)
+
+
+def test_fn_on_scale_with_two_bad_arguments_names_the_first():
+    # the constructor checks eval before scale, and from_expression parses its
+    # text before the scale is checked
+    with pytest.raises(TypeError, match="^eval must be callable, got NoneType$"):
+        FnOnScale(None, "grid(0,3,1)")
+    with pytest.raises(ExprSyntaxError):
+        FnOnScale.from_expression("t +", "grid(0,3,1)")
+    with pytest.raises(TypeError, match="^expression text must be a str, got NoneType$"):
+        FnOnScale.from_expression(None, "grid(0,3,1)")
 
 
 # -- non-finite exact quotients ------------------------------------------

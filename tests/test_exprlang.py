@@ -481,6 +481,9 @@ def test_eval_rejects_non_expressions():
         eval_expr(Add(Var(), 1.0), 1.0)
     with pytest.raises(TypeError, match="not an Expr node"):
         format_expr(1)
+    # the point is read first: when both arguments are wrong, the point's error wins
+    with pytest.raises(ValidationError, match="^t must be a real number, got '3'$"):
+        eval_expr("t", "3")
 
 
 @pytest.mark.parametrize("text", [None, 123, b"points(1)"], ids=["None", "int", "bytes"])

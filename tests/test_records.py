@@ -157,6 +157,20 @@ def test_an_antiderivative_copy_has_its_own_lock_and_memo():
         assert len(F._keys) == 4 and len(again._keys) == 4
 
 
+def test_an_antiderivative_of_an_expression_pickles():
+    F = Antiderivative(FnOnScale.from_expression("2*cos(t/3) + t^2", _T), 0.0, DerivKind.NABLA)
+    points = (0.5, 2.5, 1.0)
+    values = [F.eval(t).hex() for t in points]
+    again = pickle.loads(pickle.dumps(F))
+    assert (again.base.source, again.anchor, again.kind) == (F.base.source, F.anchor, F.kind)
+    assert [again.eval(t).hex() for t in points] == values
+    # as_fn's eval is F's own bound eval, not eval_expr's: it pickles by the callable
+    G = F.as_fn()
+    back = pickle.loads(pickle.dumps(G))
+    assert back.eval.__func__ is Antiderivative.eval and isinstance(back.eval.__self__, Antiderivative)
+    assert back.scale == _T and [back.eval(t).hex() for t in points] == values
+
+
 def test_the_binary_nodes_compare_only_within_their_class():
     a, b = Var(), Const(1.0)
     nodes = [cls(a, b) for cls in (Add, Sub, Mul, Div, Pow)]

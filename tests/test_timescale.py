@@ -666,9 +666,10 @@ def test_expression_function_pickles():
     T = make_hybrid()
     f = FnOnScale.from_expression("2*cos(t/3) + t^2", T)
     before = f.eval(0.7)
-    back = pickle.loads(pickle.dumps(f))
-    assert back.source == f.source and back.scale == T
-    assert back.eval(0.7).hex() == before.hex()
+    for clone in (lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy):
+        back = clone(f)
+        assert type(back) is FnOnScale and back.source == f.source and back.scale == T
+        assert back.eval(0.7).hex() == before.hex()
 
 
 def test_uniform_grid_member_bound():

@@ -53,7 +53,8 @@ def oracle(f: FnOnScale, a: float, b: float, kind: DerivKind) -> float:
 
 def oracle_chain(f: FnOnScale, anchor: float, queries, kind: DerivKind) -> list:
     """Antiderivative values at the queries in order, each walked from the
-    nearest point already known, as Antiderivative.eval does."""
+    nearest point already known, the lower one on a tie (``min`` keeps the
+    first), as Antiderivative.eval does."""
     known, keys, out = {anchor: 0.0}, [anchor], []
     for t in queries:
         if t not in known:
@@ -154,14 +155,26 @@ def test_integrals_match_the_per_jump_walk(kind):
 
 @pytest.mark.parametrize("kind", list(INTEGRALS))
 def test_antiderivative_chains_match_the_per_jump_walk(kind):
+    ties = decided = 0
     for seed, _, T, pts, _, rng in cases():
         f = fn(T, [])
         anchor = rng.choice(pts)
         queries = [rng.choice(pts) for _ in range(10)]
+        # then each member exactly midway between two neighbouring known points:
+        # a tie of the start rule, which the lower point wins
+        known = sorted({anchor, *queries})
+        mids = [(lo, m, hi) for lo, hi in zip(known, known[1:])
+                if T.snap(m := 0.5 * (lo + hi)) == m and m - lo == hi - m]
+        queries += [m for _, m, _ in mids]
         F = Antiderivative(f, anchor, kind)
         got = [F.eval(t).hex() for t in queries]
-        want = [v.hex() for v in oracle_chain(f, anchor, queries, kind)]
-        assert got == want, (seed, T.describe(), anchor, queries)
+        want = oracle_chain(f, anchor, queries, kind)
+        assert got == [v.hex() for v in want], (seed, T.describe(), anchor, queries)
+        value = {anchor: 0.0, **dict(zip(queries, want))}
+        for lo, m, hi in mids:  # would a start from the upper point give other bits?
+            decided += (value[hi] + oracle(f, hi, m, kind)).hex() != value[m].hex()
+        ties += len(mids)
+    assert ties >= 80 and decided >= 20, (ties, decided)
 
 
 def test_scales_cover_the_shapes():
