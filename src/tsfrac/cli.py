@@ -243,9 +243,8 @@ def _deriv_rows(args, points_of, skip=()):
     cfg = _limit_config(args)
     compute = _DERIVS[DerivKind(args.kind)]
 
-    def row(t):
-        res = compute(f, t, order, cfg)
-        return {"t": T.snap(t), **_fields(res)}
+    def row(t):  # the result at the member t snapped to
+        return _fields(compute(f, t, order, cfg))
 
     return _point_rows(points_of(T), row, skip)
 
@@ -332,8 +331,9 @@ def _cell(value) -> str:
 
 def _emit(records, fmt: str, out) -> None:
     if fmt == "json":
+        encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode  # json.dumps builds one per call
         for rec in records:
-            out.write(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
+            out.write(encode(rec) + "\n")
         return
     if not records:
         return

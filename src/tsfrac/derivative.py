@@ -110,6 +110,8 @@ class DerivKind(enum.Enum):
     DELTA = "delta"
     SYMMETRIC = "symmetric"
 
+    __hash__ = object.__hash__  # as ApproachSide's: members are singletons
+
 
 class ComputePath(enum.Enum):
     """How a derivative value was obtained."""
@@ -117,27 +119,28 @@ class ComputePath(enum.Enum):
     EXACT_SCATTERED = "exact-scattered"
     DENSE_LIMIT = "dense-limit"
 
+    __hash__ = object.__hash__
+
 
 class DerivResult(_Record):
-    """A derivative evaluation with its provenance.
+    """A derivative evaluation with its provenance, at the member ``t`` the
+    queried point snapped to.
 
     ``err_est`` is 0 on the exact scattered path and the limit estimator's
     final difference on the dense path.
     """
 
-    def __init__(self, value: float, path: ComputePath, side: ApproachSide, err_est: float, order: Order, kind: DerivKind):
-        vars(self).update(value=value, path=path, side=side, err_est=err_est, order=order, kind=kind)
+    def __init__(
+        self, value: float, path: ComputePath, side: ApproachSide, err_est: float, order: Order, kind: DerivKind, t: float
+    ):
+        d = vars(self)  # item by item: a keyword dict would cost ~0.1 us a result
+        d["value"], d["path"], d["side"], d["err_est"] = value, path, side, err_est
+        d["order"], d["kind"], d["t"] = order, kind, t
 
 
 class SymmetricWeights(_Record):
     def __init__(self, gamma1: float, gamma2: float):
         vars(self).update(gamma1=gamma1, gamma2=gamma2)
-
-
-def _require_order(order: Order) -> None:
-    _require_order_type(order)
-    if order.is_zero:
-        raise ValueError("derivatives require a positive order")
 
 
 def _side_samples(T: TimeScale, ts: float, side: ApproachSide, cfg: LimitConfig):
@@ -230,20 +233,25 @@ _KINDS = {
 }
 
 
-def _domain_point(T: TimeScale, t: float, order: Order, kind: DerivKind) -> float:
-    """t snapped onto T, once the order is positive and the snapped point
-    lies in the domain of the derivative of this kind: it has a predecessor
-    if the kind looks left and a successor if it looks right."""
-    _require_order(order)
+def _domain_point(T: TimeScale, t: float, order: Order, kind: DerivKind):
+    """(ts, row): t snapped onto T and the kind's row of _KINDS, once the
+    order is a positive Order (else TypeError or ValueError) and the snapped
+    point lies in the domain of the derivative of this kind: it has a
+    predecessor if the kind looks left and a successor if it looks right."""
+    if not isinstance(order, Order):
+        _require_order_type(order)  # raises
+    if not order.numerator:
+        raise ValueError("derivatives require a positive order")
     ts = T._require_member(t)
-    left, right, _, outside = _KINDS[kind]
+    row = _KINDS[kind]
+    left, right, _, outside = row
     dm = T.domain_membership(ts)
     if (left and not dm.in_nabla_domain) or (right and not dm.in_delta_domain):
         raise PointOutsideDomain(
             f"t={ts} is {outside} of the scale; the {kind.value} "
             "derivative is undefined there"
         )
-    return ts
+    return ts, row
 
 
 def _frac(f: FnOnScale, t: float, order: Order, cfg: LimitConfig | None, kind: DerivKind) -> DerivResult:
@@ -257,18 +265,17 @@ def _frac(f: FnOnScale, t: float, order: Order, cfg: LimitConfig | None, kind: D
     as a non-finite sample of a limit does.
     """
     T = f.scale
-    ts = _domain_point(T, t, order, kind)
+    ts, (left, right, side, _) = _domain_point(T, t, order, kind)
     cls = T.classify(ts)
-    left, right, side, _ = _KINDS[kind]
     if (left and not cls.left_dense) or (right and not cls.right_dense):
         hi = T.sigma(ts) if right else ts
         lo = T.rho(ts) if left else ts
         value = (f.eval(hi) - f.eval(lo)) / signed_pow(hi - lo, order)
         if not math.isfinite(value):
             raise NonFiniteSample(f"exact {kind.value} quotient at t={ts} is {value!r}")
-        return DerivResult(value, ComputePath.EXACT_SCATTERED, side, 0.0, order, kind)
+        return DerivResult(value, ComputePath.EXACT_SCATTERED, side, 0.0, order, kind, ts)
     value, err, side = _dense_limit(f, ts, order, cfg or _DEFAULT_LIMITS, kind)
-    return DerivResult(value, ComputePath.DENSE_LIMIT, side, err, order, kind)
+    return DerivResult(value, ComputePath.DENSE_LIMIT, side, err, order, kind, ts)
 
 
 def nabla_frac(
@@ -320,7 +327,7 @@ _DERIVS = {DerivKind.NABLA: nabla_frac, DerivKind.DELTA: delta_frac, DerivKind.S
 def symmetric_weights(T: TimeScale, t: float, order: Order) -> SymmetricWeights:
     """The pair (gamma1, gamma2) combining delta and nabla derivatives into
     the symmetric one at t."""
-    ts = _domain_point(T, t, order, DerivKind.SYMMETRIC)
+    ts, _ = _domain_point(T, t, order, DerivKind.SYMMETRIC)
     cls = T.classify(ts)
     if cls.dense:
         g = 2.0 ** (-order.value)

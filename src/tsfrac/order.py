@@ -136,13 +136,14 @@ def signed_pow(x: float, order: Order) -> float:
         NegativeBaseForGeneralOrder: x < 0 and the order is not an odd
             reciprocal.
     """
-    _require_order_type(order)
+    if not isinstance(order, Order):
+        _require_order_type(order)  # raises
     p, q = order.numerator, order.denominator
     if not p:
         raise ValueError("signed_pow is undefined for the zero order")
     if x == 0:
         return 0.0
-    if order.odd_reciprocal:
+    if p == 1 and q % 2 == 1:  # order.odd_reciprocal, read without a property call
         return math.copysign(abs(x) ** (1 / q), x)  # true division: no float(q) to overflow
     if x < 0:
         raise NegativeBaseForGeneralOrder(

@@ -34,10 +34,13 @@ are always neighbors in the index, since normalization leaves no member
 inside or within the tolerance of an interval.  A scale remembers its last
 lookup as one pair (t, bisect_left(index, t)), read and replaced whole, so
 an operator's queries at one point bisect once and a concurrent reader never
-mixes two lookups.  Enumerations read a window of the index, keeping no
-derived copy.  Equality and hashing compare the index, so two descriptions
-of one set are equal; the component list serves ``describe()``, the text
-that ``parse_scale`` reads back to an equal scale.
+mixes two lookups.  ``snap`` and the jump readers under ``sigma``, ``rho``,
+``mu``, ``nu``, ``classify`` and ``domain_membership`` read it in place; the
+pair is keyed by the query, so a query within the tolerance of a member
+bisects again for the member.  Enumerations read a window of the index,
+keeping no derived copy.  Equality and hashing compare the index, so two
+descriptions of one set are equal; the component list serves ``describe()``,
+the text that ``parse_scale`` reads back to an equal scale.
 """
 
 from __future__ import annotations
@@ -87,6 +90,9 @@ class ApproachSide(enum.Enum):
     LEFT = "left"
     RIGHT = "right"
     BOTH = "both"
+
+    # members are singletons compared by identity: Enum's own hash of the name is a Python call
+    __hash__ = object.__hash__
 
 
 class PointClass(_Record):
@@ -143,6 +149,16 @@ def _require_finite_number(name: str, x) -> float:
     if x != x:
         raise ValidationError(f"{name} must not be NaN")
     return x + 0.0  # -0.0 is stored as 0.0, as the text form reads '-0'
+
+
+def _not_in_scale(t, name: str = "t") -> PointNotInScale:
+    """The error for the non-member t.  Its message, "<name>=<t> is not in the
+    scale", names the argument, never the scale, and shows t in at most about
+    40 characters (an int past the float range by its size), so it is short
+    and cannot fail to build."""
+    big = isinstance(t, int) and t.bit_length() > 1024
+    shown = f"<int of {t.bit_length()} bits>" if big else reprlib.repr(t)
+    return PointNotInScale(f"{name}={shown} is not in the scale")
 
 
 def _fmt_num(x: float) -> str:
@@ -453,15 +469,10 @@ class TimeScale:
         return self.snap(t) is not None
 
     def _require_member(self, t: float, name: str = "t") -> float:
-        """t snapped onto the scale, else PointNotInScale.  The message,
-        "<name>=<t> is not in the scale", names the argument, never the
-        scale, and shows t in at most about 40 characters (an int past the
-        float range by its size), so it is short and cannot fail to build."""
+        """t snapped onto the scale, else PointNotInScale (see _not_in_scale)."""
         ts = self.snap(t)
         if ts is None:
-            big = isinstance(t, int) and t.bit_length() > 1024
-            shown = f"<int of {t.bit_length()} bits>" if big else reprlib.repr(t)
-            raise PointNotInScale(f"{name}={shown} is not in the scale")
+            raise _not_in_scale(t, name)
         return ts
 
     def _index(self, t: float) -> int:
@@ -473,10 +484,16 @@ class TimeScale:
         return i
 
     # -- jump operators ---------------------------------------------------
+    # Each public query snaps its t itself, one call of snap, and raises
+    # PointNotInScale for a non-member; the readers below take the member
+    # and read the last lookup in place, as _index does.
 
     def _sigma_raw(self, ts: float) -> float:
         pts = self._pts
-        j = self._index(ts)
+        last, j = self._last[0]
+        if last != ts:
+            j = bisect.bisect_left(pts, ts)
+            self._last[0] = (ts, j)
         if j < len(pts) and pts[j] == ts:  # bisect_right, as entries are distinct
             j += 1
         if self._inside[j] or j == len(pts):
@@ -484,28 +501,38 @@ class TimeScale:
         return pts[j]
 
     def _rho_raw(self, ts: float) -> float:
-        i = self._index(ts)
+        last, i = self._last[0]
+        if last != ts:
+            i = bisect.bisect_left(self._pts, ts)
+            self._last[0] = (ts, i)
         if self._inside[i] or i == 0:
             return ts
         return self._pts[i - 1]
 
     def sigma(self, t: float) -> float:
         """Forward jump: the infimum of scale points after t (t itself at the
-        maximum, and at right-dense points)."""
-        return self._sigma_raw(self._require_member(t))
+        maximum, and at right-dense points).  PointNotInScale unless t is a
+        member."""
+        if (ts := self.snap(t)) is None:
+            raise _not_in_scale(t)
+        return self._sigma_raw(ts)
 
     def rho(self, t: float) -> float:
         """Backward jump, mirror of :meth:`sigma`."""
-        return self._rho_raw(self._require_member(t))
+        if (ts := self.snap(t)) is None:
+            raise _not_in_scale(t)
+        return self._rho_raw(ts)
 
     def mu(self, t: float) -> float:
         """Forward graininess sigma(t) - t."""
-        ts = self._require_member(t)
+        if (ts := self.snap(t)) is None:
+            raise _not_in_scale(t)
         return self._sigma_raw(ts) - ts
 
     def nu(self, t: float) -> float:
         """Backward graininess t - rho(t)."""
-        ts = self._require_member(t)
+        if (ts := self.snap(t)) is None:
+            raise _not_in_scale(t)
         return ts - self._rho_raw(ts)
 
     # -- classification ---------------------------------------------------
@@ -515,17 +542,19 @@ class TimeScale:
 
         A gap at or below the snap tolerance counts as dense, so the
         convention sigma(max) = max makes the maximum right-dense and the
-        minimum left-dense.
+        minimum left-dense.  PointNotInScale unless t is a member.
         """
-        ts = self._require_member(t)
+        if (ts := self.snap(t)) is None:
+            raise _not_in_scale(t)
         right = (self._sigma_raw(ts) - ts) <= DEFAULT_SNAP_TOL
         left = (ts - self._rho_raw(ts)) <= DEFAULT_SNAP_TOL
         return _POINT_CLASSES[left][right]
 
     def domain_membership(self, t: float) -> DomainMembership:
         """Domain flags for the derivative operators at the member t (see
-        :class:`DomainMembership`)."""
-        ts = self._require_member(t)
+        :class:`DomainMembership`); PointNotInScale unless t is a member."""
+        if (ts := self.snap(t)) is None:
+            raise _not_in_scale(t)
         in_nabla = not (ts == self.inf_value and self._sigma_raw(ts) - ts > DEFAULT_SNAP_TOL)
         in_delta = not (ts == self.sup_value and ts - self._rho_raw(ts) > DEFAULT_SNAP_TOL)
         return _MEMBERSHIPS[in_nabla][in_delta]

@@ -40,6 +40,20 @@ def test_deriv_basic(capsys):
     assert recs[0]["order"] == "1/2"
 
 
+def test_a_deriv_row_is_the_result_at_its_member(capsys, monkeypatch):
+    # the row's t is the DerivResult's own: the point is snapped once, by the
+    # derivative (four snaps for a nabla value on a grid, as in the library)
+    from tsfrac import TimeScale
+
+    snaps = []
+    real = TimeScale.snap
+    monkeypatch.setattr(TimeScale, "snap", lambda self, t: snaps.append(t) or real(self, t))
+    code, out, _ = run(capsys, "deriv", "--scale", "grid(0,10,1)", "--fn", "t^2", "--order", "1/2", "--points", "3.0000000000001,3")
+    assert code == 0 and len(snaps) == 8
+    first, second = records(out)
+    assert first == second and first["t"] == 3.0 and sorted(first) == ["err_est", "kind", "order", "path", "side", "t", "value"]
+
+
 def test_deriv_kinds(capsys):
     for kind, want in (("nabla", 5.0), ("delta", 7.0), ("symmetric", 12.0 / 2.0**0.5)):
         code, out, _ = run(

@@ -5,7 +5,9 @@ values to near machine precision.  Dense-point tests go through the limit
 estimator and get tolerances matched to its configuration.
 """
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -637,3 +639,84 @@ def test_overflowing_exact_quotient_raises():
     f = FnOnScale(lambda x: 1.7e308 * (-1) ** int(x), TimeScale([UniformGrid(0.0, 10.0, 1.0)]))
     with pytest.raises(NonFiniteSample, match="is -inf"):
         nabla_frac(f, 3.0, Order(1, 1))
+
+
+# -- the scattered path's calls ------------------------------------------
+
+QUERIES = ("snap", "sigma", "rho", "mu", "nu", "classify", "domain_membership")
+
+
+def _count_queries(monkeypatch) -> dict:
+    """Counts, by name, the calls of the public TimeScale queries the benchmark
+    counts; a query that snaps its point calls the counted snap."""
+    counts = dict.fromkeys(QUERIES, 0)
+    for name in QUERIES:
+
+        def counted(self, t, _real=getattr(TimeScale, name), _name=name):
+            counts[_name] += 1
+            return _real(self, t)
+
+        monkeypatch.setattr(TimeScale, name, counted)
+    return counts
+
+
+def _union200() -> TimeScale:
+    """200 components, one per 50-unit block: point sets and grids in turn."""
+    return TimeScale(
+        FinitePoints([50.0 * i, 50.0 * i + 1.25, 50.0 * i + 7.5]) if i % 2 == 0 else UniformGrid(50.0 * i, 50.0 * i + 9.0, 0.5)
+        for i in range(200)
+    )
+
+
+@pytest.mark.parametrize("deriv, jump", [(nabla_frac, "rho"), (delta_frac, "sigma")])
+def test_a_one_sided_scattered_derivative_makes_seven_queries(monkeypatch, deriv, jump):
+    # the counts bench/selftest.py pins: a faster path keeps these calls
+    f = FnOnScale.from_expression("sin(t)", TimeScale([UniformGrid(0.0, 100000.0, 1.0)]))
+    counts = _count_queries(monkeypatch)
+    deriv(f, 500.0, Order(1, 2))
+    assert {k: v for k, v in counts.items() if v} == {"snap": 4, "domain_membership": 1, "classify": 1, jump: 1}
+
+
+def test_a_symmetric_scattered_derivative_makes_nine_queries(monkeypatch):
+    T = _union200()
+    assert len(T.components) == 200
+    f = FnOnScale.from_expression("t^2 - 3*t", T)
+    counts = _count_queries(monkeypatch)
+    r = symmetric_frac(f, 5001.25, Order(3, 4))
+    assert r.path is ComputePath.EXACT_SCATTERED
+    assert {k: v for k, v in counts.items() if v} == {"snap": 5, "domain_membership": 1, "classify": 1, "sigma": 1, "rho": 1}
+
+
+@pytest.mark.parametrize("member", [*DerivKind, *ComputePath, *ApproachSide], ids=repr)
+def test_the_kinds_hash_by_identity(member):
+    # Enum hashes a member by its name through a Python call; the members are
+    # singletons, so the identity hash agrees with ==
+    assert hash(member) == object.__hash__(member)
+    assert type(member)(member.value) is member
+    for same in (pickle.loads(pickle.dumps(member)), copy.copy(member), copy.deepcopy(member)):
+        assert same is member and hash(same) == hash(member)
+
+
+@pytest.mark.parametrize("kind", list(DerivKind))
+def test_the_kind_tables_dispatch_by_member_and_by_value(kind):
+    from tsfrac import derivative, integral
+
+    for table in (derivative._DERIVS, derivative._KINDS, integral._CAUCHY):
+        assert table[DerivKind(kind.value)] is table[kind] is table[pickle.loads(pickle.dumps(kind))]
+    f = FnOnScale.from_expression("sin(t)", INTEGERS)
+    assert derivative._DERIVS[DerivKind(kind.value)](f, 5.0, Order(1, 2)).kind is kind
+
+
+@pytest.mark.parametrize("T, member", [(TimeScale([UniformGrid(0.0, 10.0, 1.0)]), 2.0), (_union200(), 1001.25)])
+@pytest.mark.parametrize("deriv", [nabla_frac, delta_frac, symmetric_frac])
+def test_a_point_within_the_tolerance_gives_the_member_s_result(T, member, deriv):
+    # the last-lookup memo is keyed by the query, not by the member it snaps to:
+    # a first query off the member must not leave the member's readers its bisection
+    near = member + (1e-13 if member == 2.0 else 4e-13)
+    assert near != member and T.snap(near) == member
+    f = FnOnScale.from_expression("sin(t) + t^2", T)
+    fresh = TimeScale(T.components)
+    got, want = deriv(f, near, Order(1, 2)), deriv(FnOnScale(f.eval, fresh), member, Order(1, 2))
+    assert got == want and got.value.hex() == want.value.hex() and got.t == member
+    for query in ("sigma", "rho", "mu", "nu", "classify", "domain_membership"):
+        assert getattr(TimeScale(T.components), query)(near) == getattr(fresh, query)(member)

@@ -56,8 +56,8 @@ RECORDS = [
     (GeometricGrid(2, -3, 2, True), ["q", "k_min", "k_max", "include_zero"]),
     (FnOnScale(abs, _T, "abs"), ["eval", "scale", "source"]),
     (
-        DerivResult(0.5, ComputePath.DENSE_LIMIT, ApproachSide.BOTH, 1e-9, Order(1, 3), DerivKind.SYMMETRIC),
-        ["value", "path", "side", "err_est", "order", "kind"],
+        DerivResult(0.5, ComputePath.DENSE_LIMIT, ApproachSide.BOTH, 1e-9, Order(1, 3), DerivKind.SYMMETRIC, 0.5),
+        ["value", "path", "side", "err_est", "order", "kind", "t"],
     ),
     (SymmetricWeights(0.25, 0.75), ["gamma1", "gamma2"]),
     (Const(2.5), ["value"]),
@@ -113,10 +113,11 @@ def test_repr_names_the_class_and_each_field(record, names):
 
 def test_repr_strings_are_unchanged():
     assert repr(Order(2, 4)) == "Order(numerator=1, denominator=2)"
-    assert repr(DerivResult(4.125, ComputePath.EXACT_SCATTERED, ApproachSide.LEFT, 0.0, Order(1, 2), DerivKind.NABLA)) == (
+    # t is a field added since: the member the result was computed at
+    assert repr(DerivResult(4.125, ComputePath.EXACT_SCATTERED, ApproachSide.LEFT, 0.0, Order(1, 2), DerivKind.NABLA, 3.0)) == (
         "DerivResult(value=4.125, path=<ComputePath.EXACT_SCATTERED: 'exact-scattered'>, "
         "side=<ApproachSide.LEFT: 'left'>, err_est=0.0, order=Order(numerator=1, denominator=2), "
-        "kind=<DerivKind.NABLA: 'nabla'>)"
+        "kind=<DerivKind.NABLA: 'nabla'>, t=3.0)"
     )
     assert repr(parse_expr("-sin(t)^2 + t*3 - pow(t, 2)/ln(t)")) == (
         "Sub(left=Add(left=Neg(operand=Pow(left=Call(name='sin', args=(Var(),)), right=Const(value=2.0))), "

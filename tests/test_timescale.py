@@ -182,11 +182,11 @@ def test_int_past_the_float_range_is_no_point():
     # str() of 10**5000 exceeds Python's digit limit: the message must not need it
     for big in (10**400, 10**5000):
         for query in (
-            T.sigma, T.rho, T.mu, T.nu, T.classify,
+            T.sigma, T.rho, T.mu, T.nu, T.classify, T.domain_membership,
             lambda t: T.approach_sequence(t, ApproachSide.LEFT),
             lambda t: T.symmetric_pairs(t),
         ):
-            with pytest.raises(PointNotInScale):
+            with pytest.raises(PointNotInScale, match=f"^t=<int of {big.bit_length()} bits> is not in the scale$"):
                 query(big)
     with pytest.raises(ValueError, match="float range"):
         T.points_in(0, 10**400, 1)
@@ -199,7 +199,7 @@ def test_a_non_member_error_names_the_argument_not_the_scale(monkeypatch):
     f = FnOnScale(lambda x: x, T)
     half = Order(1, 2)
     points = [
-        T.sigma, T.rho, T.mu, T.nu, T.classify,
+        T.sigma, T.rho, T.mu, T.nu, T.classify, T.domain_membership,
         lambda t: T.approach_sequence(t, ApproachSide.LEFT),
         lambda t: T.symmetric_pairs(t),
         lambda t: symmetric_weights(T, t, half),
