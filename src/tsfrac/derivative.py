@@ -12,17 +12,17 @@ scale T with f continuous there:
   t is not dense, and the limit of ``[f(t+h) - f(t-h)] / (2h)**alpha`` at
   dense t.
 
-One routine serves all three kinds.  A kind looks left (nabla), right
-(delta) or both ways (symmetric); when a side it looks at is scattered the
-value is the exact quotient over rho(t) and/or sigma(t) (zero error
-estimate), and otherwise the routine samples the dense neighborhood and
-estimates the limit.  The symmetric kind samples mirrored pairs; nabla and
-delta sample approach sequences.  Odd-reciprocal orders (1, 1/3, 1/5, ...)
-take the limit over both sides of t and require the two one-sided
-estimates to agree; every other order admits only the side where the
-power's base stays nonnegative (right for nabla, left for delta).  When
-only one side of a dense point has scale points to sample, the limit over
-the neighborhood degenerates to that side and is used alone.
+One routine serves all three kinds, and every value is one quotient
+``[f(hi) - f(lo)] / (hi - lo)**alpha`` over points lo < hi of the scale.  A
+kind looks left (nabla), right (delta) or both ways (symmetric); when a side
+it looks at is scattered the value is the exact quotient over rho(t) and/or
+sigma(t) (zero error estimate), and otherwise the limit of quotients over
+t -/+ h (symmetric) or over t and the points s of an approach sequence
+(nabla and delta).  Odd-reciprocal orders (1, 1/3, 1/5, ...) take the limit
+over both sides of t and require the two one-sided estimates to agree; every
+other order samples only the side its kind's definition reads (right for
+nabla, left for delta).  When only one side of a dense point has scale
+points to sample, the limit degenerates to that side and is used alone.
 
 The symmetric derivative relates to the one-sided ones through the weights
 ``gamma1 = [(sigma(t)-t)/(sigma(t)-rho(t))]**alpha`` and
@@ -53,7 +53,6 @@ from .order import (
     Order,
     _require_order_type,
     estimate_limit,
-    signed_pow,
 )
 from .timescale import ApproachSide, TimeScale
 
@@ -154,8 +153,8 @@ def _side_samples(T: TimeScale, ts: float, side: ApproachSide, cfg: LimitConfig)
 
 def _settle(quots, cfg: LimitConfig, side: ApproachSide, ts: float) -> "tuple[float, float]":
     """The limit of one side's quotient sequence and its error estimate, or
-    LimitDidNotConverge.  A zero limit is +0.0: a side whose base is
-    negative divides +0.0 differences by negative powers."""
+    LimitDidNotConverge.  A zero limit is +0.0 whatever the signs of f's own
+    zeros: for ``-t*0`` at 0, f(h) - f(-h) is -0.0."""
     est = estimate_limit(quots, cfg)
     if not est.converged:
         label = "symmetric" if side is ApproachSide.BOTH else f"{side.value}-side"
@@ -167,14 +166,12 @@ def _settle(quots, cfg: LimitConfig, side: ApproachSide, ts: float) -> "tuple[fl
 
 
 def _dense_limit(f: FnOnScale, ts: float, order: Order, cfg: LimitConfig, kind: DerivKind):
-    """(value, err_est, side) of the derivative of this kind at dense ts:
-    mirrored pairs for symmetric, approach sequences on the sides the order
-    admits for nabla (base ``s - t``) and delta (base ``t - s``), each sample
-    one quotient raised to the order's exponent worked out once."""
-    # e is signed_pow's exponent p/q (1/q when p = 1), and as a side's bases d have one
-    # sign, d**e (d > 0) or -((-d)**e) (d < 0) is signed_pow's copysign(|d|**e, d) bit for
-    # bit, negation being exact; a general order samples only its preferred side, where
-    # d > 0, and 2h > 0, so NegativeBaseForGeneralOrder cannot occur
+    """(value, err_est, side) of the derivative of this kind at dense ts, each
+    sample the quotient ``[f(hi) - f(lo)] / (hi - lo)**alpha`` over lo < hi:
+    the mirrored pair ts -/+ h for symmetric, and ts with a point s of an
+    approach sequence for nabla and delta, f(ts) evaluated once.  The two
+    differ only in the side a general order samples: right for nabla, left
+    for delta."""
     T, ev, e = f.scale, f.eval, order.value
     if kind is DerivKind.SYMMETRIC:
         pairs = T.symmetric_pairs(ts, cfg)
@@ -184,21 +181,17 @@ def _dense_limit(f: FnOnScale, ts: float, order: Order, cfg: LimitConfig, kind: 
             )
         found = [(ApproachSide.BOTH, pairs)]
 
-        def quots(hs, side):
-            return ((ev(ts + h) - ev(ts - h)) / (2.0 * h) ** e for h in hs)
+        def quots(hs, side):  # ts + h and ts - h round: 2h is not their distance
+            return ((ev(hi := ts + h) - ev(lo := ts - h)) / (hi - lo) ** e for h in hs)
 
     else:
-        # nabla's (f(s) - f(t)) / (s - t)**alpha and delta's mirror as one
-        # quotient, sign +1 and -1: negation is exact, and negating each term,
-        # not the difference, keeps a zero difference +0.0 as delta's had it
-        sign = 1.0 if kind is DerivKind.NABLA else -1.0
-        preferred = ApproachSide.RIGHT if sign > 0 else ApproachSide.LEFT
-        sft, sts = sign * ev(ts), sign * ts
+        preferred = ApproachSide.RIGHT if kind is DerivKind.NABLA else ApproachSide.LEFT
+        ft = ev(ts)
 
-        def quots(seq, side):  # d = sign*s - sts, and sts - sign*s is -d
-            if side is preferred:
-                return ((sign * ev(s) - sft) / (sign * s - sts) ** e for s in seq)
-            return ((sign * ev(s) - sft) / -((sts - sign * s) ** e) for s in seq)
+        def quots(seq, side):
+            if side is ApproachSide.RIGHT:
+                return ((ev(s) - ft) / (s - ts) ** e for s in seq)
+            return ((ft - ev(s)) / (ts - s) ** e for s in seq)
 
         sides = (ApproachSide.LEFT, ApproachSide.RIGHT)
         if not order.odd_reciprocal:
@@ -270,7 +263,7 @@ def _frac(f: FnOnScale, t: float, order: Order, cfg: LimitConfig | None, kind: D
     if (left and not cls.left_dense) or (right and not cls.right_dense):
         hi = T.sigma(ts) if right else ts
         lo = T.rho(ts) if left else ts
-        value = (f.eval(hi) - f.eval(lo)) / signed_pow(hi - lo, order)
+        value = (f.eval(hi) - f.eval(lo)) / (hi - lo) ** order.value
         if not math.isfinite(value):
             raise NonFiniteSample(f"exact {kind.value} quotient at t={ts} is {value!r}")
         return DerivResult(value, ComputePath.EXACT_SCATTERED, side, 0.0, order, kind, ts)

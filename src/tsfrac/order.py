@@ -136,21 +136,19 @@ def signed_pow(x: float, order: Order) -> float:
         NegativeBaseForGeneralOrder: x < 0 and the order is not an odd
             reciprocal.
     """
-    if not isinstance(order, Order):
-        _require_order_type(order)  # raises
-    p, q = order.numerator, order.denominator
-    if not p:
+    _require_order_type(order)
+    if order.is_zero:
         raise ValueError("signed_pow is undefined for the zero order")
     if x == 0:
         return 0.0
-    if p == 1 and q % 2 == 1:  # order.odd_reciprocal, read without a property call
-        return math.copysign(abs(x) ** (1 / q), x)  # true division: no float(q) to overflow
+    if order.odd_reciprocal:
+        return math.copysign(abs(x) ** order.value, x)
     if x < 0:
         raise NegativeBaseForGeneralOrder(
             f"({x})**({order}) is not real; only odd-reciprocal orders "
             "accept negative bases"
         )
-    return x ** (p / q)
+    return x ** order.value
 
 
 #: the fewest samples a limit is estimated from: two successive differences

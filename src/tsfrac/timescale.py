@@ -427,6 +427,9 @@ class TimeScale:
     def __setattr__(self, name, value):
         raise AttributeError("TimeScale is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("TimeScale is immutable")
+
     def __reduce__(self):  # pickle and copy rebuild through __init__, not by setting slots
         return (TimeScale, (self.components,))
 

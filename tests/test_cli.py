@@ -923,8 +923,8 @@ def test_build_parser_returns_a_fresh_parser_main_does_not_use(capsys):
     [("1/3", "delta", "-5"), ("1", "nabla", "5")],
 )
 def test_a_zero_dense_limit_prints_positive_zero(capsys, order, kind, point):
-    # the one side sampled has a negative base, and +0.0 over a negative
-    # power is -0.0: the limit is printed as 0.0 all the same
+    # the one side sampled is where the definition's base is negative; its
+    # quotient is a +0.0 difference over a positive power, printed as 0.0
     code, out, _ = run(
         capsys,
         "deriv",

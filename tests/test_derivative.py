@@ -244,11 +244,13 @@ def test_a_dense_side_is_asked_for_its_points_once(monkeypatch):
 
 def _dense_from_public_pieces(f, t, order, kind, cfg):
     """(value, err_est) of a dense derivative rebuilt from the public scale
-    queries, signed_pow and estimate_limit, as the definitions read."""
+    queries, signed_pow and estimate_limit, as the definitions read: nabla's
+    base s - t and delta's t - s, negative on one side of t, and the symmetric
+    pair's distance."""
     T = f.scale
     if kind is DerivKind.SYMMETRIC:
         hs = T.symmetric_pairs(t, cfg)
-        est = estimate_limit([(f.eval(t + h) - f.eval(t - h)) / signed_pow(2.0 * h, order) for h in hs], cfg)
+        est = estimate_limit([(f.eval(t + h) - f.eval(t - h)) / signed_pow((t + h) - (t - h), order) for h in hs], cfg)
         return est.value, est.err_est
     sides = [ApproachSide.LEFT, ApproachSide.RIGHT]
     if not order.odd_reciprocal:
@@ -318,12 +320,12 @@ _CUBIC, _QUAD = "t*t*t - 2*t", "t*t + 3*t"
         # one-sided: general orders sample their preferred side only
         (DerivKind.NABLA, _I10, _CUBIC, 2.0, Order(1, 2), _TOL4, "(0.0001220702542923252, 5.056328351220125e-05)", "right"),
         (DerivKind.DELTA, _I10, _CUBIC, 2.0, Order(2, 3), _TOL4, "(0.0002630780975633794, 6.837953532301945e-05)", "left"),
-        (DerivKind.SYMMETRIC, _I10, _CUBIC, 2.0, Order(1, 1), None, "(10.000000000400178, 1.1027623258996755e-09)", "both"),
-        (DerivKind.SYMMETRIC, _I10, _CUBIC, 2.0, Order(1, 2), _TOL4, "(0.00012207019608467817, 5.0563259401791006e-05)", "both"),
-        # the interval's ends: nabla's positive side at 0, its negative side at 10
+        (DerivKind.SYMMETRIC, _I10, _CUBIC, 2.0, Order(1, 1), None, "(10.000000000409273, 1.1027623258996755e-09)", "both"),
+        (DerivKind.SYMMETRIC, _I10, _CUBIC, 2.0, Order(1, 2), _TOL4, "(0.0001220702542923252, 5.0563219201219415e-05)", "both"),
+        # the interval's ends: nabla samples right of 0 and left of 10
         (DerivKind.NABLA, _I10, _CUBIC, 0.0, Order(1, 1), None, "(-1.9999999996185303, 1.1444092340440193e-09)", "right"),
         (DerivKind.NABLA, _I10, _CUBIC, 10.0, Order(1, 3), _TOL4, "(8.375877168996717e-05, 4.919965020167671e-05)", "left"),
-        # a geometric tail at 0: nabla's positive side, delta's negative one
+        # a geometric tail right of 0: nabla's own side, delta's other one
         (DerivKind.NABLA, _QZERO, _QUAD, 0.0, Order(1, 1), None, "(3.0000000037252903, 3.725290298461914e-09)", "right"),
         (DerivKind.DELTA, _QZERO, _QUAD, 0.0, Order(1, 1), None, "(3.0000000037252903, 3.725290298461914e-09)", "right"),
     ],
@@ -491,6 +493,35 @@ def test_symmetric_at_hybrid_points_is_one_jump_quotient(T, t, lo, hi):
         assert r.side.value == "both"
         assert r.err_est == 0.0
         assert r.value == (f.eval(hi) - f.eval(lo)) / (hi - lo) ** a.value
+
+
+def test_exact_values_are_one_signed_pow_quotient():
+    """Every exact value of the three kinds is ``[f(hi) - f(lo)] /
+    signed_pow(hi - lo, order)`` bit for bit, with lo = rho(t) or t and
+    hi = t or sigma(t): the base is positive, where the float power the
+    operators take is signed_pow's."""
+    rng = random.Random(40)
+    orders = (*ALPHAS, Order(2, 3), Order(3, 4), Order(1, 5), Order(5, 7))
+    cases = 0
+    for _ in range(30):
+        vals = {rng.uniform(-1e3, 1e3) * 10.0 ** rng.randint(-6, 0) for _ in range(rng.randint(3, 12))}
+        T = TimeScale([FinitePoints(tuple(vals))])
+        f = FnOnScale.from_expression("sin(t) + t^3", T)
+        for t in vals:
+            for kind, deriv in zip(DerivKind, (nabla_frac, delta_frac, symmetric_frac)):
+                lo = t if kind is DerivKind.DELTA else T.rho(t)
+                hi = t if kind is DerivKind.NABLA else T.sigma(t)
+                for order in orders:
+                    try:
+                        r = deriv(f, t, order)
+                    except PointOutsideDomain:
+                        assert t in (min(vals), max(vals))
+                        continue
+                    assert r.path is ComputePath.EXACT_SCATTERED
+                    want = (f.eval(hi) - f.eval(lo)) / signed_pow(hi - lo, order)
+                    assert r.value.hex() == want.hex(), (kind, t, order)
+                    cases += 1
+    assert cases > 3000, cases
 
 
 @pytest.mark.parametrize(

@@ -75,7 +75,7 @@ _SWEEP_ORDERS = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4),
 
 
 def _sweep_marks(name, kind, order, t):
-    """The sweep's failures today: every row below order 1, and ten at order 1.
+    """The sweep's failures today: every row below order 1, and eight at order 1.
     The ``cli`` workload's wrong ``table`` value is the delta sin row at
     order 1/3, t=2."""
     if order == Fraction(1, 3):
@@ -86,8 +86,6 @@ def _sweep_marks(name, kind, order, t):
         return _xfail("1", "raises LimitDidNotConverge: the quotients converge like h^(1-alpha), too slowly")
     if name == "exp" and t != 2.0 and kind != "symmetric":
         return _xfail("1/12", "raises SidedLimitsDisagree: the sides settle on different rounding plateaus")
-    if (name, kind) == ("sq", "symmetric") and t in (1.0, 2.0):
-        return _xfail("1/12", "outside err_est: the quotients settle on a rounding plateau")
     return ()
 
 
@@ -127,9 +125,17 @@ DERIVATIVE_CASES = [
         )
         for kind in ("nabla", "delta", "symmetric")
     ),
-    # mended: a zero limit over one side with negative bases is +0.0
+    # mended: a zero limit over the side where the definition's base is negative is +0.0
     pytest.param("interval(-5,5)", "7.25", "delta", "1/3", -5.0, None, 0.0, id="delta-constant-order1/3-t-5"),
     pytest.param("interval(-5,5)", "7.25", "nabla", "1", 5.0, None, 0.0, id="nabla-constant-order1-t5"),
+    # mended: a symmetric sample divides by the distance between t + h and t - h, not 2h
+    *(
+        pytest.param(
+            f"interval(0,{2 * t:g})", "sin(t)", "symmetric", "1", t, None, math.cos(t),
+            id=f"symmetric-sin-order1-t{t:g}-interval(0,{2 * t:g})",
+        )
+        for t in (3e4, 1e5)
+    ),
     *(
         pytest.param(
             "interval(0,10)", fn.text, kind, str(order), t, None,

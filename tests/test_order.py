@@ -145,12 +145,15 @@ def test_signed_pow_takes_only_an_order(order):
 
 
 def test_signed_pow_matches_float_pow_on_positives():
+    # the operators divide by (hi - lo) ** order.value with hi > lo: that is
+    # signed_pow, and for an odd reciprocal signed_pow is odd
     rng = random.Random(7)
-    for _ in range(100):
-        x = rng.uniform(1e-6, 50.0)
-        p = rng.randint(1, 7)
-        q = rng.randint(p, 9)
-        assert signed_pow(x, Order(p, q)) == pytest.approx(x ** (p / q), rel=1e-14)
+    for order in (*SIGNED_POW_ORDERS, Order(1, 10**400 + 1)):
+        for _ in range(100):
+            x = rng.uniform(1e-6, 50.0)
+            assert signed_pow(x, order) == x**order.value
+            if order.odd_reciprocal:
+                assert signed_pow(-x, order) == -(x**order.value)
 
 
 SIGNED_POW_ORDERS = sorted({Order(p, q) for q in range(1, 13) for p in range(1, q + 1)})

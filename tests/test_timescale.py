@@ -151,6 +151,16 @@ def test_scale_is_immutable_and_snaps_only_numbers():
     assert T.snap("1") is None
 
 
+def test_scale_refuses_del():
+    T = make_hybrid()
+    T.sigma(1.5)  # fills the last-lookup slot
+    for name in (*TimeScale.__slots__, "not_a_slot"):
+        with pytest.raises(AttributeError, match="^TimeScale is immutable$"):
+            delattr(T, name)
+    assert T.sigma(1.5) == 2.0 and T.sigma(2.0) == 2.5
+    assert T == copy.deepcopy(T) == pickle.loads(pickle.dumps(T))
+
+
 def test_a_point_is_any_real_number():
     # a point reads as a component value does: a Fraction or a Decimal names
     # the member 1/2, as FinitePoints accepts either, and a Decimal density
